@@ -8,6 +8,8 @@
 
 #include "core/adversary.h"
 #include "core/belief.h"
+#include "core/neighbor_sums.h"
+#include "data/dataset.h"
 #include "data/dissimilarity.h"
 #include "data/synthetic_mnist.h"
 #include "data/synthetic_purchase.h"
@@ -269,6 +271,45 @@ void BM_ClippedGradientSumPurchase(benchmark::State& state) {
 }
 BENCHMARK(BM_ClippedGradientSumPurchase)
     ->ArgsProduct({{16, 64, 256}, {1, 4, 8}})
+    ->Unit(benchmark::kMillisecond);
+
+// One DPSGD step's shared-neighbour clipped sums (core/neighbor_sums), the
+// call an audit trial spends most of each step in. Args are {network: 0 =
+// MNIST conv net, 1 = Purchase MLP at the audit sweeps' 600-48-30 width;
+// batch lanes, 0 = scalar path}. The bounded pair has 40 records, so the
+// 41-record union ends in a one-example tail. Single-threaded, as a sweep
+// worker runs it.
+void BM_ClippedNeighborSums(benchmark::State& state) {
+  const bool purchase = state.range(0) == 1;
+  Rng rng(11);
+  Network net = purchase ? BuildPurchaseNetwork(600, 48, 30)
+                         : BuildMnistNetwork();
+  net.Initialize(rng);
+  SyntheticMnistConfig mnist_config;
+  SyntheticPurchaseGenerator generator(SyntheticPurchaseConfig{}, 4);
+  auto sample = [&](size_t label) {
+    return purchase ? generator.Sample(label, rng)
+                    : RenderSyntheticDigit(label, mnist_config, rng);
+  };
+  const size_t classes = purchase ? 30 : 10;
+  Dataset d;
+  for (size_t i = 0; i < 40; ++i) d.Add(sample(i % classes), i % classes);
+  Dataset d_prime = d.WithRecordReplaced(7, sample(3), 3);
+  const NeighborOverlap overlap =
+      AnalyzeNeighborOverlap(d, d_prime, NeighborMode::kBounded);
+  GradientEngine::Options options;
+  options.threads = 1;
+  options.batch_lanes = static_cast<size_t>(state.range(1));
+  GradientEngine engine(net, options);
+  engine.SyncParams(net);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ComputeClippedNeighborSums(
+        engine, d, d_prime, overlap, NeighborMode::kBounded, 1.0, false));
+  }
+  state.SetItemsProcessed(state.iterations() * 41);
+}
+BENCHMARK(BM_ClippedNeighborSums)
+    ->ArgsProduct({{0, 1}, {0, 8}})
     ->Unit(benchmark::kMillisecond);
 
 void BM_RenderSyntheticDigit(benchmark::State& state) {

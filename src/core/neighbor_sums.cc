@@ -103,17 +103,16 @@ NeighborSums ComputeClippedNeighborSums(GradientEngine& engine,
     out.norms_dprime.reserve(d_prime.size());
   }
 
-  auto accumulate = [&](std::vector<float>& sum,
-                        const GradientEngine::PerExampleGradView& view) {
-    if (per_layer) {
-      for (size_t r = 0; r < ranges.size(); ++r) {
-        AccumulateScaled(sum.data() + ranges[r].offset,
-                         view.grad + ranges[r].offset, ranges[r].size,
-                         ClipScale(view.layer_norms[r], per_layer_clip));
-      }
+  // A record in both datasets is clipped once and added to both sums in one
+  // pass over its gradient (AccumulateScaledPair); each sum still receives
+  // the same rounded terms in the same example order as two separate passes.
+  // A null `b` accumulates into `a` alone.
+  auto accumulate = [&](float* a, float* b, const float* g, size_t n,
+                        double scale) {
+    if (b == nullptr) {
+      AccumulateScaled(a, g, n, scale);
     } else {
-      AccumulateScaled(sum.data(), view.grad, num_params,
-                       ClipScale(view.norm, clip_norm));
+      AccumulateScaledPair(a, b, g, n, scale);
     }
   };
 
@@ -122,13 +121,22 @@ NeighborSums ComputeClippedNeighborSums(GradientEngine& engine,
       per_layer ? GradientEngine::NormMode::kPerLayer
                 : GradientEngine::NormMode::kWhole,
       [&](size_t j, const GradientEngine::PerExampleGradView& view) {
-        if (in_d[j]) {
-          if (!per_layer) out.norms_d.push_back(view.norm);
-          accumulate(out.sum_d, view);
+        if (!per_layer) {
+          if (in_d[j]) out.norms_d.push_back(view.norm);
+          if (in_dprime[j]) out.norms_dprime.push_back(view.norm);
         }
-        if (in_dprime[j]) {
-          if (!per_layer) out.norms_dprime.push_back(view.norm);
-          accumulate(out.sum_dprime, view);
+        float* a = in_d[j] ? out.sum_d.data() : out.sum_dprime.data();
+        float* b = in_d[j] && in_dprime[j] ? out.sum_dprime.data() : nullptr;
+        if (per_layer) {
+          for (size_t r = 0; r < ranges.size(); ++r) {
+            const size_t off = ranges[r].offset;
+            accumulate(a + off, b == nullptr ? nullptr : b + off,
+                       view.grad + off, ranges[r].size,
+                       ClipScale(view.layer_norms[r], per_layer_clip));
+          }
+        } else {
+          accumulate(a, b, view.grad, num_params,
+                     ClipScale(view.norm, clip_norm));
         }
       });
   return out;

@@ -477,15 +477,9 @@ void ChannelNorm::BackwardBatchInto(const Tensor& grad_output, size_t lanes,
                                channels_, m, lanes);
 }
 
-void ChannelNorm::LaneGradsTo(size_t lane, float* dst) const {
-  DPAUDIT_CHECK_LT(lane, batch_lanes_);
-  for (size_t c = 0; c < channels_; ++c) {
-    dst[c] = lane_dgamma_[c * batch_lanes_ + lane];
-  }
-  dst += channels_;
-  for (size_t c = 0; c < channels_; ++c) {
-    dst[c] = lane_dbeta_[c * batch_lanes_ + lane];
-  }
+void ChannelNorm::AppendLaneGrads(std::vector<const float*>* blocks) const {
+  blocks->push_back(lane_dgamma_.data());
+  blocks->push_back(lane_dbeta_.data());
 }
 
 std::unique_ptr<Layer> ChannelNorm::Clone() const {

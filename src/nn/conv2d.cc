@@ -907,16 +907,9 @@ void Conv2d::BackwardBatchInto(const Tensor& grad_output, size_t lanes,
   }
 }
 
-void Conv2d::LaneGradsTo(size_t lane, float* dst) const {
-  DPAUDIT_CHECK_LT(lane, batch_lanes_);
-  const size_t wsize = out_channels_ * in_channels_ * kernel_ * kernel_;
-  for (size_t p = 0; p < wsize; ++p) {
-    dst[p] = lane_dweight_[p * batch_lanes_ + lane];
-  }
-  dst += wsize;
-  for (size_t p = 0; p < out_channels_; ++p) {
-    dst[p] = lane_dbias_[p * batch_lanes_ + lane];
-  }
+void Conv2d::AppendLaneGrads(std::vector<const float*>* blocks) const {
+  blocks->push_back(lane_dweight_.data());
+  blocks->push_back(lane_dbias_.data());
 }
 
 std::unique_ptr<Layer> Conv2d::Clone() const {

@@ -258,16 +258,9 @@ void Dense::BackwardBatchInto(const Tensor& grad_output, size_t lanes,
                          lane_dbias_.data(), gx, in_, out_, lanes);
 }
 
-void Dense::LaneGradsTo(size_t lane, float* dst) const {
-  DPAUDIT_CHECK_LT(lane, batch_lanes_);
-  const size_t wsize = out_ * in_;
-  for (size_t p = 0; p < wsize; ++p) {
-    dst[p] = lane_dweight_[p * batch_lanes_ + lane];
-  }
-  dst += wsize;
-  for (size_t p = 0; p < out_; ++p) {
-    dst[p] = lane_dbias_[p * batch_lanes_ + lane];
-  }
+void Dense::AppendLaneGrads(std::vector<const float*>* blocks) const {
+  blocks->push_back(lane_dweight_.data());
+  blocks->push_back(lane_dbias_.data());
 }
 
 std::unique_ptr<Layer> Dense::Clone() const {

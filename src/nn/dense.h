@@ -25,7 +25,7 @@ class Dense : public Layer {
                         Tensor* output) override;
   void BackwardBatchInto(const Tensor& grad_output, size_t lanes,
                          Tensor* grad_input) override;
-  void LaneGradsTo(size_t lane, float* dst) const override;
+  void AppendLaneGrads(std::vector<const float*>* blocks) const override;
   std::vector<Tensor*> Params() override { return {&weight_, &bias_}; }
   std::vector<Tensor*> Grads() override { return {&dweight_, &dbias_}; }
   void Initialize(Rng& rng) override;

@@ -52,7 +52,8 @@ GradientEngine::GradientEngine(const Network& architecture, Options options)
   pack_inputs_.resize(threads_);
   pack_labels_.resize(threads_);
   pack_dsts_.resize(threads_);
-  pad_grads_.resize(threads_);
+  pack_norms_.resize(threads_);
+  pad_slots_.resize(threads_);
   // Worker-affine state (per-worker model replicas and workspaces indexed by
   // worker id) needs a dedicated pool with a stable width; the shared pool's
   // width is a process-global setting. One pool per engine, reused across
@@ -68,24 +69,32 @@ void GradientEngine::SyncParams(const Network& source) {
   for (Network& replica : replicas_) replica.SetFlatParams(flat);
 }
 
-void GradientEngine::FillNorms(NormMode mode, Slot* slot) {
-  if (mode == NormMode::kWhole) {
-    slot->norm = L2Norm(slot->grad.data(), num_params_);
-  } else {
-    slot->layer_norms.resize(ranges_.size());
-    for (size_t r = 0; r < ranges_.size(); ++r) {
-      slot->layer_norms[r] =
-          L2Norm(slot->grad.data() + ranges_[r].offset, ranges_[r].size);
-    }
+GradientEngine::PerExampleGradView GradientEngine::View(
+    NormMode mode, const Slot& slot) const {
+  if (mode == NormMode::kPerLayer) {
+    return {slot.grad.data(), 0.0, slot.norms.data()};
   }
+  return {slot.grad.data(), slot.norms[0], nullptr};
+}
+
+void GradientEngine::ResizeSlot(NormMode mode, Slot* slot) const {
+  slot->grad.resize(num_params_);
+  slot->norms.resize(mode == NormMode::kWhole ? 1 : ranges_.size());
 }
 
 void GradientEngine::ComputeSlot(size_t worker, const Tensor& input,
                                  size_t label, NormMode mode, Slot* slot) {
-  slot->grad.resize(num_params_);
+  ResizeSlot(mode, slot);
   replicas_[worker].PerExampleGradientTo(input, label, &workspaces_[worker],
                                          slot->grad.data());
-  FillNorms(mode, slot);
+  if (mode == NormMode::kWhole) {
+    slot->norms[0] = L2Norm(slot->grad.data(), num_params_);
+  } else {
+    for (size_t r = 0; r < ranges_.size(); ++r) {
+      slot->norms[r] =
+          L2Norm(slot->grad.data() + ranges_[r].offset, ranges_[r].size);
+    }
+  }
 }
 
 void GradientEngine::ComputePack(size_t worker,
@@ -102,8 +111,8 @@ void GradientEngine::ComputePack(size_t worker,
   // width with copies of its last example (a full-width pack costs less than
   // `count` scalar passes once count exceeds ~lanes/2), and a mostly-empty
   // tail runs the scalar path example by example. Padded lanes scatter into
-  // a discard buffer; lanes never interact, so the real lanes' gradients are
-  // bit-identical regardless of which route runs.
+  // a discard slot; lanes never interact, so the real lanes' gradients and
+  // norms are bit-identical regardless of which route runs.
   if (count * 2 <= lanes_) {
     for (size_t l = 0; l < count; ++l) {
       ComputeSlot(worker, *inputs[begin_j + l], labels[begin_j + l], mode,
@@ -113,12 +122,15 @@ void GradientEngine::ComputePack(size_t worker,
   }
   std::vector<const Tensor*>& pack_in = pack_inputs_[worker];
   std::vector<float*>& pack_dst = pack_dsts_[worker];
+  std::vector<double*>& pack_norm = pack_norms_[worker];
   pack_in.resize(lanes_);
   pack_dst.resize(lanes_);
+  pack_norm.resize(lanes_);
   for (size_t l = 0; l < count; ++l) {
     pack_in[l] = inputs[begin_j + l];
-    slots[l].grad.resize(num_params_);
+    ResizeSlot(mode, &slots[l]);
     pack_dst[l] = slots[l].grad.data();
+    pack_norm[l] = slots[l].norms.data();
   }
   const size_t* pack_labels = labels + begin_j;
   if (count < lanes_) {
@@ -126,17 +138,17 @@ void GradientEngine::ComputePack(size_t worker,
     padded.assign(labels + begin_j, labels + begin_j + count);
     padded.resize(lanes_, padded[count - 1]);
     pack_labels = padded.data();
-    std::vector<float>& discard = pad_grads_[worker];
-    discard.resize(num_params_);
+    Slot& discard = pad_slots_[worker];
+    ResizeSlot(mode, &discard);
     for (size_t l = count; l < lanes_; ++l) {
       pack_in[l] = pack_in[count - 1];
-      pack_dst[l] = discard.data();
+      pack_dst[l] = discard.grad.data();
+      pack_norm[l] = discard.norms.data();
     }
   }
-  replicas_[worker].PerExampleGradientBatchTo(pack_in.data(), pack_labels,
-                                              lanes_, &workspaces_[worker],
-                                              pack_dst.data());
-  for (size_t l = 0; l < count; ++l) FillNorms(mode, &slots[l]);
+  replicas_[worker].PerExampleGradientBatchTo(
+      pack_in.data(), pack_labels, lanes_, &workspaces_[worker],
+      pack_dst.data(), mode, pack_norm.data());
 }
 
 void GradientEngine::VisitPerExampleGradients(
@@ -155,25 +167,14 @@ void GradientEngine::VisitPerExampleGradients(
       for (size_t j = 0; j < n; j += lanes_) {
         const size_t count = std::min(lanes_, n - j);
         ComputePack(0, inputs, labels.data(), j, count, mode, slots_.data());
-        for (size_t l = 0; l < count; ++l) {
-          const Slot& slot = slots_[l];
-          PerExampleGradView view{slot.grad.data(), slot.norm,
-                                  mode == NormMode::kPerLayer
-                                      ? slot.layer_norms.data()
-                                      : nullptr};
-          visit(j + l, view);
-        }
+        for (size_t l = 0; l < count; ++l) visit(j + l, View(mode, slots_[l]));
       }
       return;
     }
     Slot& slot = slots_[0];
     for (size_t j = 0; j < n; ++j) {
       ComputeSlot(0, *inputs[j], labels[j], mode, &slot);
-      PerExampleGradView view{slot.grad.data(), slot.norm,
-                              mode == NormMode::kPerLayer
-                                  ? slot.layer_norms.data()
-                                  : nullptr};
-      visit(j, view);
+      visit(j, View(mode, slot));
     }
     return;
   }
@@ -212,12 +213,7 @@ void GradientEngine::VisitPerExampleGradients(
     }
     pool_->Wait();
     for (size_t j = begin; j < end; ++j) {
-      const Slot& slot = slots_[j - begin];
-      PerExampleGradView view{slot.grad.data(), slot.norm,
-                              mode == NormMode::kPerLayer
-                                  ? slot.layer_norms.data()
-                                  : nullptr};
-      visit(j, view);
+      visit(j, View(mode, slots_[j - begin]));
     }
   }
 }

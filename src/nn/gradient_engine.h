@@ -59,11 +59,9 @@ class GradientEngine {
   /// Which norms the workers precompute alongside each gradient. Norm chains
   /// are long serial double accumulations, so they are evaluated on the
   /// workers (where they parallelize across examples) rather than in the
-  /// visitor.
-  enum class NormMode {
-    kWhole,     // pre-clip L2 norm of the whole flat gradient
-    kPerLayer,  // one norm per parameterized layer (LayerParamRanges order)
-  };
+  /// visitor; the lane path also runs a pack's chains side by side, in
+  /// lanes, while it unpacks the pack's gradients.
+  using NormMode = GradNormMode;
 
   /// What a visitor sees for one example.
   struct PerExampleGradView {
@@ -118,12 +116,14 @@ class GradientEngine {
  private:
   struct Slot {
     std::vector<float> grad;
-    double norm = 0.0;
-    std::vector<double> layer_norms;
+    std::vector<double> norms;  // 1 (kWhole) or one per param range
   };
 
-  /// Fills `slot`'s norm fields from its already-computed flat gradient.
-  void FillNorms(NormMode mode, Slot* slot);
+  /// The view a visitor sees of a computed slot.
+  PerExampleGradView View(NormMode mode, const Slot& slot) const;
+
+  /// Sizes `slot`'s buffers for `mode`.
+  void ResizeSlot(NormMode mode, Slot* slot) const;
 
   /// Computes example j's gradient and norms into `slot` using worker w's
   /// replica and workspace.
@@ -149,13 +149,15 @@ class GradientEngine {
   std::vector<Network> replicas_;             // one per worker
   std::vector<GradientWorkspace> workspaces_; // one per worker
   std::vector<Slot> slots_;                   // threads * chunk wave buffers
-  // Per-worker pack argument scratch (input pointers, labels, destination
-  // pointers, and the discard gradient that padded lanes scatter into),
-  // reused across packs so steady state stays allocation-free.
+  // Per-worker pack argument scratch (input pointers, labels, gradient and
+  // norm destination pointers, and the discard slot that padded lanes
+  // scatter into), reused across packs so steady state stays
+  // allocation-free.
   std::vector<std::vector<const Tensor*>> pack_inputs_;
   std::vector<std::vector<size_t>> pack_labels_;
   std::vector<std::vector<float*>> pack_dsts_;
-  std::vector<std::vector<float>> pad_grads_;
+  std::vector<std::vector<double*>> pack_norms_;
+  std::vector<Slot> pad_slots_;
   std::unique_ptr<ThreadPool> pool_;          // absent when threads_ == 1
 };
 

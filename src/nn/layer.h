@@ -69,9 +69,10 @@ class Layer {
 
   /// Batched counterpart of BackwardInto over the lane pack last passed
   /// through ForwardBatchInto. Per-lane parameter gradients are stored in
-  /// the layer's lane buffers (read back via LaneGradsTo), NOT accumulated
-  /// into Grads(). A null `grad_input` skips computing dLoss/dInput — legal
-  /// only for the first layer of a network, where it would be discarded.
+  /// the layer's lane buffers (read back via AppendLaneGrads), NOT
+  /// accumulated into Grads(). A null `grad_input` skips computing
+  /// dLoss/dInput — legal only for the first layer of a network, where it
+  /// would be discarded.
   virtual void BackwardBatchInto(const Tensor& grad_output, size_t lanes,
                                  Tensor* grad_input) {
     (void)grad_output;
@@ -80,12 +81,12 @@ class Layer {
     DPAUDIT_CHECK(false) << Name() << " does not implement batch lanes";
   }
 
-  /// Copies lane `lane`'s parameter gradients from the last
-  /// BackwardBatchInto into `dst`, flattened in Grads() order. Writes
-  /// nothing for parameterless layers.
-  virtual void LaneGradsTo(size_t lane, float* dst) const {
-    (void)lane;
-    (void)dst;
+  /// Appends the lane-SoA parameter gradients of the last BackwardBatchInto,
+  /// one block per Grads() tensor in Grads() order: block k holds
+  /// Grads()[k]->size() elements of `lanes` floats each, element e of lane l
+  /// at block[e * lanes + l]. Appends nothing for parameterless layers.
+  virtual void AppendLaneGrads(std::vector<const float*>* blocks) const {
+    (void)blocks;
   }
 
   /// Allocating conveniences over the Into forms. The caller owns `input`

@@ -10,6 +10,8 @@
 #include "nn/dense.h"
 #include "nn/loss.h"
 #include "nn/pooling.h"
+#include "tensor/tensor.h"
+#include "util/env.h"
 #include "util/logging.h"
 #include "util/math_util.h"
 
@@ -123,8 +125,10 @@ bool Network::SupportsBatchLanes() const {
 void Network::PerExampleGradientBatchTo(const Tensor* const* inputs,
                                         const size_t* labels, size_t lanes,
                                         GradientWorkspace* ws,
-                                        float* const* dsts) {
+                                        float* const* dsts, GradNormMode mode,
+                                        double* const* norms) {
   DPAUDIT_CHECK_GT(lanes, 0u);
+  DPAUDIT_CHECK_LE(lanes, kMaxBatchLanes);
   DPAUDIT_CHECK(!layers_.empty());
   PackLanes(inputs, lanes, &ws->lane_input);
   ws->lane_acts.resize(layers_.size());
@@ -144,20 +148,42 @@ void Network::PerExampleGradientBatchTo(const Tensor* const* inputs,
     gcur = gnext;
     std::swap(gnext, gspare);
   }
-  if (ws->layer_param_sizes.size() != layers_.size()) {
-    ws->layer_param_sizes.assign(layers_.size(), 0);
-    for (size_t i = 0; i < layers_.size(); ++i) {
-      for (const Tensor* p : layers_[i]->Params()) {
-        ws->layer_param_sizes[i] += p->size();
+  if (ws->lane_grad_sizes.empty()) {
+    for (const auto& layer : layers_) {
+      for (const Tensor* g : layer->Grads()) {
+        ws->lane_grad_sizes.push_back(g->size());
       }
     }
   }
-  for (size_t l = 0; l < lanes; ++l) {
-    float* dst = dsts[l];
-    for (size_t i = 0; i < layers_.size(); ++i) {
-      layers_[i]->LaneGradsTo(l, dst);
-      dst += ws->layer_param_sizes[i];
+  // One pass per block moves every lane's slice to its flat destination and
+  // carries the lanes' norm chains: one chain across all blocks for kWhole,
+  // restarted at each parameterized layer for kPerLayer (the
+  // LayerParamRanges segmentation).
+  double sq[kMaxBatchLanes] = {};
+  ws->lane_grads.clear();
+  size_t offset = 0;
+  size_t range = 0;
+  for (const auto& layer : layers_) {
+    const size_t first = ws->lane_grads.size();
+    layer->AppendLaneGrads(&ws->lane_grads);
+    if (ws->lane_grads.size() == first) continue;  // parameterless
+    DPAUDIT_CHECK_LE(ws->lane_grads.size(), ws->lane_grad_sizes.size());
+    for (size_t b = first; b < ws->lane_grads.size(); ++b) {
+      UnpackLanesTo(ws->lane_grads[b], ws->lane_grad_sizes[b], lanes, dsts,
+                    offset, sq);
+      offset += ws->lane_grad_sizes[b];
     }
+    if (mode == GradNormMode::kPerLayer) {
+      for (size_t l = 0; l < lanes; ++l) {
+        norms[l][range] = std::sqrt(sq[l]);
+        sq[l] = 0.0;
+      }
+      ++range;
+    }
+  }
+  DPAUDIT_CHECK_EQ(ws->lane_grads.size(), ws->lane_grad_sizes.size());
+  if (mode == GradNormMode::kWhole) {
+    for (size_t l = 0; l < lanes; ++l) norms[l][0] = std::sqrt(sq[l]);
   }
 }
 

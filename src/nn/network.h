@@ -30,11 +30,20 @@ struct GradientWorkspace {
   Tensor grad_a, grad_b;     // backward gradient ping-pong buffers
   std::vector<float> grad;   // flat per-example gradient (NumParams floats)
   // Batched lane path: the packed lane input, per-layer lane activations,
-  // and the cached per-layer flat parameter counts used to slice lane
-  // gradients back out per example.
+  // the layers' lane-SoA gradient blocks (refreshed every pack), and the
+  // cached block sizes (elements per lane) used to unpack them per example.
   Tensor lane_input;
   std::vector<Tensor> lane_acts;
-  std::vector<size_t> layer_param_sizes;
+  std::vector<const float*> lane_grads;
+  std::vector<size_t> lane_grad_sizes;
+};
+
+/// Which L2 norms of a flat per-example gradient are computed alongside it.
+/// Every norm is L2Norm over its slice — one ascending double accumulation
+/// of squared floats — however it is evaluated.
+enum class GradNormMode {
+  kWhole,     // pre-clip L2 norm of the whole flat gradient
+  kPerLayer,  // one norm per parameterized layer (LayerParamRanges order)
 };
 
 /// A stack of layers ending in logits (the softmax is fused into the loss).
@@ -102,9 +111,15 @@ class Network {
   /// l's flat gradient into `dsts[l]` (NumParams floats each). Each lane's
   /// gradient is bit-identical to PerExampleGradientTo on that example
   /// alone, for any lane count. Requires SupportsBatchLanes().
+  ///
+  /// Lane l's `mode` norms land in norms[l] (one double for kWhole, one per
+  /// parameterized layer for kPerLayer). They are computed in lanes during
+  /// the same pass that unpacks the gradients, and are bit-identical to
+  /// L2Norm over the lane's flat gradient (slices).
   void PerExampleGradientBatchTo(const Tensor* const* inputs,
                                  const size_t* labels, size_t lanes,
-                                 GradientWorkspace* ws, float* const* dsts);
+                                 GradientWorkspace* ws, float* const* dsts,
+                                 GradNormMode mode, double* const* norms);
 
   /// Sum over the given examples of per-example gradients clipped to L2 norm
   /// `clip_norm` (Abadi et al.): g_j * min(1, C / ||g_j||). Returns the flat

@@ -5,6 +5,9 @@
 #include <numeric>
 #include <sstream>
 
+#include "util/env.h"
+#include "util/simd.h"
+
 namespace dpaudit {
 namespace {
 
@@ -16,6 +19,117 @@ size_t Volume(const std::vector<size_t>& shape) {
   }
   return v;
 }
+
+// ---- Lane pack / unpack ----------------------------------------------------
+//
+// Both directions make one element-major pass: each step moves one element
+// of every lane, so the lane-SoA side is read or written contiguously and
+// each per-example row streams forward. The AVX2 wrappers move 8 elements of
+// 8 lanes per step as an 8x8 register transpose. The unpack also carries
+// each lane's sum of squares: lanes are independent chains, so vectorizing
+// across them keeps every chain's ascending-element order — the L2Norm
+// chain — and the sums are bit-identical however the pass is evaluated.
+
+void PackLanesBody(const float* const* in, size_t elems, size_t lanes,
+                   float* out) {
+  for (size_t e = 0; e < elems; ++e) {
+    for (size_t l = 0; l < lanes; ++l) out[e * lanes + l] = in[l][e];
+  }
+}
+
+void UnpackLanesBody(const float* src, size_t elems, size_t lanes,
+                     float* const* out, double* sq) {
+  double acc[kMaxBatchLanes];
+  for (size_t l = 0; l < lanes; ++l) acc[l] = sq[l];
+  for (size_t e = 0; e < elems; ++e) {
+    for (size_t l = 0; l < lanes; ++l) {
+      const float v = src[e * lanes + l];
+      out[l][e] = v;
+      acc[l] += static_cast<double>(v) * v;
+    }
+  }
+  for (size_t l = 0; l < lanes; ++l) sq[l] = acc[l];
+}
+
+#if defined(DPAUDIT_X86_DISPATCH)
+// In-register transpose: row k of the input becomes column k of the output.
+__attribute__((target("avx2"))) inline void Transpose8x8(__m256* r) {
+  const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
+  const __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
+  const __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
+  const __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
+  const __m256 t4 = _mm256_unpacklo_ps(r[4], r[5]);
+  const __m256 t5 = _mm256_unpackhi_ps(r[4], r[5]);
+  const __m256 t6 = _mm256_unpacklo_ps(r[6], r[7]);
+  const __m256 t7 = _mm256_unpackhi_ps(r[6], r[7]);
+  const __m256 s0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
+  const __m256 s6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
+  const __m256 s7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
+  r[0] = _mm256_permute2f128_ps(s0, s4, 0x20);
+  r[1] = _mm256_permute2f128_ps(s1, s5, 0x20);
+  r[2] = _mm256_permute2f128_ps(s2, s6, 0x20);
+  r[3] = _mm256_permute2f128_ps(s3, s7, 0x20);
+  r[4] = _mm256_permute2f128_ps(s0, s4, 0x31);
+  r[5] = _mm256_permute2f128_ps(s1, s5, 0x31);
+  r[6] = _mm256_permute2f128_ps(s2, s6, 0x31);
+  r[7] = _mm256_permute2f128_ps(s3, s7, 0x31);
+}
+
+__attribute__((target("avx2"))) void PackLanes8Avx2(const float* const* in,
+                                                    size_t elems, float* out) {
+  size_t e = 0;
+  for (; e + 8 <= elems; e += 8) {
+    __m256 r[8];
+    for (size_t l = 0; l < 8; ++l) r[l] = _mm256_loadu_ps(in[l] + e);
+    Transpose8x8(r);
+    for (size_t k = 0; k < 8; ++k) _mm256_storeu_ps(out + (e + k) * 8, r[k]);
+  }
+  for (; e < elems; ++e) {
+    for (size_t l = 0; l < 8; ++l) out[e * 8 + l] = in[l][e];
+  }
+}
+
+// Squares one element's 8 lanes into the two 4-lane double accumulators:
+// exact widening, then one rounded multiply and one rounded add per lane
+// (no FMA), as in L2Norm.
+__attribute__((target("avx2"))) inline void AccumulateSquares8(
+    __m256 v, __m256d* lo, __m256d* hi) {
+  const __m256d vlo = _mm256_cvtps_pd(_mm256_castps256_ps128(v));
+  const __m256d vhi = _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1));
+  *lo = _mm256_add_pd(*lo, _mm256_mul_pd(vlo, vlo));
+  *hi = _mm256_add_pd(*hi, _mm256_mul_pd(vhi, vhi));
+}
+
+__attribute__((target("avx2"))) void UnpackLanes8Avx2(const float* src,
+                                                      size_t elems,
+                                                      float* const* out,
+                                                      double* sq) {
+  __m256d lo = _mm256_loadu_pd(sq);
+  __m256d hi = _mm256_loadu_pd(sq + 4);
+  size_t e = 0;
+  for (; e + 8 <= elems; e += 8) {
+    __m256 r[8];
+    for (size_t k = 0; k < 8; ++k) {
+      r[k] = _mm256_loadu_ps(src + (e + k) * 8);
+      AccumulateSquares8(r[k], &lo, &hi);
+    }
+    Transpose8x8(r);
+    for (size_t l = 0; l < 8; ++l) _mm256_storeu_ps(out[l] + e, r[l]);
+  }
+  for (; e < elems; ++e) {
+    const float* s = src + e * 8;
+    AccumulateSquares8(_mm256_loadu_ps(s), &lo, &hi);
+    for (size_t l = 0; l < 8; ++l) out[l][e] = s[l];
+  }
+  _mm256_storeu_pd(sq, lo);
+  _mm256_storeu_pd(sq + 4, hi);
+}
+#endif  // DPAUDIT_X86_DISPATCH
 
 }  // namespace
 
@@ -192,6 +306,7 @@ Tensor Transpose(const Tensor& a) {
 
 void PackLanes(const Tensor* const* examples, size_t lanes, Tensor* packed) {
   DPAUDIT_CHECK_GT(lanes, 0u);
+  DPAUDIT_CHECK_LE(lanes, kMaxBatchLanes);
   const Tensor& first = *examples[0];
   std::vector<size_t> shape = first.shape();
   for (size_t l = 1; l < lanes; ++l) {
@@ -201,12 +316,30 @@ void PackLanes(const Tensor* const* examples, size_t lanes, Tensor* packed) {
   }
   shape.push_back(lanes);
   packed->ResizeTo(shape);
-  const size_t elems = first.size();
-  float* out = packed->data();
-  for (size_t l = 0; l < lanes; ++l) {
-    const float* in = examples[l]->data();
-    for (size_t e = 0; e < elems; ++e) out[e * lanes + l] = in[e];
+  const float* in[kMaxBatchLanes];
+  for (size_t l = 0; l < lanes; ++l) in[l] = examples[l]->data();
+#if defined(DPAUDIT_X86_DISPATCH)
+  if (lanes == 8 && HasAvx2()) {
+    PackLanes8Avx2(in, first.size(), packed->data());
+    return;
   }
+#endif
+  PackLanesBody(in, first.size(), lanes, packed->data());
+}
+
+void UnpackLanesTo(const float* src, size_t elems, size_t lanes,
+                   float* const* dsts, size_t offset, double* sq) {
+  DPAUDIT_CHECK_GT(lanes, 0u);
+  DPAUDIT_CHECK_LE(lanes, kMaxBatchLanes);
+  float* out[kMaxBatchLanes];
+  for (size_t l = 0; l < lanes; ++l) out[l] = dsts[l] + offset;
+#if defined(DPAUDIT_X86_DISPATCH)
+  if (lanes == 8 && HasAvx2()) {
+    UnpackLanes8Avx2(src, elems, out, sq);
+    return;
+  }
+#endif
+  UnpackLanesBody(src, elems, lanes, out, sq);
 }
 
 void UnpackLane(const Tensor& packed, size_t lane, Tensor* example) {

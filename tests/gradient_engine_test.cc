@@ -8,6 +8,7 @@
 #include "data/dataset.h"
 #include "nn/network.h"
 #include "tests/test_helpers.h"
+#include "util/math_util.h"
 #include "util/random.h"
 
 namespace dpaudit {
@@ -205,6 +206,51 @@ TEST_P(BatchLanesTest, PerLayerClippingBitIdenticalToScalarPath) {
 
   ASSERT_EQ(ref.size(), sum.size());
   for (size_t i = 0; i < ref.size(); ++i) EXPECT_EQ(ref[i], sum[i]) << i;
+}
+
+// Lane norms come out of the unpack pass, in lanes, rather than from L2Norm
+// over the unpacked gradient. Pin both norm modes, per layer included, on
+// the conv net, whose gradient blocks straddle the 8-element transpose.
+TEST_P(BatchLanesTest, VisitorNormsBitIdenticalToL2NormOnConvNetwork) {
+  const size_t lanes = std::get<0>(GetParam());
+  const size_t threads = std::get<1>(GetParam());
+  Rng rng(41);
+  Network net = BuildMnistNetwork(12);
+  net.Initialize(rng);
+  Dataset d = MnistBlobs(11, rng);
+  const std::vector<Network::ParamRange> ranges = net.LayerParamRanges();
+
+  GradientEngine::Options options;
+  options.threads = threads;
+  options.chunk = 2;
+  options.batch_lanes = lanes;
+  GradientEngine engine(net, options);
+  engine.SyncParams(net);
+  using NormMode = GradientEngine::NormMode;
+  for (NormMode mode : {NormMode::kWhole, NormMode::kPerLayer}) {
+    size_t visited = 0;
+    engine.VisitPerExampleGradients(
+        d.inputs, d.labels, mode,
+        [&](size_t j, const GradientEngine::PerExampleGradView& view) {
+          std::vector<float> ref =
+              net.PerExampleGradient(d.inputs[j], d.labels[j]);
+          for (size_t i = 0; i < ref.size(); ++i) {
+            ASSERT_EQ(ref[i], view.grad[i]) << "j=" << j << " i=" << i;
+          }
+          if (mode == NormMode::kWhole) {
+            EXPECT_EQ(L2Norm(ref), view.norm) << "j=" << j;
+            EXPECT_EQ(nullptr, view.layer_norms);
+          } else {
+            for (size_t r = 0; r < ranges.size(); ++r) {
+              EXPECT_EQ(L2Norm(ref.data() + ranges[r].offset, ranges[r].size),
+                        view.layer_norms[r])
+                  << "j=" << j << " r=" << r;
+            }
+          }
+          ++visited;
+        });
+    EXPECT_EQ(d.size(), visited);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 namespace dpaudit {
 namespace {
@@ -91,6 +92,36 @@ TEST(L2NormTest, KnownValues) {
   EXPECT_DOUBLE_EQ(L2Norm(std::vector<float>{3.0f, 4.0f}), 5.0);
   EXPECT_DOUBLE_EQ(L2Norm(std::vector<double>{3.0, 4.0}), 5.0);
   EXPECT_DOUBLE_EQ(L2Norm(std::vector<float>{}), 0.0);
+}
+
+// The clipped-gradient accumulation is dispatched to vector code; it must
+// round exactly like its scalar definition, and the pair form exactly like
+// two single calls.
+TEST(AccumulateScaledTest, MatchesScalarDefinitionAndPairMatchesTwoCalls) {
+  for (size_t n : {0u, 1u, 3u, 4u, 5u, 8u, 13u, 1027u}) {
+    for (double scale : {1.0, 0.3, 1e-3, 7.25}) {
+      std::vector<float> g(n);
+      std::vector<float> base(n);
+      for (size_t i = 0; i < n; ++i) {
+        g[i] = std::sin(static_cast<float>(i) * 1.3f) * 0.7f;
+        base[i] = std::cos(static_cast<float>(i) * 0.9f);
+      }
+      std::vector<float> ref = base;
+      for (size_t i = 0; i < n; ++i) {
+        ref[i] += static_cast<float>(scale * g[i]);
+      }
+      std::vector<float> single = base;
+      AccumulateScaled(single.data(), g.data(), n, scale);
+      std::vector<float> a = base;
+      std::vector<float> b = base;
+      AccumulateScaledPair(a.data(), b.data(), g.data(), n, scale);
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(ref[i], single[i]) << "n=" << n << " i=" << i;
+        ASSERT_EQ(ref[i], a[i]) << "n=" << n << " i=" << i;
+        ASSERT_EQ(ref[i], b[i]) << "n=" << n << " i=" << i;
+      }
+    }
+  }
 }
 
 TEST(L2DistanceTest, KnownValues) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "nn/gradient_engine.h"
@@ -111,11 +112,18 @@ TEST(AnalyzeNeighborOverlapTest, UnboundedRejectsUnrelatedRemainder) {
       AnalyzeNeighborOverlap(d, d_prime, NeighborMode::kUnbounded).sharable);
 }
 
+// gtest names each case after the raw bytes of its parameter, and ctest
+// registers the cases under those names. The three bytes after `per_layer`
+// used to be implicit padding, so the names depended on whatever the stack
+// held. `name_bytes` makes them explicit: the struct has no padding and every
+// case name stays fixed. The values keep the names the cases already have.
 struct SharingCase {
   NeighborMode mode;
   bool per_layer;
+  uint8_t name_bytes[3];
   size_t diff_index;
 };
+static_assert(sizeof(SharingCase) == 16, "SharingCase must have no padding");
 
 class NeighborSharingTest : public ::testing::TestWithParam<SharingCase> {};
 
@@ -183,14 +191,15 @@ TEST_P(NeighborSharingTest, SharedPathMatchesTwoPassBitwise) {
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, NeighborSharingTest,
-    ::testing::Values(SharingCase{NeighborMode::kBounded, false, 0},
-                      SharingCase{NeighborMode::kBounded, false, 5},
-                      SharingCase{NeighborMode::kBounded, false, 11},
-                      SharingCase{NeighborMode::kBounded, true, 5},
-                      SharingCase{NeighborMode::kUnbounded, false, 0},
-                      SharingCase{NeighborMode::kUnbounded, false, 6},
-                      SharingCase{NeighborMode::kUnbounded, false, 11},
-                      SharingCase{NeighborMode::kUnbounded, true, 6}));
+    ::testing::Values(
+        SharingCase{NeighborMode::kBounded, false, {0x00, 0x00, 0x00}, 0},
+        SharingCase{NeighborMode::kBounded, false, {0x3B, 0x2C, 0x00}, 5},
+        SharingCase{NeighborMode::kBounded, false, {0x00, 0xD0, 0xEF}, 11},
+        SharingCase{NeighborMode::kBounded, true, {0x00, 0x00, 0x00}, 5},
+        SharingCase{NeighborMode::kUnbounded, false, {0x00, 0x00, 0x00}, 0},
+        SharingCase{NeighborMode::kUnbounded, false, {0x1E, 0x09, 0x00}, 6},
+        SharingCase{NeighborMode::kUnbounded, false, {0x00, 0xD0, 0xCA}, 11},
+        SharingCase{NeighborMode::kUnbounded, true, {0x00, 0x00, 0x00}, 6}));
 
 TEST(NeighborSharingTest, IdenticalDatasetsShareEverything) {
   Rng rng(37);
