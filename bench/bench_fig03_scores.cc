@@ -5,6 +5,7 @@
 // curves for different delta coincide. Panel (b): rho_alpha (Theorem 2)
 // depends strongly on delta through the Gaussian calibration factor.
 
+#include <cmath>
 #include <iostream>
 
 #include "bench/bench_common.h"

@@ -130,7 +130,11 @@ std::string EncodeJournalManifestRow(const SweepJournalManifest& manifest) {
   row += ",\"args\":[";
   for (size_t i = 0; i < manifest.args.size(); ++i) {
     if (i > 0) row.push_back(',');
-    row += "\"" + obs::JsonEscape(manifest.args[i]) + "\"";
+    // Appended piecewise: GCC 12 flags `"\"" + std::string` with a false
+    // -Wrestrict, which breaks the DPAUDIT_WERROR build.
+    row.push_back('"');
+    row += obs::JsonEscape(manifest.args[i]);
+    row.push_back('"');
   }
   row += "],\"cwd\":\"" + obs::JsonEscape(manifest.cwd) + "\"}";
   return row;

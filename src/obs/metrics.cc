@@ -39,6 +39,14 @@ DistributionMetric::Snapshot DistributionMetric::Snap() const {
   return snap;
 }
 
+void DistributionMetric::Reset() {
+  for (const std::unique_ptr<Cell>& cell : cells_) {
+    std::lock_guard<std::mutex> lock(cell->mu);
+    cell->summary = RunningSummary();
+    cell->bins = Histogram(lo_, hi_, num_bins_);
+  }
+}
+
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* registry = new MetricsRegistry();
   return *registry;
@@ -105,9 +113,9 @@ std::vector<MetricSnapshot> MetricsRegistry::Snapshot() const {
 
 void MetricsRegistry::ResetForTest() {
   std::lock_guard<std::mutex> lock(mu_);
-  counters_.clear();
-  gauges_.clear();
-  distributions_.clear();
+  for (auto& [name, counter] : counters_) counter->Reset();
+  for (auto& [name, gauge] : gauges_) gauge->Set(0.0);
+  for (auto& [name, dist] : distributions_) dist->Reset();
 }
 
 }  // namespace obs

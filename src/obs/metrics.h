@@ -6,8 +6,9 @@
 // stripes, so concurrent increments aggregate exactly (fetch_add never loses
 // an update). Distribution metrics pair stats/ Welford summaries with stats/
 // histogram binning per stripe and merge them on scrape. Metric objects are
-// created once through the registry and never destroyed, so cached
-// references stay valid for the process lifetime.
+// created once through the registry and never destroyed (a test reset
+// zeroes them in place), so cached references stay valid for the process
+// lifetime.
 //
 // Instrumentation sites on hot paths use DPAUDIT_METRIC_COUNT, which reduces
 // to a single relaxed atomic load when telemetry is disabled.
@@ -59,6 +60,11 @@ class Counter {
     return total;
   }
 
+  /// Zeroes every stripe (tests only; racing Add()s may survive).
+  void Reset() {
+    for (Cell& cell : cells_) cell.value.store(0, std::memory_order_relaxed);
+  }
+
  private:
   struct alignas(64) Cell {
     std::atomic<uint64_t> value{0};
@@ -95,6 +101,9 @@ class DistributionMetric {
     Histogram bins;
   };
   Snapshot Snap() const;
+
+  /// Empties every stripe's summary and bins, keeping the layout.
+  void Reset();
 
  private:
   struct Cell {
@@ -134,7 +143,10 @@ class MetricsRegistry {
   /// distributions).
   std::vector<MetricSnapshot> Snapshot() const;
 
-  /// Drops every registered metric. Only for tests — invalidates references.
+  /// Zeroes every registered metric. Only for tests. Metrics stay
+  /// registered (a scrape lists them at zero) and are never freed, so
+  /// references cached by DPAUDIT_METRIC_* sites and by pool tasks still
+  /// running stay valid.
   void ResetForTest();
 
  private:

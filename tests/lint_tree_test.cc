@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "tests/test_helpers.h"
 #include "tools/lint/cache.h"
 #include "tools/lint/driver.h"
 #include "tools/lint/fix.h"
@@ -107,7 +108,7 @@ TEST(TreeFixture, NoGraphRunsOnlyPerFileRules) {
 class CacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    scratch_ = fs::temp_directory_path() / "dpaudit_lint_cache_test";
+    scratch_ = testing_helpers::UniqueTestTempDir("dpaudit_lint_cache_test");
     fs::remove_all(scratch_);
     fs::create_directories(scratch_);
     fs::copy(FixtureTreeRoot(), scratch_ / "tree",

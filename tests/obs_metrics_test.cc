@@ -123,7 +123,15 @@ TEST_F(ObsMetricsTest, SnapshotSortedAndTyped) {
   MetricsRegistry::Global().GetCounter("a_total").Add(1);
   MetricsRegistry::Global().GetGauge("z_gauge").Set(4.0);
   MetricsRegistry::Global().GetDistribution("m_dist", 0.0, 1.0, 4).Record(0.5);
-  std::vector<MetricSnapshot> snaps = MetricsRegistry::Global().Snapshot();
+  // Metrics registered by earlier tests in this process survive their reset
+  // at zero; only this test's four are checked, in scrape order.
+  std::vector<MetricSnapshot> snaps;
+  for (MetricSnapshot& s : MetricsRegistry::Global().Snapshot()) {
+    if (s.name == "a_total" || s.name == "b_total" || s.name == "z_gauge" ||
+        s.name == "m_dist") {
+      snaps.push_back(std::move(s));
+    }
+  }
   ASSERT_EQ(snaps.size(), 4u);
   EXPECT_EQ(snaps[0].name, "a_total");
   EXPECT_EQ(snaps[0].kind, MetricSnapshot::Kind::kCounter);
@@ -137,14 +145,51 @@ TEST_F(ObsMetricsTest, SnapshotSortedAndTyped) {
 }
 
 TEST_F(ObsMetricsTest, MacroNoOpWhenDisabled) {
+  auto disabled_total = [] {
+    for (const MetricSnapshot& s : MetricsRegistry::Global().Snapshot()) {
+      if (s.name == "disabled_total") return s.value;
+    }
+    return 0.0;  // never registered counts as zero
+  };
   EnableTelemetryForTest(false);
   DPAUDIT_METRIC_COUNT("disabled_total", 1);
   EnableTelemetryForTest(true);
-  // The counter was never created: the registry stayed empty.
-  EXPECT_TRUE(MetricsRegistry::Global().Snapshot().empty());
+  EXPECT_DOUBLE_EQ(disabled_total(), 0.0);
   DPAUDIT_METRIC_COUNT("disabled_total", 1);
-  ASSERT_EQ(MetricsRegistry::Global().Snapshot().size(), 1u);
-  EXPECT_DOUBLE_EQ(MetricsRegistry::Global().Snapshot()[0].value, 1.0);
+  EXPECT_DOUBLE_EQ(disabled_total(), 1.0);
+}
+
+TEST_F(ObsMetricsTest, ResetZeroesMetricsAndKeepsCachedReferencesValid) {
+  // DPAUDIT_METRIC_* sites and the pool's task-timing hook cache references
+  // in function-local statics; a reset must leave them pointing at live,
+  // zeroed metrics rather than freed ones.
+  Counter& counter = MetricsRegistry::Global().GetCounter("reset_total");
+  Gauge& gauge = MetricsRegistry::Global().GetGauge("reset_gauge");
+  DistributionMetric& dist =
+      MetricsRegistry::Global().GetDistribution("reset_us", 0.0, 10.0, 5);
+  auto macro_site = [] { DPAUDIT_METRIC_COUNT("reset_site_total", 1); };
+  counter.Add(3);
+  gauge.Set(2.5);
+  dist.Record(4.0);
+  macro_site();
+  MetricsRegistry::Global().ResetForTest();
+  macro_site();
+  EXPECT_EQ(MetricsRegistry::Global().GetCounter("reset_site_total").Value(),
+            1u);
+  EXPECT_EQ(counter.Value(), 0u);
+  EXPECT_DOUBLE_EQ(gauge.Value(), 0.0);
+  EXPECT_EQ(dist.Snap().summary.count(), 0u);
+
+  counter.Add(2);
+  gauge.Set(1.5);
+  dist.Record(6.0);
+  EXPECT_EQ(&MetricsRegistry::Global().GetCounter("reset_total"), &counter);
+  EXPECT_EQ(counter.Value(), 2u);
+  EXPECT_DOUBLE_EQ(gauge.Value(), 1.5);
+  const DistributionMetric::Snapshot snap = dist.Snap();
+  EXPECT_EQ(snap.summary.count(), 1u);
+  EXPECT_DOUBLE_EQ(snap.summary.mean(), 6.0);
+  EXPECT_EQ(snap.bins.total(), 1u);
 }
 
 TEST_F(ObsMetricsTest, PrometheusExpositionShape) {

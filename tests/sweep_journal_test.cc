@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/trace.h"
+#include "tests/test_helpers.h"
 #include "util/fault_injection.h"
 #include "util/thread_pool.h"
 
@@ -93,7 +94,8 @@ class SweepJournalTest : public ::testing::Test {
   void SetUp() override {
     unsetenv("DPAUDIT_FAULT_INJECT");
     fault::ClearFaultSpecForTest();
-    dir_ = ::testing::TempDir() + "/dpaudit_sweep_journal";
+    dir_ =
+        testing_helpers::UniqueTestTempDir("dpaudit_sweep_journal").string();
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }

@@ -125,10 +125,13 @@ TEST_F(TelemetryIdentityTest, InstrumentedRunPopulatesTheProfileTree) {
 TEST_F(TelemetryIdentityTest, UninstrumentedRunLeavesRegistriesEmpty) {
   RunOnce(/*telemetry=*/false);
   EXPECT_TRUE(obs::SpanRegistry::Global().Collect().empty());
-  // Only unconditional counters (trace cache, absent here) could appear; the
-  // gated pipeline metrics must not.
+  // Only unconditional counters (trace cache, absent here) could move; the
+  // gated pipeline metrics must not. They may be listed at zero: a reset
+  // keeps metrics registered by earlier tests in this process.
   for (const auto& m : obs::MetricsRegistry::Global().Snapshot()) {
-    EXPECT_EQ(m.name.find("dpaudit_train"), std::string::npos) << m.name;
+    if (m.name.find("dpaudit_train") == std::string::npos) continue;
+    EXPECT_EQ(m.value, 0.0) << m.name;
+    EXPECT_EQ(m.summary.count(), 0u) << m.name;
   }
 }
 

@@ -1,13 +1,18 @@
 // Shared fixtures for the DPSGD / adversary / experiment tests: a tiny
 // two-class dense network and small synthetic datasets that keep per-test
-// wall clock in the tens of milliseconds.
+// wall clock in the tens of milliseconds, plus per-test scratch directories.
 
 #ifndef DPAUDIT_TESTS_TEST_HELPERS_H_
 #define DPAUDIT_TESTS_TEST_HELPERS_H_
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <memory>
+#include <string>
 
 #include "data/dataset.h"
+#include "gtest/gtest.h"
 #include "nn/activations.h"
 #include "nn/dense.h"
 #include "nn/network.h"
@@ -51,6 +56,24 @@ inline Dataset ExtremeBoundedNeighbor(const Dataset& d, float value) {
   Tensor x({kFeatures});
   x.Fill(value);
   return d.WithRecordReplaced(0, std::move(x), kClasses - 1);
+}
+
+/// A scratch directory path unique to the running test case and process:
+/// `stem`, the gtest suite and case names, and the pid. ctest -j runs every
+/// case as its own process, so a fixed name lets concurrent cases delete
+/// each other's files. The caller creates and removes the directory.
+inline std::filesystem::path UniqueTestTempDir(const std::string& stem) {
+  std::string name = stem;
+  if (const ::testing::TestInfo* info =
+          ::testing::UnitTest::GetInstance()->current_test_info()) {
+    name.append("_").append(info->test_suite_name());
+    name.append("_").append(info->name());
+  }
+  for (char& c : name) {
+    if (c == '/') c = '_';  // parameterized names carry slashes
+  }
+  name.append("_").append(std::to_string(getpid()));
+  return std::filesystem::path(::testing::TempDir()) / name;
 }
 
 }  // namespace testing_helpers
