@@ -6,9 +6,8 @@
 // cell's repetitions are flattened into ONE dynamically dispatched task set
 // on the shared persistent pool, with per-cell calibration deferred onto
 // the workers and the trace store resolved once per sweep. Rows come back
-// in grid order and are bit-identical to the sequential per-cell path
-// (selectable via DPAUDIT_SWEEP_MODE=percell) for any thread count, cold or
-// warm cache.
+// in grid order and are bit-identical for any thread count, cold or warm
+// cache.
 
 #ifndef DPAUDIT_BENCH_BENCH_AUDIT_SWEEP_H_
 #define DPAUDIT_BENCH_BENCH_AUDIT_SWEEP_H_
@@ -44,12 +43,23 @@ inline std::vector<double> EpsilonGridFor(const Task& task) {
   return {0.12, 1.1, 2.2, 4.6};
 }
 
-/// --sweep-mode=percell / DPAUDIT_SWEEP_MODE=percell selects the sequential
-/// per-cell reference path (the pre-scheduler structure); anything else —
-/// including unset — selects the flattened scheduler. Both produce
-/// bit-identical rows.
-inline SweepMode SweepModeFromEnv() {
-  return CurrentRuntimeOptions().sweep_mode;
+/// Audits one cell's summary into its sweep row.
+inline AuditSweepRow AuditCell(const Task& task, double epsilon,
+                               SensitivityMode sensitivity,
+                               const DiExperimentSummary& summary) {
+  auto report = [&] {
+    DPAUDIT_SPAN("audit");
+    return AuditExperiment(summary, task.delta);
+  }();
+  DPAUDIT_CHECK_OK(report.status());
+  AuditSweepRow row{task.name, epsilon, SensitivityModeToString(sensitivity),
+                    *report};
+  row.advantage = summary.EmpiricalAdvantage();
+  row.repetitions = summary.trials.size();
+  for (const DiTrialResult& trial : summary.trials) {
+    if (trial.Success()) ++row.wins;
+  }
+  return row;
 }
 
 /// Runs the audit sweep for several tasks as ONE flattened grid (so the
@@ -61,8 +71,7 @@ inline SweepMode SweepModeFromEnv() {
 /// once per sweep, not per cell.
 inline std::vector<std::vector<AuditSweepRow>> RunAuditSweeps(
     const BenchParams& params, const std::vector<const Task*>& tasks,
-    size_t reps_override = 0, TraceStore* store = TraceStore::FromEnv(),
-    SweepMode mode = SweepModeFromEnv()) {
+    size_t reps_override = 0, TraceStore* store = TraceStore::FromEnv()) {
   DPAUDIT_SPAN("audit_sweep");
   struct CellLabel {
     size_t task_index;
@@ -95,7 +104,6 @@ inline std::vector<std::vector<AuditSweepRow>> RunAuditSweeps(
           DiExperimentConfig base = MakeScenarioConfig(
               params, task, epsilon, sensitivity, NeighborMode::kBounded);
           base.repetitions = config->repetitions;
-          base.trace_store = config->trace_store;
           *config = base;
           return Status::Ok();
         };
@@ -107,7 +115,6 @@ inline std::vector<std::vector<AuditSweepRow>> RunAuditSweeps(
 
   const RuntimeOptions& runtime = CurrentRuntimeOptions();
   SweepOptions options;
-  options.mode = mode;
   // With DPAUDIT_TRACE_CACHE set, each grid cell trains once and every
   // later sweep (fig08/fig09 share cells; fig10 extends their recordings to
   // its larger repetition count) replays the recorded trials
@@ -138,21 +145,10 @@ inline std::vector<std::vector<AuditSweepRow>> RunAuditSweeps(
   std::vector<std::vector<AuditSweepRow>> rows_per_task(tasks.size());
   for (size_t i = 0; i < summaries.size(); ++i) {
     DPAUDIT_CHECK_OK(summaries[i].status());
-    const DiExperimentSummary& summary = *summaries[i];
-    const Task& task = *tasks[labels[i].task_index];
-    auto report = [&] {
-      DPAUDIT_SPAN("audit");
-      return AuditExperiment(summary, task.delta);
-    }();
-    DPAUDIT_CHECK_OK(report.status());
-    AuditSweepRow row{task.name, labels[i].epsilon,
-                      SensitivityModeToString(labels[i].mode), *report};
-    row.advantage = summary.EmpiricalAdvantage();
-    row.repetitions = summary.trials.size();
-    for (const DiTrialResult& trial : summary.trials) {
-      if (trial.Success()) ++row.wins;
-    }
-    rows_per_task[labels[i].task_index].push_back(row);
+    const CellLabel& label = labels[i];
+    rows_per_task[label.task_index].push_back(
+        AuditCell(*tasks[label.task_index], label.epsilon, label.mode,
+                  *summaries[i]));
   }
   return rows_per_task;
 }
@@ -160,10 +156,9 @@ inline std::vector<std::vector<AuditSweepRow>> RunAuditSweeps(
 /// Single-task convenience wrapper (tests, callers with one task).
 inline std::vector<AuditSweepRow> RunAuditSweep(
     const BenchParams& params, const Task& task, size_t reps_override = 0,
-    TraceStore* store = TraceStore::FromEnv(),
-    SweepMode mode = SweepModeFromEnv()) {
+    TraceStore* store = TraceStore::FromEnv()) {
   return std::move(
-      RunAuditSweeps(params, {&task}, reps_override, store, mode).front());
+      RunAuditSweeps(params, {&task}, reps_override, store).front());
 }
 
 }  // namespace bench

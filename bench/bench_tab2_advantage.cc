@@ -9,7 +9,6 @@
 #include <iostream>
 #include <vector>
 
-#include "bench/bench_audit_sweep.h"
 #include "bench/bench_common.h"
 #include "core/scores.h"
 #include "core/sweep_scheduler.h"
@@ -63,7 +62,6 @@ void Run() {
         DiExperimentConfig base = bench::MakeScenarioConfig(
             params, task, epsilon, scenario.sensitivity, scenario.neighbors);
         base.repetitions = config->repetitions;
-        base.trace_store = config->trace_store;
         *config = base;
         return Status::Ok();
       };
@@ -71,7 +69,6 @@ void Run() {
     }
   }
   SweepOptions options;
-  options.mode = bench::SweepModeFromEnv();
   options.trace_store = TraceStore::FromEnv();
   auto summaries = RunSweep(cells, options);
 

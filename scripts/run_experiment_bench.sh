@@ -5,9 +5,8 @@
 #   2. the fig08+fig09+fig10 trio wall-clock, cold-cache (records traces)
 #      and warm-cache (replays them), with --telemetry on so each binary's
 #      own JSONL event stream supplies per-phase columns;
-#   3. the flattened sweep scheduler vs the sequential per-cell reference
-#      path (DPAUDIT_SWEEP_MODE=percell) at DPAUDIT_THREADS 1 and 4, plus
-#      the pool-churn microbenchmarks (fresh pool per region vs the shared
+#   3. the flattened sweep scheduler at DPAUDIT_THREADS 1 and 4, plus the
+#      pool-churn microbenchmarks (fresh pool per region vs the shared
 #      pool), with cells/sec and worker occupancy pulled from telemetry;
 #   4. the batched-lane gradient engine (DPAUDIT_BATCH_LANES=8) vs the
 #      scalar path (DPAUDIT_BATCH_LANES=0): the MNIST b64 clipped-gradient
@@ -190,8 +189,8 @@ for name, s in sorted(speedups.items()):
 EOF
 
 # ---------------------------------------------------------------------------
-# Sweep scheduler: flattened (cell x repetition) grid vs the sequential
-# per-cell reference path, each cold and warm, at 1 and 4 threads.
+# Sweep scheduler: the flattened (cell x repetition) grid, cold and warm, at
+# 1 and 4 threads.
 
 sweep_out="${repo_root}/BENCH_sweep_scheduler.json"
 pool_json="$(mktemp /tmp/dpaudit_pool_micro.XXXXXX.json)"
@@ -206,39 +205,33 @@ echo "== pool churn microbenchmarks (fresh pool per region vs shared) =="
   --benchmark_out_format=json \
   --benchmark_repetitions="${BENCH_REPETITIONS:-1}"
 
-# run_sweep_trio MODE THREADS PHASE: one trio pass; telemetry JSONL lands in
-# ${sweep_tmp}/MODE_THREADS_PHASE/, wall seconds on stdout.
+# run_sweep_trio THREADS PHASE: one trio pass; telemetry JSONL lands in
+# ${sweep_tmp}/flattened_THREADSt_PHASE/, wall seconds on stdout.
 run_sweep_trio() {
-  local mode="$1" threads="$2" phase="$3"
-  local tdir="${sweep_tmp}/${mode}_${threads}t_${phase}"
+  local threads="$1" phase="$2"
+  local tdir="${sweep_tmp}/flattened_${threads}t_${phase}"
   mkdir -p "${tdir}"
-  DPAUDIT_SWEEP_MODE="${mode}" DPAUDIT_THREADS="${threads}" \
-      run_trio "${tdir}"
+  DPAUDIT_THREADS="${threads}" run_trio "${tdir}"
 }
 
 declare -A sweep_seconds
-for mode in flattened percell; do
-  for threads in 1 4; do
-    export DPAUDIT_TRACE_CACHE="${sweep_tmp}/cache_${mode}_${threads}t"
-    mkdir -p "${DPAUDIT_TRACE_CACHE}"
-    echo "== trio, mode=${mode} threads=${threads}, cold cache =="
-    sweep_seconds["${mode}_${threads}_cold"]=$(run_sweep_trio "${mode}" "${threads}" cold)
-    echo "cold: ${sweep_seconds[${mode}_${threads}_cold]}s"
-    echo "== trio, mode=${mode} threads=${threads}, warm cache =="
-    sweep_seconds["${mode}_${threads}_warm"]=$(run_sweep_trio "${mode}" "${threads}" warm)
-    echo "warm: ${sweep_seconds[${mode}_${threads}_warm]}s"
-    unset DPAUDIT_TRACE_CACHE
-  done
+for threads in 1 4; do
+  export DPAUDIT_TRACE_CACHE="${sweep_tmp}/cache_${threads}t"
+  mkdir -p "${DPAUDIT_TRACE_CACHE}"
+  echo "== trio, threads=${threads}, cold cache =="
+  sweep_seconds["${threads}_cold"]=$(run_sweep_trio "${threads}" cold)
+  echo "cold: ${sweep_seconds[${threads}_cold]}s"
+  echo "== trio, threads=${threads}, warm cache =="
+  sweep_seconds["${threads}_warm"]=$(run_sweep_trio "${threads}" warm)
+  echo "warm: ${sweep_seconds[${threads}_warm]}s"
+  unset DPAUDIT_TRACE_CACHE
 done
 
 python3 - "${sweep_out}" "${pool_json}" "${sweep_tmp}" \
-    "${sweep_seconds[flattened_1_cold]}" "${sweep_seconds[flattened_1_warm]}" \
-    "${sweep_seconds[flattened_4_cold]}" "${sweep_seconds[flattened_4_warm]}" \
-    "${sweep_seconds[percell_1_cold]}" "${sweep_seconds[percell_1_warm]}" \
-    "${sweep_seconds[percell_4_cold]}" "${sweep_seconds[percell_4_warm]}" <<'EOF'
+    "${sweep_seconds[1_cold]}" "${sweep_seconds[1_warm]}" \
+    "${sweep_seconds[4_cold]}" "${sweep_seconds[4_warm]}" <<'EOF'
 import json, os, sys
-(out_path, pool_path, tmp_dir,
- f1c, f1w, f4c, f4w, p1c, p1w, p4c, p4w) = sys.argv[1:12]
+(out_path, pool_path, tmp_dir, f1c, f1w, f4c, f4w) = sys.argv[1:8]
 with open(pool_path) as f:
     pool_micro = json.load(f)
 
@@ -247,9 +240,9 @@ TRIO = ["bench_fig08_eps_from_sensitivity",
         "bench_fig10_eps_from_advantage"]
 
 
-def read_run(mode, threads, phase):
+def read_run(threads, phase):
     """Sweep counters + worker occupancy from the trio's events.jsonl."""
-    tdir = os.path.join(tmp_dir, f"{mode}_{threads}t_{phase}")
+    tdir = os.path.join(tmp_dir, f"flattened_{threads}t_{phase}")
     counters = {}
     execute_us = 0.0
     wall_ns = 0
@@ -280,22 +273,19 @@ def read_run(mode, threads, phase):
     }
 
 runs = {}
-seconds = {("flattened", "1", "cold"): f1c, ("flattened", "1", "warm"): f1w,
-           ("flattened", "4", "cold"): f4c, ("flattened", "4", "warm"): f4w,
-           ("percell", "1", "cold"): p1c, ("percell", "1", "warm"): p1w,
-           ("percell", "4", "cold"): p4c, ("percell", "4", "warm"): p4w}
-for (mode, threads, phase), measured in seconds.items():
-    entry = read_run(mode, threads, phase)
+seconds = {("1", "cold"): f1c, ("1", "warm"): f1w,
+           ("4", "cold"): f4c, ("4", "warm"): f4w}
+for (threads, phase), measured in seconds.items():
+    entry = read_run(threads, phase)
     entry["measured_seconds"] = float(measured)
-    runs[f"{mode}_{threads}t_{phase}"] = entry
+    runs[f"flattened_{threads}t_{phase}"] = entry
 
 doc = {
-    "description": "Flattened (cell x repetition) sweep scheduler vs the "
-                   "sequential per-cell reference path "
-                   "(DPAUDIT_SWEEP_MODE=percell) over the fig08+fig09+fig10 "
-                   "trio, cold and warm trace cache, 1 and 4 threads; plus "
-                   "the pool-churn microbenchmarks. cells/sec and worker "
-                   "occupancy come from each binary's telemetry JSONL.",
+    "description": "Flattened (cell x repetition) sweep scheduler over the "
+                   "fig08+fig09+fig10 trio, cold and warm trace cache, 1 "
+                   "and 4 threads; plus the pool-churn microbenchmarks. "
+                   "cells/sec and worker occupancy come from each binary's "
+                   "telemetry JSONL.",
     "pool_microbenchmarks": [
         b for b in pool_micro.get("benchmarks", [])
         if b.get("run_type", "iteration") != "aggregate"
@@ -329,9 +319,6 @@ doc["speedups"] = {
         base["trio_cold_seconds_1t"] / runs["flattened_1t_cold"]["measured_seconds"], 2),
     "flattened_cold_4t_vs_pre_pr": round(
         base["trio_cold_seconds_4t"] / runs["flattened_4t_cold"]["measured_seconds"], 2),
-    "flattened_vs_percell_cold_4t": round(
-        runs["percell_4t_cold"]["measured_seconds"] /
-        runs["flattened_4t_cold"]["measured_seconds"], 2),
 }
 pool = {b["name"]: b["real_time"] for b in doc["pool_microbenchmarks"]}
 for n in (16, 256):
@@ -351,8 +338,7 @@ with open(out_path, "w") as f:
     json.dump(doc, f, indent=2)
 print(f"wrote {out_path}")
 for key in ("flattened_1t_cold", "flattened_1t_warm",
-            "flattened_4t_cold", "flattened_4t_warm",
-            "percell_4t_cold", "percell_4t_warm"):
+            "flattened_4t_cold", "flattened_4t_warm"):
     r = runs[key]
     print(f"  {key}: {r['measured_seconds']}s, {r['cells']} cells, "
           f"{r['cells_per_second']} cells/s, "

@@ -64,8 +64,8 @@ struct DpSgdConfig {
 
   /// Worker threads for per-example gradient computation within a step
   /// (0 = DefaultThreadCount()). Results are bit-identical for any value;
-  /// RunDiExperiment lowers this automatically when repetitions already run
-  /// in parallel.
+  /// the sweep scheduler (which also runs RunDiExperiment) lowers this
+  /// automatically when repetitions already run in parallel.
   size_t threads = 0;
 
   /// Lane count for the gradient engine's batched forward/backward path

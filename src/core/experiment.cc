@@ -1,15 +1,14 @@
 #include "core/experiment.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/adversary.h"
-#include "core/ledger_bridge.h"
+#include "core/sweep_scheduler.h"
 #include "core/trace.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
-#include "util/logging.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace dpaudit {
 
@@ -135,108 +134,18 @@ StatusOr<DiExperimentSummary> RunDiExperiment(const Network& architecture,
                                               const Dataset& d_prime,
                                               const DiExperimentConfig& config,
                                               const Dataset* test_set) {
-  DPAUDIT_SPAN("di_experiment");
-  DPAUDIT_RETURN_IF_ERROR(config.dpsgd.Validate());
-  if (config.repetitions == 0) {
-    return Status::InvalidArgument("repetitions must be > 0");
-  }
-
-  DiExperimentSummary summary;
-  summary.trials.resize(config.repetitions);
-  ExperimentTrace trace;
-  size_t replayed = 0;   // leading trials reused from a cached recording
-  bool full_hit = false; // the cache satisfied every repetition
-
-  // The ledger needs the per-step trial traces and the fingerprint even when
-  // no cache is configured, so recording is on whenever either consumer is.
-  const bool ledger = LedgerEnabled();
-  const bool collect = config.trace_store != nullptr || ledger;
-
-  // Record/replay: on a cache hit the recorded trace reconstructs the
-  // summary bit-identically (all doubles round-trip as IEEE-754 bit
-  // patterns), so the expensive repeated training below is skipped. A
-  // recording with fewer trials than requested replays as a prefix — trial
-  // results never depend on the total repetition count — and only the tail
-  // trains live. Any cache problem degrades to a live run.
-  TraceFingerprint trace_key;
-  if (collect) {
-    trace_key = FingerprintExperiment(architecture, d, d_prime, config,
-                                      test_set);
-    trace.fingerprint = trace_key;
-  }
-  if (config.trace_store != nullptr) {
-    DPAUDIT_SPAN("trace_replay");
-    StatusOr<ExperimentTrace> cached = config.trace_store->Load(trace_key);
-    if (cached.ok()) {
-      if (cached->trials.size() >= config.repetitions) {
-        if (!ledger) return cached->ToSummaryPrefix(config.repetitions);
-        // Keep the full recorded traces for ledger emission. The recording
-        // may hold MORE trials than requested; it is never truncated or
-        // re-saved, and the ledger emits only the first `repetitions` — so
-        // a replayed run writes rows byte-identical to the cold run's.
-        full_hit = true;
-        summary = cached->ToSummaryPrefix(config.repetitions);
-        replayed = config.repetitions;
-        trace.trials = std::move(cached->trials);
-      } else {
-        replayed = cached->trials.size();
-        trace.trials = std::move(cached->trials);
-        for (size_t i = 0; i < replayed; ++i) {
-          summary.trials[i] = ToTrialResult(trace.trials[i]);
-        }
-        DPAUDIT_LOG(INFO) << "trace " << trace_key.ToHex() << " replays "
-                          << replayed << "/" << config.repetitions
-                          << " repetitions; extending";
-      }
-    } else if (cached.status().code() != StatusCode::kNotFound) {
-      DPAUDIT_LOG(WARNING) << "ignoring unreadable trace "
-                           << trace_key.ToHex() << ": "
-                           << cached.status().message();
-    }
-  }
-  if (collect && !full_hit) trace.trials.resize(config.repetitions);
-
-  const size_t live = config.repetitions - replayed;
-  std::vector<Status> trial_status(live, Status::Ok());
-  size_t threads =
-      config.threads == 0 ? DefaultThreadCount() : config.threads;
-
-  // Split the thread budget between the two levels of parallelism: outer
-  // repetitions get at most `threads` workers, and each repetition's
-  // per-example gradient engine gets the remainder, so trials x examples
-  // never oversubscribes the budget. An explicit config.dpsgd.threads wins.
-  size_t outer = std::min(threads, live);
-  DiExperimentConfig trial_config = config;
-  if (trial_config.dpsgd.threads == 0) {
-    trial_config.dpsgd.threads = NestedThreadBudget(threads, outer);
-  }
-
-  // Trials are heavyweight; grain 1 gives the dynamic dispatcher maximal
-  // freedom to balance them across the shared pool.
-  ThreadPool::ParallelForChunked(live, threads, /*grain=*/1, [&](size_t i) {
-    const size_t rep = replayed + i;
-    trial_status[i] = RunDiTrial(
-        architecture, d, d_prime, trial_config, rep, &summary.trials[rep],
-        collect ? &trace.trials[rep] : nullptr, test_set);
-  });
-
-  for (const Status& st : trial_status) {
-    if (!st.ok()) return st;
-  }
-
-  if (config.trace_store != nullptr && !full_hit) {
-    DPAUDIT_SPAN("trace_record");
-    Status saved = config.trace_store->Save(trace);
-    if (!saved.ok()) {
-      DPAUDIT_LOG(WARNING) << "cannot cache trace " << trace_key.ToHex()
-                           << ": " << saved.message();
-    }
-  }
-  if (ledger) {
-    EmitLedgerExperiment(trace_key, config, d, d_prime, test_set,
-                         trace.trials, config.repetitions);
-  }
-  return summary;
+  // One repeated experiment is a one-cell sweep: the scheduler owns the
+  // cache probe, prefix replay, save and ledger emission for both.
+  SweepCell cell;
+  cell.architecture = &architecture;
+  cell.d = &d;
+  cell.d_prime = &d_prime;
+  cell.test_set = test_set;
+  cell.config = config;
+  SweepOptions options;
+  options.threads = config.threads;
+  options.trace_store = config.trace_store;
+  return std::move(RunSweep({cell}, options).front());
 }
 
 }  // namespace dpaudit

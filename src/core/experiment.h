@@ -1,8 +1,10 @@
 // The differential-identifiability experiment Exp^DI (Experiment 2) for
-// DPSGD, repeated for statistical stability and fanned out over a thread
-// pool. One trial = initialize weights, run DPSGD on the challenger's
-// dataset while A_DI observes every release, record the adversary's beliefs
-// and decision plus the per-step sensitivities for auditing.
+// DPSGD, repeated for statistical stability. One trial = initialize weights,
+// run DPSGD on the challenger's dataset while A_DI observes every release,
+// record the adversary's beliefs and decision plus the per-step
+// sensitivities for auditing. RunDiTrial runs one trial; the sweep scheduler
+// (core/sweep_scheduler.h) runs the repetitions, and RunDiExperiment is its
+// one-cell case.
 
 #ifndef DPAUDIT_CORE_EXPERIMENT_H_
 #define DPAUDIT_CORE_EXPERIMENT_H_
@@ -33,8 +35,9 @@ struct DiExperimentConfig {
   /// Re-draw theta_0 per trial (fresh model instance per repetition, as in
   /// the paper's "trained 250 times").
   bool reinitialize_weights = true;
-  /// Optional step-trace cache (core/trace.h), not owned. When set, a cache
-  /// hit for this experiment's content fingerprint replays the recorded
+  /// Optional step-trace cache (core/trace.h) for RunDiExperiment, not
+  /// owned; RunSweep reads SweepOptions::trace_store instead. When set, a
+  /// cache hit for this experiment's content fingerprint replays the recorded
   /// trace — the returned summary (and every epsilon' estimator computed
   /// from it) is bit-identical to a live run — and a miss runs live and
   /// records. Cache failures degrade to a live run, never to an error.
@@ -93,12 +96,17 @@ Status RunDiTrial(const Network& architecture, const Dataset& d,
                   size_t rep, DiTrialResult* trial, TrialTrace* record,
                   const Dataset* test_set = nullptr);
 
-/// Runs the repeated experiment. `test_set`, when non-null, is evaluated on
-/// every trial's final model (Figure 7). Trials are deterministic given
-/// `config.seed` regardless of thread count. With a trace store configured,
-/// a cached recording with at least config.repetitions trials replays
-/// bit-identically; a shorter recording replays as a prefix and only the
-/// missing repetitions train live (the extended trace is saved back).
+/// Runs the repeated experiment as a one-cell RunSweep with
+/// `config.threads` and `config.trace_store`, so it shares the sweep's
+/// cache replay, ledger emission, and retry-then-degrade policy (a trial
+/// that fails past the retry budget drops out of the summary; only a cell
+/// where every trial fails returns an error). `test_set`, when non-null, is
+/// evaluated on every trial's final model (Figure 7). Trials are
+/// deterministic given `config.seed` regardless of thread count. With a
+/// trace store configured, a cached recording with at least
+/// config.repetitions trials replays bit-identically; a shorter recording
+/// replays as a prefix and only the missing repetitions train live (the
+/// extended trace is saved back).
 StatusOr<DiExperimentSummary> RunDiExperiment(const Network& architecture,
                                               const Dataset& d,
                                               const Dataset& d_prime,

@@ -5,8 +5,8 @@
 //
 // Call sites (all gated on obs::AuditLedgerEnabled(), all at sequential
 // points of the run so row order is deterministic):
-//   - RunDiExperiment emits one experiment block per repeated experiment;
-//   - the sweep scheduler's sequential results loop does the same per cell;
+//   - the sweep scheduler's sequential results loop emits one experiment
+//     block per cell (RunDiExperiment is a one-cell sweep);
 //   - AuditExperiment emits one audit row per report it produces.
 
 #ifndef DPAUDIT_CORE_LEDGER_BRIDGE_H_

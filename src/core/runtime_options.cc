@@ -67,9 +67,6 @@ const std::vector<RuntimeKnob>& RuntimeKnobTable() {
       {"--telemetry", "DPAUDIT_TELEMETRY", "(off)",
        "telemetry export directory (profile.txt, events.jsonl, "
        "metrics.prom, ledger.jsonl); stdout stays byte-identical"},
-      {"--sweep-mode", "DPAUDIT_SWEEP_MODE", "flattened",
-       "sweep dispatch: flattened (one dynamic trial grid) or percell (the "
-       "sequential reference path)"},
       {"--progress", "DPAUDIT_PROGRESS", "0",
        "sweep heartbeat interval in seconds through stderr logging; 0 = off"},
       {"--log-level", "DPAUDIT_LOG_LEVEL", "INFO",
@@ -102,12 +99,6 @@ RuntimeOptions RuntimeOptions::FromEnv() {
   options.trace_cache = EnvString("DPAUDIT_TRACE_CACHE", "");
   options.telemetry_dir = EnvString("DPAUDIT_TELEMETRY", "");
   options.telemetry_enabled = !options.telemetry_dir.empty();
-  // Tolerant like the historical SweepModeFromEnv: anything but "percell"
-  // (including unset) selects the flattened scheduler. The --sweep-mode flag
-  // is strict; see FromEnvAndArgs.
-  options.sweep_mode = EnvString("DPAUDIT_SWEEP_MODE", "") == "percell"
-                           ? SweepMode::kPerCell
-                           : SweepMode::kFlattened;
   options.progress_seconds = EnvInt64("DPAUDIT_PROGRESS", 0);
   options.log_level = EnvString("DPAUDIT_LOG_LEVEL", "");
   const int64_t retries = EnvInt64("DPAUDIT_TRIAL_RETRIES", 2);
@@ -187,15 +178,6 @@ StatusOr<RuntimeOptions> RuntimeOptions::FromEnvAndArgs(int* argc,
       } else {
         options.telemetry_enabled = true;
         options.telemetry_dir = value;
-      }
-    } else if (name == "--sweep-mode") {
-      if (value == "flattened") {
-        options.sweep_mode = SweepMode::kFlattened;
-      } else if (value == "percell") {
-        options.sweep_mode = SweepMode::kPerCell;
-      } else {
-        fail("--sweep-mode must be flattened or percell (got \"" + value +
-             "\")");
       }
     } else if (name == "--progress") {
       int64_t seconds = 0;

@@ -2,9 +2,8 @@
 //
 // Historically each subsystem read its own DPAUDIT_* environment variable ad
 // hoc (thread count in util/thread_pool, lanes in util/env, trace cache in
-// core/trace, telemetry in obs/telemetry, sweep mode in bench, ...). This
-// header consolidates them into one struct with one documented precedence
-// rule:
+// core/trace, telemetry in obs/telemetry, ...). This header consolidates
+// them into one struct with one documented precedence rule:
 //
 //   CLI flag  >  environment variable  >  built-in default
 //
@@ -36,16 +35,6 @@
 
 namespace dpaudit {
 
-enum class SweepMode {
-  /// One flattened (cell x repetition) grid, dynamic chunked dispatch on the
-  /// shared pool. The default.
-  kFlattened,
-  /// Sequential cells, ParallelFor within each — the pre-scheduler reference
-  /// path, kept for A/B benchmarking (DPAUDIT_SWEEP_MODE=percell) and the
-  /// bit-identity tests.
-  kPerCell,
-};
-
 /// One row of the knob table: the CLI flag, the environment variable it
 /// overrides, the default, and the help text. --help output is generated
 /// from this table, so flags, env vars, and docs cannot drift apart.
@@ -74,9 +63,6 @@ struct RuntimeOptions {
   /// disabled when empty.
   bool telemetry_enabled = false;
   std::string telemetry_dir;
-
-  /// Sweep dispatch mode (core/sweep_scheduler.h).
-  SweepMode sweep_mode = SweepMode::kFlattened;
 
   /// Sweep heartbeat interval in seconds; 0 disables the monitor thread.
   int64_t progress_seconds = 0;

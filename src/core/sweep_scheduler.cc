@@ -12,6 +12,7 @@
 #include <utility>
 
 #include "core/ledger_bridge.h"
+#include "core/runtime_options.h"
 #include "core/sweep_journal.h"
 #include "core/trace.h"
 #include "obs/metrics.h"
@@ -28,7 +29,6 @@ namespace {
 // call_once publishes every field it writes to the other trial tasks.
 struct CellRun {
   const SweepCell* cell = nullptr;
-  TraceStore* store = nullptr;  // effective store (options override applied)
 
   std::once_flag once;
   Status prep_status = Status::Ok();
@@ -171,8 +171,8 @@ void ResumeFromJournal(SweepJournal* journal, size_t reps, CellRun* run) {
 // prefix replay, checkpoint-journal resume. Runs inside the trial task set,
 // so a later cell's (often expensive) calibration overlaps earlier cells'
 // training instead of serializing the sweep.
-void PrepareCell(size_t inner_threads, bool ledger, SweepJournal* journal,
-                 CellRun* run) {
+void PrepareCell(size_t inner_threads, TraceStore* store, bool ledger,
+                 SweepJournal* journal, CellRun* run) {
   DPAUDIT_SPAN("sweep_cell_prep");
   const SweepCell& cell = *run->cell;
   run->config = cell.config;
@@ -194,10 +194,7 @@ void PrepareCell(size_t inner_threads, bool ledger, SweepJournal* journal,
     return;
   }
   if (run->config.dpsgd.threads == 0) {
-    // The flattened grid saturates the pool with trials, so each trial's
-    // gradient engine gets a nested budget of threads/threads = 1.
-    run->config.dpsgd.threads = NestedThreadBudget(inner_threads,
-                                                   inner_threads);
+    run->config.dpsgd.threads = inner_threads;
   }
 
   const size_t reps = run->config.repetitions;
@@ -205,13 +202,13 @@ void PrepareCell(size_t inner_threads, bool ledger, SweepJournal* journal,
   run->trial_status.assign(reps, Status::Ok());
 
   const bool need_key =
-      run->store != nullptr || ledger || journal != nullptr;
+      store != nullptr || ledger || journal != nullptr;
   if (need_key) {
     run->key = FingerprintExperiment(*cell.architecture, *cell.d,
                                      *cell.d_prime, run->config,
                                      cell.test_set);
   }
-  if (run->store == nullptr) {
+  if (store == nullptr) {
     if (ledger || journal != nullptr) {
       // No cache, but the ledger needs the per-step traces of every live
       // trial, and the journal needs them to checkpoint trained trials.
@@ -222,7 +219,7 @@ void PrepareCell(size_t inner_threads, bool ledger, SweepJournal* journal,
     ResumeFromJournal(journal, reps, run);
     return;
   }
-  StatusOr<ExperimentTrace> cached = run->store->Load(run->key);
+  StatusOr<ExperimentTrace> cached = store->Load(run->key);
   if (cached.ok()) {
     run->replayed = std::min(cached->trials.size(), reps);
     if (cached->trials.size() < reps || ledger) {
@@ -278,51 +275,6 @@ void CountSweepMetrics(const SweepStats& stats) {
                        stats.cells_degraded);
 }
 
-TraceStore* EffectiveStore(const SweepOptions& options,
-                           const SweepCell& cell) {
-  return options.trace_store != nullptr ? options.trace_store
-                                        : cell.config.trace_store;
-}
-
-std::vector<StatusOr<DiExperimentSummary>> RunSweepPerCell(
-    const std::vector<SweepCell>& cells, const SweepOptions& options,
-    size_t threads, SweepStats* stats, ProgressMonitor* monitor) {
-  std::vector<StatusOr<DiExperimentSummary>> results;
-  results.reserve(cells.size());
-  for (const SweepCell& cell : cells) {
-    DiExperimentConfig config = cell.config;
-    if (cell.configure) {
-      Status st = cell.configure(&config);
-      if (!st.ok()) {
-        results.emplace_back(st);
-        monitor->CellDone();
-        continue;
-      }
-    }
-    config.trace_store = EffectiveStore(options, cell);
-    config.threads = threads;
-    const TraceCacheCounters before = GetTraceCacheCounters();
-    results.push_back(RunDiExperiment(*cell.architecture, *cell.d,
-                                      *cell.d_prime, config, cell.test_set));
-    monitor->TrialDone(config.repetitions);
-    monitor->CellDone();
-    if (stats != nullptr && results.back().ok()) {
-      const TraceCacheCounters after = GetTraceCacheCounters();
-      const bool hit = after.hits > before.hits;
-      if (config.trace_store != nullptr) {
-        if (hit) {
-          ++stats->trace_full_hits;  // full or prefix; per-cell path cannot
-                                     // tell without re-probing — close enough
-                                     // for the reference mode
-        } else {
-          ++stats->trace_misses;
-        }
-      }
-    }
-  }
-  return results;
-}
-
 }  // namespace
 
 std::vector<StatusOr<DiExperimentSummary>> RunSweep(
@@ -334,24 +286,27 @@ std::vector<StatusOr<DiExperimentSummary>> RunSweep(
   SweepStats local;
   local.cells = cells.size();
   const bool ledger = LedgerEnabled();
-  size_t total_trials = 0;
-  for (const SweepCell& cell : cells) {
-    total_trials += cell.config.repetitions;
-  }
-  ProgressMonitor monitor(cells.size(), total_trials);
 
-  if (options.mode == SweepMode::kPerCell) {
-    if (!options.checkpoint.empty()) {
-      DPAUDIT_LOG(WARNING)
-          << "sweep checkpoint requires the flattened scheduler; percell "
-          << "mode runs without crash-safety";
-    }
-    auto results = RunSweepPerCell(cells, options, threads, &local,
-                                   &monitor);
-    CountSweepMetrics(local);
-    if (stats != nullptr) *stats = local;
-    return results;
+  // Flattened grid: cell i owns flat indices [offset[i], offset[i] + reps_i).
+  // Repetition counts come from the static configs — configure may not
+  // change them — so the grid is fully shaped before any cell runs.
+  std::vector<CellRun> runs(cells.size());
+  std::vector<size_t> offset(cells.size() + 1, 0);
+  for (size_t i = 0; i < cells.size(); ++i) {
+    runs[i].cell = &cells[i];
+    offset[i + 1] = offset[i] + cells[i].config.repetitions;
   }
+  const size_t total = offset.back();
+  // Split the thread budget between the two levels of parallelism: up to
+  // `threads` trials run side by side and each trial's gradient engine gets
+  // the remainder, so trials x examples never oversubscribes the budget. A
+  // saturated grid leaves each trial 1 thread; a single experiment with
+  // fewer repetitions than threads keeps inner parallelism.
+  const size_t inner_threads =
+      NestedThreadBudget(threads, std::min(threads, total));
+  const size_t retries = options.trial_retries;
+  const uint64_t backoff_base_ms = options.retry_backoff_ms;
+  ProgressMonitor monitor(cells.size(), total);
 
   // Checkpoint journal: loaded up front so PrepareCell can skip trials a
   // previous (crashed) run of this sweep already trained. Best-effort — a
@@ -373,20 +328,6 @@ std::vector<StatusOr<DiExperimentSummary>> RunSweep(
     }
   }
 
-  // Flattened grid: cell i owns flat indices [offset[i], offset[i] + reps_i).
-  // Repetition counts come from the static configs — configure may not
-  // change them — so the grid is fully shaped before any cell runs.
-  std::vector<CellRun> runs(cells.size());
-  std::vector<size_t> offset(cells.size() + 1, 0);
-  for (size_t i = 0; i < cells.size(); ++i) {
-    runs[i].cell = &cells[i];
-    runs[i].store = EffectiveStore(options, cells[i]);
-    offset[i + 1] = offset[i] + cells[i].config.repetitions;
-  }
-  const size_t total = offset.back();
-  const size_t retries = options.trial_retries;
-  const uint64_t backoff_base_ms = options.retry_backoff_ms;
-
   ThreadPool::ParallelForChunked(total, threads, /*grain=*/1,
                                  [&](size_t flat) {
     // flat -> (cell, rep). Cells are few; binary search keeps the map O(log).
@@ -396,7 +337,8 @@ std::vector<StatusOr<DiExperimentSummary>> RunSweep(
     const size_t rep = flat - offset[c];
     CellRun& run = runs[c];
     std::call_once(run.once, [&] {
-      PrepareCell(threads, ledger, journal.get(), &run);
+      PrepareCell(inner_threads, options.trace_store, ledger, journal.get(),
+                  &run);
     });
     const size_t cell_reps = offset[c + 1] - offset[c];
     const bool resumed =
@@ -559,13 +501,13 @@ std::vector<StatusOr<DiExperimentSummary>> RunSweep(
     }
     if (run.record) {
       DPAUDIT_SPAN("trace_record");
-      Status saved = run.store->Save(run.trace);
+      Status saved = options.trace_store->Save(run.trace);
       if (!saved.ok()) {
         DPAUDIT_LOG(WARNING) << "cannot cache trace " << run.key.ToHex()
                              << ": " << saved.message();
       }
     }
-    if (run.store != nullptr) {
+    if (options.trace_store != nullptr) {
       if (run.replayed == reps) {
         ++local.trace_full_hits;
       } else if (run.replayed > 0) {
@@ -576,7 +518,7 @@ std::vector<StatusOr<DiExperimentSummary>> RunSweep(
     }
     // The sequential results loop is the single emission point: ledger rows
     // appear in cell order regardless of how work stealing interleaved the
-    // trials, so the file is byte-stable across thread counts and modes.
+    // trials, so the file is byte-stable across thread counts.
     if (ledger) {
       EmitLedgerExperiment(run.key, run.config, *cells[i].d,
                            *cells[i].d_prime, cells[i].test_set,

@@ -13,12 +13,12 @@
 //
 // Determinism: trial r of a cell is a pure function of the cell's inputs and
 // r (see RunDiTrial), and results are reduced into per-cell summary slots by
-// index, so the returned summaries are bit-identical to running
-// RunDiExperiment per cell — for any thread count, any dispatch order, and
-// any trace-cache state. SweepMode::kPerCell keeps the sequential reference
-// path selectable for A/B benchmarking and differential tests.
+// index, so the returned summaries are bit-identical to a serial loop of
+// RunDiTrial over every cell and repetition — for any thread count, any
+// dispatch order, and any trace-cache state. This is the only path that runs
+// repetitions: RunDiExperiment is a one-cell RunSweep.
 //
-// Crash safety and failure isolation (flattened mode): with
+// Crash safety and failure isolation: with
 // SweepOptions::checkpoint set, every freshly trained trial is appended to a
 // sweep journal (core/sweep_journal.h) the moment it completes, and a
 // re-launched sweep replays journaled trials instead of retraining them —
@@ -38,7 +38,6 @@
 #include <vector>
 
 #include "core/experiment.h"
-#include "core/runtime_options.h"
 #include "util/status.h"
 
 namespace dpaudit {
@@ -66,19 +65,14 @@ struct SweepCell {
   std::function<Status(DiExperimentConfig*)> configure;
 };
 
-// SweepMode (kFlattened / kPerCell) lives in core/runtime_options.h with the
-// rest of the process-level knobs; it is re-exported through this include.
-
 struct SweepOptions {
   size_t threads = 0;  // 0: DefaultThreadCount()
-  SweepMode mode = SweepMode::kFlattened;
-  /// When set, overrides every cell's config.trace_store — the sweep layer
-  /// resolves the store once (e.g. TraceStore::FromEnv()) instead of per
-  /// cell. nullptr falls back to each cell's own config.trace_store.
+  /// The step-trace cache (core/trace.h) for every cell, resolved once per
+  /// sweep (e.g. TraceStore::FromEnv()); nullptr disables it. The cells'
+  /// own config.trace_store is not consulted.
   TraceStore* trace_store = nullptr;
   /// Checkpoint journal path (core/sweep_journal.h); empty disables
-  /// checkpointing. Flattened mode only — the per-cell reference path stays
-  /// byte-for-byte the historical sequential implementation.
+  /// checkpointing.
   std::string checkpoint;
   /// How many times a failed trial is re-attempted before it counts as
   /// failed. A cell whose reps partially fail degrades to a partial-
@@ -115,12 +109,12 @@ struct SweepStats {
   size_t trials_retried = 0;  // retry attempts across all cells
   size_t trials_failed = 0;   // trials that exhausted the retry budget
   size_t cells_degraded = 0;  // cells returned with fewer reps than asked
-  std::vector<SweepCellStats> per_cell;  // flattened mode only
+  std::vector<SweepCellStats> per_cell;
 };
 
 /// Runs every cell and returns its summary (or error) in cell order. The
-/// summaries are bit-identical to calling RunDiExperiment per cell with the
-/// same configs — for any thread count, either mode, cold or warm cache.
+/// summaries are bit-identical to running each cell's repetitions one by one
+/// through RunDiTrial — for any thread count, cold or warm cache.
 /// `stats`, when non-null, receives the per-sweep cache/trial accounting.
 std::vector<StatusOr<DiExperimentSummary>> RunSweep(
     const std::vector<SweepCell>& cells, const SweepOptions& options = {},

@@ -10,7 +10,6 @@
 #include "io/serialization.h"
 #include "obs/metrics.h"
 #include "tensor/tensor.h"
-#include "util/logging.h"
 
 namespace dpaudit {
 namespace {
@@ -199,17 +198,10 @@ DiTrialResult ToTrialResult(const TrialTrace& trace) {
 }
 
 DiExperimentSummary ExperimentTrace::ToSummary() const {
-  return ToSummaryPrefix(trials.size());
-}
-
-DiExperimentSummary ExperimentTrace::ToSummaryPrefix(
-    size_t repetitions) const {
-  DPAUDIT_CHECK(repetitions <= trials.size())
-      << "prefix of " << repetitions << " from a trace of " << trials.size();
   DiExperimentSummary summary;
-  summary.trials.resize(repetitions);
-  for (size_t i = 0; i < repetitions; ++i) {
-    summary.trials[i] = ToTrialResult(trials[i]);
+  summary.trials.reserve(trials.size());
+  for (const TrialTrace& trial : trials) {
+    summary.trials.push_back(ToTrialResult(trial));
   }
   return summary;
 }

@@ -10,8 +10,9 @@
 // final/max beliefs, decision, and test accuracy. A TraceStore persists
 // complete traces through io/serialization's checksummed framing, keyed by a
 // content fingerprint of the experiment inputs; replaying a trace through
-// RunDiExperiment yields a DiExperimentSummary bit-identical to a live run,
-// so every downstream Auditor estimator is bit-identical too.
+// the sweep scheduler (core/sweep_scheduler.h, which RunDiExperiment also
+// runs on) yields a DiExperimentSummary bit-identical to a live run, so every
+// downstream Auditor estimator is bit-identical too.
 //
 // Fingerprint contract: the key hashes the full DpSgdConfig (minus the
 // thread count — results are thread-invariant by the gradient engine's
@@ -25,7 +26,7 @@
 // The repetition count is deliberately NOT part of the key: trial r is a
 // pure function of (inputs above, r) via Rng::Split, so a recording with R
 // trials is a bit-identical prefix of any run with R' >= R repetitions.
-// Traces are therefore prefix-extensible — RunDiExperiment replays the
+// Traces are therefore prefix-extensible — the sweep scheduler replays the
 // cached prefix, trains only the missing tail, and saves the extended
 // recording under the same key. Concurrent writers of the same key may race
 // recordings of different lengths; Save is atomic (write + rename), every
@@ -83,7 +84,7 @@ struct TrialTrace {
   std::vector<StepTraceRecord> steps;
 };
 
-/// A complete recorded experiment: everything RunDiExperiment's summary is
+/// A complete recorded experiment: everything an experiment's summary is
 /// built from, plus the per-step observables the summary discards.
 struct ExperimentTrace {
   TraceFingerprint fingerprint;
@@ -94,12 +95,6 @@ struct ExperimentTrace {
   /// summary — and every epsilon' estimator computed from it — is
   /// bit-identical to the recording run.
   DiExperimentSummary ToSummary() const;
-
-  /// ToSummary() restricted to the first `repetitions` trials (which must
-  /// not exceed trials.size()): exactly the summary a live run with that
-  /// repetition count would have produced, by the prefix property of the
-  /// fingerprint contract above.
-  DiExperimentSummary ToSummaryPrefix(size_t repetitions) const;
 };
 
 /// Reconstructs the DiTrialResult one recorded repetition replays to.

@@ -113,7 +113,7 @@ class SpanRegistry {
   SpanNode& root() { return root_; }
 
   struct Stat {
-    std::string path;  // "di_experiment/repetition/train_step"
+    std::string path;  // "sweep_schedule/repetition/train_step"
     size_t depth = 0;
     uint64_t count = 0;
     uint64_t total_ns = 0;

@@ -20,10 +20,10 @@ namespace {
 const char* const kVars[] = {
     "DPAUDIT_THREADS",        "DPAUDIT_BATCH_LANES",
     "DPAUDIT_TRACE_CACHE",    "DPAUDIT_TELEMETRY",
-    "DPAUDIT_SWEEP_MODE",     "DPAUDIT_PROGRESS",
-    "DPAUDIT_LOG_LEVEL",      "DPAUDIT_TRIAL_RETRIES",
-    "DPAUDIT_RETRY_BACKOFF_MS", "DPAUDIT_SWEEP_CHECKPOINT",
-    "DPAUDIT_FAULT_INJECT",   "DPAUDIT_VERBOSE",
+    "DPAUDIT_PROGRESS",       "DPAUDIT_LOG_LEVEL",
+    "DPAUDIT_TRIAL_RETRIES",  "DPAUDIT_RETRY_BACKOFF_MS",
+    "DPAUDIT_SWEEP_CHECKPOINT", "DPAUDIT_FAULT_INJECT",
+    "DPAUDIT_VERBOSE",
 };
 
 class RuntimeOptionsTest : public ::testing::Test {
@@ -61,7 +61,6 @@ TEST_F(RuntimeOptionsTest, DefaultsWithNothingSet) {
   EXPECT_EQ(options.batch_lanes, -1);
   EXPECT_TRUE(options.trace_cache.empty());
   EXPECT_FALSE(options.telemetry_enabled);
-  EXPECT_EQ(options.sweep_mode, SweepMode::kFlattened);
   EXPECT_EQ(options.progress_seconds, 0);
   EXPECT_TRUE(options.log_level.empty());
   EXPECT_EQ(options.trial_retries, 2u);
@@ -78,7 +77,6 @@ TEST_F(RuntimeOptionsTest, EnvironmentLayerOverridesDefaults) {
   setenv("DPAUDIT_BATCH_LANES", "4", 1);
   setenv("DPAUDIT_TRACE_CACHE", "/tmp/traces", 1);
   setenv("DPAUDIT_TELEMETRY", "/tmp/tele", 1);
-  setenv("DPAUDIT_SWEEP_MODE", "percell", 1);
   setenv("DPAUDIT_TRIAL_RETRIES", "5", 1);
   setenv("DPAUDIT_SWEEP_CHECKPOINT", "/tmp/run.sweep.jsonl", 1);
   setenv("DPAUDIT_VERBOSE", "1", 1);
@@ -88,7 +86,6 @@ TEST_F(RuntimeOptionsTest, EnvironmentLayerOverridesDefaults) {
   EXPECT_EQ(options.trace_cache, "/tmp/traces");
   EXPECT_TRUE(options.telemetry_enabled);
   EXPECT_EQ(options.telemetry_dir, "/tmp/tele");
-  EXPECT_EQ(options.sweep_mode, SweepMode::kPerCell);
   EXPECT_EQ(options.trial_retries, 5u);
   EXPECT_EQ(options.checkpoint, "/tmp/run.sweep.jsonl");
   EXPECT_TRUE(options.verbose);
@@ -96,12 +93,9 @@ TEST_F(RuntimeOptionsTest, EnvironmentLayerOverridesDefaults) {
 
 TEST_F(RuntimeOptionsTest, FlagBeatsEnvironment) {
   setenv("DPAUDIT_THREADS", "7", 1);
-  setenv("DPAUDIT_SWEEP_MODE", "percell", 1);
-  StatusOr<RuntimeOptions> options =
-      ParseArgs({"--threads=3", "--sweep-mode=flattened"});
+  StatusOr<RuntimeOptions> options = ParseArgs({"--threads=3"});
   ASSERT_TRUE(options.ok()) << options.status();
   EXPECT_EQ(options->threads, 3u);
-  EXPECT_EQ(options->sweep_mode, SweepMode::kFlattened);
 }
 
 TEST_F(RuntimeOptionsTest, RecognizedFlagsAreStrippedOthersPassThrough) {
@@ -140,7 +134,6 @@ TEST_F(RuntimeOptionsTest, MalformedFlagsFailWithActionableMessages) {
   EXPECT_FALSE(ParseArgs({"--threads=zero"}).ok());
   EXPECT_FALSE(ParseArgs({"--threads=0"}).ok());
   EXPECT_FALSE(ParseArgs({"--lanes=-2"}).ok());
-  EXPECT_FALSE(ParseArgs({"--sweep-mode=diagonal"}).ok());
   EXPECT_FALSE(ParseArgs({"--log-level=LOUD"}).ok());
   EXPECT_FALSE(ParseArgs({"--retries=-1"}).ok());
   EXPECT_FALSE(ParseArgs({"--fault-inject=bogus"}).ok());

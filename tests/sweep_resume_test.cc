@@ -66,7 +66,6 @@ class SweepResumeTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     unsetenv("DPAUDIT_TRACE_CACHE");
-    unsetenv("DPAUDIT_SWEEP_MODE");
     unsetenv("DPAUDIT_SWEEP_CHECKPOINT");
   }
   void SetUp() override {

@@ -1,6 +1,6 @@
 // Determinism and cache tests for the flattened sweep scheduler: the
-// flattened (cell x repetition) dispatch must produce bit-identical
-// AuditSweepRow vectors vs the sequential per-cell reference path, for any
+// flattened (cell x repetition) dispatch must produce AuditSweepRow vectors
+// bit-identical to a naive serial loop of RunDiTrial written here, for any
 // DPAUDIT_THREADS, cold and warm trace cache.
 
 #include "core/sweep_scheduler.h"
@@ -9,6 +9,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -67,13 +68,51 @@ void ExpectRowsBitIdentical(const std::vector<bench::AuditSweepRow>& expected,
   }
 }
 
+/// RunAuditSweep's grid for one task (epsilon x {LS, GS}, bounded
+/// neighbours), each cell configured as the sweep's `configure` does, its
+/// summary produced by `run_cell`, and audited into rows in grid order.
+std::vector<bench::AuditSweepRow> AuditGrid(
+    const bench::BenchParams& params, const bench::Task& task, size_t reps,
+    const std::function<DiExperimentSummary(const DiExperimentConfig&)>&
+        run_cell) {
+  std::vector<bench::AuditSweepRow> rows;
+  for (double epsilon : bench::EpsilonGridFor(task)) {
+    for (SensitivityMode sensitivity :
+         {SensitivityMode::kLocalHat, SensitivityMode::kGlobal}) {
+      DiExperimentConfig config = bench::MakeScenarioConfig(
+          params, task, epsilon, sensitivity, NeighborMode::kBounded);
+      config.repetitions = reps;
+      rows.push_back(
+          bench::AuditCell(task, epsilon, sensitivity, run_cell(config)));
+    }
+  }
+  return rows;
+}
+
+/// The naive reference: reps 0..R-1 one after another on this thread, each
+/// with a single-threaded gradient engine and no trace store.
+std::vector<bench::AuditSweepRow> NaiveAuditSweep(
+    const bench::BenchParams& params, const bench::Task& task, size_t reps) {
+  return AuditGrid(params, task, reps, [&](DiExperimentConfig config) {
+    config.dpsgd.threads = 1;
+    DiExperimentSummary summary;
+    summary.trials.resize(config.repetitions);
+    for (size_t rep = 0; rep < config.repetitions; ++rep) {
+      Status st = RunDiTrial(task.architecture, task.d, task.d_prime_bounded,
+                             config, rep, &summary.trials[rep],
+                             /*record=*/nullptr);
+      EXPECT_TRUE(st.ok()) << st;
+    }
+    return summary;
+  });
+}
+
 class SweepSchedulerTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     // TraceStore::FromEnv() latches on first use; every test here passes
-    // explicit stores, and the mode comes in explicitly too.
+    // explicit stores.
     unsetenv("DPAUDIT_TRACE_CACHE");
-    unsetenv("DPAUDIT_SWEEP_MODE");
   }
   void TearDown() override { unsetenv("DPAUDIT_THREADS"); }
 };
@@ -82,11 +121,8 @@ TEST_F(SweepSchedulerTest, FlattenedMatchesSequentialAcrossThreadsAndCache) {
   bench::BenchParams params = TinyParams();
   bench::Task task = bench::MakeMnistTask(params);
 
-  // Reference: the sequential per-cell path, single-threaded, no cache.
-  setenv("DPAUDIT_THREADS", "1", 1);
-  std::vector<bench::AuditSweepRow> reference = bench::RunAuditSweep(
-      params, task, /*reps_override=*/4, /*store=*/nullptr,
-      SweepMode::kPerCell);
+  const std::vector<bench::AuditSweepRow> reference =
+      NaiveAuditSweep(params, task, /*reps=*/4);
   ASSERT_EQ(reference.size(), 8u);  // 4 epsilons x {LS, GS}
 
   for (const char* threads : {"1", "4", "13"}) {
@@ -97,18 +133,24 @@ TEST_F(SweepSchedulerTest, FlattenedMatchesSequentialAcrossThreadsAndCache) {
 
     // Cold cache: every cell trains through the flattened grid.
     std::vector<bench::AuditSweepRow> cold = bench::RunAuditSweep(
-        params, task, /*reps_override=*/4, &store, SweepMode::kFlattened);
+        params, task, /*reps_override=*/4, &store);
     ExpectRowsBitIdentical(reference, cold);
 
     // Warm cache: every cell replays.
     std::vector<bench::AuditSweepRow> warm = bench::RunAuditSweep(
-        params, task, /*reps_override=*/4, &store, SweepMode::kFlattened);
+        params, task, /*reps_override=*/4, &store);
     ExpectRowsBitIdentical(reference, warm);
 
-    // The sequential path reads the scheduler's recordings compatibly.
-    std::vector<bench::AuditSweepRow> percell = bench::RunAuditSweep(
-        params, task, /*reps_override=*/4, &store, SweepMode::kPerCell);
-    ExpectRowsBitIdentical(reference, percell);
+    // RunDiExperiment, one cell at a time, replays the sweep's recordings.
+    std::vector<bench::AuditSweepRow> single = AuditGrid(
+        params, task, /*reps=*/4, [&](DiExperimentConfig config) {
+          config.trace_store = &store;
+          StatusOr<DiExperimentSummary> summary = RunDiExperiment(
+              task.architecture, task.d, task.d_prime_bounded, config);
+          EXPECT_TRUE(summary.ok()) << summary.status();
+          return summary.ok() ? *summary : DiExperimentSummary{};
+        });
+    ExpectRowsBitIdentical(reference, single);
   }
 }
 
@@ -121,16 +163,11 @@ TEST_F(SweepSchedulerTest, FlattenedSweepExtendsCachedPrefixes) {
 
   // Record 3 repetitions per cell, then ask for 6: the cached prefixes
   // replay and only the tails train (prefix-extensible traces).
-  bench::RunAuditSweep(params, task, /*reps_override=*/3, &store,
-                       SweepMode::kFlattened);
+  bench::RunAuditSweep(params, task, /*reps_override=*/3, &store);
   std::vector<bench::AuditSweepRow> extended = bench::RunAuditSweep(
-      params, task, /*reps_override=*/6, &store, SweepMode::kFlattened);
+      params, task, /*reps_override=*/6, &store);
 
-  setenv("DPAUDIT_THREADS", "1", 1);
-  std::vector<bench::AuditSweepRow> reference = bench::RunAuditSweep(
-      params, task, /*reps_override=*/6, /*store=*/nullptr,
-      SweepMode::kPerCell);
-  ExpectRowsBitIdentical(reference, extended);
+  ExpectRowsBitIdentical(NaiveAuditSweep(params, task, /*reps=*/6), extended);
 }
 
 TEST_F(SweepSchedulerTest, ReportsCacheOutcomesInStats) {

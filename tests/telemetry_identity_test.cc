@@ -103,13 +103,16 @@ TEST_F(TelemetryIdentityTest, InstrumentedRunPopulatesTheProfileTree) {
     }
     return false;
   };
-  EXPECT_TRUE(has("di_experiment"));
-  EXPECT_TRUE(has("di_experiment/repetition"));
-  EXPECT_TRUE(has("di_experiment/repetition/train_step"));
+  // A single experiment is a one-cell sweep, so its tree is the sweep's.
+  EXPECT_TRUE(has("sweep_schedule"));
+  EXPECT_TRUE(has("sweep_schedule/sweep_cell_prep"));
+  EXPECT_TRUE(has("sweep_schedule/repetition"));
+  EXPECT_TRUE(has("sweep_schedule/repetition/train_step"));
   EXPECT_TRUE(
-      has("di_experiment/repetition/train_step/per_example_gradients"));
-  EXPECT_TRUE(has("di_experiment/repetition/train_step/mechanism_perturb"));
-  EXPECT_TRUE(has("di_experiment/repetition/train_step/adversary"));
+      has("sweep_schedule/repetition/train_step/per_example_gradients"));
+  EXPECT_TRUE(has("sweep_schedule/repetition/train_step/mechanism_perturb"));
+  EXPECT_TRUE(has("sweep_schedule/repetition/train_step/adversary"));
+  EXPECT_TRUE(has("sweep_schedule/repetition/train_step/optimizer_step"));
 
   // The pipeline counters moved too.
   bool saw_steps = false;
@@ -140,7 +143,7 @@ TEST_F(TelemetryIdentityTest, ProfileReportRendersTheTree) {
   std::ostringstream os;
   obs::WriteProfileReport(os, obs::SpanRegistry::Global().RootTotalNs());
   const std::string report = os.str();
-  EXPECT_NE(report.find("di_experiment"), std::string::npos);
+  EXPECT_NE(report.find("sweep_schedule"), std::string::npos);
   EXPECT_NE(report.find("train_step"), std::string::npos);
   EXPECT_NE(report.find("span coverage"), std::string::npos);
 }
