@@ -5,6 +5,10 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "core/adversary.h"
 #include "core/belief.h"
@@ -16,6 +20,7 @@
 #include "dp/mechanism.h"
 #include "dp/rdp_accountant.h"
 #include "nn/gradient_engine.h"
+#include "nn/layer.h"
 #include "nn/network.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -334,6 +339,85 @@ void BM_ClippedNeighborSums(benchmark::State& state) {
 BENCHMARK(BM_ClippedNeighborSums)
     ->ArgsProduct({{0, 1}, {0, 8}})
     ->Unit(benchmark::kMillisecond);
+
+// Per-layer cost of the 8-lane kernels at the audit benchmark's shapes: the
+// 28x28 MNIST conv net with 4/8 filters and the Purchase 600-48-30 MLP,
+// single-threaded. Registered as BM_LaneLayer/<net>/<layer>/<fwd|bwd>,
+// layers named by kind and ordinal (conv2d2 is the second convolution).
+// Items are examples, so per-example cost is time / 8. A backward
+// benchmark reruns against one forward pass: layers keep the forward state
+// their backward reads. Layer 0's input gradient is skipped, as in
+// Network::PerExampleGradientBatchTo.
+constexpr size_t kLaneLayerLanes = 8;
+
+Network LaneLayerNetwork(bool purchase) {
+  return purchase ? BuildPurchaseNetwork(600, 48, 30)
+                  : BuildMnistNetwork(SyntheticMnistConfig{}.image_size,
+                                      /*conv1_filters=*/4,
+                                      /*conv2_filters=*/8);
+}
+
+void BM_LaneLayer(benchmark::State& state, bool purchase, size_t index,
+                  bool backward) {
+  Rng rng(19);
+  Network net = LaneLayerNetwork(purchase);
+  net.Initialize(rng);
+  SyntheticMnistConfig mnist_config;
+  SyntheticPurchaseGenerator generator(SyntheticPurchaseConfig{}, 4);
+  std::vector<Tensor> examples;
+  for (size_t l = 0; l < kLaneLayerLanes; ++l) {
+    examples.push_back(purchase ? generator.Sample(l, rng)
+                                : RenderSyntheticDigit(l, mnist_config, rng));
+  }
+  const Tensor* ptrs[kLaneLayerLanes];
+  for (size_t l = 0; l < kLaneLayerLanes; ++l) ptrs[l] = &examples[l];
+  std::vector<std::unique_ptr<Layer>> layers;
+  for (size_t i = 0; i <= index; ++i) layers.push_back(net.layer(i).Clone());
+  std::vector<Tensor> acts(index + 2);
+  PackLanes(ptrs, kLaneLayerLanes, &acts[0]);
+  for (size_t i = 0; i <= index; ++i) {
+    layers[i]->ForwardBatchInto(acts[i], kLaneLayerLanes, &acts[i + 1]);
+  }
+  Layer& layer = *layers[index];
+  Tensor grad_output = acts[index + 1];
+  for (size_t e = 0; e < grad_output.size(); ++e) {
+    grad_output[e] = static_cast<float>(rng.Gaussian(0.0, 1.0));
+  }
+  Tensor result;
+  Tensor* grad_input = index == 0 ? nullptr : &result;
+  for (auto _ : state) {
+    if (backward) {
+      layer.BackwardBatchInto(grad_output, kLaneLayerLanes, grad_input);
+    } else {
+      layer.ForwardBatchInto(acts[index], kLaneLayerLanes, &result);
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kLaneLayerLanes));
+}
+
+bool RegisterLaneLayerBenchmarks() {
+  for (bool purchase : {false, true}) {
+    const Network net = LaneLayerNetwork(purchase);
+    std::map<std::string, size_t> ordinals;
+    for (size_t i = 0; i < net.num_layers(); ++i) {
+      const std::string name = net.layer(i).Name();
+      const std::string kind = name.substr(0, name.find('('));
+      const std::string layer = kind + std::to_string(++ordinals[kind]);
+      for (bool backward : {false, true}) {
+        const std::string full = std::string("BM_LaneLayer/") +
+                                 (purchase ? "purchase/" : "mnist/") + layer +
+                                 (backward ? "/bwd" : "/fwd");
+        benchmark::RegisterBenchmark(full.c_str(), BM_LaneLayer, purchase, i,
+                                     backward)
+            ->Unit(benchmark::kMicrosecond);
+      }
+    }
+  }
+  return true;
+}
+const bool kLaneLayerRegistered = RegisterLaneLayerBenchmarks();
 
 void BM_RenderSyntheticDigit(benchmark::State& state) {
   SyntheticMnistConfig config;

@@ -70,36 +70,73 @@ __attribute__((target("avx2"))) void GradInputChannelAvx2(
 // wrappers (lanes pinned to 8). Each (channel, lane) pair keeps its own
 // double accumulator chain advancing in ascending spatial order — the exact
 // chains the scalar passes run — so statistics, normalized values, and
-// gradients are bit-identical per lane.
+// gradients are bit-identical per lane. The statistics and gradient-sum
+// passes register-block several channels so their independent chains hide
+// the add latency; blocking interleaves chains without reordering any of
+// them. The sum(g * x_hat) chain adds products of two floats in double,
+// which the AVX2 backward fuses into FMAs without changing a bit.
 
-DPAUDIT_LANE_INLINE void ChannelNormForwardLanesBody(
-    const float* in, const float* gamma, const float* beta, double epsilon,
-    float* nh, float* o, double* mean, double* inv_std, size_t channels,
-    size_t m, size_t lanes) {
-  for (size_t c = 0; c < channels; ++c) {
-    const float* p = in + c * m * lanes;
-    double* mc = mean + c * lanes;
-    double* sc = inv_std + c * lanes;
-    double acc[kMaxBatchLanes];
-    for (size_t l = 0; l < lanes; ++l) acc[l] = 0.0;
-    for (size_t i = 0; i < m; ++i) {
-      const float* pv = p + i * lanes;
-      for (size_t l = 0; l < lanes; ++l) acc[l] += pv[l];
+constexpr size_t kStatsCBlock = 4;  // forward mean/variance: channels per pass
+constexpr size_t kSumsCBlock = 2;   // backward sum(g), sum(g * x_hat)
+
+// Mean and inverse standard deviation of channels c .. c + kCB - 1.
+template <size_t kCB>
+DPAUDIT_LANE_INLINE void ChannelNormStatsLanesBlock(
+    const float* __restrict__ in, double epsilon, double* __restrict__ mean,
+    double* __restrict__ inv_std, size_t c, size_t m, size_t lanes) {
+  const float* p = in + c * m * lanes;
+  double acc[kCB][kMaxBatchLanes];
+  for (size_t j = 0; j < kCB; ++j) {
+    for (size_t l = 0; l < lanes; ++l) acc[j][l] = 0.0;
+  }
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < kCB; ++j) {
+      const float* pv = p + (j * m + i) * lanes;
+      for (size_t l = 0; l < lanes; ++l) acc[j][l] += pv[l];
     }
-    for (size_t l = 0; l < lanes; ++l) mc[l] = acc[l] / static_cast<double>(m);
-    double vacc[kMaxBatchLanes];
-    for (size_t l = 0; l < lanes; ++l) vacc[l] = 0.0;
-    for (size_t i = 0; i < m; ++i) {
-      const float* pv = p + i * lanes;
+  }
+  double mc[kCB][kMaxBatchLanes];
+  for (size_t j = 0; j < kCB; ++j) {
+    for (size_t l = 0; l < lanes; ++l) {
+      mc[j][l] = acc[j][l] / static_cast<double>(m);
+      mean[(c + j) * lanes + l] = mc[j][l];
+      acc[j][l] = 0.0;
+    }
+  }
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < kCB; ++j) {
+      const float* pv = p + (j * m + i) * lanes;
       for (size_t l = 0; l < lanes; ++l) {
-        const double d = pv[l] - mc[l];
-        vacc[l] += d * d;
+        const double d = pv[l] - mc[j][l];
+        acc[j][l] += d * d;
       }
     }
+  }
+  for (size_t j = 0; j < kCB; ++j) {
     for (size_t l = 0; l < lanes; ++l) {
-      const double var = vacc[l] / static_cast<double>(m);
-      sc[l] = 1.0 / std::sqrt(var + epsilon);
+      const double var = acc[j][l] / static_cast<double>(m);
+      inv_std[(c + j) * lanes + l] = 1.0 / std::sqrt(var + epsilon);
     }
+  }
+}
+
+DPAUDIT_LANE_INLINE void ChannelNormForwardLanesBody(
+    const float* __restrict__ in, const float* __restrict__ gamma,
+    const float* __restrict__ beta, double epsilon, float* __restrict__ nh,
+    float* __restrict__ o, double* __restrict__ mean,
+    double* __restrict__ inv_std, size_t channels, size_t m, size_t lanes) {
+  size_t c = 0;
+  for (; c + kStatsCBlock <= channels; c += kStatsCBlock) {
+    ChannelNormStatsLanesBlock<kStatsCBlock>(in, epsilon, mean, inv_std, c, m,
+                                             lanes);
+  }
+  for (; c < channels; ++c) {
+    ChannelNormStatsLanesBlock<1>(in, epsilon, mean, inv_std, c, m, lanes);
+  }
+  for (c = 0; c < channels; ++c) {
+    const float* p = in + c * m * lanes;
+    const double* mc = mean + c * lanes;
+    const double* sc = inv_std + c * lanes;
     const float gcf = gamma[c];
     const float bcf = beta[c];
     float* nhc = nh + c * m * lanes;
@@ -117,48 +154,75 @@ DPAUDIT_LANE_INLINE void ChannelNormForwardLanesBody(
   }
 }
 
+// dbeta = sum(g) and dgamma = sum(g * x_hat) of channels c .. c + kCB - 1,
+// then their input gradients.
+template <size_t kCB>
+DPAUDIT_LANE_INLINE void ChannelNormBackwardLanesBlock(
+    const float* __restrict__ g, const float* __restrict__ nh,
+    const float* __restrict__ gamma, const double* __restrict__ inv_std,
+    float* __restrict__ dgamma, float* __restrict__ dbeta,
+    float* __restrict__ gx, size_t c, size_t m, size_t lanes) {
+  const float* gc = g + c * m * lanes;
+  const float* xc = nh + c * m * lanes;
+  double s[kCB][kMaxBatchLanes];
+  double t[kCB][kMaxBatchLanes];
+  for (size_t j = 0; j < kCB; ++j) {
+    for (size_t l = 0; l < lanes; ++l) {
+      s[j][l] = 0.0;
+      t[j][l] = 0.0;
+    }
+  }
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < kCB; ++j) {
+      const float* gv = gc + (j * m + i) * lanes;
+      const float* xv = xc + (j * m + i) * lanes;
+      for (size_t l = 0; l < lanes; ++l) {
+        s[j][l] += gv[l];
+        t[j][l] += static_cast<double>(gv[l]) * xv[l];
+      }
+    }
+  }
+  for (size_t j = 0; j < kCB; ++j) {
+    for (size_t l = 0; l < lanes; ++l) {
+      dbeta[(c + j) * lanes + l] = static_cast<float>(s[j][l]);
+      dgamma[(c + j) * lanes + l] = static_cast<float>(t[j][l]);
+    }
+  }
+  if (gx == nullptr) return;
+  const double md = static_cast<double>(m);
+  for (size_t j = 0; j < kCB; ++j) {
+    const float gcf = gamma[c + j];
+    double scale[kMaxBatchLanes];
+    for (size_t l = 0; l < lanes; ++l) {
+      scale[l] = gcf * inv_std[(c + j) * lanes + l] / md;
+    }
+    const float* gj = gc + j * m * lanes;
+    const float* xj = xc + j * m * lanes;
+    float* gxj = gx + (c + j) * m * lanes;
+    for (size_t i = 0; i < m; ++i) {
+      const float* gv = gj + i * lanes;
+      const float* xv = xj + i * lanes;
+      float* gxv = gxj + i * lanes;
+      for (size_t l = 0; l < lanes; ++l) {
+        gxv[l] = static_cast<float>(
+            scale[l] * (md * gv[l] - s[j][l] - xv[l] * t[j][l]));
+      }
+    }
+  }
+}
+
 DPAUDIT_LANE_INLINE void ChannelNormBackwardLanesBody(
     const float* g, const float* nh, const float* gamma,
     const double* inv_std, float* dgamma, float* dbeta, float* gx,
     size_t channels, size_t m, size_t lanes) {
-  for (size_t c = 0; c < channels; ++c) {
-    const float* gc = g + c * m * lanes;
-    const float* xc = nh + c * m * lanes;
-    double s[kMaxBatchLanes];
-    double t[kMaxBatchLanes];
-    for (size_t l = 0; l < lanes; ++l) {
-      s[l] = 0.0;
-      t[l] = 0.0;
-    }
-    for (size_t i = 0; i < m; ++i) {
-      const float* gv = gc + i * lanes;
-      const float* xv = xc + i * lanes;
-      for (size_t l = 0; l < lanes; ++l) {
-        s[l] += gv[l];
-        t[l] += static_cast<double>(gv[l]) * xv[l];
-      }
-    }
-    for (size_t l = 0; l < lanes; ++l) {
-      dbeta[c * lanes + l] = static_cast<float>(s[l]);
-      dgamma[c * lanes + l] = static_cast<float>(t[l]);
-    }
-    if (gx == nullptr) continue;
-    const float gcf = gamma[c];
-    const double md = static_cast<double>(m);
-    double scale[kMaxBatchLanes];
-    for (size_t l = 0; l < lanes; ++l) {
-      scale[l] = gcf * inv_std[c * lanes + l] / md;
-    }
-    float* gxc = gx + c * m * lanes;
-    for (size_t i = 0; i < m; ++i) {
-      const float* gv = gc + i * lanes;
-      const float* xv = xc + i * lanes;
-      float* gxv = gxc + i * lanes;
-      for (size_t l = 0; l < lanes; ++l) {
-        gxv[l] = static_cast<float>(scale[l] *
-                                    (md * gv[l] - s[l] - xv[l] * t[l]));
-      }
-    }
+  size_t c = 0;
+  for (; c + kSumsCBlock <= channels; c += kSumsCBlock) {
+    ChannelNormBackwardLanesBlock<kSumsCBlock>(
+        g, nh, gamma, inv_std, dgamma, dbeta, gx, c, m, lanes);
+  }
+  for (; c < channels; ++c) {
+    ChannelNormBackwardLanesBlock<1>(g, nh, gamma, inv_std, dgamma,
+                                             dbeta, gx, c, m, lanes);
   }
 }
 
@@ -171,61 +235,84 @@ __attribute__((target("avx2"))) void ChannelNormForwardLanes8Avx2(
                               channels, m, 8);
 }
 
-// Hand-vectorized: the eight lanes split into two 4-wide double halves, each
-// lane keeping its own sum chains advancing in ascending spatial order and
-// the grad-input pass transcribing the scalar expression operation for
-// operation (explicit mul/sub, never FMA-contracted), so every lane is
-// bit-identical to the portable body. Intrinsics because the float->double
-// widening defeats the autovectorizer here.
-__attribute__((target("avx2"))) void ChannelNormBackwardLanes8Avx2(
+// Hand-vectorized ChannelNormBackwardLanesBlock<kCB> at eight lanes (GCC scalarizes the float->double widening of the shared body): each
+// channel's lanes split into two 4-wide double halves, every (channel, lane)
+// sum chain still advances in ascending spatial order, and the grad-input
+// pass transcribes the scalar expression operation for operation (explicit
+// mul/sub), so every lane is bit-identical to the portable body.
+template <size_t kCB>
+__attribute__((target("avx2,fma"), always_inline)) inline void
+ChannelNormBackwardLanes8Block(const float* g, const float* nh,
+                               const float* gamma, const double* inv_std,
+                               float* dgamma, float* dbeta, float* gx,
+                               size_t c, size_t m) {
+  const float* gc = g + c * m * 8;
+  const float* xc = nh + c * m * 8;
+  __m256d s[kCB][2];
+  __m256d t[kCB][2];
+  for (size_t j = 0; j < kCB; ++j) {
+    for (size_t h = 0; h < 2; ++h) {
+      s[j][h] = _mm256_setzero_pd();
+      t[j][h] = _mm256_setzero_pd();
+    }
+  }
+  for (size_t i = 0; i < m; ++i) {
+    for (size_t j = 0; j < kCB; ++j) {
+      for (size_t h = 0; h < 2; ++h) {
+        const size_t e = (j * m + i) * 8 + h * 4;
+        const __m256d gv = _mm256_cvtps_pd(_mm_loadu_ps(gc + e));
+        const __m256d xv = _mm256_cvtps_pd(_mm_loadu_ps(xc + e));
+        s[j][h] = _mm256_add_pd(s[j][h], gv);
+        t[j][h] = _mm256_fmadd_pd(gv, xv, t[j][h]);
+      }
+    }
+  }
+  for (size_t j = 0; j < kCB; ++j) {
+    for (size_t h = 0; h < 2; ++h) {
+      _mm_storeu_ps(dbeta + (c + j) * 8 + h * 4, _mm256_cvtpd_ps(s[j][h]));
+      _mm_storeu_ps(dgamma + (c + j) * 8 + h * 4, _mm256_cvtpd_ps(t[j][h]));
+    }
+  }
+  if (gx == nullptr) return;
+  const __m256d vmd = _mm256_set1_pd(static_cast<double>(m));
+  for (size_t j = 0; j < kCB; ++j) {
+    const __m256d vg = _mm256_set1_pd(static_cast<double>(gamma[c + j]));
+    __m256d scale[2];
+    for (size_t h = 0; h < 2; ++h) {
+      scale[h] = _mm256_div_pd(
+          _mm256_mul_pd(vg, _mm256_loadu_pd(inv_std + (c + j) * 8 + h * 4)),
+          vmd);
+    }
+    const float* gj = gc + j * m * 8;
+    const float* xj = xc + j * m * 8;
+    float* gxj = gx + (c + j) * m * 8;
+    for (size_t i = 0; i < m; ++i) {
+      for (size_t h = 0; h < 2; ++h) {
+        const size_t e = i * 8 + h * 4;
+        const __m256d gv = _mm256_cvtps_pd(_mm_loadu_ps(gj + e));
+        const __m256d xv = _mm256_cvtps_pd(_mm_loadu_ps(xj + e));
+        const __m256d r = _mm256_mul_pd(
+            scale[h], _mm256_sub_pd(_mm256_sub_pd(_mm256_mul_pd(vmd, gv),
+                                                  s[j][h]),
+                                    _mm256_mul_pd(xv, t[j][h])));
+        _mm_storeu_ps(gxj + e, _mm256_cvtpd_ps(r));
+      }
+    }
+  }
+}
+
+__attribute__((target("avx2,fma"))) void ChannelNormBackwardLanes8Avx2Fma(
     const float* g, const float* nh, const float* gamma,
     const double* inv_std, float* dgamma, float* dbeta, float* gx,
     size_t channels, size_t m) {
-  for (size_t c = 0; c < channels; ++c) {
-    const float* gc = g + c * m * 8;
-    const float* xc = nh + c * m * 8;
-    __m256d s_lo = _mm256_setzero_pd();
-    __m256d s_hi = _mm256_setzero_pd();
-    __m256d t_lo = _mm256_setzero_pd();
-    __m256d t_hi = _mm256_setzero_pd();
-    for (size_t i = 0; i < m; ++i) {
-      const __m256d gv_lo = _mm256_cvtps_pd(_mm_loadu_ps(gc + i * 8));
-      const __m256d gv_hi = _mm256_cvtps_pd(_mm_loadu_ps(gc + i * 8 + 4));
-      const __m256d xv_lo = _mm256_cvtps_pd(_mm_loadu_ps(xc + i * 8));
-      const __m256d xv_hi = _mm256_cvtps_pd(_mm_loadu_ps(xc + i * 8 + 4));
-      s_lo = _mm256_add_pd(s_lo, gv_lo);
-      s_hi = _mm256_add_pd(s_hi, gv_hi);
-      t_lo = _mm256_add_pd(t_lo, _mm256_mul_pd(gv_lo, xv_lo));
-      t_hi = _mm256_add_pd(t_hi, _mm256_mul_pd(gv_hi, xv_hi));
-    }
-    _mm_storeu_ps(dbeta + c * 8, _mm256_cvtpd_ps(s_lo));
-    _mm_storeu_ps(dbeta + c * 8 + 4, _mm256_cvtpd_ps(s_hi));
-    _mm_storeu_ps(dgamma + c * 8, _mm256_cvtpd_ps(t_lo));
-    _mm_storeu_ps(dgamma + c * 8 + 4, _mm256_cvtpd_ps(t_hi));
-    if (gx == nullptr) continue;
-    const __m256d vg = _mm256_set1_pd(static_cast<double>(gamma[c]));
-    const __m256d vmd = _mm256_set1_pd(static_cast<double>(m));
-    const __m256d scale_lo = _mm256_div_pd(
-        _mm256_mul_pd(vg, _mm256_loadu_pd(inv_std + c * 8)), vmd);
-    const __m256d scale_hi = _mm256_div_pd(
-        _mm256_mul_pd(vg, _mm256_loadu_pd(inv_std + c * 8 + 4)), vmd);
-    float* gxc = gx + c * m * 8;
-    for (size_t i = 0; i < m; ++i) {
-      const __m256d gv_lo = _mm256_cvtps_pd(_mm_loadu_ps(gc + i * 8));
-      const __m256d gv_hi = _mm256_cvtps_pd(_mm_loadu_ps(gc + i * 8 + 4));
-      const __m256d xv_lo = _mm256_cvtps_pd(_mm_loadu_ps(xc + i * 8));
-      const __m256d xv_hi = _mm256_cvtps_pd(_mm_loadu_ps(xc + i * 8 + 4));
-      const __m256d r_lo = _mm256_mul_pd(
-          scale_lo,
-          _mm256_sub_pd(_mm256_sub_pd(_mm256_mul_pd(vmd, gv_lo), s_lo),
-                        _mm256_mul_pd(xv_lo, t_lo)));
-      const __m256d r_hi = _mm256_mul_pd(
-          scale_hi,
-          _mm256_sub_pd(_mm256_sub_pd(_mm256_mul_pd(vmd, gv_hi), s_hi),
-                        _mm256_mul_pd(xv_hi, t_hi)));
-      _mm_storeu_ps(gxc + i * 8, _mm256_cvtpd_ps(r_lo));
-      _mm_storeu_ps(gxc + i * 8 + 4, _mm256_cvtpd_ps(r_hi));
-    }
+  size_t c = 0;
+  for (; c + kSumsCBlock <= channels; c += kSumsCBlock) {
+    ChannelNormBackwardLanes8Block<kSumsCBlock>(g, nh, gamma, inv_std, dgamma,
+                                                dbeta, gx, c, m);
+  }
+  for (; c < channels; ++c) {
+    ChannelNormBackwardLanes8Block<1>(g, nh, gamma, inv_std, dgamma, dbeta,
+                                      gx, c, m);
   }
 }
 #endif  // DPAUDIT_X86_DISPATCH
@@ -463,18 +550,18 @@ void ChannelNorm::BackwardBatchInto(const Tensor& grad_output, size_t lanes,
     gx = grad_input->data();
   }
 #if defined(DPAUDIT_X86_DISPATCH)
-  if (lanes == 8 && HasAvx2()) {
-    ChannelNormBackwardLanes8Avx2(grad_output.data(), lane_normalized_.data(),
-                                  gamma_.data(), lane_inv_std_.data(),
-                                  lane_dgamma_.data(), lane_dbeta_.data(), gx,
-                                  channels_, m);
+  if (lanes == 8 && HasAvx2Fma()) {
+    ChannelNormBackwardLanes8Avx2Fma(
+        grad_output.data(), lane_normalized_.data(), gamma_.data(),
+        lane_inv_std_.data(), lane_dgamma_.data(), lane_dbeta_.data(), gx,
+        channels_, m);
     return;
   }
 #endif
-  ChannelNormBackwardLanesBody(grad_output.data(), lane_normalized_.data(),
-                               gamma_.data(), lane_inv_std_.data(),
-                               lane_dgamma_.data(), lane_dbeta_.data(), gx,
-                               channels_, m, lanes);
+  ChannelNormBackwardLanesBody(
+      grad_output.data(), lane_normalized_.data(), gamma_.data(),
+      lane_inv_std_.data(), lane_dgamma_.data(), lane_dbeta_.data(), gx,
+      channels_, m, lanes);
 }
 
 void ChannelNorm::AppendLaneGrads(std::vector<const float*>* blocks) const {

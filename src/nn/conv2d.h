@@ -47,16 +47,18 @@ class Conv2d : public Layer {
   // as a member so steady-state passes do not allocate.
   std::vector<double> wacc_;
   // Double-widened copies of the input and grad-output planes for the AVX2
-  // weight-gradient kernels (widening is exact, so sums are unchanged).
+  // weight-gradient kernels, and of one row tile of them for the lane
+  // weight-gradient pass (widening is exact, so sums are unchanged).
   std::vector<double> in_pd_;
   std::vector<double> g_pd_;
   // Batched lane state: per-lane parameter gradients in lane-SoA form plus
-  // the tap-accumulator scratch for the lane weight-gradient pass.
+  // the double weight-gradient accumulators the lane pass carries across
+  // row tiles.
   const Tensor* last_batch_input_ = nullptr;  // [C, H, W, lanes]
   size_t batch_lanes_ = 0;
   std::vector<float> lane_dweight_;  // [F * C * k * k, lanes]
   std::vector<float> lane_dbias_;    // [F, lanes]
-  std::vector<double> lane_wacc_;    // [k * k, lanes]
+  std::vector<double> lane_wacc_;    // [F * C * k * k, lanes]
 };
 
 }  // namespace dpaudit

@@ -14,30 +14,81 @@ namespace {
 
 // ---- Batched lane kernels --------------------------------------------------
 //
-// One body per direction, shared between the portable path (runtime `lanes`)
-// and the AVX2 wrappers (lanes pinned to 8 so the lane loops vectorize to one
-// ymm register each). Lanes are independent examples, so vectorizing across
-// them reorders nothing: every lane's accumulation chain is the same
-// bias-first, ascending-i chain the scalar path runs, hence bit-identical
-// outputs.
+// One body per direction for the portable path (runtime `lanes`); the AVX2
+// wrappers transcribe them with intrinsics at 8 lanes, because the
+// autovectorizer spills or shuffles the blocked accumulators. Lanes are
+// independent examples, so vectorizing across them reorders nothing: every
+// lane's accumulation chain is the same bias-first, ascending-i chain the
+// scalar path runs, hence bit-identical outputs. Each pass register-blocks
+// several outputs (resp. inputs) so their independent chains hide the add
+// latency; blocking interleaves chains without reordering any of them. The
+// forward chain adds products of two floats in double, which the AVX2
+// forward fuses into FMAs without changing a bit.
+
+constexpr size_t kDenseOBlock = 4;  // forward: outputs per pass
+constexpr size_t kDenseIBlock = 4;  // grad input: inputs per pass
+
+// Outputs o .. o + kOB - 1: each widened input lane vector is shared by the
+// block's rows.
+template <size_t kOB>
+DPAUDIT_LANE_INLINE void DenseForwardLanesBlock(
+    const float* __restrict__ w, const float* __restrict__ b,
+    const float* __restrict__ x, float* __restrict__ out, size_t o,
+    size_t in, size_t lanes) {
+  double acc[kOB][kMaxBatchLanes];
+  for (size_t j = 0; j < kOB; ++j) {
+    for (size_t l = 0; l < lanes; ++l) acc[j][l] = b[o + j];
+  }
+  for (size_t i = 0; i < in; ++i) {
+    const float* xl = x + i * lanes;
+    double xd[kMaxBatchLanes];
+    for (size_t l = 0; l < lanes; ++l) xd[l] = static_cast<double>(xl[l]);
+    for (size_t j = 0; j < kOB; ++j) {
+      const double wi = w[(o + j) * in + i];
+      for (size_t l = 0; l < lanes; ++l) acc[j][l] += wi * xd[l];
+    }
+  }
+  for (size_t j = 0; j < kOB; ++j) {
+    float* ol = out + (o + j) * lanes;
+    for (size_t l = 0; l < lanes; ++l) ol[l] = static_cast<float>(acc[j][l]);
+  }
+}
 
 DPAUDIT_LANE_INLINE void DenseForwardLanesBody(const float* w, const float* b,
                                                const float* x, float* out,
                                                size_t in, size_t out_features,
                                                size_t lanes) {
+  size_t o = 0;
+  for (; o + kDenseOBlock <= out_features; o += kDenseOBlock) {
+    DenseForwardLanesBlock<kDenseOBlock>(w, b, x, out, o, in, lanes);
+  }
+  for (; o < out_features; ++o) {
+    DenseForwardLanesBlock<1>(w, b, x, out, o, in, lanes);
+  }
+}
+
+// grad input of inputs i .. i + kIB - 1: each element's lane accumulator
+// stays in registers across the o loop, summing in ascending output order —
+// the scalar chain — and each output-gradient load is shared by the block.
+template <size_t kIB>
+DPAUDIT_LANE_INLINE void DenseGradInputLanesBlock(
+    const float* __restrict__ w, const float* __restrict__ g,
+    float* __restrict__ gx, size_t i, size_t in, size_t out_features,
+    size_t lanes) {
+  float acc[kIB][kMaxBatchLanes];
+  for (size_t j = 0; j < kIB; ++j) {
+    for (size_t l = 0; l < lanes; ++l) acc[j][l] = 0.0f;
+  }
   for (size_t o = 0; o < out_features; ++o) {
-    const float* wrow = w + o * in;
-    double acc[kMaxBatchLanes];
-    for (size_t l = 0; l < lanes; ++l) acc[l] = b[o];
-    for (size_t i = 0; i < in; ++i) {
-      const double wi = wrow[i];
-      const float* xl = x + i * lanes;
-      for (size_t l = 0; l < lanes; ++l) {
-        acc[l] += wi * static_cast<double>(xl[l]);
-      }
+    const float* gol = g + o * lanes;
+    for (size_t j = 0; j < kIB; ++j) {
+      const float wv = w[o * in + i + j];
+      for (size_t l = 0; l < lanes; ++l) acc[j][l] += gol[l] * wv;
     }
-    float* ol = out + o * lanes;
-    for (size_t l = 0; l < lanes; ++l) ol[l] = static_cast<float>(acc[l]);
+  }
+  for (size_t j = 0; j < kIB; ++j) {
+    float* gxl = gx + (i + j) * lanes;
+    for (size_t l = 0; l < lanes; ++l) gxl[l] = acc[j][l];
   }
 }
 
@@ -62,32 +113,77 @@ DPAUDIT_LANE_INLINE void DenseBackwardLanesBody(
     }
   }
   if (gx == nullptr) return;
-  // grad-input: each element's lane accumulator stays in registers across
-  // the o loop, summing in ascending output order — the scalar chain.
-  for (size_t i = 0; i < in; ++i) {
-    float acc[kMaxBatchLanes];
-    for (size_t l = 0; l < lanes; ++l) acc[l] = 0.0f;
-    for (size_t o = 0; o < out_features; ++o) {
-      const float wv = w[o * in + i];
-      const float* gol = g + o * lanes;
-      for (size_t l = 0; l < lanes; ++l) acc[l] += gol[l] * wv;
-    }
-    float* gxl = gx + i * lanes;
-    for (size_t l = 0; l < lanes; ++l) gxl[l] = acc[l];
+  size_t i = 0;
+  for (; i + kDenseIBlock <= in; i += kDenseIBlock) {
+    DenseGradInputLanesBlock<kDenseIBlock>(w, g, gx, i, in, out_features,
+                                           lanes);
+  }
+  for (; i < in; ++i) {
+    DenseGradInputLanesBlock<1>(w, g, gx, i, in, out_features, lanes);
   }
 }
 
 #if defined(DPAUDIT_X86_DISPATCH)
-__attribute__((target("avx2"))) void DenseForwardLanes8Avx2(
-    const float* w, const float* b, const float* x, float* out, size_t in,
-    size_t out_features) {
-  DenseForwardLanesBody(w, b, x, out, in, out_features, 8);
+// DenseForwardLanesBlock<kOB> at eight lanes: each output's lanes are two
+// 4-wide double accumulators, every chain is the bias-first, ascending-i
+// chain, and each exact w * x product is fused into its add.
+template <size_t kOB>
+__attribute__((target("avx2,fma"), always_inline)) inline void
+DenseForwardLanes8Block(const float* w, const float* b, const float* x,
+                        float* out, size_t o, size_t in) {
+  __m256d acc[kOB][2];
+  const float* wrow[kOB];
+  for (size_t j = 0; j < kOB; ++j) {
+    acc[j][0] = acc[j][1] = _mm256_set1_pd(static_cast<double>(b[o + j]));
+    wrow[j] = w + (o + j) * in;
+  }
+  for (size_t i = 0; i < in; ++i) {
+    const __m256d x0 = _mm256_cvtps_pd(_mm_loadu_ps(x + i * 8));
+    const __m256d x1 = _mm256_cvtps_pd(_mm_loadu_ps(x + i * 8 + 4));
+    for (size_t j = 0; j < kOB; ++j) {
+      const __m256d wv = _mm256_set1_pd(static_cast<double>(wrow[j][i]));
+      acc[j][0] = _mm256_fmadd_pd(wv, x0, acc[j][0]);
+      acc[j][1] = _mm256_fmadd_pd(wv, x1, acc[j][1]);
+    }
+  }
+  for (size_t j = 0; j < kOB; ++j) {
+    _mm_storeu_ps(out + (o + j) * 8, _mm256_cvtpd_ps(acc[j][0]));
+    _mm_storeu_ps(out + (o + j) * 8 + 4, _mm256_cvtpd_ps(acc[j][1]));
+  }
 }
 
-// Hand-vectorized: one ymm per lane group, explicit mul-then-add (no FMA
-// contraction). dw and db are pure products; each gx element's accumulator
-// sums in ascending output order — the scalar chain — so results are
-// bit-identical. Intrinsics because the autovectorizer scalarizes this body.
+__attribute__((target("avx2,fma"))) void DenseForwardLanes8Avx2Fma(
+    const float* w, const float* b, const float* x, float* out, size_t in,
+    size_t out_features) {
+  size_t o = 0;
+  for (; o + kDenseOBlock <= out_features; o += kDenseOBlock) {
+    DenseForwardLanes8Block<kDenseOBlock>(w, b, x, out, o, in);
+  }
+  for (; o < out_features; ++o) {
+    DenseForwardLanes8Block<1>(w, b, x, out, o, in);
+  }
+}
+
+// DenseGradInputLanesBlock<kIB> at eight lanes: one ymm per input,
+// explicit mul-then-add, ascending output order.
+template <size_t kIB>
+__attribute__((target("avx2"), always_inline)) inline void
+DenseGradInputLanes8Block(const float* w, const float* g, float* gx, size_t i,
+                          size_t in, size_t out_features) {
+  __m256 acc[kIB];
+  for (size_t j = 0; j < kIB; ++j) acc[j] = _mm256_setzero_ps();
+  for (size_t o = 0; o < out_features; ++o) {
+    const __m256 gv = _mm256_loadu_ps(g + o * 8);
+    for (size_t j = 0; j < kIB; ++j) {
+      acc[j] = _mm256_add_ps(
+          acc[j], _mm256_mul_ps(gv, _mm256_broadcast_ss(w + o * in + i + j)));
+    }
+  }
+  for (size_t j = 0; j < kIB; ++j) _mm256_storeu_ps(gx + (i + j) * 8, acc[j]);
+}
+
+// dw and db are pure products; the grad-input chains sum in ascending
+// output order — the scalar chain — so results are bit-identical.
 __attribute__((target("avx2"))) void DenseBackwardLanes8Avx2(
     const float* w, const float* g, const float* x, float* dw, float* db,
     float* gx, size_t in, size_t out_features) {
@@ -101,14 +197,12 @@ __attribute__((target("avx2"))) void DenseBackwardLanes8Avx2(
     }
   }
   if (gx == nullptr) return;
-  for (size_t i = 0; i < in; ++i) {
-    __m256 acc = _mm256_setzero_ps();
-    for (size_t o = 0; o < out_features; ++o) {
-      acc = _mm256_add_ps(acc,
-                          _mm256_mul_ps(_mm256_loadu_ps(g + o * 8),
-                                        _mm256_broadcast_ss(w + o * in + i)));
-    }
-    _mm256_storeu_ps(gx + i * 8, acc);
+  size_t i = 0;
+  for (; i + kDenseIBlock <= in; i += kDenseIBlock) {
+    DenseGradInputLanes8Block<kDenseIBlock>(w, g, gx, i, in, out_features);
+  }
+  for (; i < in; ++i) {
+    DenseGradInputLanes8Block<1>(w, g, gx, i, in, out_features);
   }
 }
 #endif  // DPAUDIT_X86_DISPATCH
@@ -223,9 +317,9 @@ void Dense::ForwardBatchInto(const Tensor& input, size_t lanes,
   batch_lanes_ = lanes;
   output->ResizeTo({out_, lanes});
 #if defined(DPAUDIT_X86_DISPATCH)
-  if (lanes == 8 && HasAvx2()) {
-    DenseForwardLanes8Avx2(weight_.data(), bias_.data(), input.data(),
-                           output->data(), in_, out_);
+  if (lanes == 8 && HasAvx2Fma()) {
+    DenseForwardLanes8Avx2Fma(weight_.data(), bias_.data(), input.data(),
+                              output->data(), in_, out_);
     return;
   }
 #endif

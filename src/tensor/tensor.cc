@@ -95,20 +95,19 @@ __attribute__((target("avx2"))) void PackLanes8Avx2(const float* const* in,
 }
 
 // Squares one element's 8 lanes into the two 4-lane double accumulators:
-// exact widening, then one rounded multiply and one rounded add per lane
-// (no FMA), as in L2Norm.
-__attribute__((target("avx2"))) inline void AccumulateSquares8(
+// exact widening, then one fused multiply-add per lane. The square of a
+// widened float is exact in double, so the single rounding of the FMA is
+// the rounded add of L2Norm's chain (see AddExactProduct in util/simd.h).
+__attribute__((target("avx2,fma"))) inline void AccumulateSquares8(
     __m256 v, __m256d* lo, __m256d* hi) {
   const __m256d vlo = _mm256_cvtps_pd(_mm256_castps256_ps128(v));
   const __m256d vhi = _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1));
-  *lo = _mm256_add_pd(*lo, _mm256_mul_pd(vlo, vlo));
-  *hi = _mm256_add_pd(*hi, _mm256_mul_pd(vhi, vhi));
+  *lo = _mm256_fmadd_pd(vlo, vlo, *lo);
+  *hi = _mm256_fmadd_pd(vhi, vhi, *hi);
 }
 
-__attribute__((target("avx2"))) void UnpackLanes8Avx2(const float* src,
-                                                      size_t elems,
-                                                      float* const* out,
-                                                      double* sq) {
+__attribute__((target("avx2,fma"))) void UnpackLanes8Avx2Fma(
+    const float* src, size_t elems, float* const* out, double* sq) {
   __m256d lo = _mm256_loadu_pd(sq);
   __m256d hi = _mm256_loadu_pd(sq + 4);
   size_t e = 0;
@@ -334,8 +333,8 @@ void UnpackLanesTo(const float* src, size_t elems, size_t lanes,
   float* out[kMaxBatchLanes];
   for (size_t l = 0; l < lanes; ++l) out[l] = dsts[l] + offset;
 #if defined(DPAUDIT_X86_DISPATCH)
-  if (lanes == 8 && HasAvx2()) {
-    UnpackLanes8Avx2(src, elems, out, sq);
+  if (lanes == 8 && HasAvx2Fma()) {
+    UnpackLanes8Avx2Fma(src, elems, out, sq);
     return;
   }
 #endif
