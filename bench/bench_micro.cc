@@ -304,11 +304,14 @@ BENCHMARK(BM_ClippedGradientSumPurchase)
 // One DPSGD step's shared-neighbour clipped sums (core/neighbor_sums), the
 // call an audit trial spends most of each step in. Args are {network: 0 =
 // MNIST conv net, 1 = Purchase MLP at the audit sweeps' 600-48-30 width;
-// batch lanes, 0 = scalar path}. The bounded pair has 40 records, so the
-// 41-record union ends in a one-example tail. Single-threaded, as a sweep
-// worker runs it.
+// batch lanes, 0 = scalar path; neighbours: 0 = bounded, 1 = unbounded}.
+// D has 40 records. The bounded pair replaces record 7, so its 41-record
+// union ends in a one-example tail; the unbounded pair removes record 39
+// and runs five full packs. Single-threaded, as a sweep worker runs it.
 void BM_ClippedNeighborSums(benchmark::State& state) {
   const bool purchase = state.range(0) == 1;
+  const NeighborMode mode = state.range(2) == 0 ? NeighborMode::kBounded
+                                                : NeighborMode::kUnbounded;
   Rng rng(11);
   Network net = purchase ? BuildPurchaseNetwork(600, 48, 30)
                          : BuildMnistNetwork();
@@ -322,9 +325,10 @@ void BM_ClippedNeighborSums(benchmark::State& state) {
   const size_t classes = purchase ? 30 : 10;
   Dataset d;
   for (size_t i = 0; i < 40; ++i) d.Add(sample(i % classes), i % classes);
-  Dataset d_prime = d.WithRecordReplaced(7, sample(3), 3);
-  const NeighborOverlap overlap =
-      AnalyzeNeighborOverlap(d, d_prime, NeighborMode::kBounded);
+  Dataset d_prime = mode == NeighborMode::kBounded
+                        ? d.WithRecordReplaced(7, sample(3), 3)
+                        : d.WithRecordRemoved(39);
+  const NeighborOverlap overlap = AnalyzeNeighborOverlap(d, d_prime, mode);
   GradientEngine::Options options;
   options.threads = 1;
   options.batch_lanes = static_cast<size_t>(state.range(1));
@@ -332,12 +336,14 @@ void BM_ClippedNeighborSums(benchmark::State& state) {
   engine.SyncParams(net);
   for (auto _ : state) {
     benchmark::DoNotOptimize(ComputeClippedNeighborSums(
-        engine, d, d_prime, overlap, NeighborMode::kBounded, 1.0, false));
+        engine, d, d_prime, overlap, mode, 1.0, false));
   }
-  state.SetItemsProcessed(state.iterations() * 41);
+  state.SetItemsProcessed(
+      state.iterations() *
+      static_cast<int64_t>(mode == NeighborMode::kBounded ? 41 : 40));
 }
 BENCHMARK(BM_ClippedNeighborSums)
-    ->ArgsProduct({{0, 1}, {0, 8}})
+    ->ArgsProduct({{0, 1}, {0, 8}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
 // Per-layer cost of the 8-lane kernels at the audit benchmark's shapes: the
@@ -347,7 +353,7 @@ BENCHMARK(BM_ClippedNeighborSums)
 // Items are examples, so per-example cost is time / 8. A backward
 // benchmark reruns against one forward pass: layers keep the forward state
 // their backward reads. Layer 0's input gradient is skipped, as in
-// Network::PerExampleGradientBatchTo.
+// Network::LaneGradientsInto.
 constexpr size_t kLaneLayerLanes = 8;
 
 Network LaneLayerNetwork(bool purchase) {

@@ -1,12 +1,11 @@
 #include "core/neighbor_sums.h"
 
-#include <cmath>
 #include <cstdint>
+#include <utility>
 
 #include "nn/network.h"
 #include "tensor/tensor.h"
 #include "util/logging.h"
-#include "util/math_util.h"
 
 namespace dpaudit {
 
@@ -58,87 +57,48 @@ NeighborSums ComputeClippedNeighborSums(GradientEngine& engine,
                                         bool per_layer) {
   DPAUDIT_CHECK(overlap.sharable);
   DPAUDIT_CHECK_GT(clip_norm, 0.0);
-  const size_t num_params = engine.num_params();
-  const std::vector<Network::ParamRange>& ranges = engine.param_ranges();
-  const double per_layer_clip =
-      per_layer ? clip_norm / std::sqrt(static_cast<double>(ranges.size()))
-                : 0.0;
 
-  // Union slot list plus per-slot membership. Bounded inserts d'_k directly
-  // after d_k; unbounded's union is D itself.
+  // Union example list plus each example's sums: sum A is sum_d, sum B is
+  // sum_dprime. Bounded inserts d'_k directly after d_k; unbounded's union
+  // is D itself.
+  constexpr uint8_t kD = GradientEngine::kSumA;
+  constexpr uint8_t kDPrime = GradientEngine::kSumB;
   const size_t k = overlap.diff_index;
   std::vector<const Tensor*> inputs;
   std::vector<size_t> labels;
-  std::vector<uint8_t> in_d;
-  std::vector<uint8_t> in_dprime;
+  std::vector<uint8_t> sums;
   const size_t union_size =
       mode == NeighborMode::kBounded ? d.size() + 1 : d.size();
   inputs.reserve(union_size);
   labels.reserve(union_size);
-  in_d.reserve(union_size);
-  in_dprime.reserve(union_size);
+  sums.reserve(union_size);
   for (size_t j = 0; j < d.size(); ++j) {
     inputs.push_back(&d.inputs[j]);
     labels.push_back(d.labels[j]);
-    if (mode == NeighborMode::kBounded) {
-      in_d.push_back(1);
-      in_dprime.push_back(j == k ? 0 : 1);
-      if (j == k) {
-        inputs.push_back(&d_prime.inputs[k]);
-        labels.push_back(d_prime.labels[k]);
-        in_d.push_back(0);
-        in_dprime.push_back(1);
-      }
-    } else {
-      in_d.push_back(1);
-      in_dprime.push_back(j == k ? 0 : 1);
+    sums.push_back(j == k ? kD : kD | kDPrime);
+    if (mode == NeighborMode::kBounded && j == k) {
+      inputs.push_back(&d_prime.inputs[k]);
+      labels.push_back(d_prime.labels[k]);
+      sums.push_back(kDPrime);
     }
   }
 
+  GradientEngine::ClippedSums clipped = engine.ClipAndSum(
+      inputs, labels, sums,
+      per_layer ? GradientEngine::NormMode::kPerLayer
+                : GradientEngine::NormMode::kWhole,
+      clip_norm);
   NeighborSums out;
-  out.sum_d.assign(num_params, 0.0f);
-  out.sum_dprime.assign(num_params, 0.0f);
+  out.sum_d = std::move(clipped.sum_a);
+  out.sum_dprime = std::move(clipped.sum_b);
   if (!per_layer) {
     out.norms_d.reserve(d.size());
     out.norms_dprime.reserve(d_prime.size());
-  }
-
-  // A record in both datasets is clipped once and added to both sums in one
-  // pass over its gradient (AccumulateScaledPair); each sum still receives
-  // the same rounded terms in the same example order as two separate passes.
-  // A null `b` accumulates into `a` alone.
-  auto accumulate = [&](float* a, float* b, const float* g, size_t n,
-                        double scale) {
-    if (b == nullptr) {
-      AccumulateScaled(a, g, n, scale);
-    } else {
-      AccumulateScaledPair(a, b, g, n, scale);
+    for (size_t j = 0; j < sums.size(); ++j) {
+      if (sums[j] & kD) out.norms_d.push_back(clipped.norms[j]);
+      if (sums[j] & kDPrime) out.norms_dprime.push_back(clipped.norms[j]);
     }
-  };
-
-  engine.VisitPerExampleGradients(
-      inputs, labels,
-      per_layer ? GradientEngine::NormMode::kPerLayer
-                : GradientEngine::NormMode::kWhole,
-      [&](size_t j, const GradientEngine::PerExampleGradView& view) {
-        if (!per_layer) {
-          if (in_d[j]) out.norms_d.push_back(view.norm);
-          if (in_dprime[j]) out.norms_dprime.push_back(view.norm);
-        }
-        float* a = in_d[j] ? out.sum_d.data() : out.sum_dprime.data();
-        float* b = in_d[j] && in_dprime[j] ? out.sum_dprime.data() : nullptr;
-        if (per_layer) {
-          for (size_t r = 0; r < ranges.size(); ++r) {
-            const size_t off = ranges[r].offset;
-            accumulate(a + off, b == nullptr ? nullptr : b + off,
-                       view.grad + off, ranges[r].size,
-                       ClipScale(view.layer_norms[r], per_layer_clip));
-          }
-        } else {
-          accumulate(a, b, view.grad, num_params,
-                     ClipScale(view.norm, clip_norm));
-        }
-      });
+  }
   return out;
 }
 

@@ -4,19 +4,20 @@
 // DPSGD-as-audited-here evaluates BOTH neighbors' clipped gradient sums at
 // every step (dpsgd.h explains why). D and D' differ in at most one record,
 // so the naive two-pass evaluation backpropagates every shared record twice.
-// Sharing computes each shared gradient once and accumulates it into both
-// sums, almost halving the per-step backprop work, while keeping both sums
-// bit-identical to the two-pass reference:
+// Sharing computes each shared gradient once and adds it to both sums
+// (the engine's two-sum membership, GradientEngine::ClipAndSum), almost
+// halving the per-step backprop work, while keeping both sums bit-identical
+// to the two-pass reference:
 //
-//   Bounded (D' = D with record k replaced): examples are visited in the
-//   union order [d_0 .. d_{k-1}, d_k, d'_k, d_{k+1} .. d_{n-1}]. sum_d
-//   accumulates every slot except d'_k and sum_dprime every slot except d_k,
-//   so each sum receives exactly its dataset's clipped gradients in that
-//   dataset's original record order — the same additions in the same order
-//   as an independent pass.
+//   Bounded (D' = D with record k replaced): the union's examples are
+//   [d_0 .. d_{k-1}, d_k, d'_k, d_{k+1} .. d_{n-1}]. sum_d takes every
+//   example except d'_k and sum_dprime every example except d_k, so each
+//   sum receives exactly its dataset's clipped gradients in that dataset's
+//   original record order — the same additions in the same order as an
+//   independent pass.
 //
 //   Unbounded (D' = D with record k removed): the union is D itself and
-//   sum_dprime simply skips slot k.
+//   sum_dprime simply skips example k.
 //
 // When the datasets do not have the expected near-identical structure (the
 // overlap analysis fails), callers fall back to the two-pass path.

@@ -564,9 +564,10 @@ void ChannelNorm::BackwardBatchInto(const Tensor& grad_output, size_t lanes,
       channels_, m, lanes);
 }
 
-void ChannelNorm::AppendLaneGrads(std::vector<const float*>* blocks) const {
-  blocks->push_back(lane_dgamma_.data());
-  blocks->push_back(lane_dbeta_.data());
+void ChannelNorm::AppendLaneGrads(
+    std::vector<LaneGradBlock>* blocks) const {
+  blocks->push_back(LaneGradBlock::Stored(lane_dgamma_.data(), channels_));
+  blocks->push_back(LaneGradBlock::Stored(lane_dbeta_.data(), channels_));
 }
 
 std::unique_ptr<Layer> ChannelNorm::Clone() const {

@@ -35,7 +35,7 @@ class ChannelNorm : public Layer {
                         Tensor* output) override;
   void BackwardBatchInto(const Tensor& grad_output, size_t lanes,
                          Tensor* grad_input) override;
-  void AppendLaneGrads(std::vector<const float*>* blocks) const override;
+  void AppendLaneGrads(std::vector<LaneGradBlock>* blocks) const override;
   std::vector<Tensor*> Params() override { return {&gamma_, &beta_}; }
   std::vector<Tensor*> Grads() override { return {&dgamma_, &dbeta_}; }
   std::unique_ptr<Layer> Clone() const override;

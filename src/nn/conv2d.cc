@@ -1049,9 +1049,10 @@ void Conv2d::BackwardBatchInto(const Tensor& grad_output, size_t lanes,
   }
 }
 
-void Conv2d::AppendLaneGrads(std::vector<const float*>* blocks) const {
-  blocks->push_back(lane_dweight_.data());
-  blocks->push_back(lane_dbias_.data());
+void Conv2d::AppendLaneGrads(std::vector<LaneGradBlock>* blocks) const {
+  blocks->push_back(LaneGradBlock::Stored(lane_dweight_.data(),
+                                          dweight_.size()));
+  blocks->push_back(LaneGradBlock::Stored(lane_dbias_.data(), dbias_.size()));
 }
 
 std::unique_ptr<Layer> Conv2d::Clone() const {

@@ -25,7 +25,7 @@ class Conv2d : public Layer {
                         Tensor* output) override;
   void BackwardBatchInto(const Tensor& grad_output, size_t lanes,
                          Tensor* grad_input) override;
-  void AppendLaneGrads(std::vector<const float*>* blocks) const override;
+  void AppendLaneGrads(std::vector<LaneGradBlock>* blocks) const override;
   std::vector<Tensor*> Params() override { return {&weight_, &bias_}; }
   std::vector<Tensor*> Grads() override { return {&dweight_, &dbias_}; }
   void Initialize(Rng& rng) override;

@@ -92,27 +92,12 @@ DPAUDIT_LANE_INLINE void DenseGradInputLanesBlock(
   }
 }
 
-DPAUDIT_LANE_INLINE void DenseBackwardLanesBody(
-    const float* __restrict__ w, const float* __restrict__ g,
-    const float* __restrict__ x, float* __restrict__ dw,
-    float* __restrict__ db, float* __restrict__ gx, size_t in,
-    size_t out_features, size_t lanes) {
-  // dw and db are pure per-(o, i) products — no accumulation chain to
-  // preserve. The local copy of the output-gradient lanes keeps the streaming
-  // dw store loop free of reloads.
-  for (size_t o = 0; o < out_features; ++o) {
-    const float* gol = g + o * lanes;
-    float go[kMaxBatchLanes];
-    for (size_t l = 0; l < lanes; ++l) go[l] = gol[l];
-    float* dbl = db + o * lanes;
-    for (size_t l = 0; l < lanes; ++l) dbl[l] = go[l];
-    const float* xl = x;
-    float* dwl = dw + o * in * lanes;
-    for (size_t i = 0; i < in; ++i, xl += lanes, dwl += lanes) {
-      for (size_t l = 0; l < lanes; ++l) dwl[l] = go[l] * xl[l];
-    }
-  }
-  if (gx == nullptr) return;
+DPAUDIT_LANE_INLINE void DenseGradInputLanesBody(const float* __restrict__ w,
+                                                  const float* __restrict__ g,
+                                                  float* __restrict__ gx,
+                                                  size_t in,
+                                                  size_t out_features,
+                                                  size_t lanes) {
   size_t i = 0;
   for (; i + kDenseIBlock <= in; i += kDenseIBlock) {
     DenseGradInputLanesBlock<kDenseIBlock>(w, g, gx, i, in, out_features,
@@ -182,21 +167,11 @@ DenseGradInputLanes8Block(const float* w, const float* g, float* gx, size_t i,
   for (size_t j = 0; j < kIB; ++j) _mm256_storeu_ps(gx + (i + j) * 8, acc[j]);
 }
 
-// dw and db are pure products; the grad-input chains sum in ascending
-// output order — the scalar chain — so results are bit-identical.
-__attribute__((target("avx2"))) void DenseBackwardLanes8Avx2(
-    const float* w, const float* g, const float* x, float* dw, float* db,
-    float* gx, size_t in, size_t out_features) {
-  for (size_t o = 0; o < out_features; ++o) {
-    const __m256 go = _mm256_loadu_ps(g + o * 8);
-    _mm256_storeu_ps(db + o * 8, go);
-    float* dwrow = dw + o * in * 8;
-    for (size_t i = 0; i < in; ++i) {
-      _mm256_storeu_ps(dwrow + i * 8,
-                       _mm256_mul_ps(go, _mm256_loadu_ps(x + i * 8)));
-    }
-  }
-  if (gx == nullptr) return;
+// The grad-input chains sum in ascending output order — the scalar chain —
+// so results are bit-identical.
+__attribute__((target("avx2"))) void DenseGradInputLanes8Avx2(
+    const float* w, const float* g, float* gx, size_t in,
+    size_t out_features) {
   size_t i = 0;
   for (; i + kDenseIBlock <= in; i += kDenseIBlock) {
     DenseGradInputLanes8Block<kDenseIBlock>(w, g, gx, i, in, out_features);
@@ -332,29 +307,28 @@ void Dense::BackwardBatchInto(const Tensor& grad_output, size_t lanes,
   DPAUDIT_CHECK(last_batch_input_ != nullptr) << "Backward before Forward";
   DPAUDIT_CHECK_EQ(lanes, batch_lanes_);
   DPAUDIT_CHECK_EQ(grad_output.size(), out_ * lanes);
-  lane_dweight_.resize(out_ * in_ * lanes);
-  lane_dbias_.resize(out_ * lanes);
-  float* gx = nullptr;
-  if (grad_input != nullptr) {
-    grad_input->ResizeTo(last_batch_input_->shape());
-    gx = grad_input->data();
-  }
+  // The bias gradient is the output gradient itself. The weight gradient
+  // stays factored as its outer product with the cached input (see
+  // AppendLaneGrads), so the pass stores no [out * in, lanes] block.
+  lane_delta_.assign(grad_output.data(), grad_output.data() + out_ * lanes);
+  if (grad_input == nullptr) return;
+  grad_input->ResizeTo(last_batch_input_->shape());
 #if defined(DPAUDIT_X86_DISPATCH)
   if (lanes == 8 && HasAvx2()) {
-    DenseBackwardLanes8Avx2(weight_.data(), grad_output.data(),
-                            last_batch_input_->data(), lane_dweight_.data(),
-                            lane_dbias_.data(), gx, in_, out_);
+    DenseGradInputLanes8Avx2(weight_.data(), grad_output.data(),
+                             grad_input->data(), in_, out_);
     return;
   }
 #endif
-  DenseBackwardLanesBody(weight_.data(), grad_output.data(),
-                         last_batch_input_->data(), lane_dweight_.data(),
-                         lane_dbias_.data(), gx, in_, out_, lanes);
+  DenseGradInputLanesBody(weight_.data(), grad_output.data(),
+                          grad_input->data(), in_, out_, lanes);
 }
 
-void Dense::AppendLaneGrads(std::vector<const float*>* blocks) const {
-  blocks->push_back(lane_dweight_.data());
-  blocks->push_back(lane_dbias_.data());
+void Dense::AppendLaneGrads(std::vector<LaneGradBlock>* blocks) const {
+  // dw[o][i] = delta_o * x_i, the float product BackwardInto stores.
+  blocks->push_back(
+      {lane_delta_.data(), out_, last_batch_input_->data(), in_});
+  blocks->push_back(LaneGradBlock::Stored(lane_delta_.data(), out_));
 }
 
 std::unique_ptr<Layer> Dense::Clone() const {

@@ -25,7 +25,7 @@ class Dense : public Layer {
                         Tensor* output) override;
   void BackwardBatchInto(const Tensor& grad_output, size_t lanes,
                          Tensor* grad_input) override;
-  void AppendLaneGrads(std::vector<const float*>* blocks) const override;
+  void AppendLaneGrads(std::vector<LaneGradBlock>* blocks) const override;
   std::vector<Tensor*> Params() override { return {&weight_, &bias_}; }
   std::vector<Tensor*> Grads() override { return {&dweight_, &dbias_}; }
   void Initialize(Rng& rng) override;
@@ -45,11 +45,11 @@ class Dense : public Layer {
   // Cached pointer to the forward input (see the lifetime contract in
   // layer.h); the caller keeps it alive through backward.
   const Tensor* last_input_ = nullptr;
-  // Batched lane state: per-lane parameter gradients in lane-SoA form.
+  // Batched lane state: the pack's output gradient, which is the per-lane
+  // bias gradient and the row factor of the factored weight gradient.
   const Tensor* last_batch_input_ = nullptr;
   size_t batch_lanes_ = 0;
-  std::vector<float> lane_dweight_;  // [out * in, lanes]
-  std::vector<float> lane_dbias_;    // [out, lanes]
+  std::vector<float> lane_delta_;  // [out, lanes]
 };
 
 }  // namespace dpaudit

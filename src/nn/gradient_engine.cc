@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <utility>
 
+#include "nn/layer.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "util/env.h"
 #include "util/logging.h"
 #include "util/math_util.h"
+#include "util/simd.h"
 
 namespace dpaudit {
 
@@ -25,6 +28,249 @@ bool HomogeneousShapes(const std::vector<const Tensor*>& inputs) {
   return true;
 }
 
+// ---- Clip-stage kernels ----------------------------------------------------
+//
+// Every block is factored (LaneGradBlock): a row's elements for lane l are
+// the float products d[l] * x[c * lanes + l].
+//
+// Norm pass: lanes are independent chains, so vectorizing across them keeps
+// every chain's ascending-element order — the L2Norm chain — and each
+// sqrt(sq[l]) is bit-identical to L2Norm over lane l's flat gradient. The
+// square of a widened float is exact in double, so the AVX2 wrappers fuse
+// it into its add (AddExactProduct in util/simd.h).
+//
+// Accumulate pass: every sum element receives its lanes' terms
+// float(scale * double(g)) in lane (= example) order — the rounding
+// sequence of AccumulateScaled, one example after another.
+
+DPAUDIT_LANE_INLINE void SquaresBody(const float* __restrict__ d,
+                                     size_t rows,
+                                     const float* __restrict__ x,
+                                     size_t cols, size_t lanes,
+                                     double* __restrict__ sq) {
+  double acc[kMaxBatchLanes];
+  for (size_t l = 0; l < lanes; ++l) acc[l] = sq[l];
+  for (size_t r = 0; r < rows; ++r) {
+    const float* dr = d + r * lanes;
+    for (size_t c = 0; c < cols; ++c) {
+      for (size_t l = 0; l < lanes; ++l) {
+        const float v = dr[l] * x[c * lanes + l];
+        acc[l] += static_cast<double>(v) * v;
+      }
+    }
+  }
+  for (size_t l = 0; l < lanes; ++l) sq[l] = acc[l];
+}
+
+/// One lane's accumulate-pass operands.
+struct LaneTerm {
+  double scale;
+  uint8_t sums;  // GradientEngine::kSumA / kSumB flags
+};
+
+// Adds lane l's terms d[l] * x[l][e] for elements [0, n) of one block row
+// to a and/or b, lanes in ascending order per element. x[l] is lane l's
+// column factor, lane-major. Elements are walked in chunks so both sums'
+// chunk stays in L1 while every lane adds to it.
+DPAUDIT_LANE_INLINE void AccumulateLanesBody(const float* const* x,
+                                             const float* d,
+                                             const LaneTerm* terms,
+                                             size_t count, size_t n,
+                                             float* a, float* b) {
+  constexpr size_t kChunk = 64;
+  for (size_t e0 = 0; e0 < n; e0 += kChunk) {
+    const size_t m = std::min(kChunk, n - e0);
+    for (size_t l = 0; l < count; ++l) {
+      const float* xl = x[l] + e0;
+      const double scale = terms[l].scale;
+      const uint8_t sums = terms[l].sums;
+      for (size_t e = 0; e < m; ++e) {
+        const float t = static_cast<float>(scale * (d[l] * xl[e]));
+        if (sums & GradientEngine::kSumA) a[e0 + e] += t;
+        if (sums & GradientEngine::kSumB) b[e0 + e] += t;
+      }
+    }
+  }
+}
+
+/// The next pack's norm pass over the same block row as an accumulate
+/// pass, 8 lanes: element c is d[l] * x[c * 8 + l]. Its chains continue in
+/// sq.
+struct NormOperand {
+  const float* d;
+  const float* x;
+  double* sq;
+};
+
+/// True when the accumulate pass can carry the next pack's norm pass.
+bool CanFuseNormPass(size_t lanes) {
+#if defined(DPAUDIT_X86_DISPATCH)
+  return lanes == 8 && HasAvx2Fma();
+#else
+  (void)lanes;
+  return false;
+#endif
+}
+
+#if defined(DPAUDIT_X86_DISPATCH)
+// Norm steps for elements [begin, end) of one block row, 8 lanes as two
+// 4-lane halves: the float product, exact widening, then one fused
+// multiply-add per lane.
+__attribute__((target("avx2,fma"), always_inline)) inline void Squares8(
+    __m128 d_lo, __m128 d_hi, const float* x, size_t begin, size_t end,
+    __m256d* lo, __m256d* hi) {
+  for (size_t c = begin; c < end; ++c) {
+    const __m256d v_lo =
+        _mm256_cvtps_pd(_mm_mul_ps(d_lo, _mm_loadu_ps(x + c * 8)));
+    const __m256d v_hi =
+        _mm256_cvtps_pd(_mm_mul_ps(d_hi, _mm_loadu_ps(x + c * 8 + 4)));
+    *lo = _mm256_fmadd_pd(v_lo, v_lo, *lo);
+    *hi = _mm256_fmadd_pd(v_hi, v_hi, *hi);
+  }
+}
+
+__attribute__((target("avx2,fma"))) void Squares8Avx2Fma(
+    const float* d, size_t rows, const float* x, size_t cols, double* sq) {
+  __m256d lo = _mm256_loadu_pd(sq);
+  __m256d hi = _mm256_loadu_pd(sq + 4);
+  for (size_t r = 0; r < rows; ++r) {
+    Squares8(_mm_loadu_ps(d + r * 8), _mm_loadu_ps(d + r * 8 + 4), x, 0, cols,
+             &lo, &hi);
+  }
+  _mm256_storeu_pd(sq, lo);
+  _mm256_storeu_pd(sq + 4, hi);
+}
+
+// float(scale * double(v)) for 4 elements: exact widening, one rounded
+// double multiply, one rounding to float — AccumulateScaled's term.
+__attribute__((target("avx2"), always_inline)) inline __m128 ScaledTerms4(
+    __m128 v, __m256d scale) {
+  return _mm256_cvtpd_ps(_mm256_mul_pd(_mm256_cvtps_pd(v), scale));
+}
+
+// AccumulateLanesBody with 8 elements of both sums held in registers (as
+// 4-element halves, which keeps the conversions free of lane shuffles)
+// while every lane adds its terms; the tail runs the portable body.
+// kCount pins the lane count (0: runtime `count`) so a full pack unrolls.
+// With kNorm the same loop runs the next pack's norm steps over the same
+// elements: those chains are latency-bound and ride in the shadow of the
+// accumulate pass's conversions.
+template <size_t kCount, bool kNorm>
+__attribute__((target("avx2,fma"))) void AccumulateLanesAvx2Fma(
+    const float* const* x, const float* d, const LaneTerm* terms,
+    size_t count_arg, size_t n, float* a, float* b, const NormOperand* norm) {
+  const size_t count = kCount != 0 ? kCount : count_arg;
+  // Local copies: the compiler cannot prove the sum stores leave them alone.
+  const float* cols[kMaxBatchLanes];
+  double scale[kMaxBatchLanes];
+  float factor[kMaxBatchLanes];
+  bool to_a[kMaxBatchLanes];
+  bool to_b[kMaxBatchLanes];
+  bool any_a = false;
+  bool any_b = false;
+  for (size_t l = 0; l < count; ++l) {
+    cols[l] = x[l];
+    scale[l] = terms[l].scale;
+    factor[l] = d[l];
+    to_a[l] = (terms[l].sums & GradientEngine::kSumA) != 0;
+    to_b[l] = (terms[l].sums & GradientEngine::kSumB) != 0;
+    any_a |= to_a[l];
+    any_b |= to_b[l];
+  }
+  __m256d sq_lo = _mm256_setzero_pd();
+  __m256d sq_hi = _mm256_setzero_pd();
+  __m128 nd_lo = _mm_setzero_ps();
+  __m128 nd_hi = _mm_setzero_ps();
+  if (kNorm) {
+    sq_lo = _mm256_loadu_pd(norm->sq);
+    sq_hi = _mm256_loadu_pd(norm->sq + 4);
+    nd_lo = _mm_loadu_ps(norm->d);
+    nd_hi = _mm_loadu_ps(norm->d + 4);
+  }
+  size_t e = 0;
+  for (; e + 8 <= n; e += 8) {
+    __m128 a_lo = any_a ? _mm_loadu_ps(a + e) : _mm_setzero_ps();
+    __m128 a_hi = any_a ? _mm_loadu_ps(a + e + 4) : _mm_setzero_ps();
+    __m128 b_lo = any_b ? _mm_loadu_ps(b + e) : _mm_setzero_ps();
+    __m128 b_hi = any_b ? _mm_loadu_ps(b + e + 4) : _mm_setzero_ps();
+#pragma GCC unroll 8
+    for (size_t l = 0; l < count; ++l) {
+      const __m128 f = _mm_set1_ps(factor[l]);
+      const __m256d s = _mm256_set1_pd(scale[l]);
+      const __m128 t_lo =
+          ScaledTerms4(_mm_mul_ps(f, _mm_loadu_ps(cols[l] + e)), s);
+      const __m128 t_hi =
+          ScaledTerms4(_mm_mul_ps(f, _mm_loadu_ps(cols[l] + e + 4)), s);
+      if (to_a[l]) {
+        a_lo = _mm_add_ps(a_lo, t_lo);
+        a_hi = _mm_add_ps(a_hi, t_hi);
+      }
+      if (to_b[l]) {
+        b_lo = _mm_add_ps(b_lo, t_lo);
+        b_hi = _mm_add_ps(b_hi, t_hi);
+      }
+    }
+    if (any_a) {
+      _mm_storeu_ps(a + e, a_lo);
+      _mm_storeu_ps(a + e + 4, a_hi);
+    }
+    if (any_b) {
+      _mm_storeu_ps(b + e, b_lo);
+      _mm_storeu_ps(b + e + 4, b_hi);
+    }
+    if (kNorm) Squares8(nd_lo, nd_hi, norm->x, e, e + 8, &sq_lo, &sq_hi);
+  }
+  if (e < n) {
+    const float* tail[kMaxBatchLanes];
+    for (size_t l = 0; l < count; ++l) tail[l] = cols[l] + e;
+    AccumulateLanesBody(tail, d, terms, count, n - e, a + e, b + e);
+    if (kNorm) Squares8(nd_lo, nd_hi, norm->x, e, n, &sq_lo, &sq_hi);
+  }
+  if (kNorm) {
+    _mm256_storeu_pd(norm->sq, sq_lo);
+    _mm256_storeu_pd(norm->sq + 4, sq_hi);
+  }
+}
+#endif  // DPAUDIT_X86_DISPATCH
+
+/// Continues each of `lanes` chains sq[l] over `block`.
+void LaneSquares(const LaneGradBlock& block, size_t lanes, double* sq) {
+#if defined(DPAUDIT_X86_DISPATCH)
+  if (lanes == 8 && HasAvx2Fma()) {
+    Squares8Avx2Fma(block.rows, block.num_rows, block.cols, block.num_cols,
+                    sq);
+    return;
+  }
+#endif
+  SquaresBody(block.rows, block.num_rows, block.cols, block.num_cols, lanes,
+              sq);
+}
+
+/// The accumulate pass over one block row; a non-null `norm` (only when
+/// CanFuseNormPass) also runs the next pack's norm steps over it.
+void AccumulateLanes(const float* const* x, const float* d,
+                     const LaneTerm* terms, size_t count, size_t n, float* a,
+                     float* b, const NormOperand* norm) {
+#if defined(DPAUDIT_X86_DISPATCH)
+  if (HasAvx2Fma()) {
+    if (norm != nullptr) {
+      if (count == 8) {
+        AccumulateLanesAvx2Fma<8, true>(x, d, terms, count, n, a, b, norm);
+      } else {
+        AccumulateLanesAvx2Fma<0, true>(x, d, terms, count, n, a, b, norm);
+      }
+    } else if (count == 8) {
+      AccumulateLanesAvx2Fma<8, false>(x, d, terms, count, n, a, b, nullptr);
+    } else {
+      AccumulateLanesAvx2Fma<0, false>(x, d, terms, count, n, a, b, nullptr);
+    }
+    return;
+  }
+#endif
+  DPAUDIT_CHECK(norm == nullptr);
+  AccumulateLanesBody(x, d, terms, count, n, a, b);
+}
+
 }  // namespace
 
 GradientEngine::GradientEngine(const Network& architecture, Options options)
@@ -35,7 +281,7 @@ GradientEngine::GradientEngine(const Network& architecture, Options options)
                  : std::min(options.batch_lanes, kMaxBatchLanes)),
       num_params_(architecture.NumParams()),
       ranges_(architecture.LayerParamRanges()) {
-  // A lane count of 1 is just the scalar pass with pack/unpack overhead.
+  // A lane count of 1 is just the scalar pass with pack overhead.
   if (lanes_ == 1 || !architecture.SupportsBatchLanes()) lanes_ = 0;
   // Chunks always hold whole packs so ragged packs only appear at the end of
   // a wave or the dataset (raggedness cannot affect results either way).
@@ -47,13 +293,13 @@ GradientEngine::GradientEngine(const Network& architecture, Options options)
     replicas_.push_back(architecture.Clone());
   }
   workspaces_.resize(threads_);
-  slots_.resize(threads_ == 1 ? std::max<size_t>(1, lanes_)
-                              : threads_ * chunk_);
+  // One thread alternates two records (one pending, one being computed);
+  // parallel mode holds a wave's.
+  records_.resize(threads_ == 1
+                      ? 2
+                      : threads_ * chunk_ / std::max<size_t>(1, lanes_));
   pack_inputs_.resize(threads_);
   pack_labels_.resize(threads_);
-  pack_dsts_.resize(threads_);
-  pack_norms_.resize(threads_);
-  pad_slots_.resize(threads_);
   // Worker-affine state (per-worker model replicas and workspaces indexed by
   // worker id) needs a dedicated pool with a stable width; the shared pool's
   // width is a process-global setting. One pool per engine, reused across
@@ -69,200 +315,308 @@ void GradientEngine::SyncParams(const Network& source) {
   for (Network& replica : replicas_) replica.SetFlatParams(flat);
 }
 
-GradientEngine::PerExampleGradView GradientEngine::View(
-    NormMode mode, const Slot& slot) const {
-  if (mode == NormMode::kPerLayer) {
-    return {slot.grad.data(), 0.0, slot.norms.data()};
-  }
-  return {slot.grad.data(), slot.norms[0], nullptr};
-}
-
-void GradientEngine::ResizeSlot(NormMode mode, Slot* slot) const {
-  slot->grad.resize(num_params_);
-  slot->norms.resize(mode == NormMode::kWhole ? 1 : ranges_.size());
-}
-
-void GradientEngine::ComputeSlot(size_t worker, const Tensor& input,
-                                 size_t label, NormMode mode, Slot* slot) {
-  ResizeSlot(mode, slot);
-  replicas_[worker].PerExampleGradientTo(input, label, &workspaces_[worker],
-                                         slot->grad.data());
-  if (mode == NormMode::kWhole) {
-    slot->norms[0] = L2Norm(slot->grad.data(), num_params_);
-  } else {
-    for (size_t r = 0; r < ranges_.size(); ++r) {
-      slot->norms[r] =
-          L2Norm(slot->grad.data() + ranges_[r].offset, ranges_[r].size);
-    }
-  }
-}
-
-void GradientEngine::ComputePack(size_t worker,
-                                 const std::vector<const Tensor*>& inputs,
-                                 const size_t* labels, size_t begin_j,
-                                 size_t count, NormMode mode, Slot* slots) {
-  DPAUDIT_METRIC_DISTRIBUTION("dpaudit_gradient_engine_lane_fill", 0.0, 1.0,
-                              16,
-                              static_cast<double>(count) /
-                                  static_cast<double>(lanes_));
+void GradientEngine::ComputeLaneRecord(size_t worker,
+                                       const std::vector<const Tensor*>& inputs,
+                                       const size_t* labels, size_t begin,
+                                       size_t count, NormMode mode,
+                                       const PendingPack& pending,
+                                       PackRecord* record) {
   // A ragged pack must not run the lane kernels at its own width: the fast
   // wrappers pin the lane count, and the runtime-width fallback is slower
-  // than the scalar path. Instead, a mostly-full tail is padded to the full
-  // width with copies of its last example (a full-width pack costs less than
-  // `count` scalar passes once count exceeds ~lanes/2), and a mostly-empty
-  // tail runs the scalar path example by example. Padded lanes scatter into
-  // a discard slot; lanes never interact, so the real lanes' gradients and
-  // norms are bit-identical regardless of which route runs.
-  if (count * 2 <= lanes_) {
-    for (size_t l = 0; l < count; ++l) {
-      ComputeSlot(worker, *inputs[begin_j + l], labels[begin_j + l], mode,
-                  &slots[l]);
-    }
-    return;
-  }
+  // than the scalar route. So a mostly-full tail is padded to the full
+  // width with copies of its last example.
   std::vector<const Tensor*>& pack_in = pack_inputs_[worker];
-  std::vector<float*>& pack_dst = pack_dsts_[worker];
-  std::vector<double*>& pack_norm = pack_norms_[worker];
-  pack_in.resize(lanes_);
-  pack_dst.resize(lanes_);
-  pack_norm.resize(lanes_);
-  for (size_t l = 0; l < count; ++l) {
-    pack_in[l] = inputs[begin_j + l];
-    ResizeSlot(mode, &slots[l]);
-    pack_dst[l] = slots[l].grad.data();
-    pack_norm[l] = slots[l].norms.data();
-  }
-  const size_t* pack_labels = labels + begin_j;
+  pack_in.assign(inputs.begin() + begin, inputs.begin() + begin + count);
+  pack_in.resize(lanes_, pack_in[count - 1]);
+  const size_t* pack_labels = labels + begin;
   if (count < lanes_) {
     std::vector<size_t>& padded = pack_labels_[worker];
-    padded.assign(labels + begin_j, labels + begin_j + count);
+    padded.assign(labels + begin, labels + begin + count);
     padded.resize(lanes_, padded[count - 1]);
     pack_labels = padded.data();
-    Slot& discard = pad_slots_[worker];
-    ResizeSlot(mode, &discard);
-    for (size_t l = count; l < lanes_; ++l) {
-      pack_in[l] = pack_in[count - 1];
-      pack_dst[l] = discard.grad.data();
-      pack_norm[l] = discard.norms.data();
+  }
+  GradientWorkspace& ws = workspaces_[worker];
+  replicas_[worker].LaneGradientsInto(pack_in.data(), pack_labels, lanes_,
+                                      &ws);
+
+  // The record keeps the pack's compact gradient for its accumulate pass:
+  // each block's row factors as they are, and its column factors
+  // lane-major, so each lane's terms stream contiguously.
+  const size_t num_blocks = ws.lane_grads.size();
+  record->count = count;
+  record->lane_route = true;
+  record->blocks.clear();
+  size_t flat = 0;
+  size_t data = 0;
+  for (size_t b = 0; b < num_blocks; ++b) {
+    const LaneGradBlock& block = ws.lane_grads[b];
+    record->blocks.push_back({flat, data, block.num_rows, block.num_cols,
+                              ws.lane_grad_ranges[b]});
+    flat += block.size();
+    data += (block.num_rows + block.num_cols) * lanes_;
+  }
+  DPAUDIT_CHECK_EQ(flat, num_params_);
+  record->data.resize(data);
+  for (size_t b = 0; b < num_blocks; ++b) {
+    const LaneGradBlock& block = ws.lane_grads[b];
+    float* dst = record->data.data() + record->blocks[b].data;
+    std::copy(block.rows, block.rows + block.num_rows * lanes_, dst);
+    UnpackLanes(block.cols, block.num_cols, lanes_, count,
+                dst + block.num_rows * lanes_);
+  }
+
+  // Norm pass over the layers' blocks in place, in flat gradient order: one
+  // chain per lane across all blocks for kWhole, restarted at each param
+  // range for kPerLayer. With a pending pack, its accumulate pass carries
+  // these norm steps, block by block.
+  const size_t per_example = NormsPerExample(mode);
+  record->norms.resize(count * per_example);
+  double sq[kMaxBatchLanes] = {};
+  for (size_t b = 0; b < num_blocks; ++b) {
+    const size_t range = ws.lane_grad_ranges[b];
+    if (pending.record != nullptr) {
+      AccumulateBlock(*pending.record, b, pending.sums, mode, pending.out,
+                      &ws.lane_grads[b], sq);
+    } else {
+      LaneSquares(ws.lane_grads[b], lanes_, sq);
+    }
+    const bool range_ends =
+        b + 1 == num_blocks || ws.lane_grad_ranges[b + 1] != range;
+    if (mode == NormMode::kPerLayer && range_ends) {
+      for (size_t l = 0; l < count; ++l) {
+        record->norms[l * per_example + range] = std::sqrt(sq[l]);
+      }
+      std::fill(sq, sq + lanes_, 0.0);
     }
   }
-  replicas_[worker].PerExampleGradientBatchTo(
-      pack_in.data(), pack_labels, lanes_, &workspaces_[worker],
-      pack_dst.data(), mode, pack_norm.data());
+  if (mode == NormMode::kWhole) {
+    for (size_t l = 0; l < count; ++l) record->norms[l] = std::sqrt(sq[l]);
+  }
 }
 
-void GradientEngine::VisitPerExampleGradients(
-    const std::vector<const Tensor*>& inputs, const std::vector<size_t>& labels,
-    NormMode mode,
-    const std::function<void(size_t, const PerExampleGradView&)>& visit) {
-  DPAUDIT_CHECK_EQ(inputs.size(), labels.size());
-  const size_t n = inputs.size();
-  DPAUDIT_METRIC_COUNT("dpaudit_per_example_gradients_total", n);
-  // The lane path packs same-shaped examples; a heterogeneous call (never
-  // the case for the paper's fixed-shape datasets) falls back to the scalar
-  // path, which is bit-identical anyway.
-  const bool use_lanes = lanes_ > 0 && HomogeneousShapes(inputs);
-  if (threads_ == 1) {
-    if (use_lanes) {
-      for (size_t j = 0; j < n; j += lanes_) {
-        const size_t count = std::min(lanes_, n - j);
-        ComputePack(0, inputs, labels.data(), j, count, mode, slots_.data());
-        for (size_t l = 0; l < count; ++l) visit(j + l, View(mode, slots_[l]));
+bool GradientEngine::LaneRoute(bool use_lanes, size_t count) const {
+  // A full-width pack costs less than `count` scalar passes once count
+  // exceeds ~lanes/2, so only a mostly-empty tail takes the scalar route.
+  return use_lanes && count * 2 > lanes_;
+}
+
+void GradientEngine::ComputeRecord(size_t worker,
+                                   const std::vector<const Tensor*>& inputs,
+                                   const size_t* labels, size_t begin,
+                                   size_t count, bool use_lanes,
+                                   NormMode mode, double clip,
+                                   const PendingPack& pending,
+                                   PackRecord* record) {
+  if (use_lanes) {
+    DPAUDIT_METRIC_DISTRIBUTION("dpaudit_gradient_engine_lane_fill", 0.0,
+                                1.0, 16,
+                                static_cast<double>(count) /
+                                    static_cast<double>(lanes_));
+  }
+  if (LaneRoute(use_lanes, count)) {
+    ComputeLaneRecord(worker, inputs, labels, begin, count, mode, pending,
+                      record);
+  } else {
+    DPAUDIT_CHECK(pending.record == nullptr);
+    const size_t per_example = NormsPerExample(mode);
+    record->count = count;
+    record->lane_route = false;
+    record->data.resize(count * num_params_);
+    record->norms.resize(count * per_example);
+    for (size_t k = 0; k < count; ++k) {
+      float* grad = record->data.data() + k * num_params_;
+      replicas_[worker].PerExampleGradientTo(*inputs[begin + k],
+                                             labels[begin + k],
+                                             &workspaces_[worker], grad);
+      double* norms = record->norms.data() + k * per_example;
+      if (mode == NormMode::kWhole) {
+        norms[0] = L2Norm(grad, num_params_);
+      } else {
+        for (size_t r = 0; r < ranges_.size(); ++r) {
+          norms[r] = L2Norm(grad + ranges_[r].offset, ranges_[r].size);
+        }
       }
-      return;
     }
-    Slot& slot = slots_[0];
-    for (size_t j = 0; j < n; ++j) {
-      ComputeSlot(0, *inputs[j], labels[j], mode, &slot);
-      visit(j, View(mode, slot));
+  }
+  record->scales.resize(record->norms.size());
+  for (size_t i = 0; i < record->norms.size(); ++i) {
+    record->scales[i] = ClipScale(record->norms[i], clip);
+  }
+}
+
+void GradientEngine::AccumulateBlock(const PackRecord& record, size_t index,
+                                     const uint8_t* flags, NormMode mode,
+                                     ClippedSums* out,
+                                     const LaneGradBlock* next,
+                                     double* next_sq) const {
+  const RecordBlock& block = record.blocks[index];
+  const size_t per_example = NormsPerExample(mode);
+  const size_t scale_index = mode == NormMode::kWhole ? 0 : block.range;
+  LaneTerm terms[kMaxBatchLanes];
+  for (size_t l = 0; l < record.count; ++l) {
+    terms[l] = {record.scales[l * per_example + scale_index], flags[l]};
+  }
+  const float* rows = record.data.data() + block.data;
+  const float* cols[kMaxBatchLanes];
+  for (size_t l = 0; l < record.count; ++l) {
+    cols[l] = rows + block.rows * lanes_ + l * block.cols;
+  }
+  for (size_t r = 0; r < block.rows; ++r) {
+    const size_t offset = block.flat + r * block.cols;
+    NormOperand norm{nullptr, nullptr, next_sq};
+    if (next != nullptr) {
+      norm.d = next->rows + r * lanes_;
+      norm.x = next->cols;
+    }
+    AccumulateLanes(cols, rows + r * lanes_, terms, record.count, block.cols,
+                    out->sum_a.data() + offset, out->sum_b.data() + offset,
+                    next == nullptr ? nullptr : &norm);
+  }
+}
+
+void GradientEngine::Accumulate(const PackRecord& record,
+                                const uint8_t* flags, NormMode mode,
+                                ClippedSums* out) const {
+  if (record.lane_route) {
+    for (size_t b = 0; b < record.blocks.size(); ++b) {
+      AccumulateBlock(record, b, flags, mode, out, nullptr, nullptr);
     }
     return;
   }
+  const size_t per_example = NormsPerExample(mode);
+  for (size_t k = 0; k < record.count; ++k) {
+    const uint8_t sums = flags[k];
+    if (sums == 0) continue;
+    // A record in both sums is clipped once and added to both in one pass
+    // over its gradient (AccumulateScaledPair); each sum still receives the
+    // same rounded terms in the same order.
+    float* first = (sums & kSumA) ? out->sum_a.data() : out->sum_b.data();
+    float* second = sums == (kSumA | kSumB) ? out->sum_b.data() : nullptr;
+    const float* grad = record.data.data() + k * num_params_;
+    const double* scales = record.scales.data() + k * per_example;
+    for (size_t r = 0; r < per_example; ++r) {
+      const size_t offset = mode == NormMode::kWhole ? 0 : ranges_[r].offset;
+      const size_t size =
+          mode == NormMode::kWhole ? num_params_ : ranges_[r].size;
+      if (second == nullptr) {
+        AccumulateScaled(first + offset, grad + offset, size, scales[r]);
+      } else {
+        AccumulateScaledPair(first + offset, second + offset, grad + offset,
+                             size, scales[r]);
+      }
+    }
+  }
+}
+
+GradientEngine::ClippedSums GradientEngine::ClipAndSum(
+    const std::vector<const Tensor*>& inputs, const std::vector<size_t>& labels,
+    const std::vector<uint8_t>& sums, NormMode mode, double clip_norm) {
+  DPAUDIT_CHECK_EQ(inputs.size(), labels.size());
+  DPAUDIT_CHECK_EQ(inputs.size(), sums.size());
+  DPAUDIT_CHECK_GT(clip_norm, 0.0);
+  DPAUDIT_CHECK(mode == NormMode::kWhole || !ranges_.empty());
+  const size_t n = inputs.size();
+  DPAUDIT_METRIC_COUNT("dpaudit_per_example_gradients_total", n);
+  const double clip =
+      mode == NormMode::kWhole
+          ? clip_norm
+          : clip_norm / std::sqrt(static_cast<double>(ranges_.size()));
+  ClippedSums out;
+  out.sum_a.assign(num_params_, 0.0f);
+  out.sum_b.assign(num_params_, 0.0f);
+  out.norms.reserve(n * NormsPerExample(mode));
+  // The lane path packs same-shaped examples; a heterogeneous call (never
+  // the case for the paper's fixed-shape datasets) falls back to the scalar
+  // route, which is bit-identical anyway.
+  const bool use_lanes = lanes_ > 0 && HomogeneousShapes(inputs);
+  const size_t group = std::max<size_t>(1, lanes_);
+  if (threads_ == 1) {
+    // Each record is accumulated once the next one is computed: where the
+    // kernels allow, two lane packs in a row finish the first inside the
+    // second's norm pass.
+    PendingPack pending{nullptr, nullptr, &out};
+    for (size_t j = 0, k = 0; j < n; j += group, ++k) {
+      const size_t count = std::min(group, n - j);
+      PackRecord& record = records_[k % 2];
+      const bool merge = pending.record != nullptr &&
+                         pending.record->lane_route &&
+                         LaneRoute(use_lanes, count) &&
+                         CanFuseNormPass(lanes_);
+      if (pending.record != nullptr && !merge) {
+        Accumulate(*pending.record, pending.sums, mode, &out);
+      }
+      ComputeRecord(0, inputs, labels.data(), j, count, use_lanes, mode, clip,
+                    merge ? pending : PendingPack{nullptr, nullptr, &out},
+                    &record);
+      out.norms.insert(out.norms.end(), record.norms.begin(),
+                       record.norms.end());
+      pending.record = &record;
+      pending.sums = sums.data() + j;
+    }
+    if (pending.record != nullptr) {
+      Accumulate(*pending.record, pending.sums, mode, &out);
+    }
+    return out;
+  }
   // Waves of threads * chunk examples: workers claim fixed-size chunks from
-  // an atomic cursor and fill the wave's slots, then the calling thread
-  // visits the wave in example order. The work-claiming schedule balances
-  // load but cannot affect results: gradients are computed independently per
-  // example and only the ordered visitation reduces them.
-  const size_t wave = slots_.size();
+  // an atomic cursor and fill the wave's records (gradients, norms and clip
+  // scales), then the calling thread accumulates the records in example
+  // order. The work-claiming schedule balances load but cannot affect
+  // results: records are computed independently and only the ordered
+  // accumulation reduces them.
+  const size_t wave = threads_ * chunk_;
   for (size_t begin = 0; begin < n; begin += wave) {
     const size_t end = std::min(n, begin + wave);
     std::atomic<size_t> next{begin};
     for (size_t t = 0; t < threads_; ++t) {
-      pool_->Schedule([this, t, begin, end, mode, use_lanes, &next, &inputs,
-                       &labels] {
+      pool_->Schedule([this, t, begin, end, group, mode, clip, use_lanes,
+                       &next, &inputs, &labels] {
         for (;;) {
           const size_t chunk_begin = next.fetch_add(chunk_);
           if (chunk_begin >= end) return;
           const size_t chunk_end = std::min(end, chunk_begin + chunk_);
-          if (use_lanes) {
-            // Chunk size is a multiple of lanes_, so ragged packs only occur
-            // against the wave/dataset tail at chunk_end.
-            for (size_t j = chunk_begin; j < chunk_end; j += lanes_) {
-              const size_t count = std::min(lanes_, chunk_end - j);
-              ComputePack(t, inputs, labels.data(), j, count, mode,
-                          &slots_[j - begin]);
-            }
-          } else {
-            for (size_t j = chunk_begin; j < chunk_end; ++j) {
-              ComputeSlot(t, *inputs[j], labels[j], mode,
-                          &slots_[j - begin]);
-            }
+          // Chunk size is a multiple of the group size, so ragged groups
+          // only occur against the wave/dataset tail at chunk_end.
+          for (size_t j = chunk_begin; j < chunk_end; j += group) {
+            ComputeRecord(t, inputs, labels.data(), j,
+                          std::min(group, chunk_end - j), use_lanes, mode,
+                          clip, PendingPack{nullptr, nullptr, nullptr},
+                          &records_[(j - begin) / group]);
           }
         }
       });
     }
     pool_->Wait();
-    for (size_t j = begin; j < end; ++j) {
-      visit(j, View(mode, slots_[j - begin]));
+    for (size_t j = begin; j < end; j += group) {
+      const PackRecord& record = records_[(j - begin) / group];
+      out.norms.insert(out.norms.end(), record.norms.begin(),
+                       record.norms.end());
+      Accumulate(record, sums.data() + j, mode, &out);
     }
   }
-}
-
-void GradientEngine::VisitPerExampleGradients(
-    const std::vector<Tensor>& inputs, const std::vector<size_t>& labels,
-    NormMode mode,
-    const std::function<void(size_t, const PerExampleGradView&)>& visit) {
-  std::vector<const Tensor*> ptrs(inputs.size());
-  for (size_t j = 0; j < inputs.size(); ++j) ptrs[j] = &inputs[j];
-  VisitPerExampleGradients(ptrs, labels, mode, visit);
+  return out;
 }
 
 std::vector<float> GradientEngine::ClippedGradientSum(
     const std::vector<Tensor>& inputs, const std::vector<size_t>& labels,
     double clip_norm, std::vector<double>* per_example_norms) {
-  DPAUDIT_CHECK_GT(clip_norm, 0.0);
-  std::vector<float> sum(num_params_, 0.0f);
-  if (per_example_norms != nullptr) per_example_norms->clear();
-  VisitPerExampleGradients(
-      inputs, labels, NormMode::kWhole,
-      [&](size_t, const PerExampleGradView& view) {
-        if (per_example_norms != nullptr) {
-          per_example_norms->push_back(view.norm);
-        }
-        AccumulateScaled(sum.data(), view.grad, num_params_,
-                         ClipScale(view.norm, clip_norm));
-      });
-  return sum;
+  std::vector<const Tensor*> ptrs(inputs.size());
+  for (size_t j = 0; j < inputs.size(); ++j) ptrs[j] = &inputs[j];
+  ClippedSums sums =
+      ClipAndSum(ptrs, labels, std::vector<uint8_t>(inputs.size(), kSumA),
+                 NormMode::kWhole, clip_norm);
+  if (per_example_norms != nullptr) *per_example_norms = std::move(sums.norms);
+  return std::move(sums.sum_a);
 }
 
 std::vector<float> GradientEngine::PerLayerClippedGradientSum(
     const std::vector<Tensor>& inputs, const std::vector<size_t>& labels,
     double clip_norm) {
-  DPAUDIT_CHECK_GT(clip_norm, 0.0);
-  DPAUDIT_CHECK(!ranges_.empty());
-  const double per_layer_clip =
-      clip_norm / std::sqrt(static_cast<double>(ranges_.size()));
-  std::vector<float> sum(num_params_, 0.0f);
-  VisitPerExampleGradients(
-      inputs, labels, NormMode::kPerLayer,
-      [&](size_t, const PerExampleGradView& view) {
-        for (size_t r = 0; r < ranges_.size(); ++r) {
-          AccumulateScaled(sum.data() + ranges_[r].offset,
-                           view.grad + ranges_[r].offset, ranges_[r].size,
-                           ClipScale(view.layer_norms[r], per_layer_clip));
-        }
-      });
-  return sum;
+  std::vector<const Tensor*> ptrs(inputs.size());
+  for (size_t j = 0; j < inputs.size(); ++j) ptrs[j] = &inputs[j];
+  return ClipAndSum(ptrs, labels, std::vector<uint8_t>(inputs.size(), kSumA),
+                    NormMode::kPerLayer, clip_norm)
+      .sum_a;
 }
 
 }  // namespace dpaudit

@@ -1,31 +1,43 @@
-// Batched, parallel per-example gradient engine.
+// Batched, parallel per-example gradient clipping engine.
 //
-// DPSGD needs, at every step, the clipped per-example gradient of every
-// record at the current weights. The engine computes those gradients across a
-// fixed set of worker replicas (each worker owns a deep copy of the network
-// plus a reusable GradientWorkspace, so workers never share layer caches and
-// the steady state performs no per-example heap allocation) and hands them to
-// the caller ON THE CALLING THREAD in ascending example order.
+// DPSGD needs, at every step, the sum of every record's clipped
+// per-example gradient at the current weights — for the audit, two such
+// sums, one per neighbouring dataset. The engine computes the gradients
+// across a fixed set of worker replicas (each worker owns a deep copy of the
+// network plus a reusable GradientWorkspace, so workers never share layer
+// caches and the steady state performs no per-example heap allocation),
+// clips them, and adds them into the sums ON THE CALLING THREAD in ascending
+// example order. No caller ever sees a per-example gradient; the engine
+// returns the sums and the pre-clip norms.
 //
-// Determinism contract: a per-example gradient depends only on the parameters
-// and the example, never on which worker computes it or in what order, and
-// every reduction (norms, clipped sums) happens sequentially in example order
-// on the calling thread. Results are therefore bit-identical for any thread
-// count, including the sequential reference implementation in Network.
+// Determinism contract: a per-example gradient depends only on the
+// parameters and the example, never on which worker computes it or in what
+// order, and every reduction happens in a fixed order: each norm is one
+// ascending double chain over the flat gradient (L2Norm's), and each sum
+// element receives its examples' terms float(scale * double(g)) in example
+// order (AccumulateScaled's). Results are therefore bit-identical for any
+// thread count, including the sequential reference implementation in
+// Network.
 //
 // The batched lane path (DPAUDIT_BATCH_LANES, default 8) extends the same
-// contract to lane packs: workers claim a pack of up to B same-shaped
-// examples and push them through the layers' lane-SoA entry points, where
-// each lane keeps its own accumulators advancing in the scalar path's
-// ascending order. A lane's gradient therefore never depends on its pack
-// mates, the pack width, or ragged tail packs — bit-identical to the scalar
-// path for any B and thread count.
+// contract to lane packs: a worker pushes up to B same-shaped examples
+// through the layers' lane-SoA entry points, where each lane keeps its own
+// accumulators advancing in the scalar path's ascending order. The clip
+// stage then reads the layers' gradient blocks in place — stored lane-SoA
+// blocks for conv and channel-norm, and for dense layers the two factors
+// (output gradient and input) of the weight gradient, whose float products
+// it recomputes instead of storing. The norm pass runs every lane's chain
+// over those blocks in flat order; the accumulate pass walks the pack
+// element by element and adds the lanes' terms in example order, so each
+// sum is read and written once per pack. A lane's result therefore never
+// depends on its pack mates, the pack width, or ragged tail packs —
+// bit-identical to the scalar path for any B and thread count.
 
 #ifndef DPAUDIT_NN_GRADIENT_ENGINE_H_
 #define DPAUDIT_NN_GRADIENT_ENGINE_H_
 
 #include <cstddef>
-#include <functional>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -42,11 +54,12 @@ class GradientEngine {
     static constexpr size_t kBatchLanesAuto = static_cast<size_t>(-1);
 
     /// Worker count; 0 means DefaultThreadCount(). With one worker the
-    /// engine runs inline on the calling thread with a single slot buffer.
+    /// engine runs inline on the calling thread.
     size_t threads = 0;
-    /// Examples claimed per unit of scheduled work. Parallel mode buffers
-    /// threads * chunk flat gradients at a time. Raised to batch_lanes when
-    /// smaller, so chunks always hold whole packs.
+    /// Examples claimed per unit of scheduled work. Parallel mode computes
+    /// threads * chunk examples per wave and then accumulates the wave on
+    /// the calling thread. Raised to batch_lanes when smaller, so chunks
+    /// always hold whole packs.
     size_t chunk = 16;
     /// Lane count for the batched forward/backward path: 0 selects the
     /// legacy one-example-at-a-time path, kBatchLanesAuto reads
@@ -56,18 +69,21 @@ class GradientEngine {
     size_t batch_lanes = kBatchLanesAuto;
   };
 
-  /// Which norms the workers precompute alongside each gradient. Norm chains
-  /// are long serial double accumulations, so they are evaluated on the
-  /// workers (where they parallelize across examples) rather than in the
-  /// visitor; the lane path also runs a pack's chains side by side, in
-  /// lanes, while it unpacks the pack's gradients.
+  /// Which norms clip the gradients: the whole gradient's (kWhole) or each
+  /// parameterized layer's (kPerLayer).
   using NormMode = GradNormMode;
 
-  /// What a visitor sees for one example.
-  struct PerExampleGradView {
-    const float* grad;          // flat gradient, num_params() floats
-    double norm;                // whole-gradient norm (NormMode::kWhole)
-    const double* layer_norms;  // per-range norms (NormMode::kPerLayer)
+  /// Flags naming the clipped sums an example is added to.
+  static constexpr uint8_t kSumA = 1;
+  static constexpr uint8_t kSumB = 2;
+
+  /// What ClipAndSum returns.
+  struct ClippedSums {
+    std::vector<float> sum_a;  // num_params floats
+    std::vector<float> sum_b;  // num_params floats
+    /// Pre-clip norms, example-major: one per example for kWhole, one per
+    /// param range (LayerParamRanges order) for kPerLayer.
+    std::vector<double> norms;
   };
 
   explicit GradientEngine(const Network& architecture)
@@ -90,18 +106,16 @@ class GradientEngine {
   /// training step, before computing gradients at the new weights.
   void SyncParams(const Network& source);
 
-  /// Computes the per-example gradient of every (inputs[j], labels[j]) and
-  /// invokes visit(j, view) on the calling thread in ascending j. The view's
-  /// pointers are only valid during that invocation.
-  void VisitPerExampleGradients(
-      const std::vector<const Tensor*>& inputs,
-      const std::vector<size_t>& labels, NormMode mode,
-      const std::function<void(size_t, const PerExampleGradView&)>& visit);
-
-  void VisitPerExampleGradients(
-      const std::vector<Tensor>& inputs, const std::vector<size_t>& labels,
-      NormMode mode,
-      const std::function<void(size_t, const PerExampleGradView&)>& visit);
+  /// The clip stage. Clips the gradient of every (inputs[j], labels[j]) —
+  /// whole to `clip_norm` for kWhole, each param range to
+  /// clip_norm / sqrt(#ranges) for kPerLayer — and adds it, in ascending j,
+  /// to each sum its `sums[j]` flags name (kSumA, kSumB, both or neither).
+  /// Bit-identical to per-example L2Norm, ClipScale and AccumulateScaled in
+  /// example order, for any thread and lane count.
+  ClippedSums ClipAndSum(const std::vector<const Tensor*>& inputs,
+                         const std::vector<size_t>& labels,
+                         const std::vector<uint8_t>& sums, NormMode mode,
+                         double clip_norm);
 
   /// Drop-in equivalents of the Network methods of the same names,
   /// bit-identical to them for any thread count.
@@ -114,51 +128,93 @@ class GradientEngine {
       double clip_norm);
 
  private:
-  struct Slot {
-    std::vector<float> grad;
-    std::vector<double> norms;  // 1 (kWhole) or one per param range
+  /// Where one lane gradient block lives in a PackRecord and in the flat
+  /// gradient.
+  struct RecordBlock {
+    size_t flat;   // offset of the block in the flat gradient
+    size_t data;   // offset of the block's factors in PackRecord::data
+    size_t rows;   // row factors
+    size_t cols;   // column factors
+    size_t range;  // LayerParamRanges index
   };
 
-  /// The view a visitor sees of a computed slot.
-  PerExampleGradView View(NormMode mode, const Slot& slot) const;
+  /// One group of up to max(1, lanes_) consecutive examples after a worker
+  /// has computed and normed it: everything the calling thread needs to add
+  /// the group to the sums in example order.
+  struct PackRecord {
+    size_t count = 0;
+    /// Lane route: `data` holds each block's row factors (lane-SoA, lanes_
+    /// wide) followed by its column factors, lane-major (count lanes).
+    /// Scalar route: `data` holds `count` flat gradients.
+    bool lane_route = false;
+    std::vector<RecordBlock> blocks;
+    std::vector<float> data;
+    std::vector<double> norms;   // count * norms per example
+    std::vector<double> scales;  // parallel to norms
+  };
 
-  /// Sizes `slot`'s buffers for `mode`.
-  void ResizeSlot(NormMode mode, Slot* slot) const;
+  /// A lane pack whose accumulate pass has not run yet: its record, its
+  /// examples' sum flags and the sums they go into. The next lane pack's
+  /// norm pass finishes it (see ComputeLaneRecord; 8 lanes with AVX2+FMA).
+  struct PendingPack {
+    const PackRecord* record;
+    const uint8_t* sums;
+    ClippedSums* out;
+  };
 
-  /// Computes example j's gradient and norms into `slot` using worker w's
-  /// replica and workspace.
-  void ComputeSlot(size_t worker, const Tensor& input, size_t label,
-                   NormMode mode, Slot* slot);
+  size_t NormsPerExample(NormMode mode) const {
+    return mode == NormMode::kWhole ? 1 : ranges_.size();
+  }
 
-  /// Computes the gradients of examples [begin_j, begin_j + count) as one
-  /// lane pack into slots[0..count), norms included. `count` may be ragged
-  /// (< lanes_) at chunk and dataset tails: a mostly-full tail is padded to
-  /// the full lane width with copies of its last example (padded lanes land
-  /// in a scratch gradient and are discarded — lanes are independent, so the
-  /// real lanes are untouched), while a mostly-empty tail runs the scalar
-  /// path. Bit-identical either way; the split only picks the cheaper route.
-  void ComputePack(size_t worker, const std::vector<const Tensor*>& inputs,
-                   const size_t* labels, size_t begin_j, size_t count,
-                   NormMode mode, Slot* slots);
+  /// True when a group of `count` examples takes the lane route.
+  bool LaneRoute(bool use_lanes, size_t count) const;
+
+  /// Computes examples [begin, begin + count) into `record` on `worker`:
+  /// gradients, norms and clip scales. `count` may be ragged (< lanes_) at
+  /// chunk and dataset tails: a mostly-full tail is padded to the full lane
+  /// width with copies of its last example (padded lanes never reach the
+  /// norms or the sums — lanes are independent, so the real lanes are
+  /// untouched), while a mostly-empty tail runs the scalar route.
+  /// Bit-identical either way; the split only picks the cheaper route. A
+  /// non-null `pending.record` (lane route only) is accumulated during the
+  /// norm pass.
+  void ComputeRecord(size_t worker, const std::vector<const Tensor*>& inputs,
+                     const size_t* labels, size_t begin, size_t count,
+                     bool use_lanes, NormMode mode, double clip,
+                     const PendingPack& pending, PackRecord* record);
+
+  /// Lane route of ComputeRecord for one pack, without the clip scales.
+  void ComputeLaneRecord(size_t worker,
+                         const std::vector<const Tensor*>& inputs,
+                         const size_t* labels, size_t begin, size_t count,
+                         NormMode mode, const PendingPack& pending,
+                         PackRecord* record);
+
+  /// Adds `record`'s clipped gradients to the sums its examples' flags
+  /// name, in example order.
+  void Accumulate(const PackRecord& record, const uint8_t* flags,
+                  NormMode mode, ClippedSums* out) const;
+
+  /// Accumulate for one block of a lane record. A non-null `next` (the same
+  /// block of the next pack, 8 lanes) has its norm steps run inside the
+  /// same loop, continuing the chains in next_sq.
+  void AccumulateBlock(const PackRecord& record, size_t index,
+                       const uint8_t* flags, NormMode mode, ClippedSums* out,
+                       const LaneGradBlock* next, double* next_sq) const;
 
   size_t threads_;
   size_t chunk_;
   size_t lanes_;  // 0 = scalar path
   size_t num_params_;
   std::vector<Network::ParamRange> ranges_;
-  std::vector<Network> replicas_;             // one per worker
-  std::vector<GradientWorkspace> workspaces_; // one per worker
-  std::vector<Slot> slots_;                   // threads * chunk wave buffers
-  // Per-worker pack argument scratch (input pointers, labels, gradient and
-  // norm destination pointers, and the discard slot that padded lanes
-  // scatter into), reused across packs so steady state stays
-  // allocation-free.
+  std::vector<Network> replicas_;              // one per worker
+  std::vector<GradientWorkspace> workspaces_;  // one per worker
+  std::vector<PackRecord> records_;            // a wave's groups (or 2)
+  // Per-worker pack argument scratch (input pointers and padded labels),
+  // reused across packs so steady state stays allocation-free.
   std::vector<std::vector<const Tensor*>> pack_inputs_;
   std::vector<std::vector<size_t>> pack_labels_;
-  std::vector<std::vector<float*>> pack_dsts_;
-  std::vector<std::vector<double*>> pack_norms_;
-  std::vector<Slot> pad_slots_;
-  std::unique_ptr<ThreadPool> pool_;          // absent when threads_ == 1
+  std::unique_ptr<ThreadPool> pool_;  // absent when threads_ == 1
 };
 
 }  // namespace dpaudit

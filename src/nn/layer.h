@@ -20,10 +20,34 @@
 #include <vector>
 
 #include "tensor/tensor.h"
+#include "util/env.h"
 #include "util/logging.h"
 #include "util/random.h"
 
 namespace dpaudit {
+
+/// One parameter-gradient tensor of a lane pack, as a layer hands it to the
+/// clip stage, in factored form: element r * num_cols + c of lane l is the
+/// float product rows[r * lanes + l] * cols[c * lanes + l] of two lane-SoA
+/// factors. A dense weight gradient is the outer product of the output
+/// gradient and the input, so it is never stored, and recomputing each
+/// product gives exactly the element the scalar path stores. A stored
+/// lane-SoA block (conv, channel-norm, biases) is one row with a unit row
+/// factor, since 1.0f * g == g for every float g.
+struct LaneGradBlock {
+  const float* rows;
+  size_t num_rows;
+  const float* cols;
+  size_t num_cols;
+
+  size_t size() const { return num_rows * num_cols; }
+
+  /// A stored block of `elems` elements per lane.
+  static LaneGradBlock Stored(const float* data, size_t elems) {
+    static const std::vector<float> ones(kMaxBatchLanes, 1.0f);
+    return {ones.data(), 1, data, elems};
+  }
+};
 
 /// Abstract differentiable layer. Backward must be called after Forward on
 /// the same example; parameter gradients accumulate across calls until
@@ -68,11 +92,11 @@ class Layer {
   }
 
   /// Batched counterpart of BackwardInto over the lane pack last passed
-  /// through ForwardBatchInto. Per-lane parameter gradients are stored in
-  /// the layer's lane buffers (read back via AppendLaneGrads), NOT
-  /// accumulated into Grads(). A null `grad_input` skips computing
-  /// dLoss/dInput — legal only for the first layer of a network, where it
-  /// would be discarded.
+  /// through ForwardBatchInto. Per-lane parameter gradients are left in the
+  /// layer's lane buffers, or factored over them (read back via
+  /// AppendLaneGrads), NOT accumulated into Grads(). A null `grad_input`
+  /// skips computing dLoss/dInput — legal only for the first layer of a
+  /// network, where it would be discarded.
   virtual void BackwardBatchInto(const Tensor& grad_output, size_t lanes,
                                  Tensor* grad_input) {
     (void)grad_output;
@@ -81,11 +105,12 @@ class Layer {
     DPAUDIT_CHECK(false) << Name() << " does not implement batch lanes";
   }
 
-  /// Appends the lane-SoA parameter gradients of the last BackwardBatchInto,
-  /// one block per Grads() tensor in Grads() order: block k holds
-  /// Grads()[k]->size() elements of `lanes` floats each, element e of lane l
-  /// at block[e * lanes + l]. Appends nothing for parameterless layers.
-  virtual void AppendLaneGrads(std::vector<const float*>* blocks) const {
+  /// Appends the per-lane parameter gradients of the last BackwardBatchInto,
+  /// one block per Grads() tensor in Grads() order; block k has
+  /// Grads()[k]->size() elements per lane. The blocks point into the layer
+  /// and its cached forward input, so they stay valid until the next lane
+  /// pass. Appends nothing for parameterless layers.
+  virtual void AppendLaneGrads(std::vector<LaneGradBlock>* blocks) const {
     (void)blocks;
   }
 

@@ -122,11 +122,9 @@ bool Network::SupportsBatchLanes() const {
   return true;
 }
 
-void Network::PerExampleGradientBatchTo(const Tensor* const* inputs,
-                                        const size_t* labels, size_t lanes,
-                                        GradientWorkspace* ws,
-                                        float* const* dsts, GradNormMode mode,
-                                        double* const* norms) {
+void Network::LaneGradientsInto(const Tensor* const* inputs,
+                                const size_t* labels, size_t lanes,
+                                GradientWorkspace* ws) {
   DPAUDIT_CHECK_GT(lanes, 0u);
   DPAUDIT_CHECK_LE(lanes, kMaxBatchLanes);
   DPAUDIT_CHECK(!layers_.empty());
@@ -148,42 +146,14 @@ void Network::PerExampleGradientBatchTo(const Tensor* const* inputs,
     gcur = gnext;
     std::swap(gnext, gspare);
   }
-  if (ws->lane_grad_sizes.empty()) {
-    for (const auto& layer : layers_) {
-      for (const Tensor* g : layer->Grads()) {
-        ws->lane_grad_sizes.push_back(g->size());
-      }
-    }
-  }
-  // One pass per block moves every lane's slice to its flat destination and
-  // carries the lanes' norm chains: one chain across all blocks for kWhole,
-  // restarted at each parameterized layer for kPerLayer (the
-  // LayerParamRanges segmentation).
-  double sq[kMaxBatchLanes] = {};
   ws->lane_grads.clear();
-  size_t offset = 0;
+  ws->lane_grad_ranges.clear();
   size_t range = 0;
   for (const auto& layer : layers_) {
     const size_t first = ws->lane_grads.size();
     layer->AppendLaneGrads(&ws->lane_grads);
     if (ws->lane_grads.size() == first) continue;  // parameterless
-    DPAUDIT_CHECK_LE(ws->lane_grads.size(), ws->lane_grad_sizes.size());
-    for (size_t b = first; b < ws->lane_grads.size(); ++b) {
-      UnpackLanesTo(ws->lane_grads[b], ws->lane_grad_sizes[b], lanes, dsts,
-                    offset, sq);
-      offset += ws->lane_grad_sizes[b];
-    }
-    if (mode == GradNormMode::kPerLayer) {
-      for (size_t l = 0; l < lanes; ++l) {
-        norms[l][range] = std::sqrt(sq[l]);
-        sq[l] = 0.0;
-      }
-      ++range;
-    }
-  }
-  DPAUDIT_CHECK_EQ(ws->lane_grads.size(), ws->lane_grad_sizes.size());
-  if (mode == GradNormMode::kWhole) {
-    for (size_t l = 0; l < lanes; ++l) norms[l][0] = std::sqrt(sq[l]);
+    ws->lane_grad_ranges.resize(ws->lane_grads.size(), range++);
   }
 }
 

@@ -29,18 +29,19 @@ struct GradientWorkspace {
   std::vector<Tensor> acts;  // forward output of each layer (scalar path)
   Tensor grad_a, grad_b;     // backward gradient ping-pong buffers
   std::vector<float> grad;   // flat per-example gradient (NumParams floats)
-  // Batched lane path: the packed lane input, per-layer lane activations,
-  // the layers' lane-SoA gradient blocks (refreshed every pack), and the
-  // cached block sizes (elements per lane) used to unpack them per example.
+  // Batched lane path: the packed lane input and per-layer lane activations
+  // (which also back the dense layers' factored weight gradients), then the
+  // pack's parameter-gradient blocks in flat gradient order, each with the
+  // index of its LayerParamRanges range. Refreshed every pack.
   Tensor lane_input;
   std::vector<Tensor> lane_acts;
-  std::vector<const float*> lane_grads;
-  std::vector<size_t> lane_grad_sizes;
+  std::vector<LaneGradBlock> lane_grads;
+  std::vector<size_t> lane_grad_ranges;
 };
 
-/// Which L2 norms of a flat per-example gradient are computed alongside it.
-/// Every norm is L2Norm over its slice — one ascending double accumulation
-/// of squared floats — however it is evaluated.
+/// Which L2 norms of a per-example gradient are computed. Every norm is
+/// L2Norm over its slice of the flat gradient — one ascending double
+/// accumulation of squared floats — however it is evaluated.
 enum class GradNormMode {
   kWhole,     // pre-clip L2 norm of the whole flat gradient
   kPerLayer,  // one norm per parameterized layer (LayerParamRanges order)
@@ -98,28 +99,23 @@ class Network {
 
   /// Like PerExampleGradientInto but writes the flat gradient into `dst`
   /// (NumParams floats) instead of `ws->grad`, for callers that own the
-  /// destination buffer (e.g. the parallel gradient engine's slots).
+  /// destination buffer (e.g. the gradient engine's scalar route).
   double PerExampleGradientTo(const Tensor& input, size_t label,
                               GradientWorkspace* ws, float* dst);
 
   /// True when every layer implements the batched lane entry points, i.e.
-  /// PerExampleGradientBatchTo may be used on this architecture.
+  /// LaneGradientsInto may be used on this architecture.
   bool SupportsBatchLanes() const;
 
-  /// Batched form of PerExampleGradientTo: packs `lanes` same-shaped
-  /// examples into one lane-SoA pass through the whole stack and writes lane
-  /// l's flat gradient into `dsts[l]` (NumParams floats each). Each lane's
-  /// gradient is bit-identical to PerExampleGradientTo on that example
-  /// alone, for any lane count. Requires SupportsBatchLanes().
-  ///
-  /// Lane l's `mode` norms land in norms[l] (one double for kWhole, one per
-  /// parameterized layer for kPerLayer). They are computed in lanes during
-  /// the same pass that unpacks the gradients, and are bit-identical to
-  /// L2Norm over the lane's flat gradient (slices).
-  void PerExampleGradientBatchTo(const Tensor* const* inputs,
-                                 const size_t* labels, size_t lanes,
-                                 GradientWorkspace* ws, float* const* dsts,
-                                 GradNormMode mode, double* const* norms);
+  /// Batched forward/backward: packs `lanes` same-shaped examples into one
+  /// lane-SoA pass through the whole stack and leaves the pack's per-lane
+  /// parameter gradients in ws->lane_grads / ws->lane_grad_ranges. Lane l's
+  /// gradient, read element by element from the blocks, is bit-identical to
+  /// PerExampleGradientTo on that example alone, for any lane count. The
+  /// blocks stay valid until the next lane pass on this network and
+  /// workspace. Requires SupportsBatchLanes().
+  void LaneGradientsInto(const Tensor* const* inputs, const size_t* labels,
+                         size_t lanes, GradientWorkspace* ws);
 
   /// Sum over the given examples of per-example gradients clipped to L2 norm
   /// `clip_norm` (Abadi et al.): g_j * min(1, C / ||g_j||). Returns the flat

@@ -20,15 +20,12 @@ size_t Volume(const std::vector<size_t>& shape) {
   return v;
 }
 
-// ---- Lane pack / unpack ----------------------------------------------------
+// ---- Lane pack -------------------------------------------------------------
 //
 // Both directions make one element-major pass: each step moves one element
 // of every lane, so the lane-SoA side is read or written contiguously and
-// each per-example row streams forward. The AVX2 wrappers move 8 elements of
-// 8 lanes per step as an 8x8 register transpose. The unpack also carries
-// each lane's sum of squares: lanes are independent chains, so vectorizing
-// across them keeps every chain's ascending-element order — the L2Norm
-// chain — and the sums are bit-identical however the pass is evaluated.
+// each per-example row streams forward. The AVX2 wrappers move 8 elements
+// of 8 lanes per step as an 8x8 register transpose.
 
 void PackLanesBody(const float* const* in, size_t elems, size_t lanes,
                    float* out) {
@@ -38,17 +35,10 @@ void PackLanesBody(const float* const* in, size_t elems, size_t lanes,
 }
 
 void UnpackLanesBody(const float* src, size_t elems, size_t lanes,
-                     float* const* out, double* sq) {
-  double acc[kMaxBatchLanes];
-  for (size_t l = 0; l < lanes; ++l) acc[l] = sq[l];
+                     size_t count, float* out) {
   for (size_t e = 0; e < elems; ++e) {
-    for (size_t l = 0; l < lanes; ++l) {
-      const float v = src[e * lanes + l];
-      out[l][e] = v;
-      acc[l] += static_cast<double>(v) * v;
-    }
+    for (size_t l = 0; l < count; ++l) out[l * elems + e] = src[e * lanes + l];
   }
-  for (size_t l = 0; l < lanes; ++l) sq[l] = acc[l];
 }
 
 #if defined(DPAUDIT_X86_DISPATCH)
@@ -94,39 +84,19 @@ __attribute__((target("avx2"))) void PackLanes8Avx2(const float* const* in,
   }
 }
 
-// Squares one element's 8 lanes into the two 4-lane double accumulators:
-// exact widening, then one fused multiply-add per lane. The square of a
-// widened float is exact in double, so the single rounding of the FMA is
-// the rounded add of L2Norm's chain (see AddExactProduct in util/simd.h).
-__attribute__((target("avx2,fma"))) inline void AccumulateSquares8(
-    __m256 v, __m256d* lo, __m256d* hi) {
-  const __m256d vlo = _mm256_cvtps_pd(_mm256_castps256_ps128(v));
-  const __m256d vhi = _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1));
-  *lo = _mm256_fmadd_pd(vlo, vlo, *lo);
-  *hi = _mm256_fmadd_pd(vhi, vhi, *hi);
-}
-
-__attribute__((target("avx2,fma"))) void UnpackLanes8Avx2Fma(
-    const float* src, size_t elems, float* const* out, double* sq) {
-  __m256d lo = _mm256_loadu_pd(sq);
-  __m256d hi = _mm256_loadu_pd(sq + 4);
+__attribute__((target("avx2"))) void UnpackLanes8Avx2(const float* src,
+                                                      size_t elems,
+                                                      float* out) {
   size_t e = 0;
   for (; e + 8 <= elems; e += 8) {
     __m256 r[8];
-    for (size_t k = 0; k < 8; ++k) {
-      r[k] = _mm256_loadu_ps(src + (e + k) * 8);
-      AccumulateSquares8(r[k], &lo, &hi);
-    }
+    for (size_t k = 0; k < 8; ++k) r[k] = _mm256_loadu_ps(src + (e + k) * 8);
     Transpose8x8(r);
-    for (size_t l = 0; l < 8; ++l) _mm256_storeu_ps(out[l] + e, r[l]);
+    for (size_t l = 0; l < 8; ++l) _mm256_storeu_ps(out + l * elems + e, r[l]);
   }
   for (; e < elems; ++e) {
-    const float* s = src + e * 8;
-    AccumulateSquares8(_mm256_loadu_ps(s), &lo, &hi);
-    for (size_t l = 0; l < 8; ++l) out[l][e] = s[l];
+    for (size_t l = 0; l < 8; ++l) out[l * elems + e] = src[e * 8 + l];
   }
-  _mm256_storeu_pd(sq, lo);
-  _mm256_storeu_pd(sq + 4, hi);
 }
 #endif  // DPAUDIT_X86_DISPATCH
 
@@ -326,19 +296,16 @@ void PackLanes(const Tensor* const* examples, size_t lanes, Tensor* packed) {
   PackLanesBody(in, first.size(), lanes, packed->data());
 }
 
-void UnpackLanesTo(const float* src, size_t elems, size_t lanes,
-                   float* const* dsts, size_t offset, double* sq) {
-  DPAUDIT_CHECK_GT(lanes, 0u);
-  DPAUDIT_CHECK_LE(lanes, kMaxBatchLanes);
-  float* out[kMaxBatchLanes];
-  for (size_t l = 0; l < lanes; ++l) out[l] = dsts[l] + offset;
+void UnpackLanes(const float* src, size_t elems, size_t lanes, size_t count,
+                 float* dst) {
+  DPAUDIT_CHECK_LE(count, lanes);
 #if defined(DPAUDIT_X86_DISPATCH)
-  if (lanes == 8 && HasAvx2Fma()) {
-    UnpackLanes8Avx2Fma(src, elems, out, sq);
+  if (lanes == 8 && count == 8 && HasAvx2()) {
+    UnpackLanes8Avx2(src, elems, dst);
     return;
   }
 #endif
-  UnpackLanesBody(src, elems, lanes, out, sq);
+  UnpackLanesBody(src, elems, lanes, count, dst);
 }
 
 void UnpackLane(const Tensor& packed, size_t lane, Tensor* example) {

@@ -126,14 +126,11 @@ void PackLanes(const Tensor* const* examples, size_t lanes, Tensor* packed);
 /// batched layer) into `example`, dropping the trailing lane dimension.
 void UnpackLane(const Tensor& packed, size_t lane, Tensor* example);
 
-/// Unpacks every lane of a raw lane-SoA block in one pass: element e of lane
-/// l (src[e * lanes + l]) lands at dsts[l][offset + e] for e in [0, elems).
-/// The same pass continues each lane's sum of squares, sq[l] += double(v) *
-/// v in ascending e — the chain L2Norm runs, so sqrt(sq[l]) is bit-identical
-/// to L2Norm over the lane's unpacked values. Destinations may coincide
-/// (e.g. one discard row for padded lanes).
-void UnpackLanesTo(const float* src, size_t elems, size_t lanes,
-                   float* const* dsts, size_t offset, double* sq);
+/// Copies lanes [0, count) of a raw lane-SoA block of `elems` elements
+/// (element e of lane l at src[e * lanes + l]) lane-major into `dst`: lane
+/// l's elements land at dst[l * elems + e]. The inverse of PackLanes.
+void UnpackLanes(const float* src, size_t elems, size_t lanes, size_t count,
+                 float* dst);
 
 }  // namespace dpaudit
 

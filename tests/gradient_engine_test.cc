@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <tuple>
 #include <vector>
 
@@ -208,9 +209,14 @@ TEST_P(BatchLanesTest, PerLayerClippingBitIdenticalToScalarPath) {
   for (size_t i = 0; i < ref.size(); ++i) EXPECT_EQ(ref[i], sum[i]) << i;
 }
 
-// Lane norms come out of the unpack pass, in lanes, rather than from L2Norm
-// over the unpacked gradient. Pin both norm modes, per layer included, on
-// the conv net, whose gradient blocks straddle the 8-element transpose.
+// The clip stage computes lane norms in lanes over the layers' gradient
+// blocks, and recomputes the dense layers' factored weight gradients,
+// rather than running L2Norm and AccumulateScaled over a stored flat
+// gradient. Pin both norm modes, per layer included, on the conv net, whose
+// gradient blocks straddle the 8-element vectors. With an unclipped C, a sum
+// that only example j joins is example j's gradient itself, so sum A
+// (example j) and sum B (example j + 1) read single gradients back through
+// the clip stage, on the lane route wherever the pack is full.
 TEST_P(BatchLanesTest, VisitorNormsBitIdenticalToL2NormOnConvNetwork) {
   const size_t lanes = std::get<0>(GetParam());
   const size_t threads = std::get<1>(GetParam());
@@ -219,6 +225,12 @@ TEST_P(BatchLanesTest, VisitorNormsBitIdenticalToL2NormOnConvNetwork) {
   net.Initialize(rng);
   Dataset d = MnistBlobs(11, rng);
   const std::vector<Network::ParamRange> ranges = net.LayerParamRanges();
+  std::vector<const Tensor*> inputs;
+  std::vector<std::vector<float>> refs;
+  for (size_t j = 0; j < d.size(); ++j) {
+    inputs.push_back(&d.inputs[j]);
+    refs.push_back(net.PerExampleGradient(d.inputs[j], d.labels[j]));
+  }
 
   GradientEngine::Options options;
   options.threads = threads;
@@ -228,28 +240,36 @@ TEST_P(BatchLanesTest, VisitorNormsBitIdenticalToL2NormOnConvNetwork) {
   engine.SyncParams(net);
   using NormMode = GradientEngine::NormMode;
   for (NormMode mode : {NormMode::kWhole, NormMode::kPerLayer}) {
-    size_t visited = 0;
-    engine.VisitPerExampleGradients(
-        d.inputs, d.labels, mode,
-        [&](size_t j, const GradientEngine::PerExampleGradView& view) {
-          std::vector<float> ref =
-              net.PerExampleGradient(d.inputs[j], d.labels[j]);
-          for (size_t i = 0; i < ref.size(); ++i) {
-            ASSERT_EQ(ref[i], view.grad[i]) << "j=" << j << " i=" << i;
+    for (size_t j = 0; j < d.size(); ++j) {
+      const size_t next = (j + 1) % d.size();
+      std::vector<uint8_t> sums(d.size(), 0);
+      sums[j] |= GradientEngine::kSumA;
+      sums[next] |= GradientEngine::kSumB;
+      GradientEngine::ClippedSums out =
+          engine.ClipAndSum(inputs, d.labels, sums, mode, 1e30);
+      ASSERT_EQ(refs[j].size(), out.sum_a.size());
+      for (size_t i = 0; i < refs[j].size(); ++i) {
+        ASSERT_EQ(refs[j][i], out.sum_a[i]) << "j=" << j << " i=" << i;
+        ASSERT_EQ(refs[next][i], out.sum_b[i]) << "j=" << next << " i=" << i;
+      }
+      // Norms come out for every example, joined to a sum or not.
+      if (mode == NormMode::kWhole) {
+        ASSERT_EQ(d.size(), out.norms.size());
+        for (size_t k = 0; k < d.size(); ++k) {
+          EXPECT_EQ(L2Norm(refs[k]), out.norms[k]) << "k=" << k;
+        }
+      } else {
+        ASSERT_EQ(d.size() * ranges.size(), out.norms.size());
+        for (size_t k = 0; k < d.size(); ++k) {
+          for (size_t r = 0; r < ranges.size(); ++r) {
+            EXPECT_EQ(
+                L2Norm(refs[k].data() + ranges[r].offset, ranges[r].size),
+                out.norms[k * ranges.size() + r])
+                << "k=" << k << " r=" << r;
           }
-          if (mode == NormMode::kWhole) {
-            EXPECT_EQ(L2Norm(ref), view.norm) << "j=" << j;
-            EXPECT_EQ(nullptr, view.layer_norms);
-          } else {
-            for (size_t r = 0; r < ranges.size(); ++r) {
-              EXPECT_EQ(L2Norm(ref.data() + ranges[r].offset, ranges[r].size),
-                        view.layer_norms[r])
-                  << "j=" << j << " r=" << r;
-            }
-          }
-          ++visited;
-        });
-    EXPECT_EQ(d.size(), visited);
+        }
+      }
+    }
   }
 }
 
@@ -322,11 +342,15 @@ TEST(GradientEngineApiTest, SyncParamsTracksUpdatedWeights) {
   for (size_t i = 0; i < fresh.size(); ++i) EXPECT_EQ(ref[i], fresh[i]);
 }
 
+// Per-layer norms come back example-major in ascending example order, and a
+// one-example sum at an unclipped C is that example's gradient.
 TEST(GradientEngineApiTest, VisitorSeesAscendingIndicesAndLayerNorms) {
   Rng rng(19);
   Network net = TinyNetwork();
   net.Initialize(rng);
   Dataset d = BlobDataset(10, rng);
+  std::vector<const Tensor*> inputs;
+  for (const Tensor& x : d.inputs) inputs.push_back(&x);
 
   GradientEngine::Options options;
   options.threads = 3;
@@ -334,19 +358,28 @@ TEST(GradientEngineApiTest, VisitorSeesAscendingIndicesAndLayerNorms) {
   GradientEngine engine(net, options);
   engine.SyncParams(net);
 
-  const size_t num_layers = net.LayerParamRanges().size();
-  size_t expected = 0;
-  engine.VisitPerExampleGradients(
-      d.inputs, d.labels, GradientEngine::NormMode::kPerLayer,
-      [&](size_t j, const GradientEngine::PerExampleGradView& view) {
-        EXPECT_EQ(expected, j);
-        ++expected;
-        ASSERT_NE(nullptr, view.layer_norms);
-        for (size_t l = 0; l < num_layers; ++l) {
-          EXPECT_GE(view.layer_norms[l], 0.0);
-        }
-      });
-  EXPECT_EQ(d.size(), expected);
+  const std::vector<Network::ParamRange> ranges = net.LayerParamRanges();
+  for (size_t j = 0; j < d.size(); ++j) {
+    std::vector<uint8_t> sums(d.size(), 0);
+    sums[j] = GradientEngine::kSumA;
+    GradientEngine::ClippedSums out = engine.ClipAndSum(
+        inputs, d.labels, sums, GradientEngine::NormMode::kPerLayer, 1e30);
+    ASSERT_EQ(d.size() * ranges.size(), out.norms.size());
+    for (size_t k = 0; k < d.size(); ++k) {
+      const std::vector<float> ref =
+          net.PerExampleGradient(d.inputs[k], d.labels[k]);
+      for (size_t r = 0; r < ranges.size(); ++r) {
+        EXPECT_EQ(L2Norm(ref.data() + ranges[r].offset, ranges[r].size),
+                  out.norms[k * ranges.size() + r])
+            << "k=" << k << " r=" << r;
+      }
+      if (k != j) continue;
+      for (size_t i = 0; i < ref.size(); ++i) {
+        ASSERT_EQ(ref[i], out.sum_a[i]) << "j=" << j << " i=" << i;
+        ASSERT_EQ(0.0f, out.sum_b[i]) << "j=" << j << " i=" << i;
+      }
+    }
+  }
 }
 
 }  // namespace

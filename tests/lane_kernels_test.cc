@@ -82,7 +82,7 @@ void ExpectLanesMatchScalar(Layer& layer, const std::vector<Tensor>& inputs,
   const Tensor packed_g = Pack(grads);
   Tensor packed_gi;
   layer.BackwardBatchInto(packed_g, lanes, &packed_gi);
-  std::vector<const float*> blocks;
+  std::vector<LaneGradBlock> blocks;
   layer.AppendLaneGrads(&blocks);
   const std::vector<Tensor*> param_grads = layer.Grads();
   ASSERT_EQ(param_grads.size(), blocks.size());
@@ -107,9 +107,16 @@ void ExpectLanesMatchScalar(Layer& layer, const std::vector<Tensor>& inputs,
       ASSERT_EQ(gi[e], lane_gi[e]) << "grad input " << e;
     }
     for (size_t b = 0; b < blocks.size(); ++b) {
+      const LaneGradBlock& block = blocks[b];
       const Tensor& pg = *param_grads[b];
+      ASSERT_EQ(pg.size(), block.size());
       for (size_t e = 0; e < pg.size(); ++e) {
-        ASSERT_EQ(pg[e], blocks[b][e * lanes + l])
+        // Each element is the float product of its row and column factors
+        // (a dense dw is the outer product of the output gradient and the
+        // input); rebuild it here.
+        const float lane_value = block.rows[(e / block.num_cols) * lanes + l] *
+                                 block.cols[(e % block.num_cols) * lanes + l];
+        ASSERT_EQ(pg[e], lane_value)
             << "param grad " << b << " element " << e;
       }
     }
@@ -162,6 +169,17 @@ TEST(LaneKernelsTest, DenseMatchesScalarPathAtEveryBlockRemainder) {
         dense.Initialize(rng);
         ExpectLanesMatchScalar(dense, {in}, lanes, rng);
         if (HasFatalFailure()) return;
+        // The weight gradient is never stored: its factors are the output
+        // gradient (out rows) and the cached forward input itself.
+        const Tensor packed = Pack(RandomExamples({in}, lanes, rng));
+        Tensor packed_out;
+        dense.ForwardBatchInto(packed, lanes, &packed_out);
+        dense.BackwardBatchInto(packed_out, lanes, nullptr);
+        std::vector<LaneGradBlock> blocks;
+        dense.AppendLaneGrads(&blocks);
+        ASSERT_EQ(2u, blocks.size());
+        EXPECT_EQ(out, blocks[0].num_rows);
+        EXPECT_EQ(packed.data(), blocks[0].cols);
       }
     }
   }

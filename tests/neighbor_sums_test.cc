@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "data/synthetic_mnist.h"
+#include "data/synthetic_purchase.h"
 #include "nn/gradient_engine.h"
+#include "nn/network.h"
 #include "tests/test_helpers.h"
 #include "util/random.h"
 
@@ -218,6 +223,125 @@ TEST(NeighborSharingTest, IdenticalDatasetsShareEverything) {
   NeighborSums two_pass =
       ComputeClippedNeighborSumsTwoPass(engine, d, d, 1.0, false);
   ExpectSumsBitIdentical(shared, two_pass);
+}
+
+// The audit benchmark's networks through the clip stage: the 28x28 MNIST
+// conv net (4/8 filters) and the 600-48-30 Purchase MLP, whose dense layers
+// hand over factored weight gradients. n = 16 records make two full packs
+// of D at 8 lanes. Bounded k = 7 puts d_k and d'_k in different packs and
+// k = n - 1 puts d'_k in a one-example scalar tail; unbounded k = n - 1
+// leaves D's last pack with only one example in sum_dprime. Every record
+// has some zero features, so dense products of a negative output gradient
+// with a zero input are -0 on the lane path and +0 in the scalar path's
+// zero-initialised dw. C is the median norm, so some examples are clipped
+// and some are not.
+struct AuditShape {
+  std::string name;
+  Network net;
+  Dataset d;
+  Tensor replacement;
+};
+
+AuditShape MakeAuditShape(bool purchase) {
+  constexpr size_t kRecords = 16;
+  Rng rng(purchase ? 71 : 73);
+  AuditShape shape;
+  shape.name = purchase ? "purchase" : "mnist";
+  shape.net = purchase ? BuildPurchaseNetwork(600, 48, 30)
+                       : BuildMnistNetwork(28, 4, 8);
+  shape.net.Initialize(rng);
+  const size_t classes = purchase ? 30 : 10;
+  SyntheticMnistConfig mnist_config;
+  SyntheticPurchaseGenerator generator(SyntheticPurchaseConfig{}, 5);
+  auto sample = [&](size_t label) {
+    Tensor x = purchase ? generator.Sample(label, rng)
+                        : RenderSyntheticDigit(label, mnist_config, rng);
+    for (size_t i = 0; i < x.size(); i += 7) x[i] = 0.0f;
+    return x;
+  };
+  for (size_t j = 0; j < kRecords; ++j) {
+    shape.d.Add(sample(j % classes), j % classes);
+  }
+  shape.replacement = sample(classes - 1);
+  return shape;
+}
+
+void ExpectAuditShapeBitIdentical(AuditShape& shape) {
+  const size_t n = shape.d.size();
+  using NormMode = GradientEngine::NormMode;
+  for (NormMode norm_mode : {NormMode::kWhole, NormMode::kPerLayer}) {
+    const bool per_layer = norm_mode == NormMode::kPerLayer;
+    std::vector<double> norms;
+    shape.net.ClippedGradientSum(shape.d.inputs, shape.d.labels, 1.0, &norms);
+    std::nth_element(norms.begin(), norms.begin() + norms.size() / 2,
+                     norms.end());
+    const double clip = norms[norms.size() / 2];
+    struct Neighbour {
+      NeighborMode mode;
+      size_t k;
+    };
+    const std::vector<Neighbour> neighbours = {
+        {NeighborMode::kBounded, 0},       {NeighborMode::kBounded, 3},
+        {NeighborMode::kBounded, 7},       {NeighborMode::kBounded, n - 1},
+        {NeighborMode::kUnbounded, 0},     {NeighborMode::kUnbounded, 7},
+        {NeighborMode::kUnbounded, n - 1}};
+    for (const Neighbour& nb : neighbours) {
+      const Dataset d_prime =
+          nb.mode == NeighborMode::kBounded
+              ? shape.d.WithRecordReplaced(nb.k, shape.replacement, 1)
+              : shape.d.WithRecordRemoved(nb.k);
+      const NeighborOverlap overlap =
+          AnalyzeNeighborOverlap(shape.d, d_prime, nb.mode);
+      ASSERT_TRUE(overlap.sharable);
+      const std::vector<float> ref_d =
+          per_layer ? shape.net.PerLayerClippedGradientSum(
+                          shape.d.inputs, shape.d.labels, clip)
+                    : shape.net.ClippedGradientSum(shape.d.inputs,
+                                                   shape.d.labels, clip);
+      const std::vector<float> ref_dprime =
+          per_layer ? shape.net.PerLayerClippedGradientSum(
+                          d_prime.inputs, d_prime.labels, clip)
+                    : shape.net.ClippedGradientSum(d_prime.inputs,
+                                                   d_prime.labels, clip);
+      for (size_t lanes : {0u, 8u}) {
+        for (size_t threads : {1u, 4u, 13u}) {
+          SCOPED_TRACE(::testing::Message()
+                       << shape.name << " per_layer=" << per_layer
+                       << (nb.mode == NeighborMode::kBounded ? " bounded"
+                                                             : " unbounded")
+                       << " k=" << nb.k << " lanes=" << lanes
+                       << " threads=" << threads);
+          GradientEngine::Options options;
+          options.threads = threads;
+          options.batch_lanes = lanes;
+          GradientEngine engine(shape.net, options);
+          engine.SyncParams(shape.net);
+          const NeighborSums shared = ComputeClippedNeighborSums(
+              engine, shape.d, d_prime, overlap, nb.mode, clip, per_layer);
+          const NeighborSums two_pass = ComputeClippedNeighborSumsTwoPass(
+              engine, shape.d, d_prime, clip, per_layer);
+          ExpectSumsBitIdentical(shared, two_pass);
+          ASSERT_EQ(ref_d.size(), shared.sum_d.size());
+          ASSERT_EQ(ref_dprime.size(), shared.sum_dprime.size());
+          for (size_t i = 0; i < ref_d.size(); ++i) {
+            ASSERT_EQ(ref_d[i], shared.sum_d[i]) << i;
+            ASSERT_EQ(ref_dprime[i], shared.sum_dprime[i]) << i;
+          }
+          if (::testing::Test::HasFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+TEST(NeighborSharingAuditShapeTest, PurchaseNetBitIdenticalToReferences) {
+  AuditShape shape = MakeAuditShape(/*purchase=*/true);
+  ExpectAuditShapeBitIdentical(shape);
+}
+
+TEST(NeighborSharingAuditShapeTest, MnistNetBitIdenticalToReferences) {
+  AuditShape shape = MakeAuditShape(/*purchase=*/false);
+  ExpectAuditShapeBitIdentical(shape);
 }
 
 }  // namespace

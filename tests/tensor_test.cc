@@ -122,9 +122,8 @@ TEST(TensorTest, ShapeString) {
   EXPECT_EQ(Tensor({5}).ShapeString(), "[5]");
 }
 
-// Lane packing is a pure data move and the unpack's sums of squares are the
-// L2Norm chain run side by side per lane, so every check below is exact.
-// Element counts straddle the 8-element transpose blocks of the AVX2 path.
+// Lane packing is a pure data move, so every check below is exact. Element
+// counts straddle the 8-element transpose blocks of the AVX2 path.
 std::vector<Tensor> LaneExamples(size_t lanes, size_t elems) {
   std::vector<Tensor> examples;
   for (size_t l = 0; l < lanes; ++l) {
@@ -158,61 +157,26 @@ TEST(LanePackingTest, PackThenUnpackRoundTripsEveryLane) {
         }
       }
 
-      std::vector<std::vector<float>> rows(lanes,
-                                           std::vector<float>(elems + 2));
-      std::vector<float*> dsts;
-      for (auto& row : rows) dsts.push_back(row.data());
-      std::vector<double> sq(lanes, 0.0);
-      UnpackLanesTo(packed.data(), elems, lanes, dsts.data(), 2, sq.data());
       Tensor one;
       for (size_t l = 0; l < lanes; ++l) {
         UnpackLane(packed, l, &one);
         for (size_t e = 0; e < elems; ++e) {
-          ASSERT_EQ(examples[l][e], rows[l][2 + e]);
           ASSERT_EQ(examples[l][e], one[e]);
+        }
+      }
+      // All lanes, and a leading subset, lane-major.
+      for (size_t count : {lanes, lanes / 2}) {
+        std::vector<float> rows(count * elems);
+        UnpackLanes(packed.data(), elems, lanes, count, rows.data());
+        for (size_t l = 0; l < count; ++l) {
+          for (size_t e = 0; e < elems; ++e) {
+            ASSERT_EQ(examples[l][e], rows[l * elems + e])
+                << "lanes=" << lanes << " count=" << count;
+          }
         }
       }
     }
   }
-}
-
-TEST(LanePackingTest, UnpackSumsOfSquaresMatchL2NormChain) {
-  for (size_t lanes : {3u, 8u, 13u}) {
-    // Two blocks unpacked back to back continue one chain per lane.
-    const size_t first = 21;
-    const size_t second = 14;
-    std::vector<Tensor> examples = LaneExamples(lanes, first + second);
-    Tensor packed = PackAll(examples);
-    std::vector<std::vector<float>> rows(lanes,
-                                         std::vector<float>(first + second));
-    std::vector<float*> dsts;
-    for (auto& row : rows) dsts.push_back(row.data());
-    std::vector<double> sq(lanes, 0.0);
-    UnpackLanesTo(packed.data(), first, lanes, dsts.data(), 0, sq.data());
-    UnpackLanesTo(packed.data() + first * lanes, second, lanes, dsts.data(),
-                  first, sq.data());
-    for (size_t l = 0; l < lanes; ++l) {
-      double ref = 0.0;
-      for (size_t e = 0; e < first + second; ++e) {
-        ref += static_cast<double>(examples[l][e]) * examples[l][e];
-      }
-      EXPECT_EQ(ref, sq[l]) << "lanes=" << lanes << " lane=" << l;
-    }
-  }
-}
-
-TEST(LanePackingTest, UnpackToleratesSharedDiscardDestination) {
-  const size_t lanes = 8;
-  const size_t elems = 19;
-  std::vector<Tensor> examples = LaneExamples(lanes, elems);
-  Tensor packed = PackAll(examples);
-  std::vector<float> keep(elems);
-  std::vector<float> discard(elems);
-  std::vector<float*> dsts(lanes, discard.data());
-  dsts[0] = keep.data();
-  std::vector<double> sq(lanes, 0.0);
-  UnpackLanesTo(packed.data(), elems, lanes, dsts.data(), 0, sq.data());
-  for (size_t e = 0; e < elems; ++e) EXPECT_EQ(examples[0][e], keep[e]);
 }
 
 }  // namespace
