@@ -490,29 +490,8 @@ void BM_TelemetryCounterEnabled(benchmark::State& state) {
 }
 BENCHMARK(BM_TelemetryCounterEnabled);
 
-// Pool-churn cost the persistent shared pool removed: the pre-scheduler
-// ParallelFor constructed, spawned, and joined a fresh pool on EVERY call,
-// which dominated short parallel regions (a 30-step experiment issues one
-// region per trial batch). FreshPool reproduces that structure; SharedPool
-// is the current dispatch path. The delta is pure thread spawn/join
-// overhead.
-void BM_ParallelForFreshPool(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  std::atomic<uint64_t> sink{0};
-  for (auto _ : state) {
-    ThreadPool pool(4);
-    for (size_t i = 0; i < n; ++i) {
-      pool.Schedule([&sink, i] {
-        sink.fetch_add(i, std::memory_order_relaxed);
-      });
-    }
-    pool.Wait();
-  }
-  benchmark::DoNotOptimize(sink.load());
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
-}
-BENCHMARK(BM_ParallelForFreshPool)->Arg(16)->Arg(256);
-
+// Dispatch cost of a short region on the persistent shared pool: queueing
+// the runners, claiming chunks, retracting the runners that never started.
 void BM_ParallelForSharedPool(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   std::atomic<uint64_t> sink{0};

@@ -6,8 +6,8 @@
 #      and warm-cache (replays them), with --telemetry on so each binary's
 #      own JSONL event stream supplies per-phase columns;
 #   3. the flattened sweep scheduler at DPAUDIT_THREADS 1 and 4, plus the
-#      pool-churn microbenchmarks (fresh pool per region vs the shared
-#      pool), with cells/sec and worker occupancy pulled from telemetry;
+#      shared-pool region microbenchmark, with cells/sec and worker
+#      occupancy pulled from telemetry;
 #   4. the batched-lane gradient engine (DPAUDIT_BATCH_LANES=8) vs the
 #      scalar path (DPAUDIT_BATCH_LANES=0): the MNIST b64 clipped-gradient
 #      microbenchmark plus fig08 wall-clock, cold and warm trace cache,
@@ -198,9 +198,9 @@ sweep_tmp="$(mktemp -d /tmp/dpaudit_sweep_bench.XXXXXX)"
 trap 'rm -rf "${micro_json}" "${cache_dir}" "${telemetry_cold}" \
              "${telemetry_warm}" "${pool_json}" "${sweep_tmp}"' EXIT
 
-echo "== pool churn microbenchmarks (fresh pool per region vs shared) =="
+echo "== shared-pool region microbenchmark =="
 "${bench_bin}" \
-  --benchmark_filter='BM_ParallelFor(FreshPool|SharedPool)/' \
+  --benchmark_filter='BM_ParallelForSharedPool/' \
   --benchmark_out="${pool_json}" \
   --benchmark_out_format=json \
   --benchmark_repetitions="${BENCH_REPETITIONS:-1}"
@@ -283,7 +283,7 @@ for (threads, phase), measured in seconds.items():
 doc = {
     "description": "Flattened (cell x repetition) sweep scheduler over the "
                    "fig08+fig09+fig10 trio, cold and warm trace cache, 1 "
-                   "and 4 threads; plus the pool-churn microbenchmarks. "
+                   "and 4 threads; plus the shared-pool region microbenchmark. "
                    "cells/sec and worker occupancy come from each binary's "
                    "telemetry JSONL.",
     "pool_microbenchmarks": [
@@ -320,13 +320,6 @@ doc["speedups"] = {
     "flattened_cold_4t_vs_pre_pr": round(
         base["trio_cold_seconds_4t"] / runs["flattened_4t_cold"]["measured_seconds"], 2),
 }
-pool = {b["name"]: b["real_time"] for b in doc["pool_microbenchmarks"]}
-for n in (16, 256):
-    fresh, shared = pool.get(f"BM_ParallelForFreshPool/{n}"), pool.get(
-        f"BM_ParallelForSharedPool/{n}")
-    if fresh and shared:
-        doc["speedups"][f"shared_pool_vs_fresh_pool/{n}"] = round(
-            fresh / shared, 2)
 
 doc["provenance"] = {
     "schema_version": int(os.environ.get("DPAUDIT_PROV_SCHEMA", "1")),

@@ -67,10 +67,10 @@ StatusOr<DpSgdResult> RunDpSgd(const Network& initial, const Dataset& d,
   const double n = static_cast<double>(d.size());
   double clip = config.clip_norm;
 
-  // One engine (worker replicas, workspaces, pool) for the whole run; only
-  // parameters change between steps. The neighbor relationship between D and
-  // D' is analyzed once so every step can share the per-example gradients of
-  // the records the two datasets have in common.
+  // One engine (per-participant replicas and workspaces) for the whole run;
+  // only parameters change between steps. The neighbor relationship between
+  // D and D' is analyzed once so every step can share the per-example
+  // gradients of the records the two datasets have in common.
   GradientEngine::Options engine_options;
   engine_options.threads =
       config.threads == 0 ? DefaultThreadCount() : config.threads;

@@ -1,8 +1,9 @@
 #include "nn/gradient_engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
 #include <utility>
 
 #include "nn/layer.h"
@@ -12,6 +13,7 @@
 #include "util/logging.h"
 #include "util/math_util.h"
 #include "util/simd.h"
+#include "util/thread_pool.h"
 
 namespace dpaudit {
 
@@ -70,16 +72,16 @@ struct LaneTerm {
 
 // Adds lane l's terms d[l] * x[l][e] for elements [0, n) of one block row
 // to a and/or b, lanes in ascending order per element. x[l] is lane l's
-// column factor, lane-major. Elements are walked in chunks so both sums'
-// chunk stays in L1 while every lane adds to it.
+// column factor, lane-major. Elements are walked in tiles so both sums'
+// tile stays in L1 while every lane adds to it.
 DPAUDIT_LANE_INLINE void AccumulateLanesBody(const float* const* x,
                                              const float* d,
                                              const LaneTerm* terms,
                                              size_t count, size_t n,
                                              float* a, float* b) {
-  constexpr size_t kChunk = 64;
-  for (size_t e0 = 0; e0 < n; e0 += kChunk) {
-    const size_t m = std::min(kChunk, n - e0);
+  constexpr size_t kTile = 64;
+  for (size_t e0 = 0; e0 < n; e0 += kTile) {
+    const size_t m = std::min(kTile, n - e0);
     for (size_t l = 0; l < count; ++l) {
       const float* xl = x[l] + e0;
       const double scale = terms[l].scale;
@@ -271,11 +273,56 @@ void AccumulateLanes(const float* const* x, const float* d,
   AccumulateLanesBody(x, d, terms, count, n, a, b);
 }
 
+/// The ordered hand-off between the participants of a clip region. Pack p
+/// is computed into ring slot p % slots once the slot's previous pack has
+/// been reduced, and is reduced once every pack < p has been, by whichever
+/// participant holds the reducer turn: a participant that publishes a pack
+/// takes the turn if it is free and keeps it while the next pack is ready.
+/// A participant that finds the turn taken leaves at once; the holder sees
+/// its pack before letting go. The sums thus receive the packs in pack order
+/// — the order of one participant — and no participant waits on a barrier.
+class OrderedReduction {
+ public:
+  explicit OrderedReduction(size_t slots) : ready_(slots, 0) {}
+
+  /// Blocks until pack p's slot no longer holds an unreduced pack.
+  void AwaitSlot(size_t p) {
+    std::unique_lock<std::mutex> lock(mu_);
+    slot_free_.wait(lock, [&] { return p < reduced_ + ready_.size(); });
+  }
+
+  /// Marks pack p computed, then runs reduce(q) for each ready pack q the
+  /// turn reaches, in ascending q, outside the lock.
+  template <typename Reduce>
+  void Publish(size_t p, const Reduce& reduce) {
+    std::unique_lock<std::mutex> lock(mu_);
+    ready_[p % ready_.size()] = 1;
+    if (reducing_) return;
+    reducing_ = true;
+    while (ready_[reduced_ % ready_.size()] != 0) {
+      const size_t q = reduced_;
+      lock.unlock();
+      reduce(q);
+      lock.lock();
+      ready_[q % ready_.size()] = 0;
+      ++reduced_;
+      slot_free_.notify_all();
+    }
+    reducing_ = false;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable slot_free_;
+  std::vector<uint8_t> ready_;  // per slot: its pack is computed
+  size_t reduced_ = 0;          // packs [0, reduced_) are in the sums
+  bool reducing_ = false;       // some participant holds the reducer turn
+};
+
 }  // namespace
 
 GradientEngine::GradientEngine(const Network& architecture, Options options)
     : threads_(options.threads == 0 ? DefaultThreadCount() : options.threads),
-      chunk_(std::max<size_t>(1, options.chunk)),
       lanes_(options.batch_lanes == Options::kBatchLanesAuto
                  ? BatchLanesFromEnv()
                  : std::min(options.batch_lanes, kMaxBatchLanes)),
@@ -283,30 +330,16 @@ GradientEngine::GradientEngine(const Network& architecture, Options options)
       ranges_(architecture.LayerParamRanges()) {
   // A lane count of 1 is just the scalar pass with pack overhead.
   if (lanes_ == 1 || !architecture.SupportsBatchLanes()) lanes_ = 0;
-  // Chunks always hold whole packs so ragged packs only appear at the end of
-  // a wave or the dataset (raggedness cannot affect results either way).
-  if (lanes_ > 0) {
-    chunk_ = ((std::max(chunk_, lanes_) + lanes_ - 1) / lanes_) * lanes_;
-  }
   replicas_.reserve(threads_);
   for (size_t t = 0; t < threads_; ++t) {
     replicas_.push_back(architecture.Clone());
   }
   workspaces_.resize(threads_);
-  // One thread alternates two records (one pending, one being computed);
-  // parallel mode holds a wave's.
-  records_.resize(threads_ == 1
-                      ? 2
-                      : threads_ * chunk_ / std::max<size_t>(1, lanes_));
+  // Two records per participant: one being computed and one waiting for
+  // its turn to be accumulated.
+  records_.resize(2 * threads_);
   pack_inputs_.resize(threads_);
   pack_labels_.resize(threads_);
-  // Worker-affine state (per-worker model replicas and workspaces indexed by
-  // worker id) needs a dedicated pool with a stable width; the shared pool's
-  // width is a process-global setting. One pool per engine, reused across
-  // every wave of the training run — not per-call churn.
-  if (threads_ > 1) {
-    pool_ = std::make_unique<ThreadPool>(threads_);  // NOLINT(dpaudit-raw-pool)
-  }
 }
 
 void GradientEngine::SyncParams(const Network& source) {
@@ -315,7 +348,7 @@ void GradientEngine::SyncParams(const Network& source) {
   for (Network& replica : replicas_) replica.SetFlatParams(flat);
 }
 
-void GradientEngine::ComputeLaneRecord(size_t worker,
+void GradientEngine::ComputeLaneRecord(size_t participant,
                                        const std::vector<const Tensor*>& inputs,
                                        const size_t* labels, size_t begin,
                                        size_t count, NormMode mode,
@@ -325,19 +358,19 @@ void GradientEngine::ComputeLaneRecord(size_t worker,
   // wrappers pin the lane count, and the runtime-width fallback is slower
   // than the scalar route. So a mostly-full tail is padded to the full
   // width with copies of its last example.
-  std::vector<const Tensor*>& pack_in = pack_inputs_[worker];
+  std::vector<const Tensor*>& pack_in = pack_inputs_[participant];
   pack_in.assign(inputs.begin() + begin, inputs.begin() + begin + count);
   pack_in.resize(lanes_, pack_in[count - 1]);
   const size_t* pack_labels = labels + begin;
   if (count < lanes_) {
-    std::vector<size_t>& padded = pack_labels_[worker];
+    std::vector<size_t>& padded = pack_labels_[participant];
     padded.assign(labels + begin, labels + begin + count);
     padded.resize(lanes_, padded[count - 1]);
     pack_labels = padded.data();
   }
-  GradientWorkspace& ws = workspaces_[worker];
-  replicas_[worker].LaneGradientsInto(pack_in.data(), pack_labels, lanes_,
-                                      &ws);
+  GradientWorkspace& ws = workspaces_[participant];
+  replicas_[participant].LaneGradientsInto(pack_in.data(), pack_labels,
+                                           lanes_, &ws);
 
   // The record keeps the pack's compact gradient for its accumulate pass:
   // each block's row factors as they are, and its column factors
@@ -400,7 +433,7 @@ bool GradientEngine::LaneRoute(bool use_lanes, size_t count) const {
   return use_lanes && count * 2 > lanes_;
 }
 
-void GradientEngine::ComputeRecord(size_t worker,
+void GradientEngine::ComputeRecord(size_t participant,
                                    const std::vector<const Tensor*>& inputs,
                                    const size_t* labels, size_t begin,
                                    size_t count, bool use_lanes,
@@ -414,8 +447,8 @@ void GradientEngine::ComputeRecord(size_t worker,
                                     static_cast<double>(lanes_));
   }
   if (LaneRoute(use_lanes, count)) {
-    ComputeLaneRecord(worker, inputs, labels, begin, count, mode, pending,
-                      record);
+    ComputeLaneRecord(participant, inputs, labels, begin, count, mode,
+                      pending, record);
   } else {
     DPAUDIT_CHECK(pending.record == nullptr);
     const size_t per_example = NormsPerExample(mode);
@@ -425,9 +458,9 @@ void GradientEngine::ComputeRecord(size_t worker,
     record->norms.resize(count * per_example);
     for (size_t k = 0; k < count; ++k) {
       float* grad = record->data.data() + k * num_params_;
-      replicas_[worker].PerExampleGradientTo(*inputs[begin + k],
-                                             labels[begin + k],
-                                             &workspaces_[worker], grad);
+      replicas_[participant].PerExampleGradientTo(
+          *inputs[begin + k], labels[begin + k], &workspaces_[participant],
+          grad);
       double* norms = record->norms.data() + k * per_example;
       if (mode == NormMode::kWhole) {
         norms[0] = L2Norm(grad, num_params_);
@@ -530,69 +563,47 @@ GradientEngine::ClippedSums GradientEngine::ClipAndSum(
   // route, which is bit-identical anyway.
   const bool use_lanes = lanes_ > 0 && HomogeneousShapes(inputs);
   const size_t group = std::max<size_t>(1, lanes_);
-  if (threads_ == 1) {
-    // Each record is accumulated once the next one is computed: where the
-    // kernels allow, two lane packs in a row finish the first inside the
-    // second's norm pass.
-    PendingPack pending{nullptr, nullptr, &out};
-    for (size_t j = 0, k = 0; j < n; j += group, ++k) {
-      const size_t count = std::min(group, n - j);
-      PackRecord& record = records_[k % 2];
-      const bool merge = pending.record != nullptr &&
-                         pending.record->lane_route &&
-                         LaneRoute(use_lanes, count) &&
-                         CanFuseNormPass(lanes_);
-      if (pending.record != nullptr && !merge) {
-        Accumulate(*pending.record, pending.sums, mode, &out);
-      }
-      ComputeRecord(0, inputs, labels.data(), j, count, use_lanes, mode, clip,
-                    merge ? pending : PendingPack{nullptr, nullptr, &out},
-                    &record);
-      out.norms.insert(out.norms.end(), record.norms.begin(),
-                       record.norms.end());
-      pending.record = &record;
-      pending.sums = sums.data() + j;
-    }
-    if (pending.record != nullptr) {
-      Accumulate(*pending.record, pending.sums, mode, &out);
-    }
-    return out;
-  }
-  // Waves of threads * chunk examples: workers claim fixed-size chunks from
-  // an atomic cursor and fill the wave's records (gradients, norms and clip
-  // scales), then the calling thread accumulates the records in example
-  // order. The work-claiming schedule balances load but cannot affect
-  // results: records are computed independently and only the ordered
-  // accumulation reduces them.
-  const size_t wave = threads_ * chunk_;
-  for (size_t begin = 0; begin < n; begin += wave) {
-    const size_t end = std::min(n, begin + wave);
-    std::atomic<size_t> next{begin};
-    for (size_t t = 0; t < threads_; ++t) {
-      pool_->Schedule([this, t, begin, end, group, mode, clip, use_lanes,
-                       &next, &inputs, &labels] {
-        for (;;) {
-          const size_t chunk_begin = next.fetch_add(chunk_);
-          if (chunk_begin >= end) return;
-          const size_t chunk_end = std::min(end, chunk_begin + chunk_);
-          // Chunk size is a multiple of the group size, so ragged groups
-          // only occur against the wave/dataset tail at chunk_end.
-          for (size_t j = chunk_begin; j < chunk_end; j += group) {
-            ComputeRecord(t, inputs, labels.data(), j,
-                          std::min(group, chunk_end - j), use_lanes, mode,
-                          clip, PendingPack{nullptr, nullptr, nullptr},
-                          &records_[(j - begin) / group]);
+  const size_t packs = (n + group - 1) / group;
+  const size_t per_example = NormsPerExample(mode);
+  out.norms.resize(n * per_example);
+  // A sole participant computes every pack in order, so it holds each pack
+  // back for the next one: where the kernels allow, the next pack's norm
+  // pass accumulates it. Several participants hand packs to the ordered
+  // reduction instead.
+  const bool sole = std::min(threads_, packs) == 1;
+  PendingPack pending{nullptr, nullptr, &out};
+  OrderedReduction reduction(records_.size());
+  ThreadPool::ParallelForChunked(
+      packs, threads_, /*grain=*/1, [&](size_t p, size_t participant) {
+        const size_t j = p * group;
+        const size_t count = std::min(group, n - j);
+        PackRecord& record = records_[p % records_.size()];
+        PendingPack fused{nullptr, nullptr, &out};
+        if (!sole) {
+          reduction.AwaitSlot(p);
+        } else if (pending.record != nullptr) {
+          if (pending.record->lane_route && LaneRoute(use_lanes, count) &&
+              CanFuseNormPass(lanes_)) {
+            fused = pending;
+          } else {
+            Accumulate(*pending.record, pending.sums, mode, &out);
           }
         }
+        ComputeRecord(participant, inputs, labels.data(), j, count, use_lanes,
+                      mode, clip, fused, &record);
+        std::copy(record.norms.begin(), record.norms.end(),
+                  out.norms.begin() + j * per_example);
+        if (sole) {
+          pending = {&record, sums.data() + j, &out};
+        } else {
+          reduction.Publish(p, [&](size_t q) {
+            Accumulate(records_[q % records_.size()],
+                       sums.data() + q * group, mode, &out);
+          });
+        }
       });
-    }
-    pool_->Wait();
-    for (size_t j = begin; j < end; j += group) {
-      const PackRecord& record = records_[(j - begin) / group];
-      out.norms.insert(out.norms.end(), record.norms.begin(),
-                       record.norms.end());
-      Accumulate(record, sums.data() + j, mode, &out);
-    }
+  if (pending.record != nullptr) {
+    Accumulate(*pending.record, pending.sums, mode, &out);
   }
   return out;
 }

@@ -2,17 +2,21 @@
 //
 // DPSGD needs, at every step, the sum of every record's clipped
 // per-example gradient at the current weights — for the audit, two such
-// sums, one per neighbouring dataset. The engine computes the gradients
-// across a fixed set of worker replicas (each worker owns a deep copy of the
-// network plus a reusable GradientWorkspace, so workers never share layer
-// caches and the steady state performs no per-example heap allocation),
-// clips them, and adds them into the sums ON THE CALLING THREAD in ascending
-// example order. No caller ever sees a per-example gradient; the engine
-// returns the sums and the pre-clip norms.
+// sums, one per neighbouring dataset. Each call is one parallel region on
+// the shared pool (util/thread_pool.h) over packs of examples. Every
+// participant of the region owns a deep copy of the network plus a reusable
+// GradientWorkspace, indexed by its participant index, so participants never
+// share layer caches and the steady state performs no per-example heap
+// allocation. A participant computes and clips a pack, then hands it to an
+// ordered reduction: pack p is added into the sums as soon as packs < p have
+// been, by whichever participant holds the reducer turn. A sole participant
+// runs inline on the calling thread and, where the kernels allow, finishes
+// each pack inside the next pack's norm pass. No caller ever sees a
+// per-example gradient; the engine returns the sums and the pre-clip norms.
 //
 // Determinism contract: a per-example gradient depends only on the
-// parameters and the example, never on which worker computes it or in what
-// order, and every reduction happens in a fixed order: each norm is one
+// parameters and the example, never on which participant computes it or in
+// what order, and every reduction happens in a fixed order: each norm is one
 // ascending double chain over the flat gradient (L2Norm's), and each sum
 // element receives its examples' terms float(scale * double(g)) in example
 // order (AccumulateScaled's). Results are therefore bit-identical for any
@@ -20,7 +24,7 @@
 // Network.
 //
 // The batched lane path (DPAUDIT_BATCH_LANES, default 8) extends the same
-// contract to lane packs: a worker pushes up to B same-shaped examples
+// contract to lane packs: a participant pushes up to B same-shaped examples
 // through the layers' lane-SoA entry points, where each lane keeps its own
 // accumulators advancing in the scalar path's ascending order. The clip
 // stage then reads the layers' gradient blocks in place — stored lane-SoA
@@ -38,12 +42,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "nn/network.h"
 #include "tensor/tensor.h"
-#include "util/thread_pool.h"
 
 namespace dpaudit {
 
@@ -53,14 +55,10 @@ class GradientEngine {
     /// Sentinel for batch_lanes: resolve from DPAUDIT_BATCH_LANES.
     static constexpr size_t kBatchLanesAuto = static_cast<size_t>(-1);
 
-    /// Worker count; 0 means DefaultThreadCount(). With one worker the
-    /// engine runs inline on the calling thread.
+    /// Region width (participants, the caller included); 0 means
+    /// DefaultThreadCount(). With one participant the engine runs inline
+    /// on the calling thread.
     size_t threads = 0;
-    /// Examples claimed per unit of scheduled work. Parallel mode computes
-    /// threads * chunk examples per wave and then accumulates the wave on
-    /// the calling thread. Raised to batch_lanes when smaller, so chunks
-    /// always hold whole packs.
-    size_t chunk = 16;
     /// Lane count for the batched forward/backward path: 0 selects the
     /// legacy one-example-at-a-time path, kBatchLanesAuto reads
     /// DPAUDIT_BATCH_LANES (default 8). Clamped to kMaxBatchLanes; forced
@@ -102,8 +100,8 @@ class GradientEngine {
     return ranges_;
   }
 
-  /// Copies `source`'s parameters into every worker replica. Call once per
-  /// training step, before computing gradients at the new weights.
+  /// Copies `source`'s parameters into every participant's replica. Call
+  /// once per training step, before computing gradients at the new weights.
   void SyncParams(const Network& source);
 
   /// The clip stage. Clips the gradient of every (inputs[j], labels[j]) —
@@ -138,9 +136,9 @@ class GradientEngine {
     size_t range;  // LayerParamRanges index
   };
 
-  /// One group of up to max(1, lanes_) consecutive examples after a worker
-  /// has computed and normed it: everything the calling thread needs to add
-  /// the group to the sums in example order.
+  /// One group of up to max(1, lanes_) consecutive examples after a
+  /// participant has computed and normed it: everything the reducer needs to
+  /// add the group to the sums in example order.
   struct PackRecord {
     size_t count = 0;
     /// Lane route: `data` holds each block's row factors (lane-SoA, lanes_
@@ -153,9 +151,10 @@ class GradientEngine {
     std::vector<double> scales;  // parallel to norms
   };
 
-  /// A lane pack whose accumulate pass has not run yet: its record, its
-  /// examples' sum flags and the sums they go into. The next lane pack's
-  /// norm pass finishes it (see ComputeLaneRecord; 8 lanes with AVX2+FMA).
+  /// A pack whose accumulate pass has not run yet: its record, its
+  /// examples' sum flags and the sums they go into. A sole participant's
+  /// next lane pack finishes it in its norm pass (see ComputeLaneRecord;
+  /// 8 lanes with AVX2+FMA).
   struct PendingPack {
     const PackRecord* record;
     const uint8_t* sums;
@@ -169,22 +168,23 @@ class GradientEngine {
   /// True when a group of `count` examples takes the lane route.
   bool LaneRoute(bool use_lanes, size_t count) const;
 
-  /// Computes examples [begin, begin + count) into `record` on `worker`:
-  /// gradients, norms and clip scales. `count` may be ragged (< lanes_) at
-  /// chunk and dataset tails: a mostly-full tail is padded to the full lane
-  /// width with copies of its last example (padded lanes never reach the
-  /// norms or the sums — lanes are independent, so the real lanes are
-  /// untouched), while a mostly-empty tail runs the scalar route.
+  /// Computes examples [begin, begin + count) into `record` on
+  /// `participant`'s replica: gradients, norms and clip scales. `count` may
+  /// be ragged (< lanes_) at the dataset tail: a mostly-full tail is padded
+  /// to the full lane width with copies of its last example (padded lanes
+  /// never reach the norms or the sums — lanes are independent, so the real
+  /// lanes are untouched), while a mostly-empty tail runs the scalar route.
   /// Bit-identical either way; the split only picks the cheaper route. A
   /// non-null `pending.record` (lane route only) is accumulated during the
   /// norm pass.
-  void ComputeRecord(size_t worker, const std::vector<const Tensor*>& inputs,
+  void ComputeRecord(size_t participant,
+                     const std::vector<const Tensor*>& inputs,
                      const size_t* labels, size_t begin, size_t count,
                      bool use_lanes, NormMode mode, double clip,
                      const PendingPack& pending, PackRecord* record);
 
   /// Lane route of ComputeRecord for one pack, without the clip scales.
-  void ComputeLaneRecord(size_t worker,
+  void ComputeLaneRecord(size_t participant,
                          const std::vector<const Tensor*>& inputs,
                          const size_t* labels, size_t begin, size_t count,
                          NormMode mode, const PendingPack& pending,
@@ -203,18 +203,16 @@ class GradientEngine {
                        const LaneGradBlock* next, double* next_sq) const;
 
   size_t threads_;
-  size_t chunk_;
   size_t lanes_;  // 0 = scalar path
   size_t num_params_;
   std::vector<Network::ParamRange> ranges_;
-  std::vector<Network> replicas_;              // one per worker
-  std::vector<GradientWorkspace> workspaces_;  // one per worker
-  std::vector<PackRecord> records_;            // a wave's groups (or 2)
-  // Per-worker pack argument scratch (input pointers and padded labels),
-  // reused across packs so steady state stays allocation-free.
+  std::vector<Network> replicas_;              // one per participant
+  std::vector<GradientWorkspace> workspaces_;  // one per participant
+  std::vector<PackRecord> records_;  // ring of packs, 2 per participant
+  // Per-participant pack argument scratch (input pointers and padded
+  // labels), reused across packs so steady state stays allocation-free.
   std::vector<std::vector<const Tensor*>> pack_inputs_;
   std::vector<std::vector<size_t>> pack_labels_;
-  std::unique_ptr<ThreadPool> pool_;  // absent when threads_ == 1
 };
 
 }  // namespace dpaudit

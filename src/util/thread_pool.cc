@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <memory>
 
 #include "util/env.h"
 #include "util/logging.h"
@@ -26,6 +25,30 @@ void SetThreadPoolTelemetryHooks(const ThreadPoolTelemetryHooks* hooks) {
   g_pool_hooks.store(hooks, std::memory_order_release);
 }
 
+// One region: the body, the shared cursor, and the count of runners that
+// are queued or running. `runners` is guarded by the pool's mutex, so a
+// runner's last access to the region happens before Retract() can return.
+struct ThreadPool::Region {
+  const ParticipantBody* fn = nullptr;
+  size_t n = 0;
+  size_t grain = 1;
+  std::atomic<size_t> next{0};
+  size_t runners = 0;
+
+  // Self-scheduling loop: claim `grain` consecutive indices from the shared
+  // cursor, run them, repeat until the range is exhausted. The runners and
+  // the calling thread all execute this, so the region always makes
+  // progress even when no runner starts.
+  void Drain(size_t participant) {
+    for (;;) {
+      const size_t begin = next.fetch_add(grain, std::memory_order_relaxed);
+      if (begin >= n) return;
+      const size_t end = std::min(n, begin + grain);
+      for (size_t i = begin; i < end; ++i) (*fn)(i, participant);
+    }
+  }
+};
+
 ThreadPool::ThreadPool(size_t num_threads) {
   num_threads = std::max<size_t>(1, num_threads);
   workers_.reserve(num_threads);
@@ -43,10 +66,10 @@ ThreadPool::~ThreadPool() {
   for (std::thread& t : workers_) t.join();
 }
 
-void ThreadPool::Schedule(std::function<void()> fn) {
-  DPAUDIT_CHECK(fn != nullptr);
+void ThreadPool::Schedule(Region* region, size_t participant) {
   Task task;
-  task.fn = std::move(fn);
+  task.region = region;
+  task.participant = participant;
   task.hooks = g_pool_hooks.load(std::memory_order_acquire);
   if (task.hooks != nullptr) {
     task.context = task.hooks->capture_context();
@@ -57,8 +80,8 @@ void ThreadPool::Schedule(std::function<void()> fn) {
   {
     std::unique_lock<std::mutex> lock(mu_);
     DPAUDIT_CHECK(!shutting_down_) << "Schedule() after shutdown";
-    queue_.push(std::move(task));
-    ++in_flight_;
+    queue_.push_back(task);
+    ++region->runners;
     depth = queue_.size();
   }
   work_available_.notify_one();
@@ -67,9 +90,16 @@ void ThreadPool::Schedule(std::function<void()> fn) {
   }
 }
 
-void ThreadPool::Wait() {
+void ThreadPool::Retract(Region* region) {
   std::unique_lock<std::mutex> lock(mu_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
+  const auto unstarted =
+      std::remove_if(queue_.begin(), queue_.end(),
+                     [region](const Task& task) {
+                       return task.region == region;
+                     });
+  region->runners -= static_cast<size_t>(queue_.end() - unstarted);
+  queue_.erase(unstarted, queue_.end());
+  runner_finished_.wait(lock, [region] { return region->runners == 0; });
 }
 
 void ThreadPool::WorkerLoop() {
@@ -83,93 +113,68 @@ void ThreadPool::WorkerLoop() {
         if (shutting_down_) return;
         continue;
       }
-      task = std::move(queue_.front());
-      queue_.pop();
+      task = queue_.front();
+      queue_.pop_front();
     }
     if (task.hooks != nullptr) {
       const uint64_t start_ns = PoolNowNs();
       const void* previous = task.hooks->enter_context(task.context);
-      task.fn();
+      task.region->Drain(task.participant);
       task.hooks->exit_context(previous);
       const uint64_t end_ns = PoolNowNs();
       task.hooks->record_task_ns(start_ns - task.enqueue_ns,
                                  end_ns - start_ns);
     } else {
-      task.fn();
+      task.region->Drain(task.participant);
     }
     {
       std::unique_lock<std::mutex> lock(mu_);
-      --in_flight_;
-      if (in_flight_ == 0) all_done_.notify_all();
+      if (--task.region->runners == 0) runner_finished_.notify_all();
     }
   }
 }
 
-namespace {
-
-// Shared state of one ParallelFor region. Held by shared_ptr: a runner task
-// that wakes after the region completed (every chunk already claimed) only
-// touches the atomic cursor and returns, so the caller may leave the region
-// while late runners still hold a reference.
-struct ParallelForState {
-  std::function<void(size_t)> fn;
-  size_t n = 0;
-  size_t grain = 1;
-  std::atomic<size_t> next{0};
-  std::mutex mu;
-  std::condition_variable done;
-  size_t completed = 0;  // guarded by mu
-};
-
-// Self-scheduling loop: claim `grain` consecutive indices from the shared
-// cursor, run them, repeat until the range is exhausted. Both the pool
-// runners and the calling thread execute this, so the region always makes
-// progress even when every pool worker is busy elsewhere (nested regions).
-void DrainParallelFor(const std::shared_ptr<ParallelForState>& state) {
-  for (;;) {
-    const size_t begin =
-        state->next.fetch_add(state->grain, std::memory_order_relaxed);
-    if (begin >= state->n) return;
-    const size_t end = std::min(state->n, begin + state->grain);
-    for (size_t i = begin; i < end; ++i) state->fn(i);
-    std::lock_guard<std::mutex> lock(state->mu);
-    state->completed += end - begin;
-    if (state->completed == state->n) state->done.notify_all();
-  }
+void ThreadPool::ParallelFor(size_t n, size_t num_threads, const Body& fn) {
+  ParallelForChunked(n, num_threads, /*grain=*/0, fn);
 }
 
-}  // namespace
-
 void ThreadPool::ParallelFor(size_t n, size_t num_threads,
-                             const std::function<void(size_t)>& fn) {
+                             const ParticipantBody& fn) {
   ParallelForChunked(n, num_threads, /*grain=*/0, fn);
 }
 
 void ThreadPool::ParallelForChunked(size_t n, size_t num_threads, size_t grain,
-                                    const std::function<void(size_t)>& fn) {
+                                    const Body& fn) {
+  ParallelForChunked(n, num_threads, grain,
+                     ParticipantBody([&fn](size_t i, size_t) { fn(i); }));
+}
+
+void ThreadPool::ParallelForChunked(size_t n, size_t num_threads, size_t grain,
+                                    const ParticipantBody& fn) {
   if (n == 0) return;
-  if (num_threads <= 1 || n == 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
+  const size_t width = std::min(num_threads, n);
+  if (width <= 1) {
+    for (size_t i = 0; i < n; ++i) fn(i, 0);
     return;
   }
   ThreadPool& pool = SharedThreadPool();
-  auto state = std::make_shared<ParallelForState>();
-  state->fn = fn;
-  state->n = n;
-  const size_t width = std::min(num_threads, n);
+  Region region;
+  region.fn = &fn;
+  region.n = n;
   // Auto grain: ~4 chunks per participant balances cursor traffic against
   // tail imbalance for cheap bodies; callers with heavyweight bodies pass 1.
-  state->grain = grain > 0 ? grain : std::max<size_t>(1, n / (4 * width));
-  // The caller drains chunks too, so schedule one runner fewer than the
-  // width; extra runners beyond the pool size would only queue up behind
-  // each other.
+  region.grain = grain > 0 ? grain : std::max<size_t>(1, n / (4 * width));
+  // The caller is participant 0, so one runner fewer than the width; runners
+  // beyond the pool size would only queue up behind each other.
   const size_t runners = std::min(width - 1, pool.num_threads());
-  for (size_t r = 0; r < runners; ++r) {
-    pool.Schedule([state] { DrainParallelFor(state); });
+  for (size_t r = 1; r <= runners; ++r) pool.Schedule(&region, r);
+  try {
+    region.Drain(0);
+  } catch (...) {
+    pool.Retract(&region);
+    throw;
   }
-  DrainParallelFor(state);
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->done.wait(lock, [&] { return state->completed == state->n; });
+  pool.Retract(&region);
 }
 
 ThreadPool& SharedThreadPool() {

@@ -1,4 +1,4 @@
-// Fixed-size worker pool used to fan out independent experiment repetitions.
+// The process-wide worker pool and the parallel regions that run on it.
 //
 // Determinism contract: callers pass per-task seeds derived via Rng::Split, so
 // results do not depend on which worker executes which task.
@@ -9,9 +9,9 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -22,8 +22,8 @@ namespace dpaudit {
 /// spans opened inside pool tasks nest under the scheduler's span — see
 /// obs/span.h). Installed process-wide by obs/telemetry when telemetry is
 /// enabled; with no hooks installed the pool pays one relaxed atomic load
-/// per task. The hook pointer seen at Schedule() time travels with the task,
-/// so a task is either fully instrumented or not at all.
+/// per task. The hook pointer seen when a task is queued travels with it, so
+/// a task is either fully instrumented or not at all.
 struct ThreadPoolTelemetryHooks {
   /// Called on the scheduling thread; the token travels with the task.
   const void* (*capture_context)();
@@ -44,77 +44,101 @@ struct ThreadPoolTelemetryHooks {
 /// must outlive every pool task scheduled while it is installed.
 void SetThreadPoolTelemetryHooks(const ThreadPoolTelemetryHooks* hooks);
 
-/// A minimal thread pool. Schedule() enqueues work; the destructor drains the
-/// queue and joins all workers. Not copyable or movable.
+/// A fixed set of workers that runs parallel regions. Parallel work has one
+/// entry point, ParallelFor / ParallelForChunked, and one pool,
+/// SharedThreadPool(): the constructor is private and that function is its
+/// only caller, so no other pool can exist and no caller can leave a task
+/// queued past its region. (A second pool would oversubscribe the machine,
+/// pay thread spawn/join per owner, and need its own teardown story.)
+///
+/// A region of width w has participants 0..w-1. The calling thread is
+/// participant 0; participants 1..w-1 are runner tasks queued on the pool.
+/// Each participant repeatedly claims a chunk of the index range from a
+/// shared cursor and runs the body on it, so the region completes even when
+/// no runner ever starts (every worker busy, e.g. in an enclosing region).
+/// Before a region returns it retracts the runners that have not started
+/// from the queue and waits only for the ones that did; nothing outlives the
+/// call, so the region's state lives on the caller's stack.
 class ThreadPool {
  public:
-  /// Starts `num_threads` workers (at least 1).
-  explicit ThreadPool(size_t num_threads);
+  /// The region body: index in [0, n), and participant in [0, width). A
+  /// participant index is held by one thread for the whole region, so
+  /// per-participant state (model replicas, scratch buffers) indexed by it
+  /// is never shared.
+  using Body = std::function<void(size_t index)>;
+  using ParticipantBody = std::function<void(size_t index, size_t participant)>;
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  /// Drains the (by then empty) queue and joins all workers.
   ~ThreadPool();
-
-  /// Enqueues `fn` for execution on some worker.
-  void Schedule(std::function<void()> fn);
-
-  /// Blocks until every scheduled task has finished.
-  void Wait();
 
   size_t num_threads() const { return workers_.size(); }
 
   /// Runs fn(i) for i in [0, n) and waits for completion. `fn` must be safe
   /// to invoke concurrently for distinct i.
   ///
-  /// Dispatches dynamically sized chunks of the index range on the shared
-  /// persistent pool (SharedThreadPool()) instead of spawning a pool per
-  /// call; `num_threads` caps how many workers participate in THIS loop, not
-  /// how many threads exist. The calling thread claims chunks alongside the
-  /// workers, which (a) removes one scheduled task of latency and (b) makes
-  /// nested calls — a ParallelFor issued from inside a pool task — deadlock
-  /// free: the inner caller can always drain its own range even when every
-  /// worker is busy. num_threads <= 1 (or n == 1) runs inline, in order, on
-  /// the caller.
+  /// The region's width is min(num_threads, n): `num_threads` caps how many
+  /// participants share THIS loop, not how many threads exist. Nested calls
+  /// — a ParallelFor issued from inside a region body — cannot deadlock,
+  /// because the inner caller drains its own range itself. A width of 1
+  /// (num_threads <= 1 or n == 1) runs inline, in index order, on the
+  /// caller as participant 0.
+  static void ParallelFor(size_t n, size_t num_threads, const Body& fn);
   static void ParallelFor(size_t n, size_t num_threads,
-                          const std::function<void(size_t)>& fn);
+                          const ParticipantBody& fn);
 
-  /// ParallelFor with an explicit chunk size: workers repeatedly claim
-  /// `grain` consecutive indices from a shared cursor (work stealing in the
-  /// self-scheduling sense — an idle worker takes the next chunk no matter
-  /// which conceptual "cell" it belongs to). grain = 0 picks a default that
-  /// amortizes the cursor contention for cheap bodies; heavyweight bodies
-  /// (experiment trials) should pass grain = 1 for maximal balance.
+  /// ParallelFor with an explicit chunk size: participants repeatedly claim
+  /// `grain` consecutive indices from the shared cursor (self-scheduling —
+  /// an idle participant takes the next chunk no matter which conceptual
+  /// "cell" it belongs to). grain = 0 picks a default that amortizes the
+  /// cursor contention for cheap bodies; heavyweight bodies (experiment
+  /// trials) should pass grain = 1 for maximal balance.
   static void ParallelForChunked(size_t n, size_t num_threads, size_t grain,
-                                 const std::function<void(size_t)>& fn);
+                                 const Body& fn);
+  static void ParallelForChunked(size_t n, size_t num_threads, size_t grain,
+                                 const ParticipantBody& fn);
 
  private:
+  friend ThreadPool& SharedThreadPool();
+
+  struct Region;  // one region's cursor and body, on its caller's stack
+
   struct Task {
-    std::function<void()> fn;
-    const ThreadPoolTelemetryHooks* hooks = nullptr;  // seen at Schedule()
+    Region* region = nullptr;
+    size_t participant = 0;
+    const ThreadPoolTelemetryHooks* hooks = nullptr;  // seen when queued
     const void* context = nullptr;                    // captured span context
     uint64_t enqueue_ns = 0;
   };
+
+  /// Starts `num_threads` workers (at least 1).
+  explicit ThreadPool(size_t num_threads);
+
+  /// Queues a runner that joins `region` as `participant`.
+  void Schedule(Region* region, size_t participant);
+
+  /// Removes `region`'s runners that have not started from the queue, then
+  /// waits until the started ones have finished.
+  void Retract(Region* region);
 
   void WorkerLoop();
 
   std::mutex mu_;
   std::condition_variable work_available_;
-  std::condition_variable all_done_;
-  std::queue<Task> queue_;
-  size_t in_flight_ = 0;
+  std::condition_variable runner_finished_;
+  std::deque<Task> queue_;
   bool shutting_down_ = false;
   std::vector<std::thread> workers_;
 };
 
-/// The process-wide persistent pool every ParallelFor (and the sweep
-/// scheduler, core/sweep_scheduler.h) dispatches on. Created on first use
-/// with DefaultThreadCount() workers — so DPAUDIT_THREADS is read once, at
-/// the first parallel region — and torn down at static destruction, joining
-/// all workers (no leaked threads under LeakSanitizer). Do not construct
-/// ThreadPool directly outside util/ (enforced by the dpaudit-raw-pool lint
-/// rule); schedule through this instance so the process never pays per-call
-/// thread spawn/join and never oversubscribes the machine with rival pools.
+/// The process-wide persistent pool every region (and with it the sweep
+/// scheduler, core/sweep_scheduler.h, and the gradient engine,
+/// nn/gradient_engine.h) runs on. Created on first use with
+/// DefaultThreadCount() workers — so DPAUDIT_THREADS is read once, at the
+/// first parallel region — and torn down at static destruction, joining all
+/// workers (no leaked threads under LeakSanitizer).
 ThreadPool& SharedThreadPool();
 
 /// Number of workers to use by default: hardware concurrency clamped to

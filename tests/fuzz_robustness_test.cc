@@ -111,7 +111,7 @@ TEST(FuzzTest, CorruptionIsActuallyDetected) {
 }
 
 TEST(FuzzTest, BatchLanesSurviveRaggedFinalPacks) {
-  // Random (n, lanes, chunk) combinations, biased so the final pack is
+  // Random (n, lanes, threads) combinations, biased so the final pack is
   // almost always ragged (n % lanes != 0). The lane engine must neither
   // crash nor drift from the scalar reference by a single bit.
   Rng rng(9);
@@ -126,7 +126,6 @@ TEST(FuzzTest, BatchLanesSurviveRaggedFinalPacks) {
 
     GradientEngine::Options options;
     options.threads = 1 + rng.UniformInt(4);
-    options.chunk = 1 + rng.UniformInt(8);
     options.batch_lanes = 1 + rng.UniformInt(16);
     GradientEngine engine(net, options);
     engine.SyncParams(net);
@@ -136,8 +135,7 @@ TEST(FuzzTest, BatchLanesSurviveRaggedFinalPacks) {
     for (size_t i = 0; i < ref.size(); ++i) {
       ASSERT_EQ(ref[i], sum[i])
           << "trial=" << trial << " n=" << n << " lanes=" << options.batch_lanes
-          << " threads=" << options.threads << " chunk=" << options.chunk
-          << " i=" << i;
+          << " threads=" << options.threads << " i=" << i;
     }
   }
 }

@@ -1,15 +1,33 @@
-#include "nn/gradient_check.h"
+// Finite-difference gradient verification for the layer tests.
+
+#ifndef DPAUDIT_TESTS_GRADIENT_CHECK_H_
+#define DPAUDIT_TESTS_GRADIENT_CHECK_H_
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <vector>
 
+#include "nn/network.h"
+#include "tensor/tensor.h"
 #include "util/logging.h"
 
 namespace dpaudit {
 
-GradientCheckResult CheckNetworkGradient(Network& net, const Tensor& input,
-                                         size_t label, double step,
-                                         size_t stride) {
+struct GradientCheckResult {
+  double max_abs_error;   // worst |analytic - numeric| over checked params
+  double max_rel_error;   // worst relative error over checked params
+  size_t params_checked;
+};
+
+/// Compares the analytic per-example gradient of `net` on (input, label) to a
+/// central-difference approximation. `stride` subsamples parameters (check
+/// every stride-th) to keep O(P) forward passes affordable in tests.
+inline GradientCheckResult CheckNetworkGradient(Network& net,
+                                                const Tensor& input,
+                                                size_t label,
+                                                double step = 1e-3,
+                                                size_t stride = 1) {
   DPAUDIT_CHECK_GT(step, 0.0);
   DPAUDIT_CHECK_GT(stride, 0u);
   std::vector<float> analytic = net.PerExampleGradient(input, label);
@@ -40,3 +58,5 @@ GradientCheckResult CheckNetworkGradient(Network& net, const Tensor& input,
 }
 
 }  // namespace dpaudit
+
+#endif  // DPAUDIT_TESTS_GRADIENT_CHECK_H_

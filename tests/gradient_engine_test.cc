@@ -41,7 +41,7 @@ TEST_P(GradientEngineTest, ClippedGradientSumMatchesNetworkBitwise) {
   Rng rng(7);
   Network net = TinyNetwork();
   net.Initialize(rng);
-  Dataset d = BlobDataset(23, rng);  // not a multiple of the chunk size
+  Dataset d = BlobDataset(23, rng);  // several packs on several participants
 
   std::vector<double> ref_norms;
   std::vector<float> ref =
@@ -49,7 +49,6 @@ TEST_P(GradientEngineTest, ClippedGradientSumMatchesNetworkBitwise) {
 
   GradientEngine::Options options;
   options.threads = threads;
-  options.chunk = 4;  // force several waves in parallel mode
   GradientEngine engine(net, options);
   engine.SyncParams(net);
   std::vector<double> norms;
@@ -76,7 +75,6 @@ TEST_P(GradientEngineTest, PerLayerClippedGradientSumMatchesNetworkBitwise) {
 
   GradientEngine::Options options;
   options.threads = threads;
-  options.chunk = 4;
   GradientEngine engine(net, options);
   engine.SyncParams(net);
   std::vector<float> sum =
@@ -99,7 +97,6 @@ TEST_P(GradientEngineTest, ConvolutionalNetworkMatchesNetworkBitwise) {
 
   GradientEngine::Options options;
   options.threads = threads;
-  options.chunk = 2;
   GradientEngine engine(net, options);
   engine.SyncParams(net);
   std::vector<double> norms;
@@ -117,8 +114,8 @@ TEST_P(GradientEngineTest, ConvolutionalNetworkMatchesNetworkBitwise) {
 INSTANTIATE_TEST_SUITE_P(Threads, GradientEngineTest,
                          ::testing::Values(1u, 2u, 8u));
 
-// Batched lane path: for every lane count B (including B > chunk and B that
-// leaves a ragged final pack) and every thread count, the lane engine must be
+// Batched lane path: for every lane count B (including B that leaves a
+// ragged final pack) and every thread count, the lane engine must be
 // bit-identical to both the scalar-path engine (batch_lanes = 0) and the
 // sequential Network reference — gradients AND norms.
 class BatchLanesTest
@@ -138,7 +135,6 @@ TEST_P(BatchLanesTest, DenseNetworkBitIdenticalToScalarPath) {
 
   GradientEngine::Options options;
   options.threads = threads;
-  options.chunk = 4;
   options.batch_lanes = lanes;
   GradientEngine engine(net, options);
   EXPECT_EQ(lanes <= 1 ? 0u : lanes, engine.batch_lanes());
@@ -169,7 +165,6 @@ TEST_P(BatchLanesTest, ConvolutionalNetworkBitIdenticalToScalarPath) {
 
   GradientEngine::Options options;
   options.threads = threads;
-  options.chunk = 2;  // < B for most cases: chunk must round up to a pack
   options.batch_lanes = lanes;
   GradientEngine engine(net, options);
   engine.SyncParams(net);
@@ -198,7 +193,6 @@ TEST_P(BatchLanesTest, PerLayerClippingBitIdenticalToScalarPath) {
 
   GradientEngine::Options options;
   options.threads = threads;
-  options.chunk = 4;
   options.batch_lanes = lanes;
   GradientEngine engine(net, options);
   engine.SyncParams(net);
@@ -234,7 +228,6 @@ TEST_P(BatchLanesTest, VisitorNormsBitIdenticalToL2NormOnConvNetwork) {
 
   GradientEngine::Options options;
   options.threads = threads;
-  options.chunk = 2;
   options.batch_lanes = lanes;
   GradientEngine engine(net, options);
   engine.SyncParams(net);
@@ -277,6 +270,36 @@ INSTANTIATE_TEST_SUITE_P(
     LanesByThreads, BatchLanesTest,
     ::testing::Combine(::testing::Values(1u, 3u, 8u, 13u),
                        ::testing::Values(1u, 4u, 13u)));
+
+// More packs than the record ring holds (two per participant), on both
+// routes: participants wait for their slot's previous pack to be reduced,
+// and the reducer turn passes between them many times per call.
+TEST(GradientEngineRegionTest, RecordRingWrapsBitIdenticalToNetwork) {
+  Rng rng(41);
+  Network net = TinyNetwork();
+  net.Initialize(rng);
+  Dataset d = BlobDataset(101, rng);
+
+  std::vector<double> ref_norms;
+  std::vector<float> ref =
+      net.ClippedGradientSum(d.inputs, d.labels, 1.0, &ref_norms);
+
+  for (size_t threads : {2u, 4u}) {
+    for (size_t lanes : {0u, 8u}) {
+      GradientEngine::Options options;
+      options.threads = threads;
+      options.batch_lanes = lanes;
+      GradientEngine engine(net, options);
+      engine.SyncParams(net);
+      std::vector<double> norms;
+      std::vector<float> sum =
+          engine.ClippedGradientSum(d.inputs, d.labels, 1.0, &norms);
+      EXPECT_EQ(ref, sum) << "threads=" << threads << " lanes=" << lanes;
+      EXPECT_EQ(ref_norms, norms)
+          << "threads=" << threads << " lanes=" << lanes;
+    }
+  }
+}
 
 // A ragged tail pack takes one of two routes: counts <= B/2 run the scalar
 // path, larger counts are padded to the full lane width (padded lanes are
@@ -354,7 +377,6 @@ TEST(GradientEngineApiTest, VisitorSeesAscendingIndicesAndLayerNorms) {
 
   GradientEngine::Options options;
   options.threads = 3;
-  options.chunk = 2;
   GradientEngine engine(net, options);
   engine.SyncParams(net);
 

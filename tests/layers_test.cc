@@ -7,9 +7,9 @@
 #include "nn/channel_norm.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
-#include "nn/gradient_check.h"
 #include "nn/network.h"
 #include "nn/pooling.h"
+#include "tests/gradient_check.h"
 #include "util/random.h"
 
 namespace dpaudit {

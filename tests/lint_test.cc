@@ -51,7 +51,6 @@ const FixtureCase kFixtureCases[] = {
     {"dpaudit-ledger-write", "ledger_write_bad.cc", "ledger_write_ok.cc"},
     {"dpaudit-banned-fn", "banned_fn_bad.cc", "banned_fn_ok.cc"},
     {"dpaudit-raw-thread", "raw_thread_bad.cc", "raw_thread_ok.cc"},
-    {"dpaudit-raw-pool", "raw_pool_bad.cc", "raw_pool_ok.cc"},
     {"dpaudit-raw-getenv", "raw_getenv_bad.cc", "raw_getenv_ok.cc"},
     {"dpaudit-include-order", "include_order_bad.cc",
      "include_order_ok.cc"},
@@ -103,7 +102,7 @@ TEST(LintFixtures, EveryRuleHasAFixture) {
     EXPECT_EQ(covered.count(rule.name), 1u)
         << rule.name << " has no fixture pair";
   }
-  EXPECT_EQ(AllRules().size(), 13u);
+  EXPECT_EQ(AllRules().size(), 12u);
 }
 
 TEST(LintEngine, RuleFilterRunsOnlyRequestedRules) {

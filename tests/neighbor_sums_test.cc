@@ -155,7 +155,6 @@ TEST_P(NeighborSharingTest, SharedPathMatchesTwoPassBitwise) {
 
   GradientEngine::Options options;
   options.threads = 2;
-  options.chunk = 3;
   GradientEngine engine(net, options);
   engine.SyncParams(net);
 

@@ -10,6 +10,7 @@
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
 #include "obs/telemetry.h"
+#include "tests/test_helpers.h"
 #include "util/thread_pool.h"
 
 namespace dpaudit {
@@ -27,6 +28,12 @@ class ObsSpanTest : public ::testing::Test {
     EnableTelemetryForTest(false);
     SpanRegistry::Global().ResetForTest();
     MetricsRegistry::Global().ResetForTest();
+  }
+
+  // The caller plus one runner per pool worker, at most 4: every runner
+  // finds a worker, so a body that waits for all participants cannot hang.
+  static size_t PinnableWidth() {
+    return std::min<size_t>(4, SharedThreadPool().num_threads() + 1);
   }
 
   static const SpanRegistry::Stat* Find(
@@ -139,18 +146,21 @@ TEST_F(ObsSpanTest, SiblingsSortedBySelfTimeDescending) {
 }
 
 TEST_F(ObsSpanTest, PoolTasksNestUnderSchedulingSpan) {
+  // Pinned to one index per participant, so width - 1 spans open on runner
+  // tasks, whose context comes from the scheduling thread.
+  const size_t width = PinnableWidth();
   {
     DPAUDIT_SPAN("scheduler");
-    ThreadPool pool(4);
-    for (int i = 0; i < 32; ++i) {
-      pool.Schedule([] { DPAUDIT_SPAN("worker_phase"); });
-    }
-    pool.Wait();
+    testing_helpers::Rendezvous all(width);
+    ThreadPool::ParallelFor(width, width, [&all](size_t) {
+      DPAUDIT_SPAN("worker_phase");
+      all.Arrive();
+    });
   }
   std::vector<SpanRegistry::Stat> stats = SpanRegistry::Global().Collect();
   const SpanRegistry::Stat* nested = Find(stats, "scheduler/worker_phase");
   ASSERT_NE(nested, nullptr) << "pool task did not adopt the scheduler span";
-  EXPECT_EQ(nested->count, 32u);
+  EXPECT_EQ(nested->count, width);
   EXPECT_EQ(Find(stats, "worker_phase"), nullptr)
       << "worker span attached to the root instead of the scheduler";
 }
@@ -169,11 +179,14 @@ TEST_F(ObsSpanTest, ParallelForPropagatesContextToo) {
 }
 
 TEST_F(ObsSpanTest, PoolHooksRecordQueueAndExecuteTimings) {
+  // One timing per runner task: the caller's share of a region is not a
+  // pool task.
+  const size_t width = PinnableWidth();
+  const size_t runners = width - 1;
   {
     DPAUDIT_SPAN("timed");
-    ThreadPool pool(2);
-    for (int i = 0; i < 8; ++i) pool.Schedule([] {});
-    pool.Wait();
+    testing_helpers::Rendezvous all(width);
+    ThreadPool::ParallelFor(width, width, [&all](size_t) { all.Arrive(); });
   }
   std::vector<MetricSnapshot> snaps = MetricsRegistry::Global().Snapshot();
   bool saw_queue = false;
@@ -181,11 +194,11 @@ TEST_F(ObsSpanTest, PoolHooksRecordQueueAndExecuteTimings) {
   for (const MetricSnapshot& s : snaps) {
     if (s.name == "dpaudit_pool_queue_us") {
       saw_queue = true;
-      EXPECT_EQ(s.summary.count(), 8u);
+      EXPECT_EQ(s.summary.count(), runners);
     }
     if (s.name == "dpaudit_pool_execute_us") {
       saw_execute = true;
-      EXPECT_EQ(s.summary.count(), 8u);
+      EXPECT_EQ(s.summary.count(), runners);
     }
   }
   EXPECT_TRUE(saw_queue);

@@ -132,5 +132,25 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0.001, 0.01),
                        ::testing::Values(size_t{1}, size_t{30})));
 
+// Section 5.2: for the same total budget, RDP composition admits much less
+// noise (equivalently: for the same noise, RDP certifies a smaller epsilon
+// than basic composition would).
+TEST(CompositionComparisonTest, RdpBeatsSequentialForManySteps) {
+  const size_t k = 30;
+  const double delta = 0.001;
+  const double z = 2.0;  // per-step noise multiplier
+  // Basic composition: per-step epsilon from Eq. 2 at per-step delta/k.
+  double per_step_delta = delta / static_cast<double>(k);
+  double per_step_eps =
+      std::sqrt(2.0 * std::log(1.25 / per_step_delta)) / z;
+  double sequential_eps = per_step_eps * static_cast<double>(k);
+  // RDP composition of the same mechanism sequence.
+  RdpAccountant accountant;
+  accountant.AddGaussianSteps(z, k);
+  double rdp_eps = *accountant.GetEpsilon(delta);
+  EXPECT_LT(rdp_eps, sequential_eps);
+  EXPECT_LT(rdp_eps, 0.5 * sequential_eps);  // decisively better
+}
+
 }  // namespace
 }  // namespace dpaudit

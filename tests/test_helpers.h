@@ -1,14 +1,18 @@
 // Shared fixtures for the DPSGD / adversary / experiment tests: a tiny
 // two-class dense network and small synthetic datasets that keep per-test
-// wall clock in the tens of milliseconds, plus per-test scratch directories.
+// wall clock in the tens of milliseconds, plus per-test scratch directories
+// and a rendezvous for pinning the participants of a parallel region.
 
 #ifndef DPAUDIT_TESTS_TEST_HELPERS_H_
 #define DPAUDIT_TESTS_TEST_HELPERS_H_
 
 #include <unistd.h>
 
+#include <condition_variable>
+#include <cstddef>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <string>
 
 #include "data/dataset.h"
@@ -75,6 +79,28 @@ inline std::filesystem::path UniqueTestTempDir(const std::string& stem) {
   name.append("_").append(std::to_string(getpid()));
   return std::filesystem::path(::testing::TempDir()) / name;
 }
+
+/// Blocks each caller of Arrive() until `expected` callers have arrived.
+/// A region body that arrives pins the region to one index per participant:
+/// with n == width, every participant, runner tasks included, runs exactly
+/// one index. Size the width from SharedThreadPool().num_threads() so every
+/// runner has a worker and the rendezvous cannot deadlock.
+class Rendezvous {
+ public:
+  explicit Rendezvous(size_t expected) : expected_(expected) {}
+
+  void Arrive() {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (++arrived_ == expected_) all_arrived_.notify_all();
+    all_arrived_.wait(lock, [this] { return arrived_ >= expected_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable all_arrived_;
+  const size_t expected_;
+  size_t arrived_ = 0;
+};
 
 }  // namespace testing_helpers
 }  // namespace dpaudit

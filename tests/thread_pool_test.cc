@@ -2,49 +2,86 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <numeric>
 #include <thread>
 #include <vector>
 
+#include "tests/test_helpers.h"
 #include "util/random.h"
 
 namespace dpaudit {
 namespace {
 
+// The widest region whose runners all find a worker: the caller plus one
+// runner per worker, capped at `cap`.
+size_t PinnableWidth(size_t cap) {
+  return std::min(cap, SharedThreadPool().num_threads() + 1);
+}
+
 TEST(ThreadPoolTest, RunsAllScheduledTasks) {
+  // Every body waits until all participants have arrived, so each of the
+  // width - 1 runner tasks must start and run exactly one index.
+  const size_t width = PinnableWidth(4);
+  testing_helpers::Rendezvous all(width);
+  std::vector<std::atomic<int>> ran(width);
+  ThreadPool::ParallelFor(width, width, [&](size_t, size_t participant) {
+    all.Arrive();
+    ran[participant].fetch_add(1);
+  });
+  for (size_t p = 0; p < width; ++p) EXPECT_EQ(ran[p].load(), 1) << p;
+}
+
+TEST(ThreadPoolTest, RegionsCanRunBackToBack) {
+  ThreadPool::ParallelFor(0, 4, [](size_t) { FAIL(); });
   std::atomic<int> counter{0};
-  {
-    ThreadPool pool(4);
-    for (int i = 0; i < 100; ++i) {
-      pool.Schedule([&counter] { counter.fetch_add(1); });
-    }
-    pool.Wait();
-    EXPECT_EQ(counter.load(), 100);
+  for (int round = 1; round <= 3; ++round) {
+    ThreadPool::ParallelFor(50, 4, [&counter](size_t) {
+      counter.fetch_add(1);
+    });
+    EXPECT_EQ(counter.load(), 50 * round);
   }
 }
 
-TEST(ThreadPoolTest, WaitCanBeCalledRepeatedly) {
-  ThreadPool pool(2);
-  pool.Wait();  // nothing scheduled
-  std::atomic<int> counter{0};
-  pool.Schedule([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1);
-  pool.Schedule([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 2);
+TEST(ThreadPoolTest, RetractsRunnersThatNeverStart) {
+  // Every worker is held inside an outer region while its caller runs an
+  // inner region. The inner runners cannot start, so the inner caller must
+  // drain the range alone and return — retracting its queued runners rather
+  // than waiting for them — before the outer region lets the workers go.
+  const size_t width = SharedThreadPool().num_threads() + 1;
+  testing_helpers::Rendezvous started(width);
+  testing_helpers::Rendezvous released(width);
+  std::vector<size_t> inner_participants;
+  ThreadPool::ParallelFor(width, width, [&](size_t, size_t participant) {
+    started.Arrive();
+    if (participant == 0) {
+      ThreadPool::ParallelFor(64, width, [&](size_t, size_t inner) {
+        inner_participants.push_back(inner);
+      });
+    }
+    released.Arrive();
+  });
+  EXPECT_EQ(inner_participants, std::vector<size_t>(64, 0));
 }
 
-TEST(ThreadPoolTest, DestructorDrainsQueue) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.Schedule([&counter] { counter.fetch_add(1); });
-    }
+TEST(ThreadPoolTest, ParticipantIndicesAreExclusiveAndBelowWidth) {
+  for (size_t width : {1u, 2u, 3u, 5u, 16u}) {
+    std::vector<std::atomic<bool>> held(width);
+    std::atomic<int> below{0};
+    std::atomic<int> exclusive{0};
+    ThreadPool::ParallelForChunked(
+        400, width, /*grain=*/1, [&](size_t, size_t participant) {
+          if (participant >= width) return;
+          below.fetch_add(1);
+          if (held[participant].exchange(true)) return;
+          std::this_thread::yield();
+          held[participant].store(false);
+          exclusive.fetch_add(1);
+        });
+    EXPECT_EQ(below.load(), 400) << "width " << width;
+    EXPECT_EQ(exclusive.load(), 400) << "width " << width;
   }
-  EXPECT_EQ(counter.load(), 50);
 }
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {

@@ -470,48 +470,6 @@ void CheckBannedFn(const SourceFile& file, std::vector<Finding>* out) {
 // std::thread/std::async — the pool owns span-context adoption, queue
 // telemetry, and the nested-budget discipline.
 
-/// Flags direct ThreadPool construction in src/ outside util/: stack
-/// declarations (`ThreadPool pool(4);`), temporaries, and heap allocation via
-/// new / make_unique / make_shared. Static entry points
-/// (`ThreadPool::ParallelFor`) and references/pointers stay allowed, so
-/// consumers keep fanning out through the process-wide SharedThreadPool().
-void CheckRawPool(const SourceFile& file, std::vector<Finding>* out) {
-  if (!InTree(file.rel, "src")) return;
-  if (StartsWith(file.rel, "src/util/")) return;
-  constexpr const char kToken[] = "ThreadPool";
-  constexpr size_t kTokenLen = sizeof(kToken) - 1;
-  for (size_t i = 0; i < file.code_lines.size(); ++i) {
-    const std::string& line = file.code_lines[i];
-    bool hit = line.find("new ThreadPool") != std::string::npos ||
-               line.find("make_unique<ThreadPool>") != std::string::npos ||
-               line.find("make_shared<ThreadPool>") != std::string::npos;
-    for (size_t pos = 0; !hit; pos += kTokenLen) {
-      pos = line.find(kToken, pos);
-      if (pos == std::string::npos) break;
-      const size_t end = pos + kTokenLen;
-      const bool left_ok = pos == 0 || !IsIdentChar(line[pos - 1]);
-      const bool right_ok = end >= line.size() || !IsIdentChar(line[end]);
-      if (!left_ok || !right_ok) continue;  // e.g. ThreadPoolTelemetryHooks
-      size_t next = end;
-      while (next < line.size() &&
-             (line[next] == ' ' || line[next] == '\t')) {
-        ++next;
-      }
-      // "ThreadPool pool(...)", "ThreadPool(...)", "ThreadPool{...}" are
-      // constructions; "ThreadPool::", "ThreadPool&", "ThreadPool>" are not.
-      hit = next < line.size() && (IsIdentChar(line[next]) ||
-                                   line[next] == '(' || line[next] == '{');
-    }
-    if (hit) {
-      Emit(file, static_cast<int>(i + 1), "dpaudit-raw-pool",
-           "direct ThreadPool construction; use SharedThreadPool() "
-           "(util/thread_pool.h) so the process keeps one persistent worker "
-           "pool instead of spawning/joining per call site",
-           out);
-    }
-  }
-}
-
 void CheckRawThread(const SourceFile& file, std::vector<Finding>* out) {
   if (!InTree(file.rel, "src")) return;
   if (StartsWith(file.rel, "src/util/thread_pool.")) return;
@@ -840,10 +798,6 @@ const std::vector<Rule>& AllRules() {
        "no raw getenv outside core/runtime_options; knobs go through the "
        "RuntimeOptions table or util/env.h",
        &CheckRawGetenv},
-      {"dpaudit-raw-pool",
-       "no direct ThreadPool construction outside util/; use "
-       "SharedThreadPool()",
-       &CheckRawPool},
       {"dpaudit-raw-thread",
        "no raw std::thread/std::async in src/ outside util/thread_pool",
        &CheckRawThread},
