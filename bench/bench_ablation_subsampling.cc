@@ -9,10 +9,12 @@
 //       accordingly and the posterior-belief bound keeps holding.
 
 #include <iostream>
+#include <vector>
 
 #include "bench/bench_common.h"
+#include "core/experiment.h"
 #include "core/scores.h"
-#include "core/subsampling.h"
+#include "core/trace.h"
 
 namespace dpaudit {
 namespace {
@@ -24,13 +26,10 @@ void Run() {
   BenchParams params;
   bench::PrintHeader("Ablation: Poisson-subsampled DPSGD", params);
   Task task = bench::MakePurchaseTask(params);
-  // Unbounded neighbors: D' = D minus its dataset-sensitivity-maximizing
-  // record. Locate that record's index by size bookkeeping: the unbounded
-  // neighbor construction removed the ranked-first record, so rebuild the
-  // ranking here.
-  auto ranked = RankUnboundedCandidates(task.d, task.dissimilarity);
-  DPAUDIT_CHECK_OK(ranked.status());
-  size_t differing_index = ranked->front().index_in_d;
+  TraceStore* store = TraceStore::FromEnv();
+  if (store != nullptr) {
+    std::cerr << "trace cache: " << store->directory() << "\n";
+  }
 
   const double delta = task.delta;
   const size_t steps = params.epochs;
@@ -57,24 +56,30 @@ void Run() {
                       "max beta_k"});
   size_t reps = std::max<size_t>(12, params.reps);
   for (double q : {1.0, 0.5, 0.2}) {
-    SampledDpSgdConfig config;
-    config.steps = steps;
-    config.learning_rate = params.learning_rate;
-    config.clip_norm = params.clip_norm;
-    config.noise_multiplier = 0.5;  // weak noise: q does the protecting
-    config.sampling_rate = q;
-    auto summary = RunSampledDiExperiment(task.architecture, task.d,
-                                          differing_index, config, reps,
-                                          params.seed);
+    // Unbounded neighbours: D' is D minus its dataset-sensitivity-
+    // maximizing record x1, the setting of the subsampled-Gaussian bound.
+    DiExperimentConfig config;
+    config.dpsgd.epochs = steps;
+    config.dpsgd.learning_rate = params.learning_rate;
+    config.dpsgd.clip_norm = params.clip_norm;
+    config.dpsgd.noise_multiplier = 0.5;  // weak noise: q does the protecting
+    config.dpsgd.neighbor_mode = NeighborMode::kUnbounded;
+    config.dpsgd.sampling_rate = q;
+    config.repetitions = reps;
+    config.seed = params.seed;
+    config.trace_store = store;
+    auto summary = RunDiExperiment(task.architecture, task.d,
+                                   task.d_prime_unbounded, config);
     DPAUDIT_CHECK_OK(summary.status());
+    const std::vector<double> beliefs = summary->FinalBeliefsInD();
     double mean_belief = 0.0;
-    for (double b : summary->final_beliefs) mean_belief += b;
-    mean_belief /= static_cast<double>(summary->final_beliefs.size());
+    for (double b : beliefs) mean_belief += b;
+    mean_belief /= static_cast<double>(beliefs.size());
     attack.AddRow({TableWriter::Cell(q, 2),
-                   TableWriter::Cell(config.noise_multiplier, 2),
+                   TableWriter::Cell(config.dpsgd.noise_multiplier, 2),
                    TableWriter::Cell(summary->EmpiricalAdvantage(), 3),
                    TableWriter::Cell(mean_belief, 4),
-                   TableWriter::Cell(summary->max_belief, 4)});
+                   TableWriter::Cell(summary->MaxBeliefInD(), 4)});
   }
   bench::Emit("mixture adversary vs sampling rate (Purchase-100)", attack);
   std::cout << "\nexpected shape: certified epsilon and empirical advantage "

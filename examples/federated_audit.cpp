@@ -3,24 +3,47 @@
 // the per-round aggregate updates.
 //
 // A victim client's shard either contains a particular record (D_v) or has
-// it replaced (D_v'). An honest-but-curious participant with DP-adversary
-// knowledge runs the posterior-belief attack against the released updates,
-// once with weak noise and once with noise calibrated to rho_beta = 0.9.
+// it replaced (D_v'). Each round the server adds Gaussian noise to the sum
+// of every client's clipped per-example gradients and broadcasts the update,
+// so one round is one DPSGD step over the union of the shards, and the two
+// hypotheses are honest shards + D_v versus honest shards + D_v'. An
+// honest-but-curious participant with DP-adversary knowledge runs the
+// posterior-belief attack against the released updates, once with weak
+// noise and once with noise calibrated to rho_beta = 0.9.
 //
 //   ./federated_audit [rounds]   (default 30)
 
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
+#include "core/adversary.h"
+#include "core/dpsgd.h"
 #include "core/scores.h"
 #include "data/dataset_sensitivity.h"
 #include "data/synthetic_purchase.h"
 #include "dp/privacy_params.h"
 #include "dp/rdp_accountant.h"
-#include "federated/federated.h"
 #include "nn/network.h"
 
 using namespace dpaudit;
+
+namespace {
+
+/// The honest shards' records followed by the victim's.
+Dataset Union(const std::vector<Dataset>& honest, const Dataset& victim) {
+  Dataset all;
+  auto append = [&all](const Dataset& part) {
+    for (size_t i = 0; i < part.size(); ++i) {
+      all.Add(part.inputs[i], part.labels[i]);
+    }
+  };
+  for (const Dataset& shard : honest) append(shard);
+  append(victim);
+  return all;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   size_t rounds = argc > 1 ? static_cast<size_t>(std::strtol(argv[1], nullptr, 10)) : 30;
@@ -40,6 +63,8 @@ int main(int argc, char** argv) {
   auto candidates = RankBoundedCandidates(victim_d, pool, HammingDistance);
   Dataset victim_d_prime =
       MakeBoundedNeighbor(victim_d, pool, candidates->front());
+  const Dataset with_d = Union(shards, victim_d);
+  const Dataset with_d_prime = Union(shards, victim_d_prime);
 
   Network architecture =
       BuildPurchaseNetwork(data_config.num_features, 48,
@@ -62,30 +87,31 @@ int main(int argc, char** argv) {
               "rounds\n\n",
               rounds);
   for (const Setting& setting : settings) {
-    FederatedConfig config;
-    config.rounds = rounds;
+    DpSgdConfig config;
+    config.epochs = rounds;
     config.learning_rate = 0.005;
     config.clip_norm = 3.0;
     config.noise_multiplier = setting.noise_multiplier;
     config.sensitivity_mode = SensitivityMode::kLocalHat;
     Rng run_rng(43);
-    auto result = RunFederatedTraining(architecture, shards, victim_d,
-                                       victim_d_prime, /*victim_has_d=*/true,
-                                       config, run_rng);
+    DiAdversary adversary;
+    auto result = RunDpSgd(architecture, with_d, with_d_prime,
+                           /*train_on_d=*/true, config, run_rng, &adversary);
     if (!result.ok()) {
       std::fprintf(stderr, "federated run failed: %s\n",
                    result.status().ToString().c_str());
       return 1;
     }
+    const std::vector<double>& beliefs = adversary.BeliefHistory();
     std::printf("%s (z = %.3f):\n", setting.label,
                 setting.noise_multiplier);
     std::printf("  adversary belief in D_v per round:");
-    for (size_t i = 0; i < result->beliefs.size(); i += 5) {
-      std::printf(" %.3f", result->beliefs[i]);
+    for (size_t i = 0; i < beliefs.size(); i += 5) {
+      std::printf(" %.3f", beliefs[i]);
     }
-    std::printf(" ... final %.3f\n", result->beliefs.back());
+    std::printf(" ... final %.3f\n", beliefs.back());
     std::printf("  adversary identifies the record: %s\n\n",
-                result->adversary_says_victim_d ? "YES (privacy breach)"
+                adversary.DecideD() ? "YES (privacy breach)"
                                                 : "no");
   }
   std::printf("takeaway: without DP calibration a curious participant "

@@ -1,11 +1,19 @@
 #include "core/adversary.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "dp/mechanism.h"
 #include "obs/span.h"
+#include "util/logging.h"
+#include "util/math_util.h"
 
 namespace dpaudit {
+
+DiAdversary::DiAdversary(double prior_belief_d, double sampling_rate)
+    : tracker_(prior_belief_d), sampling_rate_(sampling_rate) {
+  DPAUDIT_CHECK(sampling_rate > 0.0 && sampling_rate <= 1.0);
+}
 
 void DiAdversary::OnStep(size_t /*step*/, const std::vector<float>& sum_d,
                          const std::vector<float>& sum_dprime,
@@ -21,6 +29,10 @@ void DiAdversary::OnStep(size_t /*step*/, const std::vector<float>& sum_d,
     // NOLINTNEXTLINE(dpaudit-mechanism-flow)
     mechanism.LogDensityPair(released, sum_d, sum_dprime, &log_p_d,
                              &log_p_dprime);
+    if (sampling_rate_ < 1.0) {
+      log_p_d = LogAddExp(std::log(sampling_rate_) + log_p_d,
+                          std::log1p(-sampling_rate_) + log_p_dprime);
+    }
   }
   DPAUDIT_SPAN("belief_update");
   log_density_d_.push_back(log_p_d);

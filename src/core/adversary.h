@@ -9,6 +9,13 @@
 //
 // Implemented as a DpSgdStepObserver so a single training run produces both
 // the model and the adversary's full belief trajectory.
+//
+// Against Poisson-subsampled DPSGD (sampling rate q < 1, core/dpsgd.h) the
+// adversary knows the realized batch of common records but not whether x1
+// was sampled, so under D the release follows the mixture
+// q N(sum_d, sigma^2 I) + (1 - q) N(sum_dprime, sigma^2 I) and under D' it
+// follows N(sum_dprime, sigma^2 I). The adversary scores exactly these
+// densities; at q = 1 the mixture is the binary test above.
 
 #ifndef DPAUDIT_CORE_ADVERSARY_H_
 #define DPAUDIT_CORE_ADVERSARY_H_
@@ -22,13 +29,15 @@ namespace dpaudit {
 
 class DiAdversary : public DpSgdStepObserver {
  public:
-  /// Uniform prior (the paper's assumption) unless specified.
-  explicit DiAdversary(double prior_belief_d = 0.5)
-      : tracker_(prior_belief_d) {}
+  /// Uniform prior (the paper's assumption) unless specified; the sampling
+  /// rate must match the trainer's DpSgdConfig::sampling_rate.
+  explicit DiAdversary(double prior_belief_d = 0.5,
+                       double sampling_rate = 1.0);
 
   /// Consumes one release: computes the Gaussian log-likelihood of the
-  /// released vector under both hypotheses (one fused pass through
-  /// GaussianMechanism::LogDensityPair) and updates the posterior.
+  /// released vector under both centers (one fused pass through
+  /// GaussianMechanism::LogDensityPair), mixes the D hypothesis's when
+  /// q < 1, and updates the posterior.
   void OnStep(size_t step, const std::vector<float>& sum_d,
               const std::vector<float>& sum_dprime,
               const std::vector<float>& released, double sigma) override;
@@ -48,8 +57,9 @@ class DiAdversary : public DpSgdStepObserver {
   /// The adversary's output b' (Algorithm 1 step 14): true = D.
   bool DecideD() const { return tracker_.DecideD(); }
 
-  /// Per-step log Pr[M(S_D) = r_i] / log Pr[M(S_D') = r_i] — the
-  /// released-vs-centers log-likelihood contributions a StepTrace records.
+  /// Per-step log Pr[r_i | D] / log Pr[r_i | D'] — the released-vs-centers
+  /// log-likelihood contributions a StepTrace records (the mixture density
+  /// under D when q < 1).
   const std::vector<double>& StepLogDensitiesD() const {
     return log_density_d_;
   }
@@ -59,6 +69,7 @@ class DiAdversary : public DpSgdStepObserver {
 
  private:
   PosteriorBeliefTracker tracker_;
+  double sampling_rate_;
   std::vector<double> log_density_d_;
   std::vector<double> log_density_dprime_;
 };

@@ -1,6 +1,7 @@
 #include "core/dpsgd.h"
 
 #include <cmath>
+#include <cstdint>
 
 #include "core/neighbor_sums.h"
 #include "dp/mechanism.h"
@@ -23,6 +24,17 @@ Status DpSgdConfig::Validate() const {
   }
   if (!(noise_multiplier > 0.0)) {
     return Status::InvalidArgument("noise multiplier must be > 0");
+  }
+  if (!(sampling_rate > 0.0 && sampling_rate <= 1.0)) {
+    return Status::InvalidArgument("sampling rate must be in (0, 1]");
+  }
+  if (sampling_rate < 1.0 &&
+      (neighbor_mode != NeighborMode::kUnbounded ||
+       sensitivity_mode != SensitivityMode::kGlobal || adaptive_clipping ||
+       per_layer_clipping)) {
+    return Status::InvalidArgument(
+        "sampling rate < 1 requires unbounded neighbours, global "
+        "sensitivity and a fixed whole-gradient clip norm");
   }
   if (adaptive_clipping) {
     if (!(clip_quantile > 0.0 && clip_quantile < 1.0)) {
@@ -64,7 +76,10 @@ StatusOr<DpSgdResult> RunDpSgd(const Network& initial, const Dataset& d,
   result.steps.reserve(config.epochs);
   std::unique_ptr<Optimizer> optimizer =
       MakeOptimizer(config.optimizer, config.learning_rate);
-  const double n = static_cast<double>(d.size());
+  // The expected batch size: the optimizer's divisor must not depend on the
+  // realized batch.
+  const double n = config.sampling_rate * static_cast<double>(d.size());
+  const bool subsampled = config.sampling_rate < 1.0;
   double clip = config.clip_norm;
 
   // One engine (per-participant replicas and workspaces) for the whole run;
@@ -78,6 +93,12 @@ StatusOr<DpSgdResult> RunDpSgd(const Network& initial, const Dataset& d,
   GradientEngine engine(result.model, engine_options);
   const NeighborOverlap overlap =
       AnalyzeNeighborOverlap(d, d_prime, config.neighbor_mode);
+  if (subsampled && !overlap.sharable) {
+    return Status::InvalidArgument(
+        "subsampled DPSGD requires D' = D with one record removed");
+  }
+  // Poisson batch flags, one per record of D (x1's is unused).
+  std::vector<uint8_t> batch(subsampled ? d.size() : 0);
 
   // Release and mean-gradient buffers live outside the step loop; each step
   // overwrites them in place, so the steady state allocates nothing per step.
@@ -87,6 +108,17 @@ StatusOr<DpSgdResult> RunDpSgd(const Network& initial, const Dataset& d,
   for (size_t step = 0; step < config.epochs; ++step) {
     DPAUDIT_SPAN("train_step");
     DPAUDIT_METRIC_COUNT("dpaudit_train_steps_total", 1);
+    // With q < 1 the step first draws its batch: each common record in
+    // index order, then x1 (only when training runs on D). The release is
+    // centered on sum_d iff training runs on D and x1 made the batch.
+    bool release_d = train_on_d;
+    if (subsampled) {
+      for (size_t j = 0; j < d.size(); ++j) {
+        batch[j] =
+            j != overlap.diff_index && rng.Bernoulli(config.sampling_rate);
+      }
+      release_d = train_on_d && rng.Bernoulli(config.sampling_rate);
+    }
     // Both hypotheses' clipped gradient sums at the current weights. The
     // adversary can compute these itself (it knows D, D', theta_i); the
     // trainer computes them anyway for noise scaling and hands them to
@@ -96,9 +128,10 @@ StatusOr<DpSgdResult> RunDpSgd(const Network& initial, const Dataset& d,
     NeighborSums sums = [&] {
       DPAUDIT_SPAN("per_example_gradients");
       return overlap.sharable
-                 ? ComputeClippedNeighborSums(engine, d, d_prime, overlap,
-                                              config.neighbor_mode, clip,
-                                              config.per_layer_clipping)
+                 ? ComputeClippedNeighborSums(
+                       engine, d, d_prime, overlap, config.neighbor_mode,
+                       clip, config.per_layer_clipping,
+                       subsampled ? &batch : nullptr)
                  : ComputeClippedNeighborSumsTwoPass(
                        engine, d, d_prime, clip, config.per_layer_clipping);
     }();
@@ -125,8 +158,8 @@ StatusOr<DpSgdResult> RunDpSgd(const Network& initial, const Dataset& d,
     record.sigma = config.noise_multiplier * record.sensitivity_used;
 
     GaussianMechanism mechanism(record.sigma);
-    const std::vector<float>& trained_sum = train_on_d ? sum_d : sum_dprime;
-    released.assign(trained_sum.begin(), trained_sum.end());
+    const std::vector<float>& center = release_d ? sum_d : sum_dprime;
+    released.assign(center.begin(), center.end());
     {
       DPAUDIT_SPAN("mechanism_perturb");
       mechanism.Perturb(released, rng);

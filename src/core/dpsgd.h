@@ -15,6 +15,17 @@
 // (SensitivityMode::kLocalHat), and the DP adversary consumes both sums via
 // the StepObserver hook. Which dataset actually drives training is the
 // challenger's bit from Experiment 2.
+//
+// Minibatch DPSGD (Section 6.1) is the same loop with a Poisson sampler in
+// front of the clip stage: with sampling_rate q < 1 each step includes every
+// record of D' independently with probability q, and D's extra record x1
+// with probability q when training runs on D. sum_d and sum_dprime are then
+// the two hypotheses' centers over the realized batch of common records:
+// sum_dprime holds the sampled common records and sum_d adds x1. The
+// release is centered on sum_d when x1 was sampled and training runs on D,
+// and on sum_dprime otherwise, so under D it follows the mixture
+// q N(sum_d, sigma^2 I) + (1 - q) N(sum_dprime, sigma^2 I) that the
+// subsampled-Gaussian RDP bound (dp/rdp_accountant.h) accounts for.
 
 #ifndef DPAUDIT_CORE_DPSGD_H_
 #define DPAUDIT_CORE_DPSGD_H_
@@ -73,6 +84,13 @@ struct DpSgdConfig {
   /// are bit-identical for any value.
   size_t batch_lanes = GradientEngine::Options::kBatchLanesAuto;
 
+  /// Poisson sampling rate q in (0, 1]; 1 is batch gradient descent. q < 1
+  /// needs unbounded neighbours (D' = D minus x1), global sensitivity and a
+  /// fixed whole-gradient clip norm, the setting the subsampled-Gaussian
+  /// bound covers. The optimizer divides each release by q * |D|, the
+  /// expected batch size.
+  double sampling_rate = 1.0;
+
   Status Validate() const;
 };
 
@@ -85,8 +103,9 @@ struct DpSgdStepRecord {
 };
 
 /// Receives every release as it happens. `sum_d` / `sum_dprime` are the
-/// clipped gradient sums under each hypothesis at the current weights;
-/// `released` is the perturbed sum the mechanism output; `sigma` its noise.
+/// clipped gradient sums under each hypothesis at the current weights (over
+/// the step's batch when sampling_rate < 1); `released` is the perturbed sum
+/// the mechanism output; `sigma` its noise.
 class DpSgdStepObserver {
  public:
   virtual ~DpSgdStepObserver() = default;

@@ -76,7 +76,7 @@ Status RunDiTrial(const Network& architecture, const Dataset& d,
   bool train_on_d =
       config.randomize_challenge_bit ? rng.Bernoulli(0.5) : true;
 
-  DiAdversary adversary;
+  DiAdversary adversary(/*prior_belief_d=*/0.5, config.dpsgd.sampling_rate);
   StatusOr<DpSgdResult> run = RunDpSgd(model, d, d_prime, train_on_d,
                                        config.dpsgd, rng, &adversary);
   if (!run.ok()) return run.status();

@@ -34,6 +34,7 @@ obs::LedgerExperiment BuildLedgerExperiment(
   experiment.sensitivity_mode =
       SensitivityModeToString(config.dpsgd.sensitivity_mode);
   experiment.neighbor_mode = NeighborModeToString(config.dpsgd.neighbor_mode);
+  experiment.sampling_rate = config.dpsgd.sampling_rate;
   experiment.dataset_digest_d = DigestHex(DatasetDigest(d));
   experiment.dataset_digest_dprime = DigestHex(DatasetDigest(d_prime));
   experiment.dataset_digest_test =

@@ -49,14 +49,16 @@ NeighborOverlap AnalyzeNeighborOverlap(const Dataset& d, const Dataset& d_prime,
   return overlap;
 }
 
-NeighborSums ComputeClippedNeighborSums(GradientEngine& engine,
-                                        const Dataset& d,
-                                        const Dataset& d_prime,
-                                        const NeighborOverlap& overlap,
-                                        NeighborMode mode, double clip_norm,
-                                        bool per_layer) {
+NeighborSums ComputeClippedNeighborSums(
+    GradientEngine& engine, const Dataset& d, const Dataset& d_prime,
+    const NeighborOverlap& overlap, NeighborMode mode, double clip_norm,
+    bool per_layer, const std::vector<uint8_t>* batch) {
   DPAUDIT_CHECK(overlap.sharable);
   DPAUDIT_CHECK_GT(clip_norm, 0.0);
+  if (batch != nullptr) {
+    DPAUDIT_CHECK(mode == NeighborMode::kUnbounded);
+    DPAUDIT_CHECK_EQ(batch->size(), d.size());
+  }
 
   // Union example list plus each example's sums: sum A is sum_d, sum B is
   // sum_dprime. Bounded inserts d'_k directly after d_k; unbounded's union
@@ -73,6 +75,7 @@ NeighborSums ComputeClippedNeighborSums(GradientEngine& engine,
   labels.reserve(union_size);
   sums.reserve(union_size);
   for (size_t j = 0; j < d.size(); ++j) {
+    if (batch != nullptr && j != k && (*batch)[j] == 0) continue;
     inputs.push_back(&d.inputs[j]);
     labels.push_back(d.labels[j]);
     sums.push_back(j == k ? kD : kD | kDPrime);

@@ -26,6 +26,7 @@
 #define DPAUDIT_CORE_NEIGHBOR_SUMS_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "data/dataset.h"
@@ -62,12 +63,16 @@ struct NeighborSums {
 /// Shared-gradient evaluation; `overlap` must have sharable == true. Set
 /// `per_layer` for per-layer clipping (Network::PerLayerClippedGradientSum
 /// semantics). Bit-identical to ComputeClippedNeighborSumsTwoPass.
-NeighborSums ComputeClippedNeighborSums(GradientEngine& engine,
-                                        const Dataset& d,
-                                        const Dataset& d_prime,
-                                        const NeighborOverlap& overlap,
-                                        NeighborMode mode, double clip_norm,
-                                        bool per_layer);
+///
+/// A non-null `batch` (unbounded only; one flag per record of D) restricts
+/// the common records to a Poisson batch: a common record enters both sums
+/// iff its flag is set, while x1 = d[overlap.diff_index] always enters
+/// sum_d, so the sums are the two hypotheses' centers over the batch. An
+/// all-set batch gives the unbatched sums bit for bit.
+NeighborSums ComputeClippedNeighborSums(
+    GradientEngine& engine, const Dataset& d, const Dataset& d_prime,
+    const NeighborOverlap& overlap, NeighborMode mode, double clip_norm,
+    bool per_layer, const std::vector<uint8_t>* batch = nullptr);
 
 /// Reference path: two independent clipped sums (still parallel across
 /// examples via the engine). Used when sharing is not applicable.

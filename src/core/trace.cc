@@ -175,6 +175,11 @@ TraceFingerprint FingerprintExperiment(const Network& architecture,
   if (test_set != nullptr && !test_set->empty()) {
     PutDataset(bytes, *test_set);
   }
+  // The sampling rate closes the encoding only when it is not 1, so batch
+  // keys do not depend on it and traces cached before the field existed
+  // keep replaying. The datasets are length prefixed, so the trailing field
+  // cannot alias another encoding.
+  if (dpsgd.sampling_rate != 1.0) wire::PutF64(bytes, dpsgd.sampling_rate);
 
   TraceFingerprint key;
   HashBytes(bytes, &key);

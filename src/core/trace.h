@@ -16,10 +16,11 @@
 //
 // Fingerprint contract: the key hashes the full DpSgdConfig (minus the
 // thread count — results are thread-invariant by the gradient engine's
-// determinism contract), the experiment seed/challenge flags, the network
-// architecture (description, parameter count, and current parameter values,
-// which seed theta_0 when reinitialize_weights is false), and content
-// digests of D, D', and the optional test set. Any change to any of these
+// determinism contract — and with the sampling rate only when it is not 1,
+// so batch keys are independent of it), the experiment seed/challenge
+// flags, the network architecture (description, parameter count, and
+// current parameter values, which seed theta_0 when reinitialize_weights
+// is false), and content digests of D, D', and the optional test set. Any change to any of these
 // produces a different key, so a stale cache can never be replayed against
 // new inputs.
 //

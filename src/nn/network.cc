@@ -169,19 +169,6 @@ std::vector<float> Network::PerExampleGradient(const Tensor& input,
   return scratch_.grad;
 }
 
-std::vector<float> Network::ClippedExampleGradient(const Tensor& input,
-                                                   size_t label,
-                                                   double clip_norm) {
-  DPAUDIT_CHECK_GT(clip_norm, 0.0);
-  std::vector<float> grad = PerExampleGradient(input, label);
-  double scale = ClipScale(L2Norm(grad.data(), grad.size()), clip_norm);
-  if (scale < 1.0) {
-    const float fscale = static_cast<float>(scale);
-    for (float& g : grad) g *= fscale;
-  }
-  return grad;
-}
-
 std::vector<float> Network::ClippedGradientSum(
     const std::vector<Tensor>& inputs, const std::vector<size_t>& labels,
     double clip_norm, std::vector<double>* per_example_norms) {

@@ -124,10 +124,6 @@ class Network {
       const std::vector<Tensor>& inputs, const std::vector<size_t>& labels,
       double clip_norm, std::vector<double>* per_example_norms = nullptr);
 
-  /// Clipped gradient of a single example: g * min(1, C / ||g||).
-  std::vector<float> ClippedExampleGradient(const Tensor& input, size_t label,
-                                            double clip_norm);
-
   /// Per-layer clipping (Thakkar et al., the paper's Section 7 remark about
   /// "setting C differently for each layer"): each parameterized layer's
   /// slice of the per-example gradient is clipped to C / sqrt(L) where L is

@@ -86,7 +86,11 @@ void WriteLedgerExperiment(std::ostream& os,
      << ",\"noise_multiplier\":" << JsonNumber(experiment.noise_multiplier)
      << ",\"sensitivity_mode\":\"" << JsonEscape(experiment.sensitivity_mode)
      << "\",\"neighbor_mode\":\"" << JsonEscape(experiment.neighbor_mode)
-     << "\",\"dataset_digest_d\":\"" << JsonEscape(experiment.dataset_digest_d)
+     << "\"";
+  if (experiment.sampling_rate != 1.0) {
+    os << ",\"sampling_rate\":" << JsonNumber(experiment.sampling_rate);
+  }
+  os << ",\"dataset_digest_d\":\"" << JsonEscape(experiment.dataset_digest_d)
      << "\",\"dataset_digest_dprime\":\""
      << JsonEscape(experiment.dataset_digest_dprime)
      << "\",\"dataset_digest_test\":\""
@@ -359,6 +363,7 @@ StatusOr<LedgerFile> ParseLedger(std::istream& in) {
                          &e.sensitivity_mode);
       DPAUDIT_LEDGER_REQ(JsonExtractString, "neighbor_mode",
                          &e.neighbor_mode);
+      JsonExtractNumber(line, "sampling_rate", &e.sampling_rate);  // optional
       DPAUDIT_LEDGER_REQ(JsonExtractString, "dataset_digest_d",
                          &e.dataset_digest_d);
       DPAUDIT_LEDGER_REQ(JsonExtractString, "dataset_digest_dprime",
@@ -586,6 +591,7 @@ size_t DiffLedgers(const LedgerFile& a, const LedgerFile& b,
     d.Num(we, "noise_multiplier", ea.noise_multiplier, eb.noise_multiplier);
     d.Field(we, "sensitivity_mode", ea.sensitivity_mode, eb.sensitivity_mode);
     d.Field(we, "neighbor_mode", ea.neighbor_mode, eb.neighbor_mode);
+    d.Num(we, "sampling_rate", ea.sampling_rate, eb.sampling_rate);
     d.Field(we, "dataset_digest_d", ea.dataset_digest_d, eb.dataset_digest_d);
     d.Field(we, "dataset_digest_dprime", ea.dataset_digest_dprime,
             eb.dataset_digest_dprime);

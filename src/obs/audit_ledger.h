@@ -111,6 +111,9 @@ struct LedgerExperiment {
   double noise_multiplier = 0.0;
   std::string sensitivity_mode;  // "LS" / "GS"
   std::string neighbor_mode;     // "bounded" / "unbounded"
+  // Poisson sampling rate q. Written only when q != 1, so batch-mode rows
+  // keep their bytes; a row without it (every older ledger) reads as 1.
+  double sampling_rate = 1.0;
   std::string dataset_digest_d;       // 16 hex chars
   std::string dataset_digest_dprime;  // 16 hex chars
   std::string dataset_digest_test;    // "" when no test set was evaluated

@@ -186,6 +186,28 @@ TEST(LedgerRoundTrip, PreservesEveryField) {
   EXPECT_GT(audit.epsilon_from_advantage, 0.0);
 }
 
+TEST(LedgerRoundTrip, SamplingRateIsWrittenOnlyBelowOne) {
+  // A batch-mode row keeps its bytes (no sampling_rate key) and reads back
+  // as q = 1, as every ledger written before the key existed does.
+  std::ostringstream batch;
+  WriteLedgerExperiment(batch, MakeExperiment(0));
+  EXPECT_EQ(batch.str().find("sampling_rate"), std::string::npos);
+
+  LedgerExperiment sampled = MakeExperiment(0);
+  sampled.sampling_rate = 0.2;
+  std::ostringstream out;
+  WriteLedgerManifest(out, TestManifest());
+  WriteLedgerExperiment(out, sampled);
+  StatusOr<LedgerFile> parsed = ParseString(out.str());
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  ASSERT_EQ(parsed->experiments.size(), 1u);
+  EXPECT_EQ(parsed->experiments[0].sampling_rate, 0.2);
+
+  StatusOr<LedgerFile> old = ParseString(SerializeTestLedger());
+  ASSERT_TRUE(old.ok()) << old.status();
+  EXPECT_EQ(old->experiments[0].sampling_rate, 1.0);
+}
+
 TEST(LedgerWriter, AssignsSequenceNumbersAndTogglesEnableFlag) {
   const std::string path =
       ::testing::TempDir() + "/audit_ledger_writer_test.ledger.jsonl";

@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
+#include "dp/mechanism.h"
+#include "dp/sensitivity.h"
+#include "nn/optimizer.h"
 #include "tests/test_helpers.h"
 
 namespace dpaudit {
@@ -339,6 +344,206 @@ TEST(DpSgdTest, AdaptiveClippingConfigValidation) {
   EXPECT_FALSE(config.Validate().ok());
   config.clip_smoothing = 1.0;
   EXPECT_TRUE(config.Validate().ok());
+}
+
+// ---------- Poisson-subsampled DPSGD (sampling_rate < 1) ----------
+
+DpSgdConfig FastSampledConfig() {
+  DpSgdConfig config = FastConfig();
+  config.epochs = 8;
+  config.neighbor_mode = NeighborMode::kUnbounded;
+  config.sampling_rate = 0.4;
+  return config;
+}
+
+/// Records, per step, whether the release sat nearer sum_d than sum_dprime.
+class CenterObserver : public DpSgdStepObserver {
+ public:
+  void OnStep(size_t /*step*/, const std::vector<float>& sum_d,
+              const std::vector<float>& sum_dprime,
+              const std::vector<float>& released, double /*sigma*/) override {
+    gaps.push_back(GradientDistance(sum_d, sum_dprime));
+    nearer_d.push_back(GradientDistance(released, sum_d) <
+                       GradientDistance(released, sum_dprime));
+  }
+  std::vector<double> gaps;
+  std::vector<bool> nearer_d;
+};
+
+TEST(SampledDpSgdTest, ConfigValidation) {
+  EXPECT_TRUE(FastSampledConfig().Validate().ok());
+  DpSgdConfig bad = FastSampledConfig();
+  bad.sampling_rate = 0.0;
+  EXPECT_FALSE(bad.Validate().ok());
+  bad.sampling_rate = 1.2;
+  EXPECT_FALSE(bad.Validate().ok());
+  // q < 1 is the subsampled-Gaussian setting only: unbounded neighbours,
+  // global sensitivity, one fixed whole-gradient clip norm.
+  bad = FastSampledConfig();
+  bad.neighbor_mode = NeighborMode::kBounded;
+  EXPECT_FALSE(bad.Validate().ok());
+  bad = FastSampledConfig();
+  bad.sensitivity_mode = SensitivityMode::kLocalHat;
+  EXPECT_FALSE(bad.Validate().ok());
+  bad = FastSampledConfig();
+  bad.adaptive_clipping = true;
+  EXPECT_FALSE(bad.Validate().ok());
+  bad = FastSampledConfig();
+  bad.per_layer_clipping = true;
+  EXPECT_FALSE(bad.Validate().ok());
+  // At q = 1 every combination stays available.
+  bad.sampling_rate = 1.0;
+  bad.neighbor_mode = NeighborMode::kBounded;
+  EXPECT_TRUE(bad.Validate().ok());
+}
+
+TEST(SampledDpSgdTest, RunsAndRecordsSampling) {
+  Rng rng(1);
+  Network net = TinyNetwork();
+  net.Initialize(rng);
+  Dataset d = BlobDataset(12, rng);
+  Dataset d_prime = d.WithRecordRemoved(0);
+  DpSgdConfig config = FastSampledConfig();
+  config.epochs = 24;
+  config.noise_multiplier = 1e-4;  // the release shows its center
+  CenterObserver observer;
+  Rng run_rng(2);
+  auto result = RunDpSgd(net, d, d_prime, /*train_on_d=*/true, config,
+                         run_rng, &observer);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->steps.size(), 24u);
+  for (const DpSgdStepRecord& step : result->steps) {
+    // Unbounded global sensitivity is C, whatever the batch.
+    EXPECT_DOUBLE_EQ(step.sigma, config.noise_multiplier * config.clip_norm);
+  }
+  // x1 is in sum_d every step; the release follows it only when sampled.
+  size_t released_d = 0;
+  for (size_t i = 0; i < observer.gaps.size(); ++i) {
+    EXPECT_GT(observer.gaps[i], 0.0);
+    if (observer.nearer_d[i]) ++released_d;
+  }
+  EXPECT_GT(released_d, 0u);
+  EXPECT_LT(released_d, observer.gaps.size());
+}
+
+TEST(SampledDpSgdTest, DifferingNeverSampledWhenTrainingOnDPrime) {
+  // A D'-trained run never releases the sum_d center.
+  Rng rng(3);
+  Network net = TinyNetwork();
+  net.Initialize(rng);
+  Dataset d = BlobDataset(12, rng);
+  DpSgdConfig config = FastSampledConfig();
+  config.epochs = 24;
+  config.noise_multiplier = 1e-4;
+  CenterObserver observer;
+  Rng run_rng(4);
+  auto result = RunDpSgd(net, d, d.WithRecordRemoved(0),
+                         /*train_on_d=*/false, config, run_rng, &observer);
+  ASSERT_TRUE(result.ok());
+  ASSERT_EQ(observer.nearer_d.size(), 24u);
+  for (bool nearer_d : observer.nearer_d) EXPECT_FALSE(nearer_d);
+}
+
+TEST(SampledDpSgdTest, RejectsBadArguments) {
+  Rng rng(5);
+  Network net = TinyNetwork();
+  net.Initialize(rng);
+  Dataset d = BlobDataset(6, rng);
+  Rng run_rng(6);
+  // D' must be D with one record removed, not merely one record smaller.
+  Dataset unrelated = BlobDataset(5, rng);
+  EXPECT_FALSE(RunDpSgd(net, d, unrelated, true, FastSampledConfig(),
+                        run_rng)
+                   .ok());
+  EXPECT_FALSE(
+      RunDpSgd(net, d, d, true, FastSampledConfig(), run_rng).ok());
+  EXPECT_TRUE(RunDpSgd(net, d, d.WithRecordRemoved(3), true,
+                       FastSampledConfig(), run_rng)
+                  .ok());
+}
+
+TEST(SampledDpSgdTest, OptimizerChoiceIsHonored) {
+  Rng rng(31);
+  Network net = TinyNetwork();
+  net.Initialize(rng);
+  Dataset d = BlobDataset(10, rng);
+  Dataset d_prime = d.WithRecordRemoved(0);
+  auto run = [&](OptimizerKind kind) {
+    DpSgdConfig config = FastSampledConfig();
+    config.optimizer = kind;
+    Rng run_rng(32);
+    auto result = RunDpSgd(net, d, d_prime, true, config, run_rng);
+    EXPECT_TRUE(result.ok());
+    return result->model.FlatParams();
+  };
+  EXPECT_NE(run(OptimizerKind::kSgd), run(OptimizerKind::kAdam));
+  EXPECT_EQ(run(OptimizerKind::kAdam), run(OptimizerKind::kAdam));
+}
+
+/// The subsampled step spelled out sequentially: per step, one Bernoulli per
+/// common record in index order, then x1's when training on D, then the
+/// noise; Network's reference clipped sums over the batch (x1 joins sum_d
+/// in its index position); the release over q * |D| into the optimizer.
+std::vector<float> ReferenceSampledRun(const Network& initial,
+                                       const Dataset& d, size_t x1,
+                                       bool train_on_d,
+                                       const DpSgdConfig& config, Rng& rng) {
+  Network model = initial.Clone();
+  std::unique_ptr<Optimizer> optimizer =
+      MakeOptimizer(config.optimizer, config.learning_rate);
+  const double q = config.sampling_rate;
+  const double n = q * static_cast<double>(d.size());
+  for (size_t step = 0; step < config.epochs; ++step) {
+    std::vector<bool> sampled(d.size(), false);
+    for (size_t j = 0; j < d.size(); ++j) {
+      sampled[j] = j != x1 && rng.Bernoulli(q);
+    }
+    const bool release_d = train_on_d && rng.Bernoulli(q);
+    Dataset batch_d;
+    Dataset batch_dprime;
+    for (size_t j = 0; j < d.size(); ++j) {
+      if (sampled[j]) batch_dprime.Add(d.inputs[j], d.labels[j]);
+      if (sampled[j] || j == x1) batch_d.Add(d.inputs[j], d.labels[j]);
+    }
+    std::vector<float> released =
+        release_d ? model.ClippedGradientSum(batch_d.inputs, batch_d.labels,
+                                             config.clip_norm)
+                  : model.ClippedGradientSum(batch_dprime.inputs,
+                                             batch_dprime.labels,
+                                             config.clip_norm);
+    GaussianMechanism(config.noise_multiplier * config.clip_norm)
+        .Perturb(released, rng);
+    std::vector<float> mean(released.size());
+    for (size_t i = 0; i < released.size(); ++i) {
+      mean[i] = static_cast<float>(released[i] / n);
+    }
+    optimizer->Step(model, mean);
+  }
+  return model.FlatParams();
+}
+
+TEST(SampledDpSgdTest, MatchesTheSequentialReferenceBitForBit) {
+  Rng rng(41);
+  Network net = TinyNetwork();
+  net.Initialize(rng);
+  Dataset d = BlobDataset(11, rng);
+  for (size_t x1 : {size_t{0}, size_t{4}, size_t{10}}) {
+    for (bool train_on_d : {true, false}) {
+      DpSgdConfig config = FastSampledConfig();
+      config.threads = 3;
+      Rng run_rng(42);
+      auto result = RunDpSgd(net, d, d.WithRecordRemoved(x1), train_on_d,
+                             config, run_rng);
+      ASSERT_TRUE(result.ok()) << result.status();
+      Rng reference_rng(42);
+      EXPECT_EQ(result->model.FlatParams(),
+                ReferenceSampledRun(net, d, x1, train_on_d, config,
+                                    reference_rng))
+          << "x1 = " << x1 << ", train_on_d = " << train_on_d;
+      // Both consumed exactly the same draws.
+      EXPECT_EQ(run_rng.Uniform(), reference_rng.Uniform());
+    }
+  }
 }
 
 TEST(NonPrivateSgdTest, RejectsInvalid) {

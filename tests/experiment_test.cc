@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/scores.h"
 #include "dp/privacy_params.h"
+#include "dp/rdp_accountant.h"
 #include "tests/test_helpers.h"
 
 namespace dpaudit {
@@ -227,6 +229,90 @@ TEST(DiExperimentTest, RejectsInvalidConfig) {
   config = FastExperiment();
   config.dpsgd.epochs = 0;
   EXPECT_FALSE(RunDiExperiment(f.net, f.d, f.d_prime, config).ok());
+}
+
+// ---------- Poisson-subsampled Exp^DI (sampling_rate < 1) ----------
+
+DiExperimentConfig FastSampledExperiment() {
+  DiExperimentConfig config = FastExperiment();
+  config.dpsgd.epochs = 8;
+  config.dpsgd.neighbor_mode = NeighborMode::kUnbounded;
+  config.dpsgd.sampling_rate = 0.4;
+  return config;
+}
+
+struct SampledFixture {
+  SampledFixture() : rng(7), net(TinyNetwork()) {
+    net.Initialize(rng);
+    d = BlobDataset(12, rng);
+    d_prime = d.WithRecordRemoved(0);
+  }
+  Rng rng;
+  Network net;
+  Dataset d;
+  Dataset d_prime;
+};
+
+TEST(SampledExperimentTest, BeliefBoundHoldsUnderSubsampledAccounting) {
+  SampledFixture f;
+  const double rho_beta = 0.9;
+  const double delta = 0.05;
+  DiExperimentConfig config = FastSampledExperiment();
+  config.dpsgd.epochs = 10;
+  config.repetitions = 200;
+  config.seed = 11;
+  const double epsilon = *EpsilonForRhoBeta(rho_beta);
+  config.dpsgd.noise_multiplier = *SampledNoiseMultiplierForTargetEpsilon(
+      epsilon, delta, config.dpsgd.epochs, config.dpsgd.sampling_rate);
+  auto summary = RunDiExperiment(f.net, f.d, f.d_prime, config);
+  ASSERT_TRUE(summary.ok()) << summary.status();
+  // Theorem 1 with the subsampled accountant's epsilon: violations of the
+  // belief bound are rare (delta-scale; allow 3x sampling slack).
+  EXPECT_LE(summary->EmpiricalDelta(rho_beta), 3.0 * delta);
+}
+
+TEST(SampledExperimentTest, LowerSamplingRateLowersAdvantage) {
+  SampledFixture f;
+  DiExperimentConfig config = FastSampledExperiment();
+  config.dpsgd.noise_multiplier = 0.5;  // weak noise: sampling protects
+  config.repetitions = 120;
+  config.seed = 13;
+  config.dpsgd.sampling_rate = 1.0;
+  auto full = RunDiExperiment(f.net, f.d, f.d_prime, config);
+  config.dpsgd.sampling_rate = 0.1;
+  auto sparse = RunDiExperiment(f.net, f.d, f.d_prime, config);
+  ASSERT_TRUE(full.ok());
+  ASSERT_TRUE(sparse.ok());
+  EXPECT_GT(full->EmpiricalAdvantage(),
+            sparse->EmpiricalAdvantage() + 0.05);
+}
+
+TEST(SampledExperimentTest, DeterministicAcrossThreadCounts) {
+  // Trials and the engine inside them: bit-identical at 1 and 8 threads.
+  SampledFixture f;
+  DiExperimentConfig config = FastSampledExperiment();
+  config.dpsgd.epochs = 4;
+  config.repetitions = 12;
+  config.seed = 17;
+  config.threads = 1;
+  config.dpsgd.threads = 1;
+  auto serial = RunDiExperiment(f.net, f.d, f.d_prime, config);
+  config.threads = 8;
+  config.dpsgd.threads = 8;
+  auto parallel = RunDiExperiment(f.net, f.d, f.d_prime, config);
+  ASSERT_TRUE(serial.ok()) << serial.status();
+  ASSERT_TRUE(parallel.ok()) << parallel.status();
+  ASSERT_EQ(serial->trials.size(), parallel->trials.size());
+  for (size_t i = 0; i < serial->trials.size(); ++i) {
+    EXPECT_EQ(serial->trials[i].final_belief_d,
+              parallel->trials[i].final_belief_d);
+    EXPECT_EQ(serial->trials[i].max_belief_d,
+              parallel->trials[i].max_belief_d);
+    EXPECT_EQ(serial->trials[i].adversary_says_d,
+              parallel->trials[i].adversary_says_d);
+    EXPECT_EQ(serial->trials[i].local_sensitivities,
+              parallel->trials[i].local_sensitivities);
+  }
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 
 #include <vector>
 
-#include "data/idx_format.h"
 #include "io/serialization.h"
 #include "nn/gradient_engine.h"
 #include "tests/test_helpers.h"
@@ -24,39 +23,6 @@ std::vector<uint8_t> RandomBytes(size_t size, Rng& rng) {
     b = static_cast<uint8_t>(rng.UniformInt(256));
   }
   return bytes;
-}
-
-TEST(FuzzTest, IdxParserSurvivesRandomBytes) {
-  Rng rng(1);
-  for (int trial = 0; trial < 500; ++trial) {
-    size_t size = rng.UniformInt(64);
-    auto result = ParseIdx(RandomBytes(size, rng));
-    // Random bytes essentially never form a valid stream; either way the
-    // call must return, not crash.
-    (void)result.ok();
-  }
-}
-
-TEST(FuzzTest, IdxParserSurvivesCorruptedValidStream) {
-  IdxData data;
-  data.dims = {3, 4};
-  data.values.assign(12, 7);
-  std::vector<uint8_t> valid = *SerializeIdx(data);
-  Rng rng(2);
-  for (int trial = 0; trial < 500; ++trial) {
-    std::vector<uint8_t> corrupted = valid;
-    size_t flips = 1 + rng.UniformInt(4);
-    for (size_t f = 0; f < flips; ++f) {
-      corrupted[rng.UniformInt(corrupted.size())] ^=
-          static_cast<uint8_t>(1 + rng.UniformInt(255));
-    }
-    (void)ParseIdx(corrupted);
-    // Truncations too.
-    std::vector<uint8_t> truncated(valid.begin(),
-                                   valid.begin() + rng.UniformInt(
-                                       valid.size()));
-    (void)ParseIdx(truncated);
-  }
 }
 
 TEST(FuzzTest, WeightDeserializerSurvivesRandomAndCorrupted) {

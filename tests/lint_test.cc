@@ -11,6 +11,8 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "tools/lint/driver.h"
+#include "tools/lint/model.h"
 
 namespace dpaudit {
 namespace lint {
@@ -56,6 +58,42 @@ const FixtureCase kFixtureCases[] = {
      "include_order_ok.cc"},
 };
 
+// Graph rules whose verdict on a file depends on the rest of the tree: the
+// fixtures live in the tree/ mini-repository (src/ plus the tests/ that
+// include from it), linted whole, and the row's files are picked out.
+const FixtureCase kTreeFixtureCases[] = {
+    {"dpaudit-unreached-module", "util/unreached_bad.h",
+     "util/unreached_ok.h"},
+};
+
+std::vector<Finding> LintTreeFixture(const std::string& name,
+                                     const std::string& rule) {
+  const std::string root = std::string(DPAUDIT_LINT_FIXTURES_DIR) + "/tree";
+  TreeLintOptions options;
+  options.root = root;
+  options.layers_path = root + "/layers.txt";
+  options.rules = {rule};
+  const TreeLintResult result = LintTree({"src", "tests"}, options);
+  EXPECT_TRUE(result.errors.empty());
+  std::vector<Finding> findings;
+  for (const Finding& f : result.findings) {
+    if (f.file == "src/" + name) findings.push_back(f);
+  }
+  return findings;
+}
+
+TEST(LintFixtures, TreeFixtureRowsFlagTheBadFileOnly) {
+  for (const FixtureCase& c : kTreeFixtureCases) {
+    const std::vector<Finding> bad = LintTreeFixture(c.bad, c.rule);
+    EXPECT_FALSE(bad.empty()) << c.bad << " produced no findings";
+    for (const Finding& f : bad) {
+      EXPECT_EQ(f.rule, c.rule) << c.bad;
+      EXPECT_FALSE(f.message.empty());
+    }
+    EXPECT_TRUE(LintTreeFixture(c.ok, c.rule).empty()) << c.ok;
+  }
+}
+
 TEST(LintFixtures, EveryBadFixtureIsFlaggedByExactlyItsRule) {
   for (const FixtureCase& c : kFixtureCases) {
     const std::vector<Finding> findings = LintFixture(c.bad);
@@ -98,11 +136,14 @@ TEST(LintFixtures, DirectoryScanFlagsAllBadAndNoOkFiles) {
 TEST(LintFixtures, EveryRuleHasAFixture) {
   std::set<std::string> covered;
   for (const FixtureCase& c : kFixtureCases) covered.insert(c.rule);
+  for (const FixtureCase& c : kTreeFixtureCases) covered.insert(c.rule);
   for (const Rule& rule : AllRules()) {
     EXPECT_EQ(covered.count(rule.name), 1u)
         << rule.name << " has no fixture pair";
   }
+  for (const std::string& rule : covered) EXPECT_TRUE(IsKnownRule(rule));
   EXPECT_EQ(AllRules().size(), 12u);
+  EXPECT_EQ(covered.size(), 13u);
 }
 
 TEST(LintEngine, RuleFilterRunsOnlyRequestedRules) {

@@ -58,7 +58,7 @@ std::string ReadWholeFile(const std::string& path) {
 
 TEST(TreeFixture, FlagsExactlyTheExpectedGraphFindings) {
   const TreeLintResult result =
-      LintTree({"src"}, TreeOptions(FixtureTreeRoot()));
+      LintTree({"src", "tests"}, TreeOptions(FixtureTreeRoot()));
   ASSERT_TRUE(result.errors.empty()) << result.errors.front();
   const std::set<std::pair<std::string, std::string>> expected = {
       {"src/core/flow_bad.cc", "dpaudit-mechanism-flow"},
@@ -69,6 +69,7 @@ TEST(TreeFixture, FlagsExactlyTheExpectedGraphFindings) {
       {"src/core/unused_inc.cc", "dpaudit-unused-include"},
       {"src/obs/cycle_a.h", "dpaudit-include-cycle"},
       {"src/util/layer_bad.h", "dpaudit-layering"},
+      {"src/util/unreached_bad.h", "dpaudit-unreached-module"},
   };
   std::ostringstream detail;
   WriteText(result.findings, detail);
@@ -87,6 +88,20 @@ TEST(TreeFixture, RuleFilterRestrictsGraphRules) {
   const std::set<std::pair<std::string, std::string>> expected = {
       {"src/core/ledger_naughty.cc", "dpaudit-layering"},
       {"src/util/layer_bad.h", "dpaudit-layering"},
+  };
+  EXPECT_EQ(FileRulePairs(result.findings), expected);
+}
+
+TEST(TreeFixture, UnreachedModuleNeedsIncludersInView) {
+  // Linting src/ alone shows no includer outside it, so every header would
+  // look unreached; the rule stays quiet instead.
+  TreeLintOptions options = TreeOptions(FixtureTreeRoot());
+  options.rules = {"dpaudit-unreached-module"};
+  EXPECT_TRUE(LintTree({"src"}, options).findings.empty());
+  const TreeLintResult result = LintTree({"src", "tests"}, options);
+  ASSERT_TRUE(result.errors.empty());
+  const std::set<std::pair<std::string, std::string>> expected = {
+      {"src/util/unreached_bad.h", "dpaudit-unreached-module"},
   };
   EXPECT_EQ(FileRulePairs(result.findings), expected);
 }
@@ -174,7 +189,8 @@ TEST(CacheFormat, ModelSurvivesARoundTrip) {
       "#pragma once\n"
       "#include \"util/b.h\"\n"
       "struct Widget { void Grow(); };\n"
-      "int Count(const Widget& w);  // NOLINT(dpaudit-missing-include)\n");
+      "int Count(const Widget& w);  // NOLINT(dpaudit-missing-include)\n"
+      "int Keep();  // NOLINT(dpaudit-unreached-module): kept for users\n");
   std::string text;
   SerializeFileModel(model, &text);
   FileModel restored;
@@ -187,6 +203,9 @@ TEST(CacheFormat, ModelSurvivesARoundTrip) {
   EXPECT_EQ(restored.decls.size(), model.decls.size());
   EXPECT_EQ(restored.refs.size(), model.refs.size());
   EXPECT_EQ(restored.suppressions.size(), model.suppressions.size());
+  for (size_t i = 0; i < model.suppressions.size(); ++i) {
+    EXPECT_EQ(restored.suppressions[i].reason, model.suppressions[i].reason);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -418,6 +437,23 @@ TEST(Lexer, SuppressionsSurviveTheModel) {
   EXPECT_TRUE(IsSuppressedInModel(model, "dpaudit-missing-include", 3));
   EXPECT_TRUE(IsSuppressedInModel(model, "dpaudit-anything", 4));
   EXPECT_FALSE(IsSuppressedInModel(model, "dpaudit-layering", 2));
+}
+
+TEST(Lexer, UnreachedModuleEscapeNeedsAReason) {
+  const FileModel model = AnalyzeFile(
+      "src/a.h",
+      "// NOLINT(dpaudit-unreached-module)\n"
+      "// NOLINT(dpaudit-unreached-module): loader for downstream users\n"
+      "// NOLINT\n");
+  ASSERT_EQ(model.suppressions.size(), 3u);
+  EXPECT_FALSE(model.suppressions[0].reason);
+  EXPECT_TRUE(model.suppressions[1].reason);
+  EXPECT_FALSE(IsSuppressedInModel(model, "dpaudit-unreached-module", 1));
+  EXPECT_TRUE(IsSuppressedInModel(model, "dpaudit-unreached-module", 2));
+  // A bare NOLINT names no rule, so it cannot carry a reason for this one.
+  EXPECT_FALSE(IsSuppressedInModel(model, "dpaudit-unreached-module", 3));
+  // Other rules keep the plain escape.
+  EXPECT_TRUE(IsSuppressedInModel(model, "dpaudit-layering", 3));
 }
 
 TEST(Lexer, FingerprintTracksContent) {

@@ -224,6 +224,51 @@ TEST(NeighborSharingTest, IdenticalDatasetsShareEverything) {
   ExpectSumsBitIdentical(shared, two_pass);
 }
 
+TEST(NeighborSharingTest, PoissonBatchRestrictsTheCommonRecords) {
+  // A batch keeps the sampled common records in both sums and x1 in sum_d
+  // always: the two-pass sums over (batch + x1, batch). An all-set batch is
+  // the unbatched call.
+  Rng rng(41);
+  Network net = TinyNetwork();
+  net.Initialize(rng);
+  Dataset d = BlobDataset(13, rng);
+  const size_t x1 = 5;
+  Dataset d_prime = d.WithRecordRemoved(x1);
+  NeighborOverlap overlap =
+      AnalyzeNeighborOverlap(d, d_prime, NeighborMode::kUnbounded);
+  ASSERT_TRUE(overlap.sharable);
+  ASSERT_EQ(overlap.diff_index, x1);
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    GradientEngine::Options options;
+    options.threads = threads;
+    GradientEngine engine(net, options);
+    engine.SyncParams(net);
+
+    std::vector<uint8_t> all(d.size(), 1);
+    ExpectSumsBitIdentical(
+        ComputeClippedNeighborSums(engine, d, d_prime, overlap,
+                                   NeighborMode::kUnbounded, 0.7, false,
+                                   &all),
+        ComputeClippedNeighborSums(engine, d, d_prime, overlap,
+                                   NeighborMode::kUnbounded, 0.7, false));
+
+    std::vector<uint8_t> batch(d.size(), 0);
+    Dataset with_x1;
+    Dataset without_x1;
+    for (size_t j = 0; j < d.size(); ++j) {
+      batch[j] = j % 3 == 0 ? 1 : 0;  // x1's flag (0 here) is ignored
+      if (batch[j] != 0) without_x1.Add(d.inputs[j], d.labels[j]);
+      if (batch[j] != 0 || j == x1) with_x1.Add(d.inputs[j], d.labels[j]);
+    }
+    ExpectSumsBitIdentical(
+        ComputeClippedNeighborSums(engine, d, d_prime, overlap,
+                                   NeighborMode::kUnbounded, 0.7, false,
+                                   &batch),
+        ComputeClippedNeighborSumsTwoPass(engine, with_x1, without_x1, 0.7,
+                                          false));
+  }
+}
+
 // The audit benchmark's networks through the clip stage: the 28x28 MNIST
 // conv net (4/8 filters) and the 600-48-30 Purchase MLP, whose dense layers
 // hand over factored weight gradients. n = 16 records make two full packs

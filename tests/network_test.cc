@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 
@@ -80,7 +81,7 @@ TEST(NetworkTest, ClippedGradientRespectsNorm) {
   Network net = SmallNet(rng);
   Tensor x({4}, {2.0f, -1.0f, 3.0f, 0.5f});
   const double clip = 0.01;  // force clipping
-  std::vector<float> clipped = net.ClippedExampleGradient(x, 0, clip);
+  std::vector<float> clipped = net.ClippedGradientSum({x}, {0}, clip);
   EXPECT_NEAR(L2Norm(clipped), clip, 1e-6);
 }
 
@@ -89,7 +90,7 @@ TEST(NetworkTest, ClippingIsNoOpBelowThreshold) {
   Network net = SmallNet(rng);
   Tensor x({4}, {0.1f, 0.0f, -0.1f, 0.2f});
   std::vector<float> raw = net.PerExampleGradient(x, 1);
-  std::vector<float> clipped = net.ClippedExampleGradient(x, 1, 1e9);
+  std::vector<float> clipped = net.ClippedGradientSum({x}, {1}, 1e9);
   EXPECT_EQ(raw, clipped);
 }
 
@@ -112,9 +113,12 @@ TEST(NetworkTest, ClippedGradientSumEqualsSumOfClippedGradients) {
   ASSERT_EQ(norms.size(), 5u);
   std::vector<float> manual(net.NumParams(), 0.0f);
   for (int i = 0; i < 5; ++i) {
-    std::vector<float> g =
-        net.ClippedExampleGradient(inputs[i], labels[i], clip);
-    for (size_t j = 0; j < manual.size(); ++j) manual[j] += g[j];
+    std::vector<float> g = net.PerExampleGradient(inputs[i], labels[i]);
+    EXPECT_DOUBLE_EQ(norms[i], L2Norm(g));
+    const double scale = std::min(1.0, clip / L2Norm(g));
+    for (size_t j = 0; j < manual.size(); ++j) {
+      manual[j] += static_cast<float>(scale * g[j]);
+    }
   }
   for (size_t j = 0; j < manual.size(); ++j) {
     EXPECT_NEAR(sum[j], manual[j], 1e-5);

@@ -152,5 +152,90 @@ TEST(CompositionComparisonTest, RdpBeatsSequentialForManySteps) {
   EXPECT_LT(rdp_eps, 0.5 * sequential_eps);  // decisively better
 }
 
+// ---------- subsampled RDP accountant ----------
+
+TEST(SampledGaussianRdpTest, ReducesToGaussianAtFullSampling) {
+  for (size_t alpha : {2, 4, 16}) {
+    EXPECT_NEAR(SampledGaussianRdpEpsilon(alpha, 1.0, 1.3),
+                GaussianRdpEpsilonFromNoiseMultiplier(
+                    static_cast<double>(alpha), 1.3),
+                1e-12);
+  }
+}
+
+TEST(SampledGaussianRdpTest, AmplificationBySubsampling) {
+  // q < 1 must cost strictly less than q = 1 at every integer order.
+  for (size_t alpha : {2, 3, 8, 32}) {
+    double full = SampledGaussianRdpEpsilon(alpha, 1.0, 1.5);
+    double half = SampledGaussianRdpEpsilon(alpha, 0.5, 1.5);
+    double tenth = SampledGaussianRdpEpsilon(alpha, 0.1, 1.5);
+    EXPECT_LT(half, full);
+    EXPECT_LT(tenth, half);
+    EXPECT_GE(tenth, 0.0);
+  }
+}
+
+TEST(SampledGaussianRdpTest, MatchesManualAlphaTwoComputation) {
+  // alpha = 2: eps = ln((1-q)^2 + 2q(1-q) + q^2 e^{1/z^2}).
+  const double q = 0.3;
+  const double z = 1.7;
+  double manual = std::log((1 - q) * (1 - q) + 2 * q * (1 - q) +
+                           q * q * std::exp(1.0 / (z * z)));
+  EXPECT_NEAR(SampledGaussianRdpEpsilon(2, q, z), manual, 1e-12);
+}
+
+TEST(SampledGaussianRdpTest, SmallQScalesQuadratically) {
+  // For small q the leading term is ~ alpha q^2 / z^2-ish: quartering q
+  // should shrink eps by roughly 16x.
+  double e1 = SampledGaussianRdpEpsilon(4, 0.04, 2.0);
+  double e2 = SampledGaussianRdpEpsilon(4, 0.01, 2.0);
+  EXPECT_NEAR(e1 / e2, 16.0, 3.0);
+}
+
+TEST(RdpAccountantTest, SampledStepsExcludeFractionalOrders) {
+  RdpAccountant accountant;
+  accountant.AddSampledGaussianSteps(0.2, 1.5, 10);
+  // Conversion still works (integer orders remain finite).
+  auto eps = accountant.GetEpsilon(1e-5);
+  ASSERT_TRUE(eps.ok());
+  EXPECT_TRUE(std::isfinite(*eps));
+  // The optimal order must be an integer.
+  double order = *accountant.GetOptimalOrder(1e-5);
+  EXPECT_NEAR(order, std::round(order), 1e-9);
+}
+
+TEST(RdpAccountantTest, SubsamplingSavesEpsilonOverFullBatch) {
+  const double delta = 1e-5;
+  RdpAccountant full;
+  full.AddGaussianSteps(1.5, 100);
+  RdpAccountant sampled;
+  sampled.AddSampledGaussianSteps(0.1, 1.5, 100);
+  EXPECT_LT(*sampled.GetEpsilon(delta), *full.GetEpsilon(delta));
+}
+
+TEST(SampledCalibrationTest, BisectionHitsTarget) {
+  const double target = 2.2;
+  const double delta = 1e-4;
+  const size_t steps = 50;
+  const double q = 0.25;
+  auto z = SampledNoiseMultiplierForTargetEpsilon(target, delta, steps, q);
+  ASSERT_TRUE(z.ok()) << z.status();
+  double achieved =
+      *ComposedEpsilonForSampledNoiseMultiplier(q, *z, delta, steps);
+  EXPECT_NEAR(achieved, target, 1e-5 * target);
+  // Subsampling lets the same budget run with less noise than full batch.
+  double z_full = *NoiseMultiplierForTargetEpsilon(target, delta, steps);
+  EXPECT_LT(*z, z_full);
+}
+
+TEST(SampledCalibrationTest, RejectsInvalid) {
+  EXPECT_FALSE(
+      SampledNoiseMultiplierForTargetEpsilon(1.0, 1e-4, 10, 0.0).ok());
+  EXPECT_FALSE(
+      SampledNoiseMultiplierForTargetEpsilon(1.0, 1e-4, 10, 1.5).ok());
+  EXPECT_FALSE(
+      ComposedEpsilonForSampledNoiseMultiplier(0.5, 0.0, 1e-4, 10).ok());
+}
+
 }  // namespace
 }  // namespace dpaudit

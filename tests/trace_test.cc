@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <set>
+#include <string>
 
 #include "core/auditor.h"
 #include "dp/privacy_params.h"
@@ -264,6 +266,30 @@ TEST(TraceFingerprintTest, EachConfigFieldInvalidatesTheKey) {
     EXPECT_NE(FingerprintExperiment(f.net, f.d, f.d_prime, variants[i]), key)
         << "variant " << i << " did not change the fingerprint";
   }
+}
+
+TEST(TraceFingerprintTest, BatchConfigKeyIsPinned) {
+  // The key of a q = 1 config, as computed before the sampling rate joined
+  // DpSgdConfig. Traces cached under batch-mode keys must keep replaying,
+  // so this hex may only change with kTraceSchemaVersion.
+  Fixture f;
+  EXPECT_EQ(FingerprintExperiment(f.net, f.d, f.d_prime, FastExperiment())
+                .ToHex(),
+            "9ff8bd8ef9968879adf7751fd0a7c0f9");
+}
+
+TEST(TraceFingerprintTest, SamplingRateSeparatesKeys) {
+  // Without q in the key, a cached q = 0.5 cell would replay for q = 0.2.
+  Fixture f;
+  Dataset removed = f.d.WithRecordRemoved(0);
+  std::set<std::string> keys;
+  for (double q : {1.0, 0.5, 0.2}) {
+    DiExperimentConfig config = FastExperiment();
+    config.dpsgd.neighbor_mode = NeighborMode::kUnbounded;
+    config.dpsgd.sampling_rate = q;
+    keys.insert(FingerprintExperiment(f.net, f.d, removed, config).ToHex());
+  }
+  EXPECT_EQ(keys.size(), 3u);
 }
 
 TEST(TraceFingerprintTest, DataAndModelInvalidateTheKey) {

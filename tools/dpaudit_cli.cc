@@ -505,9 +505,10 @@ Status RunLedger(const ArgParser& args) {
     std::printf("  repetitions       = %zu (steps/trial %zu)\n",
                 experiment->trials.size(), experiment->steps_per_trial);
     std::printf("  dpsgd             = epochs %zu, lr %g, clip %g, "
-                "sigma %g, %s/%s\n",
+                "sigma %g, q %g, %s/%s\n",
                 experiment->epochs, experiment->learning_rate,
                 experiment->clip_norm, experiment->noise_multiplier,
+                experiment->sampling_rate,
                 experiment->sensitivity_mode.c_str(),
                 experiment->neighbor_mode.c_str());
     std::printf("  datasets          = D %s, D' %s, test %s\n",

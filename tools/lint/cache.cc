@@ -11,7 +11,7 @@ namespace dpaudit {
 namespace lint {
 namespace {
 
-constexpr const char kMagic[] = "dpaudit-lint-cache v1";
+constexpr const char kMagic[] = "dpaudit-lint-cache v2";
 
 std::string NextLine(const std::string& text, size_t* pos) {
   if (*pos >= text.size()) return std::string();
@@ -67,7 +67,7 @@ void SerializeFileModel(const FileModel& model, std::string* out) {
   }
   for (const SuppressDirective& d : model.suppressions) {
     *out += "sup " + std::to_string(d.line) + (d.next_line ? " 1" : " 0") +
-            (d.bare ? " 1" : " 0");
+            (d.bare ? " 1" : " 0") + (d.reason ? " 1" : " 0");
     for (size_t i = 0; i < d.rules.size(); ++i) {
       *out += (i == 0 ? " " : ",") + d.rules[i];
     }
@@ -139,10 +139,11 @@ bool DeserializeFileModel(const std::string& text, size_t* pos,
     } else if (key == "sup") {
       SuppressDirective d;
       std::istringstream fields(rest);
-      int next = 0, bare = 0;
-      fields >> d.line >> next >> bare;
+      int next = 0, bare = 0, reason = 0;
+      fields >> d.line >> next >> bare >> reason;
       d.next_line = next != 0;
       d.bare = bare != 0;
+      d.reason = reason != 0;
       std::string list;
       if (fields >> list) {
         size_t begin = 0;

@@ -13,7 +13,7 @@ namespace {
 
 // Bumped whenever the lexer or any per-file rule changes behavior, so stale
 // cache entries (tools/lint/cache.h) never survive a tool upgrade.
-constexpr uint64_t kLexerVersion = 4;
+constexpr uint64_t kLexerVersion = 5;
 
 // Keywords, builtin types, and ubiquitous std vocabulary that never
 // identify a repo symbol. Keeping them out of the ref set shrinks the cache
@@ -336,6 +336,10 @@ void ExtractSuppressions(const std::vector<std::string>& raw_lines,
           begin = comma + 1;
         }
         d.bare = d.rules.empty();
+        if (close != std::string::npos) {
+          const size_t text = raw.find_first_not_of(" \t:-", close + 1);
+          d.reason = text != std::string::npos;
+        }
       } else {
         d.bare = true;
       }
@@ -454,6 +458,7 @@ bool IsSuppressedInModel(const FileModel& model, const std::string& rule,
     const bool covers_line =
         d.next_line ? (d.line == line - 1) : (d.line == line);
     if (!covers_line) continue;
+    if (rule == "dpaudit-unreached-module" && !d.reason) continue;
     if (d.bare) return true;
     for (const std::string& r : d.rules) {
       if (r == rule) return true;

@@ -59,6 +59,7 @@ struct SuppressDirective {
   int line = 0;           // 1-based line the directive sits on
   bool next_line = false; // NOLINTNEXTLINE
   bool bare = false;      // no rule list: suppresses every rule
+  bool reason = false;    // text follows the rule list (a stated reason)
   std::vector<std::string> rules;
 };
 
@@ -94,6 +95,9 @@ uint64_t FingerprintContents(const std::string& contents);
 FileModel AnalyzeFile(const std::string& rel, const std::string& contents);
 
 /// True when `model`'s suppressions cover a finding of `rule` at `line`.
+/// dpaudit-unreached-module yields only to a directive that names it and
+/// states a reason after the rule list
+/// (`// NOLINT(dpaudit-unreached-module): kept because ...`).
 bool IsSuppressedInModel(const FileModel& model, const std::string& rule,
                          int line);
 

@@ -376,6 +376,43 @@ void CheckMechanismFlow(const TreeModel& tree, std::vector<Finding>* out) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// dpaudit-unreached-module: a src/ header that nothing outside tests/
+// includes (its own source file aside) is a module no binary reaches; its
+// tests keep dead code alive. Delete it or wire it into a result. A module
+// kept on purpose carries `// NOLINT(dpaudit-unreached-module): <reason>`
+// on its first line, where the finding is anchored. Includers can only be
+// seen among the collected files, so the rule stays quiet on runs that
+// collect nothing outside src/ (linting src/ alone).
+
+void CheckUnreachedModule(const TreeModel& tree, std::vector<Finding>* out) {
+  bool sees_includers = false;
+  std::vector<bool> reached(tree.files.size(), false);
+  for (size_t i = 0; i < tree.files.size(); ++i) {
+    const std::string& from = tree.files[i].rel;
+    if (!StartsWith(from, "src/")) sees_includers = true;
+    if (StartsWith(from, "tests/")) continue;
+    for (const TreeModel::Edge& edge : tree.edges[i]) {
+      if (!SameStem(from, tree.files[edge.target].rel)) {
+        reached[edge.target] = true;
+      }
+    }
+  }
+  if (!sees_includers) return;
+  for (size_t i = 0; i < tree.files.size(); ++i) {
+    const FileModel& file = tree.files[i];
+    if (!file.is_header || !StartsWith(file.rel, "src/") || reached[i]) {
+      continue;
+    }
+    EmitGraph(tree, i, 1, "dpaudit-unreached-module",
+              "'" + file.rel +
+                  "' is included from nowhere outside tests/; delete the "
+                  "module or wire it into a binary (a deliberate keep needs "
+                  "a NOLINT with a reason)",
+              out);
+  }
+}
+
 }  // namespace
 
 const LayerConfig::Layer* LayerConfig::LayerOf(const std::string& rel) const {
@@ -546,6 +583,10 @@ const std::vector<GraphRule>& AllGraphRules() {
        "referenced repo symbols must be included directly, not through "
        "transitive includes (IWYU-lite)",
        &CheckMissingInclude},
+      {"dpaudit-unreached-module",
+       "every src/ header is included from outside tests/ (its own source "
+       "aside); a deliberate keep states its reason in the NOLINT",
+       &CheckUnreachedModule},
       {"dpaudit-unused-include",
        "no direct includes whose declared symbols are never referenced "
        "(IWYU-lite)",

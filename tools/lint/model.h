@@ -2,8 +2,9 @@
 // FileModel into an include graph plus a symbol cross-reference, and the
 // graph rules run over it. Cross-TU invariants live here — architectural
 // layering (tools/lint/layers.txt), include cycles, IWYU-lite include
-// hygiene, and the DP mechanism-flow rule that ties every mechanism call
-// site back to the clipping/sensitivity helpers. See DESIGN.md §14.
+// hygiene, modules no binary reaches, and the DP mechanism-flow rule that
+// ties every mechanism call site back to the clipping/sensitivity helpers.
+// See DESIGN.md §14.
 
 #ifndef DPAUDIT_TOOLS_LINT_MODEL_H_
 #define DPAUDIT_TOOLS_LINT_MODEL_H_
