@@ -245,11 +245,10 @@ BENCHMARK(BM_ClippedGradientSumMnist)
     ->ArgsProduct({{16, 64, 256}, {1, 4, 8}})
     ->Unit(benchmark::kMillisecond);
 
-// Batched lane path vs the scalar path on the same workload. Args are
-// {batch size, engine worker threads, batch lanes} with lanes = 0 selecting
-// the legacy one-example-at-a-time path; results are bit-identical, only
-// throughput differs. scripts/run_experiment_bench.sh snapshots the
-// single-thread b64 pair into BENCH_batched_lanes.json.
+// Lane width 8 vs the width-1 reference on the same workload. Args are
+// {batch size, engine worker threads, batch lanes}; results are
+// bit-identical, only throughput differs. scripts/run_experiment_bench.sh
+// snapshots the single-thread b64 pair into BENCH_batched_lanes.json.
 void BM_ClippedGradientSumMnistLanes(benchmark::State& state) {
   const size_t batch = static_cast<size_t>(state.range(0));
   Network net = BuildMnistNetwork();
@@ -273,7 +272,7 @@ void BM_ClippedGradientSumMnistLanes(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * batch);
 }
 BENCHMARK(BM_ClippedGradientSumMnistLanes)
-    ->ArgsProduct({{64}, {1}, {0, 8}})
+    ->ArgsProduct({{64}, {1}, {1, 8}})
     ->Unit(benchmark::kMillisecond);
 
 void BM_ClippedGradientSumPurchase(benchmark::State& state) {
@@ -304,10 +303,11 @@ BENCHMARK(BM_ClippedGradientSumPurchase)
 // One DPSGD step's shared-neighbour clipped sums (core/neighbor_sums), the
 // call an audit trial spends most of each step in. Args are {network: 0 =
 // MNIST conv net, 1 = Purchase MLP at the audit sweeps' 600-48-30 width;
-// batch lanes, 0 = scalar path; neighbours: 0 = bounded, 1 = unbounded}.
-// D has 40 records. The bounded pair replaces record 7, so its 41-record
-// union ends in a one-example tail; the unbounded pair removes record 39
-// and runs five full packs. Single-threaded, as a sweep worker runs it.
+// batch lanes, 1 = the width-1 reference; neighbours: 0 = bounded, 1 =
+// unbounded}. D has 40 records. The bounded pair replaces record 7, so its
+// 41-record union ends in a one-example tail, padded at 8 lanes; the
+// unbounded pair removes record 39 and runs five full packs.
+// Single-threaded, as a sweep worker runs it.
 void BM_ClippedNeighborSums(benchmark::State& state) {
   const bool purchase = state.range(0) == 1;
   const NeighborMode mode = state.range(2) == 0 ? NeighborMode::kBounded
@@ -343,7 +343,7 @@ void BM_ClippedNeighborSums(benchmark::State& state) {
       static_cast<int64_t>(mode == NeighborMode::kBounded ? 41 : 40));
 }
 BENCHMARK(BM_ClippedNeighborSums)
-    ->ArgsProduct({{0, 1}, {0, 8}, {0, 1}})
+    ->ArgsProduct({{0, 1}, {1, 8}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
 // Per-layer cost of the 8-lane kernels at the audit benchmark's shapes: the

@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
   };
   const double eps_for_09 = *EpsilonForRhoBeta(0.9);
   Setting settings[] = {
-      {"weak noise (z = 0.05)", 0.05},
+      {"weak noise", 0.05},
       {"rho_beta = 0.9 calibration",
        *NoiseMultiplierForTargetEpsilon(eps_for_09, delta, rounds)},
   };

@@ -8,10 +8,10 @@
 #   3. the flattened sweep scheduler at DPAUDIT_THREADS 1 and 4, plus the
 #      shared-pool region microbenchmark, with cells/sec and worker
 #      occupancy pulled from telemetry;
-#   4. the batched-lane gradient engine (DPAUDIT_BATCH_LANES=8) vs the
-#      scalar path (DPAUDIT_BATCH_LANES=0): the MNIST b64 clipped-gradient
-#      microbenchmark plus fig08 wall-clock, cold and warm trace cache,
-#      with per-phase telemetry columns.
+#   4. the gradient engine at 8 lanes (DPAUDIT_BATCH_LANES=8) vs the
+#      width-1 reference (DPAUDIT_BATCH_LANES=1): the MNIST b64
+#      clipped-gradient microbenchmark plus fig08 wall-clock, cold and warm
+#      trace cache, with per-phase telemetry columns.
 # Writes BENCH_experiment_suite.json, BENCH_sweep_scheduler.json, and
 # BENCH_batched_lanes.json at the repo root with the pre-change baselines
 # (measured on the same machine before each change landed) embedded next to
@@ -343,8 +343,8 @@ EOF
 # ---------------------------------------------------------------------------
 # Batched multi-example lanes: the gradient engine walks lane-packs of eight
 # examples through one fused forward/backward pass (DPAUDIT_BATCH_LANES=8)
-# vs the one-example-at-a-time scalar path (DPAUDIT_BATCH_LANES=0). Both
-# paths are bit-identical by construction; this section measures them.
+# vs packs of one, the width-1 reference (DPAUDIT_BATCH_LANES=1). Both
+# widths are bit-identical by construction; this section measures them.
 
 lanes_out="${repo_root}/BENCH_batched_lanes.json"
 lanes_json="$(mktemp /tmp/dpaudit_lanes_micro.XXXXXX.json)"
@@ -353,7 +353,7 @@ trap 'rm -rf "${micro_json}" "${cache_dir}" "${telemetry_cold}" \
              "${telemetry_warm}" "${pool_json}" "${sweep_tmp}" \
              "${lanes_json}" "${lanes_tmp}"' EXIT
 
-echo "== clipped-gradient-sum microbenchmark, scalar vs 8-lane packs =="
+echo "== clipped-gradient-sum microbenchmark, 1-lane vs 8-lane packs =="
 "${bench_bin}" \
   --benchmark_filter='BM_ClippedGradientSumMnistLanes/' \
   --benchmark_out="${lanes_json}" \
@@ -377,7 +377,7 @@ run_fig08() {
 }
 
 declare -A lanes_seconds
-for lanes in 0 8; do
+for lanes in 1 8; do
   export DPAUDIT_TRACE_CACHE="${lanes_tmp}/cache_lanes${lanes}"
   mkdir -p "${DPAUDIT_TRACE_CACHE}"
   echo "== fig08, DPAUDIT_BATCH_LANES=${lanes}, cold cache =="
@@ -390,10 +390,10 @@ for lanes in 0 8; do
 done
 
 python3 - "${lanes_out}" "${lanes_json}" "${lanes_tmp}" \
-    "${lanes_seconds[0_cold]}" "${lanes_seconds[0_warm]}" \
+    "${lanes_seconds[1_cold]}" "${lanes_seconds[1_warm]}" \
     "${lanes_seconds[8_cold]}" "${lanes_seconds[8_warm]}" <<'EOF'
 import json, os, statistics, sys
-out_path, micro_path, tmp_dir, c0, w0, c8, w8 = sys.argv[1:8]
+out_path, micro_path, tmp_dir, c1, w1, c8, w8 = sys.argv[1:8]
 with open(micro_path) as f:
     micro = json.load(f)
 
@@ -437,11 +437,11 @@ def median_ms(name):
         raise SystemExit(f"benchmark {name} missing from {micro_path}")
     return statistics.median(times)
 
-scalar_ms = median_ms("BM_ClippedGradientSumMnistLanes/64/1/0")
+lanes1_ms = median_ms("BM_ClippedGradientSumMnistLanes/64/1/1")
 lanes8_ms = median_ms("BM_ClippedGradientSumMnistLanes/64/1/8")
 
 runs = {}
-for lanes, phase, measured in (("0", "cold", c0), ("0", "warm", w0),
+for lanes, phase, measured in (("1", "cold", c1), ("1", "warm", w1),
                                ("8", "cold", c8), ("8", "warm", w8)):
     runs[f"lanes{lanes}_{phase}"] = {
         "measured_seconds": float(measured),
@@ -452,10 +452,10 @@ for lanes, phase, measured in (("0", "cold", c0), ("0", "warm", w0),
 doc = {
     "description": "Batched multi-example lane packs through the "
                    "per-example gradient engine (DPAUDIT_BATCH_LANES=8) vs "
-                   "the scalar path (DPAUDIT_BATCH_LANES=0): MNIST b64 "
+                   "the width-1 reference (DPAUDIT_BATCH_LANES=1): MNIST b64 "
                    "single-thread clipped-gradient-sum microbenchmark and "
                    "fig08 wall-clock, cold and warm trace cache, with "
-                   "per-phase telemetry columns. Both paths produce "
+                   "per-phase telemetry columns. Both widths produce "
                    "bit-identical per-example gradients; warm runs replay "
                    "the step-trace cache and are lane-independent.",
     "context": micro.get("context", {}),
@@ -464,14 +464,14 @@ doc = {
         if b.get("run_type", "iteration") != "aggregate"
     ],
     "clipped_gradient_sum_mnist_b64_1t": {
-        "scalar_ms": round(scalar_ms, 3),
+        "lanes1_ms": round(lanes1_ms, 3),
         "lanes8_ms": round(lanes8_ms, 3),
-        "speedup_lanes8_vs_scalar": round(scalar_ms / lanes8_ms, 2),
+        "speedup_lanes8_vs_lanes1": round(lanes1_ms / lanes8_ms, 2),
     },
     "fig08_runs": runs,
     "fig08_speedups": {
-        "cold_lanes8_vs_scalar": round(float(c0) / float(c8), 2),
-        "warm_lanes8_vs_scalar": round(float(w0) / float(w8), 2),
+        "cold_lanes8_vs_lanes1": round(float(c1) / float(c8), 2),
+        "warm_lanes8_vs_lanes1": round(float(w1) / float(w8), 2),
     },
 }
 
@@ -485,13 +485,13 @@ with open(out_path, "w") as f:
     json.dump(doc, f, indent=2)
 print(f"wrote {out_path}")
 cg = doc["clipped_gradient_sum_mnist_b64_1t"]
-print(f"  ClippedGradientSum MNIST b64 1t: {cg['scalar_ms']}ms scalar, "
+print(f"  ClippedGradientSum MNIST b64 1t: {cg['lanes1_ms']}ms 1-lane, "
       f"{cg['lanes8_ms']}ms 8-lane "
-      f"({cg['speedup_lanes8_vs_scalar']}x)")
-for key in ("lanes0_cold", "lanes8_cold", "lanes0_warm", "lanes8_warm"):
+      f"({cg['speedup_lanes8_vs_lanes1']}x)")
+for key in ("lanes1_cold", "lanes8_cold", "lanes1_warm", "lanes8_warm"):
     r = runs[key]
     print(f"  fig08 {key}: {r['measured_seconds']}s "
           f"(span coverage {r['per_phase']['span_coverage'] * 100:.1f}%)")
 print(f"  fig08 cold speedup: "
-      f"{doc['fig08_speedups']['cold_lanes8_vs_scalar']}x")
+      f"{doc['fig08_speedups']['cold_lanes8_vs_lanes1']}x")
 EOF

@@ -104,7 +104,7 @@ for name, b in t_before.items():
     totals[net] = (tb + b, ta + a)
 
 result = {
-    "description": "Per-layer cost of the 8-lane batched kernels at the audit benchmark's shapes (28x28 MNIST conv net with 4/8 filters; Purchase 600-48-30 MLP) and the whole one-step neighbour-sum call (BM_ClippedNeighborSums, 40-record D, bounded and unbounded neighbours, lanes 0 and 8), single thread, before and after a change. Median over alternating rounds of each round's best repetition; microseconds per example. Results are bit-identical before and after.",
+    "description": "Per-layer cost of the 8-lane batched kernels at the audit benchmark's shapes (28x28 MNIST conv net with 4/8 filters; Purchase 600-48-30 MLP) and the whole one-step neighbour-sum call (BM_ClippedNeighborSums, 40-record D, bounded and unbounded neighbours, lanes 1 and 8), single thread, before and after a change. Median over alternating rounds of each round's best repetition; microseconds per example. Results are bit-identical before and after.",
     "provenance": {
         # -dirty: the after binary was built from uncommitted changes.
         "commit": git("describe", "--always", "--dirty"),

@@ -89,7 +89,6 @@ StatusOr<DpSgdResult> RunDpSgd(const Network& initial, const Dataset& d,
   GradientEngine::Options engine_options;
   engine_options.threads =
       config.threads == 0 ? DefaultThreadCount() : config.threads;
-  engine_options.batch_lanes = config.batch_lanes;
   GradientEngine engine(result.model, engine_options);
   const NeighborOverlap overlap =
       AnalyzeNeighborOverlap(d, d_prime, config.neighbor_mode);

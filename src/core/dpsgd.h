@@ -35,7 +35,6 @@
 
 #include "data/dataset.h"
 #include "dp/privacy_params.h"
-#include "nn/gradient_engine.h"
 #include "nn/network.h"
 #include "nn/optimizer.h"
 #include "util/random.h"
@@ -78,11 +77,6 @@ struct DpSgdConfig {
   /// the sweep scheduler (which also runs RunDiExperiment) lowers this
   /// automatically when repetitions already run in parallel.
   size_t threads = 0;
-
-  /// Lane count for the gradient engine's batched forward/backward path
-  /// (kBatchLanesAuto = read DPAUDIT_BATCH_LANES, 0 = scalar path). Results
-  /// are bit-identical for any value.
-  size_t batch_lanes = GradientEngine::Options::kBatchLanesAuto;
 
   /// Poisson sampling rate q in (0, 1]; 1 is batch gradient descent. q < 1
   /// needs unbounded neighbours (D' = D minus x1), global sensitivity and a

@@ -5,6 +5,7 @@
 
 #include "dp/mechanism.h"
 #include "dp/privacy_params.h"
+#include "nn/gradient_engine.h"
 #include "util/logging.h"
 #include "util/math_util.h"
 #include "util/thread_pool.h"
@@ -101,15 +102,21 @@ StatusOr<MultiWorldSummary> RunMultiWorldExperiment(
     Rng rng = root.Split(rep);
     Network model = architecture.Clone();
     model.Initialize(rng);
+    // Repetitions already run in parallel, so each one's engine runs inline
+    // on its own thread.
+    GradientEngine::Options engine_options;
+    engine_options.threads = 1;
+    GradientEngine engine(model, engine_options);
     MultiWorldPosterior posterior(worlds.size());
     GaussianMechanism mechanism(sigma);
     for (size_t step = 0; step < config.dpsgd.epochs; ++step) {
       // Clipped gradient sums of every world at the current weights.
+      engine.SyncParams(model);
       std::vector<std::vector<float>> sums;
       sums.reserve(worlds.size());
       for (const Dataset& world : worlds) {
-        sums.push_back(model.ClippedGradientSum(world.inputs, world.labels,
-                                                config.dpsgd.clip_norm));
+        sums.push_back(engine.ClippedGradientSum(world.inputs, world.labels,
+                                                 config.dpsgd.clip_norm));
       }
       std::vector<float> released = sums[true_world];
       mechanism.Perturb(released, rng);

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <utility>
 
-#include "nn/network.h"
 #include "tensor/tensor.h"
 #include "util/logging.h"
 

@@ -61,8 +61,9 @@ struct NeighborSums {
 };
 
 /// Shared-gradient evaluation; `overlap` must have sharable == true. Set
-/// `per_layer` for per-layer clipping (Network::PerLayerClippedGradientSum
-/// semantics). Bit-identical to ComputeClippedNeighborSumsTwoPass.
+/// `per_layer` for per-layer clipping (GradientEngine::
+/// PerLayerClippedGradientSum semantics). Bit-identical to
+/// ComputeClippedNeighborSumsTwoPass.
 ///
 /// A non-null `batch` (unbounded only; one flag per record of D) restricts
 /// the common records to a Poisson batch: a common record enters both sums

@@ -59,8 +59,8 @@ const std::vector<RuntimeKnob>& RuntimeKnobTable() {
        "worker threads for parallel regions (results are bit-identical for "
        "any value); auto = hardware concurrency clamped to [1,16]"},
       {"--lanes", "DPAUDIT_BATCH_LANES", "8",
-       "gradient-engine batch lanes, 0 = scalar path (bit-identical for any "
-       "value; max 32)"},
+       "gradient-engine batch lanes, 1 = the width-1 reference "
+       "(bit-identical for any value in [1, 32])"},
       {"--trace-cache", "DPAUDIT_TRACE_CACHE", "(off)",
        "step-trace cache directory; repeated experiments replay recordings "
        "bit-identically instead of retraining"},
@@ -159,9 +159,9 @@ StatusOr<RuntimeOptions> RuntimeOptions::FromEnvAndArgs(int* argc,
       }
     } else if (name == "--lanes") {
       int64_t lanes = 0;
-      if (!has_value || !ParseInt64(value, &lanes) || lanes < 0) {
-        fail("--lanes needs a non-negative integer (0 = scalar path), e.g. "
-             "--lanes=8 (got \"" + arg + "\")");
+      if (!has_value || !ParseInt64(value, &lanes) || lanes < 1) {
+        fail("--lanes needs a positive integer (1 = the width-1 reference), "
+             "e.g. --lanes=8 (got \"" + arg + "\")");
       } else {
         options.batch_lanes = lanes;
       }
@@ -243,12 +243,12 @@ Status RuntimeOptions::Validate() const {
     return Status::InvalidArgument(
         "batch lanes = " + std::to_string(batch_lanes) +
         " exceeds kMaxBatchLanes = " + std::to_string(kMaxBatchLanes) +
-        " (the fixed per-lane accumulator width); pick a value in [0, " +
+        " (the fixed per-lane accumulator width); pick a value in [1, " +
         std::to_string(kMaxBatchLanes) + "]");
   }
-  if (batch_lanes < -1) {
+  if (batch_lanes == 0 || batch_lanes < -1) {
     return Status::InvalidArgument(
-        "batch lanes must be >= 0 (0 = scalar path); got " +
+        "batch lanes must be >= 1 (1 runs the width-1 reference); got " +
         std::to_string(batch_lanes));
   }
   if (!log_level.empty()) {

@@ -52,8 +52,8 @@ struct RuntimeOptions {
   /// Results are bit-identical for any value (determinism contract).
   size_t threads = 0;
 
-  /// Gradient-engine lane width. -1 = default (kDefaultBatchLanes); 0 =
-  /// legacy scalar path. Bit-identical for any value.
+  /// Gradient-engine lane width, >= 1. -1 = default (kDefaultBatchLanes);
+  /// 1 = the width-1 reference. Bit-identical for any value.
   int64_t batch_lanes = -1;
 
   /// Step-trace cache directory; empty disables the cache.

@@ -1,8 +1,5 @@
 #include "nn/activations.h"
 
-#include <algorithm>
-#include <cmath>
-
 #include "tensor/tensor.h"
 #include "util/logging.h"
 #include "util/simd.h"
@@ -23,7 +20,7 @@ __attribute__((target("avx2"))) void ReluForwardAvx2(const float* in,
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     const __m256 x = _mm256_loadu_ps(in + i);
-    // x where x > 0, +0.0 otherwise (NaN compares false, like the scalar).
+    // x where x > 0, +0.0 otherwise (NaN compares false, like the loop).
     _mm256_storeu_ps(out + i,
                      _mm256_and_ps(_mm256_cmp_ps(x, zero, _CMP_GT_OQ), x));
   }
@@ -39,7 +36,7 @@ __attribute__((target("avx2"))) void ReluBackwardAvx2(const float* x,
     const __m256 xv = _mm256_loadu_ps(x + i);
     const __m256 gv = _mm256_loadu_ps(g + i);
     // +0.0 where x <= 0, g otherwise; x = NaN compares false and takes g,
-    // matching the scalar `x <= 0 ? 0 : g`.
+    // matching the loop's `x <= 0 ? 0 : g`.
     _mm256_storeu_ps(
         gi + i,
         _mm256_andnot_ps(_mm256_cmp_ps(xv, zero, _CMP_LE_OQ), gv));
@@ -51,7 +48,10 @@ __attribute__((target("avx2"))) void ReluBackwardAvx2(const float* x,
 
 }  // namespace
 
-void Relu::ForwardInto(const Tensor& input, Tensor* output) {
+void Relu::ForwardBatchInto(const Tensor& input, size_t lanes,
+                            Tensor* output) {
+  DPAUDIT_CHECK_GT(lanes, 0u);
+  DPAUDIT_CHECK_EQ(input.size() % lanes, 0u);
   last_input_ = &input;
   output->ResizeTo(input.shape());
   const float* in = input.data();
@@ -66,7 +66,10 @@ void Relu::ForwardInto(const Tensor& input, Tensor* output) {
   for (size_t i = 0; i < n; ++i) out[i] = in[i] > 0.0f ? in[i] : 0.0f;
 }
 
-void Relu::BackwardInto(const Tensor& grad_output, Tensor* grad_input) {
+void Relu::BackwardBatchInto(const Tensor& grad_output, size_t lanes,
+                             Tensor* grad_input) {
+  DPAUDIT_CHECK_GT(lanes, 0u);
+  if (grad_input == nullptr) return;  // no parameters, nothing else to do
   DPAUDIT_CHECK(last_input_ != nullptr) << "Backward before Forward";
   DPAUDIT_CHECK_EQ(grad_output.size(), last_input_->size());
   grad_input->ResizeTo(grad_output.shape());
@@ -81,48 +84,6 @@ void Relu::BackwardInto(const Tensor& grad_output, Tensor* grad_input) {
   }
 #endif
   for (size_t i = 0; i < n; ++i) gi[i] = x[i] <= 0.0f ? 0.0f : g[i];
-}
-
-void Relu::ForwardBatchInto(const Tensor& input, size_t lanes,
-                            Tensor* output) {
-  DPAUDIT_CHECK_GT(lanes, 0u);
-  DPAUDIT_CHECK_EQ(input.size() % lanes, 0u);
-  // The lane dimension is innermost and max(0, x) is elementwise, so the
-  // scalar path over the packed storage computes exactly the per-lane values.
-  ForwardInto(input, output);
-}
-
-void Relu::BackwardBatchInto(const Tensor& grad_output, size_t lanes,
-                             Tensor* grad_input) {
-  DPAUDIT_CHECK_GT(lanes, 0u);
-  if (grad_input == nullptr) return;  // no parameters, nothing else to do
-  BackwardInto(grad_output, grad_input);
-}
-
-void Softmax::ForwardInto(const Tensor& input, Tensor* output) {
-  *output = input;
-  float hi = *std::max_element(output->vec().begin(), output->vec().end());
-  double sum = 0.0;
-  for (float& x : output->vec()) {
-    x = std::exp(x - hi);
-    sum += x;
-  }
-  for (float& x : output->vec()) x = static_cast<float>(x / sum);
-  last_output_ = *output;
-}
-
-void Softmax::BackwardInto(const Tensor& grad_output, Tensor* grad_input) {
-  DPAUDIT_CHECK_EQ(grad_output.size(), last_output_.size());
-  // dL/dx_i = s_i * (g_i - sum_j g_j s_j).
-  double weighted = 0.0;
-  for (size_t j = 0; j < grad_output.size(); ++j) {
-    weighted += static_cast<double>(grad_output[j]) * last_output_[j];
-  }
-  grad_input->ResizeTo(grad_output.shape());
-  for (size_t i = 0; i < grad_output.size(); ++i) {
-    (*grad_input)[i] = static_cast<float>(
-        last_output_[i] * (static_cast<double>(grad_output[i]) - weighted));
-  }
 }
 
 }  // namespace dpaudit

@@ -10,14 +10,10 @@
 
 namespace dpaudit {
 
-/// Element-wise max(0, x).
+/// Element-wise max(0, x). Elementwise, so a lane tensor is just a longer
+/// flat array: one loop serves every lane count.
 class Relu : public Layer {
  public:
-  void ForwardInto(const Tensor& input, Tensor* output) override;
-  void BackwardInto(const Tensor& grad_output, Tensor* grad_input) override;
-  // Elementwise, so the lane tensor is just a longer flat array; the scalar
-  // kernels apply unchanged and per-lane results are trivially identical.
-  bool SupportsBatchLanes() const override { return true; }
   void ForwardBatchInto(const Tensor& input, size_t lanes,
                         Tensor* output) override;
   void BackwardBatchInto(const Tensor& grad_output, size_t lanes,
@@ -31,22 +27,6 @@ class Relu : public Layer {
   // Cached pointer to the forward input (see the lifetime contract in
   // layer.h); the caller keeps it alive through backward.
   const Tensor* last_input_ = nullptr;
-};
-
-/// Numerically stable softmax over a rank-1 tensor. Only used standalone for
-/// inference probabilities; training uses the fused softmax-cross-entropy in
-/// nn/loss.h, so Backward here implements the full softmax Jacobian product.
-class Softmax : public Layer {
- public:
-  void ForwardInto(const Tensor& input, Tensor* output) override;
-  void BackwardInto(const Tensor& grad_output, Tensor* grad_input) override;
-  std::unique_ptr<Layer> Clone() const override {
-    return std::make_unique<Softmax>();
-  }
-  std::string Name() const override { return "softmax"; }
-
- private:
-  Tensor last_output_;
 };
 
 }  // namespace dpaudit

@@ -12,65 +12,13 @@ namespace dpaudit {
 
 namespace {
 
-#if defined(DPAUDIT_X86_DISPATCH)
-
-// The normalize and grad-input passes are elementwise (no accumulation
-// chains), so running four elements per iteration performs exactly the same
-// double-precision operations per element as the scalar code and the results
-// are bit-identical. Explicit mul/add intrinsics are never FMA-contracted.
-
-__attribute__((target("avx2"))) void NormalizeChannelAvx2(
-    const float* xc, double mean, double inv_std, float gamma, float beta,
-    float* nh, float* o, size_t m) {
-  const __m256d vm = _mm256_set1_pd(mean);
-  const __m256d vs = _mm256_set1_pd(inv_std);
-  const __m256d vg = _mm256_set1_pd(static_cast<double>(gamma));
-  const __m256d vb = _mm256_set1_pd(static_cast<double>(beta));
-  size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const __m256d x = _mm256_cvtps_pd(_mm_loadu_ps(xc + i));
-    const __m256d xhat = _mm256_mul_pd(_mm256_sub_pd(x, vm), vs);
-    _mm_storeu_ps(nh + i, _mm256_cvtpd_ps(xhat));
-    _mm_storeu_ps(o + i,
-                  _mm256_cvtpd_ps(_mm256_add_pd(_mm256_mul_pd(vg, xhat), vb)));
-  }
-  for (; i < m; ++i) {
-    double xhat = (xc[i] - mean) * inv_std;
-    nh[i] = static_cast<float>(xhat);
-    o[i] = static_cast<float>(gamma * xhat + beta);
-  }
-}
-
-__attribute__((target("avx2"))) void GradInputChannelAvx2(
-    const float* gc, const float* xh, double md, double sum_g, double sum_gx,
-    double scale, float* gx, size_t m) {
-  const __m256d vmd = _mm256_set1_pd(md);
-  const __m256d vsg = _mm256_set1_pd(sum_g);
-  const __m256d vsgx = _mm256_set1_pd(sum_gx);
-  const __m256d vscale = _mm256_set1_pd(scale);
-  size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const __m256d gv = _mm256_cvtps_pd(_mm_loadu_ps(gc + i));
-    const __m256d xv = _mm256_cvtps_pd(_mm_loadu_ps(xh + i));
-    const __m256d t = _mm256_sub_pd(_mm256_sub_pd(_mm256_mul_pd(vmd, gv), vsg),
-                                    _mm256_mul_pd(xv, vsgx));
-    _mm_storeu_ps(gx + i, _mm256_cvtpd_ps(_mm256_mul_pd(vscale, t)));
-  }
-  for (; i < m; ++i) {
-    gx[i] = static_cast<float>(
-        scale * (md * gc[i] - sum_g - static_cast<double>(xh[i]) * sum_gx));
-  }
-}
-
-#endif  // DPAUDIT_X86_DISPATCH
-
 // ---- Batched lane kernels --------------------------------------------------
 //
 // Bodies shared between the portable path (runtime `lanes`) and the AVX2
 // wrappers (lanes pinned to 8). Each (channel, lane) pair keeps its own
-// double accumulator chain advancing in ascending spatial order — the exact
-// chains the scalar passes run — so statistics, normalized values, and
-// gradients are bit-identical per lane. The statistics and gradient-sum
+// double accumulator chain advancing in ascending spatial order, so
+// statistics, normalized values, and gradients are bit-identical per lane
+// for any lane count. The statistics and gradient-sum
 // passes register-block several channels so their independent chains hide
 // the add latency; blocking interleaves chains without reordering any of
 // them. The sum(g * x_hat) chain adds products of two floats in double,
@@ -235,10 +183,11 @@ __attribute__((target("avx2"))) void ChannelNormForwardLanes8Avx2(
                               channels, m, 8);
 }
 
-// Hand-vectorized ChannelNormBackwardLanesBlock<kCB> at eight lanes (GCC scalarizes the float->double widening of the shared body): each
-// channel's lanes split into two 4-wide double halves, every (channel, lane)
-// sum chain still advances in ascending spatial order, and the grad-input
-// pass transcribes the scalar expression operation for operation (explicit
+// Hand-vectorized ChannelNormBackwardLanesBlock<kCB> at eight lanes (GCC
+// scalarizes the float->double widening of the shared body): each channel's
+// lanes split into two 4-wide double halves, every (channel, lane) sum chain
+// still advances in ascending spatial order, and the grad-input pass
+// transcribes the body's expression operation for operation (explicit
 // mul/sub), so every lane is bit-identical to the portable body.
 template <size_t kCB>
 __attribute__((target("avx2,fma"), always_inline)) inline void
@@ -323,188 +272,9 @@ ChannelNorm::ChannelNorm(size_t channels, double epsilon)
     : channels_(channels),
       epsilon_(epsilon),
       gamma_({channels}),
-      beta_({channels}),
-      dgamma_({channels}),
-      dbeta_({channels}) {
+      beta_({channels}) {
   gamma_.Fill(1.0f);
   beta_.Fill(0.0f);
-}
-
-void ChannelNorm::ForwardInto(const Tensor& input, Tensor* output) {
-  DPAUDIT_CHECK_EQ(input.rank(), 3u);
-  DPAUDIT_CHECK_EQ(input.dim(0), channels_);
-  size_t m = input.dim(1) * input.dim(2);
-  DPAUDIT_CHECK_GT(m, 1u) << "channel norm needs > 1 value per channel";
-  normalized_.ResizeTo(input.shape());
-  inv_std_.assign(channels_, 0.0);
-  mean_.assign(channels_, 0.0);
-  var_.assign(channels_, 0.0);
-  output->ResizeTo(input.shape());
-  const float* in = input.data();
-  float* nh = normalized_.data();
-  float* o = output->data();
-  // Mean and variance passes keep one accumulator chain per channel, blocked
-  // four channels at a time so the chains live in registers instead of
-  // bouncing through memory; each chain still adds its elements in index
-  // order, so the sums are bit-identical to the naive loop.
-  {
-    size_t c = 0;
-    for (; c + 4 <= channels_; c += 4) {
-      const float* p0 = in + c * m;
-      const float* p1 = p0 + m;
-      const float* p2 = p1 + m;
-      const float* p3 = p2 + m;
-      double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-      for (size_t i = 0; i < m; ++i) {
-        a0 += p0[i];
-        a1 += p1[i];
-        a2 += p2[i];
-        a3 += p3[i];
-      }
-      mean_[c] = a0;
-      mean_[c + 1] = a1;
-      mean_[c + 2] = a2;
-      mean_[c + 3] = a3;
-    }
-    for (; c < channels_; ++c) {
-      const float* p = in + c * m;
-      double acc = 0.0;
-      for (size_t i = 0; i < m; ++i) acc += p[i];
-      mean_[c] = acc;
-    }
-  }
-  for (size_t c = 0; c < channels_; ++c) mean_[c] /= static_cast<double>(m);
-  {
-    size_t c = 0;
-    for (; c + 4 <= channels_; c += 4) {
-      const float* p0 = in + c * m;
-      const float* p1 = p0 + m;
-      const float* p2 = p1 + m;
-      const float* p3 = p2 + m;
-      const double m0 = mean_[c], m1 = mean_[c + 1];
-      const double m2 = mean_[c + 2], m3 = mean_[c + 3];
-      double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-      for (size_t i = 0; i < m; ++i) {
-        double d0 = p0[i] - m0;
-        double d1 = p1[i] - m1;
-        double d2 = p2[i] - m2;
-        double d3 = p3[i] - m3;
-        a0 += d0 * d0;
-        a1 += d1 * d1;
-        a2 += d2 * d2;
-        a3 += d3 * d3;
-      }
-      var_[c] = a0;
-      var_[c + 1] = a1;
-      var_[c + 2] = a2;
-      var_[c + 3] = a3;
-    }
-    for (; c < channels_; ++c) {
-      const float* p = in + c * m;
-      const double mc = mean_[c];
-      double acc = 0.0;
-      for (size_t i = 0; i < m; ++i) {
-        double d = p[i] - mc;
-        acc += d * d;
-      }
-      var_[c] = acc;
-    }
-  }
-#if defined(DPAUDIT_X86_DISPATCH)
-  const bool use_avx2 = HasAvx2();
-#else
-  const bool use_avx2 = false;
-#endif
-  for (size_t c = 0; c < channels_; ++c) {
-    double var = var_[c] / static_cast<double>(m);
-    double inv_std = 1.0 / std::sqrt(var + epsilon_);
-    inv_std_[c] = inv_std;
-    double mean = mean_[c];
-    const float* xc = in + c * m;
-    float g = gamma_[c];
-    float b = beta_[c];
-    if (use_avx2) {
-#if defined(DPAUDIT_X86_DISPATCH)
-      NormalizeChannelAvx2(xc, mean, inv_std, g, b, nh + c * m, o + c * m, m);
-#endif
-    } else {
-      for (size_t i = 0; i < m; ++i) {
-        double xhat = (xc[i] - mean) * inv_std;
-        nh[c * m + i] = static_cast<float>(xhat);
-        o[c * m + i] = static_cast<float>(g * xhat + b);
-      }
-    }
-  }
-}
-
-void ChannelNorm::BackwardInto(const Tensor& grad_output, Tensor* grad_input) {
-  DPAUDIT_CHECK(grad_output.shape() == normalized_.shape())
-      << "Backward before Forward, or shape changed";
-  size_t m = grad_output.dim(1) * grad_output.dim(2);
-  grad_input->ResizeTo(grad_output.shape());
-  const float* g = grad_output.data();
-  const float* nh = normalized_.data();
-  float* gx = grad_input->data();
-  sum_g_.assign(channels_, 0.0);
-  sum_gx_.assign(channels_, 0.0);
-  // Same register-blocked chains as the forward statistics passes.
-  {
-    size_t c = 0;
-    for (; c + 2 <= channels_; c += 2) {
-      const float* g0 = g + c * m;
-      const float* g1 = g0 + m;
-      const float* x0 = nh + c * m;
-      const float* x1 = x0 + m;
-      double s0 = 0.0, s1 = 0.0, t0 = 0.0, t1 = 0.0;
-      for (size_t i = 0; i < m; ++i) {
-        s0 += g0[i];
-        s1 += g1[i];
-        t0 += static_cast<double>(g0[i]) * x0[i];
-        t1 += static_cast<double>(g1[i]) * x1[i];
-      }
-      sum_g_[c] = s0;
-      sum_g_[c + 1] = s1;
-      sum_gx_[c] = t0;
-      sum_gx_[c + 1] = t1;
-    }
-    for (; c < channels_; ++c) {
-      const float* gc = g + c * m;
-      const float* xc = nh + c * m;
-      double s = 0.0, t = 0.0;
-      for (size_t i = 0; i < m; ++i) {
-        s += gc[i];
-        t += static_cast<double>(gc[i]) * xc[i];
-      }
-      sum_g_[c] = s;
-      sum_gx_[c] = t;
-    }
-  }
-#if defined(DPAUDIT_X86_DISPATCH)
-  const bool use_avx2 = HasAvx2();
-#else
-  const bool use_avx2 = false;
-#endif
-  for (size_t c = 0; c < channels_; ++c) {
-    const float* gc = g + c * m;
-    const float* xh = nh + c * m;
-    double sum_g = sum_g_[c];
-    double sum_gx = sum_gx_[c];
-    dbeta_[c] += static_cast<float>(sum_g);
-    dgamma_[c] += static_cast<float>(sum_gx);
-    // dL/dx = gamma * inv_std / m * (m*g - sum(g) - x_hat * sum(g*x_hat)).
-    double scale = gamma_[c] * inv_std_[c] / static_cast<double>(m);
-    if (use_avx2) {
-#if defined(DPAUDIT_X86_DISPATCH)
-      GradInputChannelAvx2(gc, xh, static_cast<double>(m), sum_g, sum_gx,
-                           scale, gx + c * m, m);
-#endif
-    } else {
-      for (size_t i = 0; i < m; ++i) {
-        gx[c * m + i] = static_cast<float>(
-            scale * (static_cast<double>(m) * gc[i] - sum_g - xh[i] * sum_gx));
-      }
-    }
-  }
 }
 
 void ChannelNorm::ForwardBatchInto(const Tensor& input, size_t lanes,

@@ -28,39 +28,24 @@ class ChannelNorm : public Layer {
  public:
   explicit ChannelNorm(size_t channels, double epsilon = 1e-5);
 
-  void ForwardInto(const Tensor& input, Tensor* output) override;
-  void BackwardInto(const Tensor& grad_output, Tensor* grad_input) override;
-  bool SupportsBatchLanes() const override { return true; }
   void ForwardBatchInto(const Tensor& input, size_t lanes,
                         Tensor* output) override;
   void BackwardBatchInto(const Tensor& grad_output, size_t lanes,
                          Tensor* grad_input) override;
   void AppendLaneGrads(std::vector<LaneGradBlock>* blocks) const override;
   std::vector<Tensor*> Params() override { return {&gamma_, &beta_}; }
-  std::vector<Tensor*> Grads() override { return {&dgamma_, &dbeta_}; }
   std::unique_ptr<Layer> Clone() const override;
   std::string Name() const override;
+
+  double epsilon() const { return epsilon_; }
 
  private:
   size_t channels_;
   double epsilon_;
   Tensor gamma_;  // [C]
   Tensor beta_;   // [C]
-  Tensor dgamma_;
-  Tensor dbeta_;
-  // Forward-pass cache for Backward.
-  Tensor normalized_;            // x_hat, same shape as input
-  std::vector<double> inv_std_;  // per channel
-  // Per-channel accumulators for the statistics passes. Channels are
-  // accumulated interleaved (all channels advance one spatial position per
-  // iteration) so the C independent summation chains overlap in the FP
-  // pipeline; each chain still adds its values in ascending spatial order.
-  std::vector<double> mean_;
-  std::vector<double> var_;
-  std::vector<double> sum_g_;
-  std::vector<double> sum_gx_;
-  // Batched lane state: per-(channel, lane) statistics and per-lane
-  // parameter gradients, all lane-SoA.
+  // Lane state: normalized values, per-(channel, lane) statistics and
+  // per-lane parameter gradients, all lane-SoA.
   Tensor lane_normalized_;
   std::vector<double> lane_mean_;     // [C, lanes]
   std::vector<double> lane_inv_std_;  // [C, lanes]

@@ -3,10 +3,6 @@
 #include <cmath>
 #include <sstream>
 
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
-
 #include "tensor/tensor.h"
 #include "util/env.h"
 #include "util/logging.h"
@@ -17,256 +13,17 @@ namespace dpaudit {
 
 namespace {
 
-#if defined(DPAUDIT_X86_DISPATCH)
-
-// AVX2 variants of the 3x3 kernels, dispatched at runtime. They use explicit
-// mul-then-add intrinsics (never contracted to FMA) and map vector lanes to
-// accumulators that are independent in the scalar code, so every accumulator
-// sees the same additions in the same order and results are bit-identical to
-// the portable path.
-
-// Full forward plane set for a 3x3 kernel. Per output element the additions
-// are bias first, then input channels ascending with their taps in (ky, kx)
-// order — the same chain as the scalar path; hoisting the nine broadcast
-// weights out of the row loop only changes how often they are loaded.
-__attribute__((target("avx2"))) void ForwardK3Avx2(
-    const float* in, const float* weights, const float* bias, float* out,
-    size_t C, size_t F, size_t h, size_t w, size_t oh, size_t ow) {
-  for (size_t f = 0; f < F; ++f) {
-    float* out_plane = out + f * oh * ow;
-    const float bf = bias[f];
-    for (size_t i = 0; i < oh * ow; ++i) out_plane[i] = bf;
-    for (size_t c = 0; c < C; ++c) {
-      const float* in_plane = in + c * h * w;
-      const float* kp = weights + (f * C + c) * 9;
-      const __m256 k00 = _mm256_set1_ps(kp[0]), k01 = _mm256_set1_ps(kp[1]),
-                   k02 = _mm256_set1_ps(kp[2]), k10 = _mm256_set1_ps(kp[3]),
-                   k11 = _mm256_set1_ps(kp[4]), k12 = _mm256_set1_ps(kp[5]),
-                   k20 = _mm256_set1_ps(kp[6]), k21 = _mm256_set1_ps(kp[7]),
-                   k22 = _mm256_set1_ps(kp[8]);
-      for (size_t y = 0; y < oh; ++y) {
-        const float* r0 = in_plane + y * w;
-        const float* r1 = r0 + w;
-        const float* r2 = r1 + w;
-        float* out_row = out_plane + y * ow;
-        size_t x = 0;
-        for (; x + 8 <= ow; x += 8) {
-          __m256 acc = _mm256_loadu_ps(out_row + x);
-          acc = _mm256_add_ps(acc, _mm256_mul_ps(k00, _mm256_loadu_ps(r0 + x)));
-          acc = _mm256_add_ps(acc,
-                              _mm256_mul_ps(k01, _mm256_loadu_ps(r0 + x + 1)));
-          acc = _mm256_add_ps(acc,
-                              _mm256_mul_ps(k02, _mm256_loadu_ps(r0 + x + 2)));
-          acc = _mm256_add_ps(acc, _mm256_mul_ps(k10, _mm256_loadu_ps(r1 + x)));
-          acc = _mm256_add_ps(acc,
-                              _mm256_mul_ps(k11, _mm256_loadu_ps(r1 + x + 1)));
-          acc = _mm256_add_ps(acc,
-                              _mm256_mul_ps(k12, _mm256_loadu_ps(r1 + x + 2)));
-          acc = _mm256_add_ps(acc, _mm256_mul_ps(k20, _mm256_loadu_ps(r2 + x)));
-          acc = _mm256_add_ps(acc,
-                              _mm256_mul_ps(k21, _mm256_loadu_ps(r2 + x + 1)));
-          acc = _mm256_add_ps(acc,
-                              _mm256_mul_ps(k22, _mm256_loadu_ps(r2 + x + 2)));
-          _mm256_storeu_ps(out_row + x, acc);
-        }
-        for (; x < ow; ++x) {
-          float acc = out_row[x];
-          acc += kp[0] * r0[x];
-          acc += kp[1] * r0[x + 1];
-          acc += kp[2] * r0[x + 2];
-          acc += kp[3] * r1[x];
-          acc += kp[4] * r1[x + 1];
-          acc += kp[5] * r1[x + 2];
-          acc += kp[6] * r2[x];
-          acc += kp[7] * r2[x + 1];
-          acc += kp[8] * r2[x + 2];
-          out_row[x] = acc;
-        }
-      }
-    }
-  }
-}
-
-// Widens a float buffer to double (exact, order-preserving). The weight
-// gradient kernels below read the widened planes so their inner loops carry
-// no float->double converts.
-__attribute__((target("avx2"))) void WidenToDoubleAvx2(const float* src,
-                                                       double* dst, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(dst + i, _mm256_cvtps_pd(_mm_loadu_ps(src + i)));
-  }
-  for (; i < n; ++i) dst[i] = static_cast<double>(src[i]);
-}
-
-// Weight gradients of one (filter, channel) pair from pre-widened planes.
-// Lanes 0..2 of each vector hold the three taps of one kernel row; lane 3
-// accumulates whatever lies one past the tap window (in-plane data or the
-// caller's zero padding) and is discarded, which lets the x loop run the full
-// row without an epilogue. Each lane's chain advances in (y, x) order like
-// the scalar code.
-__attribute__((target("avx2"))) void WgradK3Avx2(const double* g_plane,
-                                                 const double* in_plane,
-                                                 size_t oh, size_t ow,
-                                                 size_t w, float* dw9) {
-  __m256d a0 = _mm256_setzero_pd();
-  __m256d a1 = _mm256_setzero_pd();
-  __m256d a2 = _mm256_setzero_pd();
-  for (size_t y = 0; y < oh; ++y) {
-    const double* g_row = g_plane + y * ow;
-    const double* r0 = in_plane + y * w;
-    const double* r1 = r0 + w;
-    const double* r2 = r1 + w;
-    for (size_t x = 0; x < ow; ++x) {
-      const __m256d gv = _mm256_broadcast_sd(g_row + x);
-      a0 = _mm256_add_pd(a0, _mm256_mul_pd(gv, _mm256_loadu_pd(r0 + x)));
-      a1 = _mm256_add_pd(a1, _mm256_mul_pd(gv, _mm256_loadu_pd(r1 + x)));
-      a2 = _mm256_add_pd(a2, _mm256_mul_pd(gv, _mm256_loadu_pd(r2 + x)));
-    }
-  }
-  double l0[4], l1[4], l2[4];
-  _mm256_storeu_pd(l0, a0);
-  _mm256_storeu_pd(l1, a1);
-  _mm256_storeu_pd(l2, a2);
-  dw9[0] += static_cast<float>(l0[0]);
-  dw9[1] += static_cast<float>(l0[1]);
-  dw9[2] += static_cast<float>(l0[2]);
-  dw9[3] += static_cast<float>(l1[0]);
-  dw9[4] += static_cast<float>(l1[1]);
-  dw9[5] += static_cast<float>(l1[2]);
-  dw9[6] += static_cast<float>(l2[0]);
-  dw9[7] += static_cast<float>(l2[1]);
-  dw9[8] += static_cast<float>(l2[2]);
-}
-
-// Two filters against one input channel per sweep. The 3x3 sums are
-// latency-bound on their serial add chains, so interleaving the six
-// independent chains of two filters nearly doubles throughput while sharing
-// the input loads; each individual chain is unchanged.
-__attribute__((target("avx2"))) void WgradK3x2Avx2(
-    const double* g_a, const double* g_b, const double* in_plane, size_t oh,
-    size_t ow, size_t w, float* dw_a, float* dw_b) {
-  __m256d a0 = _mm256_setzero_pd();
-  __m256d a1 = _mm256_setzero_pd();
-  __m256d a2 = _mm256_setzero_pd();
-  __m256d b0 = _mm256_setzero_pd();
-  __m256d b1 = _mm256_setzero_pd();
-  __m256d b2 = _mm256_setzero_pd();
-  for (size_t y = 0; y < oh; ++y) {
-    const double* ga = g_a + y * ow;
-    const double* gb = g_b + y * ow;
-    const double* r0 = in_plane + y * w;
-    const double* r1 = r0 + w;
-    const double* r2 = r1 + w;
-    for (size_t x = 0; x < ow; ++x) {
-      const __m256d ga_v = _mm256_broadcast_sd(ga + x);
-      const __m256d gb_v = _mm256_broadcast_sd(gb + x);
-      const __m256d v0 = _mm256_loadu_pd(r0 + x);
-      const __m256d v1 = _mm256_loadu_pd(r1 + x);
-      const __m256d v2 = _mm256_loadu_pd(r2 + x);
-      a0 = _mm256_add_pd(a0, _mm256_mul_pd(ga_v, v0));
-      b0 = _mm256_add_pd(b0, _mm256_mul_pd(gb_v, v0));
-      a1 = _mm256_add_pd(a1, _mm256_mul_pd(ga_v, v1));
-      b1 = _mm256_add_pd(b1, _mm256_mul_pd(gb_v, v1));
-      a2 = _mm256_add_pd(a2, _mm256_mul_pd(ga_v, v2));
-      b2 = _mm256_add_pd(b2, _mm256_mul_pd(gb_v, v2));
-    }
-  }
-  double l[4];
-  _mm256_storeu_pd(l, a0);
-  dw_a[0] += static_cast<float>(l[0]);
-  dw_a[1] += static_cast<float>(l[1]);
-  dw_a[2] += static_cast<float>(l[2]);
-  _mm256_storeu_pd(l, a1);
-  dw_a[3] += static_cast<float>(l[0]);
-  dw_a[4] += static_cast<float>(l[1]);
-  dw_a[5] += static_cast<float>(l[2]);
-  _mm256_storeu_pd(l, a2);
-  dw_a[6] += static_cast<float>(l[0]);
-  dw_a[7] += static_cast<float>(l[1]);
-  dw_a[8] += static_cast<float>(l[2]);
-  _mm256_storeu_pd(l, b0);
-  dw_b[0] += static_cast<float>(l[0]);
-  dw_b[1] += static_cast<float>(l[1]);
-  dw_b[2] += static_cast<float>(l[2]);
-  _mm256_storeu_pd(l, b1);
-  dw_b[3] += static_cast<float>(l[0]);
-  dw_b[4] += static_cast<float>(l[1]);
-  dw_b[5] += static_cast<float>(l[2]);
-  _mm256_storeu_pd(l, b2);
-  dw_b[6] += static_cast<float>(l[0]);
-  dw_b[7] += static_cast<float>(l[1]);
-  dw_b[8] += static_cast<float>(l[2]);
-}
-
-// Full grad-input gather for a 3x3 kernel (requires ow >= 3). Per element
-// the taps apply in (f, ky, kx) ascending order — the scatter reference's
-// traversal with c fixed — with all kx taps of a row fused into one pass.
-__attribute__((target("avx2"))) void GradInputK3Avx2(
-    const float* g, const float* weights, float* gi, size_t C, size_t F,
-    size_t h, size_t w, size_t oh, size_t ow) {
-  for (size_t c = 0; c < C; ++c) {
-    float* gi_plane = gi + c * h * w;
-    for (size_t iy = 0; iy < h; ++iy) {
-      float* gi_row = gi_plane + iy * w;
-      const size_t ky_lo = iy >= oh ? iy - (oh - 1) : 0;
-      const size_t ky_hi = iy < 2 ? iy : 2;
-      for (size_t f = 0; f < F; ++f) {
-        const float* g_base = g + f * oh * ow;
-        const float* kp = weights + (f * C + c) * 9;
-        for (size_t ky = ky_lo; ky <= ky_hi; ++ky) {
-          const float* g_row = g_base + (iy - ky) * ow;
-          const float k0 = kp[ky * 3];
-          const float k1 = kp[ky * 3 + 1];
-          const float k2 = kp[ky * 3 + 2];
-          // Left edge: ix = 0 sees only kx = 0, ix = 1 sees kx = 0, 1.
-          gi_row[0] += k0 * g_row[0];
-          gi_row[1] += k0 * g_row[1];
-          gi_row[1] += k1 * g_row[0];
-          const __m256 v0 = _mm256_set1_ps(k0);
-          const __m256 v1 = _mm256_set1_ps(k1);
-          const __m256 v2 = _mm256_set1_ps(k2);
-          size_t ix = 2;
-          for (; ix + 8 <= ow; ix += 8) {
-            __m256 acc = _mm256_loadu_ps(gi_row + ix);
-            acc =
-                _mm256_add_ps(acc, _mm256_mul_ps(v0, _mm256_loadu_ps(g_row + ix)));
-            acc = _mm256_add_ps(
-                acc, _mm256_mul_ps(v1, _mm256_loadu_ps(g_row + ix - 1)));
-            acc = _mm256_add_ps(
-                acc, _mm256_mul_ps(v2, _mm256_loadu_ps(g_row + ix - 2)));
-            _mm256_storeu_ps(gi_row + ix, acc);
-          }
-          for (; ix < ow; ++ix) {
-            float acc = gi_row[ix];
-            acc += k0 * g_row[ix];
-            acc += k1 * g_row[ix - 1];
-            acc += k2 * g_row[ix - 2];
-            gi_row[ix] = acc;
-          }
-          // Right edge: ix = ow sees kx = 1, 2 and ix = ow + 1 only kx = 2.
-          gi_row[ow] += k1 * g_row[ow - 1];
-          gi_row[ow] += k2 * g_row[ow - 2];
-          gi_row[ow + 1] += k2 * g_row[ow - 1];
-        }
-      }
-    }
-  }
-}
-
-#endif  // DPAUDIT_X86_DISPATCH
-
 // ---- Batched lane kernels --------------------------------------------------
 //
 // Bodies shared between the portable path (runtime `lanes`, runtime kernel
 // size) and the AVX2 wrappers (lanes pinned to 8, kernel pinned to 3 so the
 // tap loops fully unroll and each lane accumulator lives in one or two ymm
-// registers). Lanes are independent examples; per lane the addition chains
-// are exactly the scalar ones — forward: bias first, then input channels
-// ascending with taps in (ky, kx) order; weight grad: one double accumulator
-// per (tap, lane) advanced in (y, x) order; grad input: per element taps in
-// (f, ky, kx) ascending order; bias grad: plane in index order — so per-lane
-// results are bit-identical.
+// registers). Lanes are independent examples, and each lane's addition
+// chains are fixed — forward: bias first, then input channels ascending with
+// taps in (ky, kx) order; weight grad: one double accumulator per (tap,
+// lane) advanced in (y, x) order; grad input: per element taps in (f, ky,
+// kx) ascending order; bias grad: plane in index order — so per-lane results
+// are bit-identical for any lane count.
 //
 // Vectorizing across lanes leaves one chain per output element, so each
 // pass also register-blocks several independent outputs (adjacent x,
@@ -610,9 +367,7 @@ Conv2d::Conv2d(size_t in_channels, size_t out_channels, size_t kernel)
       out_channels_(out_channels),
       kernel_(kernel),
       weight_({out_channels, in_channels, kernel, kernel}),
-      bias_({out_channels}),
-      dweight_({out_channels, in_channels, kernel, kernel}),
-      dbias_({out_channels}) {
+      bias_({out_channels}) {
   DPAUDIT_CHECK_GT(kernel_, 0u);
 }
 
@@ -624,350 +379,6 @@ void Conv2d::Initialize(Rng& rng) {
     w = static_cast<float>(rng.Uniform(-limit, limit));
   }
   bias_.Fill(0.0f);
-}
-
-// Both passes are restructured for throughput but keep every accumulator's
-// addition sequence identical to a tap-at-a-time reference implementation:
-// each output (resp. weight-gradient) element receives the same additions in
-// the same order, each individually rounded, so results are bit-identical.
-
-void Conv2d::ForwardInto(const Tensor& input, Tensor* output) {
-  DPAUDIT_CHECK_EQ(input.rank(), 3u);
-  DPAUDIT_CHECK_EQ(input.dim(0), in_channels_);
-  const size_t h = input.dim(1);
-  const size_t w = input.dim(2);
-  DPAUDIT_CHECK_GE(h, kernel_);
-  DPAUDIT_CHECK_GE(w, kernel_);
-  const size_t oh = h - kernel_ + 1;
-  const size_t ow = w - kernel_ + 1;
-  last_input_ = &input;
-  output->ResizeTo({out_channels_, oh, ow});
-  const float* in = input.data();
-  const float* weights = weight_.data();
-  float* o = output->data();
-#if defined(DPAUDIT_X86_DISPATCH)
-  if (kernel_ == 3 && HasAvx2()) {
-    ForwardK3Avx2(in, weights, bias_.data(), o, in_channels_, out_channels_, h,
-                  w, oh, ow);
-    return;
-  }
-#endif
-  if (kernel_ == 3) {
-    // All 9 taps of each input channel fused per output element: one load
-    // and one store of the output per channel instead of nine, and the x
-    // loop vectorizes (independent accumulation chains across x).
-    for (size_t f = 0; f < out_channels_; ++f) {
-      float* out_plane = o + f * oh * ow;
-      const float bias = bias_[f];
-      for (size_t i = 0; i < oh * ow; ++i) out_plane[i] = bias;
-      for (size_t c = 0; c < in_channels_; ++c) {
-        const float* in_plane = in + c * h * w;
-        const float* kp = weights + (f * in_channels_ + c) * 9;
-        const float k00 = kp[0], k01 = kp[1], k02 = kp[2];
-        const float k10 = kp[3], k11 = kp[4], k12 = kp[5];
-        const float k20 = kp[6], k21 = kp[7], k22 = kp[8];
-        for (size_t y = 0; y < oh; ++y) {
-          const float* r0 = in_plane + y * w;
-          const float* r1 = r0 + w;
-          const float* r2 = r1 + w;
-          float* out_row = out_plane + y * ow;
-          for (size_t x = 0; x < ow; ++x) {
-            float acc = out_row[x];
-            acc += k00 * r0[x];
-            acc += k01 * r0[x + 1];
-            acc += k02 * r0[x + 2];
-            acc += k10 * r1[x];
-            acc += k11 * r1[x + 1];
-            acc += k12 * r1[x + 2];
-            acc += k20 * r2[x];
-            acc += k21 * r2[x + 1];
-            acc += k22 * r2[x + 2];
-            out_row[x] = acc;
-          }
-        }
-      }
-    }
-  } else {
-    for (size_t f = 0; f < out_channels_; ++f) {
-      float* out_plane = o + f * oh * ow;
-      const float bias = bias_[f];
-      for (size_t y = 0; y < oh; ++y) {
-        float* out_row = out_plane + y * ow;
-        for (size_t x = 0; x < ow; ++x) out_row[x] = bias;
-        for (size_t c = 0; c < in_channels_; ++c) {
-          const float* in_plane = in + c * h * w;
-          const float* kp = weights + (f * in_channels_ + c) * kernel_ * kernel_;
-          for (size_t x = 0; x < ow; ++x) {
-            float acc = out_row[x];
-            for (size_t ky = 0; ky < kernel_; ++ky) {
-              const float* in_row = in_plane + (y + ky) * w + x;
-              const float* krow = kp + ky * kernel_;
-              for (size_t kx = 0; kx < kernel_; ++kx) {
-                acc += krow[kx] * in_row[kx];
-              }
-            }
-            out_row[x] = acc;
-          }
-        }
-      }
-    }
-  }
-}
-
-void Conv2d::BackwardInto(const Tensor& grad_output, Tensor* grad_input) {
-  DPAUDIT_CHECK_EQ(grad_output.rank(), 3u);
-  DPAUDIT_CHECK_EQ(grad_output.dim(0), out_channels_);
-  DPAUDIT_CHECK(last_input_ != nullptr) << "Backward before Forward";
-  const size_t h = last_input_->dim(1);
-  const size_t w = last_input_->dim(2);
-  const size_t oh = grad_output.dim(1);
-  const size_t ow = grad_output.dim(2);
-  DPAUDIT_CHECK_EQ(oh, h - kernel_ + 1);
-  DPAUDIT_CHECK_EQ(ow, w - kernel_ + 1);
-  grad_input->ResizeTo(last_input_->shape());
-  grad_input->Fill(0.0f);
-  const float* in = last_input_->data();
-  const float* g = grad_output.data();
-  const float* weights = weight_.data();
-  float* dw = dweight_.data();
-  float* gi = grad_input->data();
-  const size_t kk = kernel_ * kernel_;
-#if defined(DPAUDIT_X86_DISPATCH)
-  const bool use_avx2 = HasAvx2();
-#else
-  const bool use_avx2 = false;
-#endif
-
-  // Bias gradients: one chain per filter, blocked four filters at a time so
-  // the independent chains pipeline in registers instead of serializing on
-  // memory round-trips; each chain still adds its plane in index order.
-  {
-    const size_t n = oh * ow;
-    size_t f = 0;
-    for (; f + 4 <= out_channels_; f += 4) {
-      const float* p0 = g + f * n;
-      const float* p1 = p0 + n;
-      const float* p2 = p1 + n;
-      const float* p3 = p2 + n;
-      double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-      for (size_t i = 0; i < n; ++i) {
-        a0 += p0[i];
-        a1 += p1[i];
-        a2 += p2[i];
-        a3 += p3[i];
-      }
-      dbias_[f] += static_cast<float>(a0);
-      dbias_[f + 1] += static_cast<float>(a1);
-      dbias_[f + 2] += static_cast<float>(a2);
-      dbias_[f + 3] += static_cast<float>(a3);
-    }
-    for (; f < out_channels_; ++f) {
-      const float* p = g + f * n;
-      double acc = 0.0;
-      for (size_t i = 0; i < n; ++i) acc += p[i];
-      dbias_[f] += static_cast<float>(acc);
-    }
-  }
-
-  // Weight gradients: for each (filter, channel) pair, sweep the output
-  // plane once with k*k independent accumulators (one per kernel tap)
-  // instead of k*k latency-bound sweeps with one accumulator each.
-  if (kernel_ == 3 && use_avx2) {
-#if defined(DPAUDIT_X86_DISPATCH)
-    // Widen both operand sets to double once; the kernels then run
-    // convert-free. The input buffer carries four zero doubles of padding so
-    // the 4-wide loads at the last column stay in bounds (their fourth lane
-    // is discarded either way).
-    in_pd_.resize(in_channels_ * h * w + 4);
-    g_pd_.resize(out_channels_ * oh * ow);
-    WidenToDoubleAvx2(in, in_pd_.data(), in_channels_ * h * w);
-    for (size_t i = 0; i < 4; ++i) in_pd_[in_channels_ * h * w + i] = 0.0;
-    WidenToDoubleAvx2(g, g_pd_.data(), out_channels_ * oh * ow);
-    size_t f = 0;
-    for (; f + 1 < out_channels_; f += 2) {
-      for (size_t c = 0; c < in_channels_; ++c) {
-        WgradK3x2Avx2(g_pd_.data() + f * oh * ow,
-                      g_pd_.data() + (f + 1) * oh * ow, in_pd_.data() + c * h * w,
-                      oh, ow, w, dw + (f * in_channels_ + c) * 9,
-                      dw + ((f + 1) * in_channels_ + c) * 9);
-      }
-    }
-    if (f < out_channels_) {
-      for (size_t c = 0; c < in_channels_; ++c) {
-        WgradK3Avx2(g_pd_.data() + f * oh * ow, in_pd_.data() + c * h * w, oh,
-                    ow, w, dw + (f * in_channels_ + c) * 9);
-      }
-    }
-#endif
-  } else {
-    for (size_t f = 0; f < out_channels_; ++f) {
-      const float* g_plane = g + f * oh * ow;
-      for (size_t c = 0; c < in_channels_; ++c) {
-        const float* in_plane = in + c * h * w;
-        const size_t kernel_base = (f * in_channels_ + c) * kk;
-        if (kernel_ == 3) {
-#if defined(__SSE2__)
-          // Tap pairs (w00,w01), (w10,w11), (w20,w21) live in SSE registers;
-          // each vector lane is one tap's accumulator chain, advanced in the
-          // same (y, x) order as the scalar code, so the sums are bit-equal.
-          __m128d p0 = _mm_setzero_pd();
-          __m128d p1 = _mm_setzero_pd();
-          __m128d p2 = _mm_setzero_pd();
-          double w02 = 0.0, w12 = 0.0, w22 = 0.0;
-          for (size_t y = 0; y < oh; ++y) {
-            const float* g_row = g_plane + y * ow;
-            const float* r0 = in_plane + y * w;
-            const float* r1 = r0 + w;
-            const float* r2 = r1 + w;
-            for (size_t x = 0; x < ow; ++x) {
-              const double go = g_row[x];
-              const __m128d gv = _mm_set1_pd(go);
-              p0 = _mm_add_pd(
-                  p0, _mm_mul_pd(gv, _mm_cvtps_pd(_mm_castsi128_ps(
-                                         _mm_loadl_epi64(reinterpret_cast<const __m128i*>(r0 + x))))));
-              p1 = _mm_add_pd(
-                  p1, _mm_mul_pd(gv, _mm_cvtps_pd(_mm_castsi128_ps(
-                                         _mm_loadl_epi64(reinterpret_cast<const __m128i*>(r1 + x))))));
-              p2 = _mm_add_pd(
-                  p2, _mm_mul_pd(gv, _mm_cvtps_pd(_mm_castsi128_ps(
-                                         _mm_loadl_epi64(reinterpret_cast<const __m128i*>(r2 + x))))));
-              w02 += go * r0[x + 2];
-              w12 += go * r1[x + 2];
-              w22 += go * r2[x + 2];
-            }
-          }
-          double pr[6];
-          _mm_storeu_pd(pr + 0, p0);
-          _mm_storeu_pd(pr + 2, p1);
-          _mm_storeu_pd(pr + 4, p2);
-          dw[kernel_base + 0] += static_cast<float>(pr[0]);
-          dw[kernel_base + 1] += static_cast<float>(pr[1]);
-          dw[kernel_base + 2] += static_cast<float>(w02);
-          dw[kernel_base + 3] += static_cast<float>(pr[2]);
-          dw[kernel_base + 4] += static_cast<float>(pr[3]);
-          dw[kernel_base + 5] += static_cast<float>(w12);
-          dw[kernel_base + 6] += static_cast<float>(pr[4]);
-          dw[kernel_base + 7] += static_cast<float>(pr[5]);
-          dw[kernel_base + 8] += static_cast<float>(w22);
-#else
-          double w00 = 0.0, w01 = 0.0, w02 = 0.0;
-          double w10 = 0.0, w11 = 0.0, w12 = 0.0;
-          double w20 = 0.0, w21 = 0.0, w22 = 0.0;
-          for (size_t y = 0; y < oh; ++y) {
-            const float* g_row = g_plane + y * ow;
-            const float* r0 = in_plane + y * w;
-            const float* r1 = r0 + w;
-            const float* r2 = r1 + w;
-            for (size_t x = 0; x < ow; ++x) {
-              const double go = g_row[x];
-              w00 += go * r0[x];
-              w01 += go * r0[x + 1];
-              w02 += go * r0[x + 2];
-              w10 += go * r1[x];
-              w11 += go * r1[x + 1];
-              w12 += go * r1[x + 2];
-              w20 += go * r2[x];
-              w21 += go * r2[x + 1];
-              w22 += go * r2[x + 2];
-            }
-          }
-          dw[kernel_base + 0] += static_cast<float>(w00);
-          dw[kernel_base + 1] += static_cast<float>(w01);
-          dw[kernel_base + 2] += static_cast<float>(w02);
-          dw[kernel_base + 3] += static_cast<float>(w10);
-          dw[kernel_base + 4] += static_cast<float>(w11);
-          dw[kernel_base + 5] += static_cast<float>(w12);
-          dw[kernel_base + 6] += static_cast<float>(w20);
-          dw[kernel_base + 7] += static_cast<float>(w21);
-          dw[kernel_base + 8] += static_cast<float>(w22);
-#endif
-        } else {
-          wacc_.assign(kk, 0.0);
-          for (size_t y = 0; y < oh; ++y) {
-            const float* g_row = g_plane + y * ow;
-            for (size_t x = 0; x < ow; ++x) {
-              const double go = g_row[x];
-              for (size_t ky = 0; ky < kernel_; ++ky) {
-                const float* in_row = in_plane + (y + ky) * w + x;
-                for (size_t kx = 0; kx < kernel_; ++kx) {
-                  wacc_[ky * kernel_ + kx] += go * in_row[kx];
-                }
-              }
-            }
-          }
-          for (size_t t = 0; t < kk; ++t) {
-            dw[kernel_base + t] += static_cast<float>(wacc_[t]);
-          }
-        }
-      }
-    }
-  }
-
-  // Input gradients. The reference order of additions into element
-  // gi[c][iy][ix] is the (f, c, ky, kx) scatter traversal; since c is fixed
-  // per element, that is "f ascending, then ky, then kx". The gather form
-  // below visits taps in exactly that order per element while fusing all kx
-  // taps of a row into one x pass (three shifted reads of g instead of three
-  // read-modify-write sweeps of gi), which vectorizes.
-  if (kernel_ == 3 && ow >= 3 && use_avx2) {
-#if defined(DPAUDIT_X86_DISPATCH)
-    GradInputK3Avx2(g, weights, gi, in_channels_, out_channels_, h, w, oh, ow);
-#endif
-  } else if (kernel_ == 3 && ow >= 3) {
-    for (size_t c = 0; c < in_channels_; ++c) {
-      float* gi_plane = gi + c * h * w;
-      for (size_t iy = 0; iy < h; ++iy) {
-        float* gi_row = gi_plane + iy * w;
-        for (size_t f = 0; f < out_channels_; ++f) {
-          const float* g_base = g + f * oh * ow;
-          const float* kp = weights + (f * in_channels_ + c) * 9;
-          const size_t ky_lo = iy >= oh ? iy - (oh - 1) : 0;
-          const size_t ky_hi = iy < 2 ? iy : 2;
-          for (size_t ky = ky_lo; ky <= ky_hi; ++ky) {
-            const float* g_row = g_base + (iy - ky) * ow;
-            const float k0 = kp[ky * 3];
-            const float k1 = kp[ky * 3 + 1];
-            const float k2 = kp[ky * 3 + 2];
-            // Left edge: ix = 0 sees only kx = 0, ix = 1 sees kx = 0, 1.
-            gi_row[0] += k0 * g_row[0];
-            gi_row[1] += k0 * g_row[1];
-            gi_row[1] += k1 * g_row[0];
-            for (size_t ix = 2; ix < ow; ++ix) {
-              float acc = gi_row[ix];
-              acc += k0 * g_row[ix];
-              acc += k1 * g_row[ix - 1];
-              acc += k2 * g_row[ix - 2];
-              gi_row[ix] = acc;
-            }
-            // Right edge: ix = ow sees kx = 1, 2 and ix = ow + 1 only kx = 2.
-            gi_row[ow] += k1 * g_row[ow - 1];
-            gi_row[ow] += k2 * g_row[ow - 2];
-            gi_row[ow + 1] += k2 * g_row[ow - 1];
-          }
-        }
-      }
-    }
-  } else {
-    for (size_t f = 0; f < out_channels_; ++f) {
-      const float* g_plane = g + f * oh * ow;
-      for (size_t c = 0; c < in_channels_; ++c) {
-        float* gi_plane = gi + c * h * w;
-        const size_t kernel_base = (f * in_channels_ + c) * kk;
-        for (size_t ky = 0; ky < kernel_; ++ky) {
-          for (size_t kx = 0; kx < kernel_; ++kx) {
-            const float kval = weights[kernel_base + ky * kernel_ + kx];
-            for (size_t y = 0; y < oh; ++y) {
-              const float* g_row = g_plane + y * ow;
-              float* gi_row = gi_plane + (y + ky) * w + kx;
-              for (size_t x = 0; x < ow; ++x) {
-                gi_row[x] += g_row[x] * kval;
-              }
-            }
-          }
-        }
-      }
-    }
-  }
 }
 
 void Conv2d::ForwardBatchInto(const Tensor& input, size_t lanes,
@@ -1051,8 +462,8 @@ void Conv2d::BackwardBatchInto(const Tensor& grad_output, size_t lanes,
 
 void Conv2d::AppendLaneGrads(std::vector<LaneGradBlock>* blocks) const {
   blocks->push_back(LaneGradBlock::Stored(lane_dweight_.data(),
-                                          dweight_.size()));
-  blocks->push_back(LaneGradBlock::Stored(lane_dbias_.data(), dbias_.size()));
+                                          weight_.size()));
+  blocks->push_back(LaneGradBlock::Stored(lane_dbias_.data(), bias_.size()));
 }
 
 std::unique_ptr<Layer> Conv2d::Clone() const {

@@ -18,16 +18,12 @@ class Conv2d : public Layer {
  public:
   Conv2d(size_t in_channels, size_t out_channels, size_t kernel);
 
-  void ForwardInto(const Tensor& input, Tensor* output) override;
-  void BackwardInto(const Tensor& grad_output, Tensor* grad_input) override;
-  bool SupportsBatchLanes() const override { return true; }
   void ForwardBatchInto(const Tensor& input, size_t lanes,
                         Tensor* output) override;
   void BackwardBatchInto(const Tensor& grad_output, size_t lanes,
                          Tensor* grad_input) override;
   void AppendLaneGrads(std::vector<LaneGradBlock>* blocks) const override;
   std::vector<Tensor*> Params() override { return {&weight_, &bias_}; }
-  std::vector<Tensor*> Grads() override { return {&dweight_, &dbias_}; }
   void Initialize(Rng& rng) override;
   std::unique_ptr<Layer> Clone() const override;
   std::string Name() const override;
@@ -36,24 +32,16 @@ class Conv2d : public Layer {
   size_t in_channels_;
   size_t out_channels_;
   size_t kernel_;
-  Tensor weight_;   // [F, C, k, k]
-  Tensor bias_;     // [F]
-  Tensor dweight_;
-  Tensor dbias_;
-  // Cached pointer to the forward input (see the lifetime contract in
-  // layer.h); the caller keeps it alive through backward.
-  const Tensor* last_input_ = nullptr;  // [C, H, W]
-  // Backward-pass accumulators for the generic (non-3x3) kernel path, kept
-  // as a member so steady-state passes do not allocate.
-  std::vector<double> wacc_;
-  // Double-widened copies of the input and grad-output planes for the AVX2
-  // weight-gradient kernels, and of one row tile of them for the lane
-  // weight-gradient pass (widening is exact, so sums are unchanged).
+  Tensor weight_;  // [F, C, k, k]
+  Tensor bias_;    // [F]
+  // Double-widened copies of one row tile of the input and grad-output
+  // planes for the weight-gradient pass (widening is exact, so sums are
+  // unchanged).
   std::vector<double> in_pd_;
   std::vector<double> g_pd_;
-  // Batched lane state: per-lane parameter gradients in lane-SoA form plus
-  // the double weight-gradient accumulators the lane pass carries across
-  // row tiles.
+  // Lane state: the cached forward input (see the lifetime contract in
+  // layer.h), per-lane parameter gradients in lane-SoA form, and the double
+  // weight-gradient accumulators the pass carries across row tiles.
   const Tensor* last_batch_input_ = nullptr;  // [C, H, W, lanes]
   size_t batch_lanes_ = 0;
   std::vector<float> lane_dweight_;  // [F * C * k * k, lanes]

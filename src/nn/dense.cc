@@ -18,8 +18,8 @@ namespace {
 // wrappers transcribe them with intrinsics at 8 lanes, because the
 // autovectorizer spills or shuffles the blocked accumulators. Lanes are
 // independent examples, so vectorizing across them reorders nothing: every
-// lane's accumulation chain is the same bias-first, ascending-i chain the
-// scalar path runs, hence bit-identical outputs. Each pass register-blocks
+// lane's accumulation chain is the bias-first, ascending-i chain, hence
+// bit-identical outputs for any lane count. Each pass register-blocks
 // several outputs (resp. inputs) so their independent chains hide the add
 // latency; blocking interleaves chains without reordering any of them. The
 // forward chain adds products of two floats in double, which the AVX2
@@ -68,8 +68,8 @@ DPAUDIT_LANE_INLINE void DenseForwardLanesBody(const float* w, const float* b,
 }
 
 // grad input of inputs i .. i + kIB - 1: each element's lane accumulator
-// stays in registers across the o loop, summing in ascending output order —
-// the scalar chain — and each output-gradient load is shared by the block.
+// stays in registers across the o loop, summing in ascending output order,
+// and each output-gradient load is shared by the block.
 template <size_t kIB>
 DPAUDIT_LANE_INLINE void DenseGradInputLanesBlock(
     const float* __restrict__ w, const float* __restrict__ g,
@@ -167,8 +167,8 @@ DenseGradInputLanes8Block(const float* w, const float* g, float* gx, size_t i,
   for (size_t j = 0; j < kIB; ++j) _mm256_storeu_ps(gx + (i + j) * 8, acc[j]);
 }
 
-// The grad-input chains sum in ascending output order — the scalar chain —
-// so results are bit-identical.
+// The grad-input chains sum in ascending output order, so results are
+// bit-identical to the portable body.
 __attribute__((target("avx2"))) void DenseGradInputLanes8Avx2(
     const float* w, const float* g, float* gx, size_t in,
     size_t out_features) {
@@ -188,9 +188,7 @@ Dense::Dense(size_t in_features, size_t out_features)
     : in_(in_features),
       out_(out_features),
       weight_({out_features, in_features}),
-      bias_({out_features}),
-      dweight_({out_features, in_features}),
-      dbias_({out_features}) {
+      bias_({out_features}) {
   DPAUDIT_CHECK_GT(in_, 0u);
   DPAUDIT_CHECK_GT(out_, 0u);
 }
@@ -202,83 +200,6 @@ void Dense::Initialize(Rng& rng) {
     w = static_cast<float>(rng.Uniform(-limit, limit));
   }
   bias_.Fill(0.0f);
-}
-
-void Dense::ForwardInto(const Tensor& input, Tensor* output) {
-  DPAUDIT_CHECK_EQ(input.size(), in_)
-      << "dense expects volume " << in_ << ", got " << input.ShapeString();
-  last_input_ = &input;
-  output->ResizeTo({out_});
-  const float* w = weight_.data();
-  const float* x = input.data();
-  float* out = output->data();
-  // Eight outputs per pass: eight independent dot-product chains hide the
-  // FP-add latency of a single serial accumulation. Each chain still sums
-  // its products in ascending input order, so every output is bit-identical
-  // to the one-row-at-a-time loop.
-  size_t o = 0;
-  for (; o + 8 <= out_; o += 8) {
-    const float* w0 = w + o * in_;
-    const float* w1 = w0 + in_;
-    const float* w2 = w1 + in_;
-    const float* w3 = w2 + in_;
-    const float* w4 = w3 + in_;
-    const float* w5 = w4 + in_;
-    const float* w6 = w5 + in_;
-    const float* w7 = w6 + in_;
-    double a0 = bias_[o], a1 = bias_[o + 1], a2 = bias_[o + 2];
-    double a3 = bias_[o + 3], a4 = bias_[o + 4], a5 = bias_[o + 5];
-    double a6 = bias_[o + 6], a7 = bias_[o + 7];
-    for (size_t i = 0; i < in_; ++i) {
-      const double xi = x[i];
-      a0 += w0[i] * xi;
-      a1 += w1[i] * xi;
-      a2 += w2[i] * xi;
-      a3 += w3[i] * xi;
-      a4 += w4[i] * xi;
-      a5 += w5[i] * xi;
-      a6 += w6[i] * xi;
-      a7 += w7[i] * xi;
-    }
-    out[o] = static_cast<float>(a0);
-    out[o + 1] = static_cast<float>(a1);
-    out[o + 2] = static_cast<float>(a2);
-    out[o + 3] = static_cast<float>(a3);
-    out[o + 4] = static_cast<float>(a4);
-    out[o + 5] = static_cast<float>(a5);
-    out[o + 6] = static_cast<float>(a6);
-    out[o + 7] = static_cast<float>(a7);
-  }
-  for (; o < out_; ++o) {
-    double acc = bias_[o];
-    const float* wrow = w + o * in_;
-    for (size_t i = 0; i < in_; ++i) acc += static_cast<double>(wrow[i]) * x[i];
-    out[o] = static_cast<float>(acc);
-  }
-}
-
-void Dense::BackwardInto(const Tensor& grad_output, Tensor* grad_input) {
-  DPAUDIT_CHECK_EQ(grad_output.size(), out_);
-  DPAUDIT_CHECK(last_input_ != nullptr) << "Backward before Forward";
-  DPAUDIT_CHECK_EQ(last_input_->size(), in_);
-  const float* g = grad_output.data();
-  const float* x = last_input_->data();
-  const float* w = weight_.data();
-  float* dw = dweight_.data();
-  float* db = dbias_.data();
-  grad_input->ResizeTo(last_input_->shape());
-  float* gx = grad_input->data();
-  for (size_t i = 0; i < in_; ++i) gx[i] = 0.0f;
-  for (size_t o = 0; o < out_; ++o) {
-    float go = g[o];
-    db[o] += go;
-    float* dwrow = dw + o * in_;
-    const float* wrow = w + o * in_;
-    for (size_t i = 0; i < in_; ++i) {
-      dwrow[i] += go * x[i];
-      gx[i] += go * wrow[i];
-    }
-  }
 }
 
 void Dense::ForwardBatchInto(const Tensor& input, size_t lanes,
@@ -325,7 +246,7 @@ void Dense::BackwardBatchInto(const Tensor& grad_output, size_t lanes,
 }
 
 void Dense::AppendLaneGrads(std::vector<LaneGradBlock>* blocks) const {
-  // dw[o][i] = delta_o * x_i, the float product BackwardInto stores.
+  // dw[o][i] = delta_o * x_i, one float product per element.
   blocks->push_back(
       {lane_delta_.data(), out_, last_batch_input_->data(), in_});
   blocks->push_back(LaneGradBlock::Stored(lane_delta_.data(), out_));

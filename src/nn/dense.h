@@ -18,16 +18,12 @@ class Dense : public Layer {
  public:
   Dense(size_t in_features, size_t out_features);
 
-  void ForwardInto(const Tensor& input, Tensor* output) override;
-  void BackwardInto(const Tensor& grad_output, Tensor* grad_input) override;
-  bool SupportsBatchLanes() const override { return true; }
   void ForwardBatchInto(const Tensor& input, size_t lanes,
                         Tensor* output) override;
   void BackwardBatchInto(const Tensor& grad_output, size_t lanes,
                          Tensor* grad_input) override;
   void AppendLaneGrads(std::vector<LaneGradBlock>* blocks) const override;
   std::vector<Tensor*> Params() override { return {&weight_, &bias_}; }
-  std::vector<Tensor*> Grads() override { return {&dweight_, &dbias_}; }
   void Initialize(Rng& rng) override;
   std::unique_ptr<Layer> Clone() const override;
   std::string Name() const override;
@@ -38,15 +34,12 @@ class Dense : public Layer {
  private:
   size_t in_;
   size_t out_;
-  Tensor weight_;   // [out, in]
-  Tensor bias_;     // [out]
-  Tensor dweight_;  // [out, in]
-  Tensor dbias_;    // [out]
+  Tensor weight_;  // [out, in]
+  Tensor bias_;    // [out]
   // Cached pointer to the forward input (see the lifetime contract in
-  // layer.h); the caller keeps it alive through backward.
-  const Tensor* last_input_ = nullptr;
-  // Batched lane state: the pack's output gradient, which is the per-lane
-  // bias gradient and the row factor of the factored weight gradient.
+  // layer.h), the column factor of the factored weight gradient, and the
+  // pack's output gradient, which is the per-lane bias gradient and the
+  // row factor.
   const Tensor* last_batch_input_ = nullptr;
   size_t batch_lanes_ = 0;
   std::vector<float> lane_delta_;  // [out, lanes]

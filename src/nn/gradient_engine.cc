@@ -19,17 +19,6 @@ namespace dpaudit {
 
 namespace {
 
-/// True when every input tensor shares inputs[0]'s shape — the precondition
-/// for packing them into one lane tensor.
-bool HomogeneousShapes(const std::vector<const Tensor*>& inputs) {
-  if (inputs.empty()) return true;
-  const std::vector<size_t>& shape = inputs[0]->shape();
-  for (size_t j = 1; j < inputs.size(); ++j) {
-    if (inputs[j]->shape() != shape) return false;
-  }
-  return true;
-}
-
 // ---- Clip-stage kernels ----------------------------------------------------
 //
 // Every block is factored (LaneGradBlock): a row's elements for lane l are
@@ -328,8 +317,8 @@ GradientEngine::GradientEngine(const Network& architecture, Options options)
                  : std::min(options.batch_lanes, kMaxBatchLanes)),
       num_params_(architecture.NumParams()),
       ranges_(architecture.LayerParamRanges()) {
-  // A lane count of 1 is just the scalar pass with pack overhead.
-  if (lanes_ == 1 || !architecture.SupportsBatchLanes()) lanes_ = 0;
+  DPAUDIT_CHECK_GE(lanes_, 1u) << "batch lanes must be >= 1; 1 runs the "
+                                  "width-1 reference";
   replicas_.reserve(threads_);
   for (size_t t = 0; t < threads_; ++t) {
     replicas_.push_back(architecture.Clone());
@@ -348,16 +337,19 @@ void GradientEngine::SyncParams(const Network& source) {
   for (Network& replica : replicas_) replica.SetFlatParams(flat);
 }
 
-void GradientEngine::ComputeLaneRecord(size_t participant,
-                                       const std::vector<const Tensor*>& inputs,
-                                       const size_t* labels, size_t begin,
-                                       size_t count, NormMode mode,
-                                       const PendingPack& pending,
-                                       PackRecord* record) {
-  // A ragged pack must not run the lane kernels at its own width: the fast
-  // wrappers pin the lane count, and the runtime-width fallback is slower
-  // than the scalar route. So a mostly-full tail is padded to the full
-  // width with copies of its last example.
+void GradientEngine::ComputeRecord(size_t participant,
+                                   const std::vector<const Tensor*>& inputs,
+                                   const size_t* labels, size_t begin,
+                                   size_t count, NormMode mode, double clip,
+                                   const PendingPack& pending,
+                                   PackRecord* record) {
+  DPAUDIT_METRIC_DISTRIBUTION("dpaudit_gradient_engine_lane_fill", 0.0, 1.0,
+                              16,
+                              static_cast<double>(count) /
+                                  static_cast<double>(lanes_));
+  // Every pack runs at the engine's width: the fast wrappers pin the lane
+  // count, and a narrower runtime width is slower than a padded full pack.
+  // So a ragged tail is padded with copies of its last example.
   std::vector<const Tensor*>& pack_in = pack_inputs_[participant];
   pack_in.assign(inputs.begin() + begin, inputs.begin() + begin + count);
   pack_in.resize(lanes_, pack_in[count - 1]);
@@ -377,7 +369,6 @@ void GradientEngine::ComputeLaneRecord(size_t participant,
   // lane-major, so each lane's terms stream contiguously.
   const size_t num_blocks = ws.lane_grads.size();
   record->count = count;
-  record->lane_route = true;
   record->blocks.clear();
   size_t flat = 0;
   size_t data = 0;
@@ -425,52 +416,6 @@ void GradientEngine::ComputeLaneRecord(size_t participant,
   if (mode == NormMode::kWhole) {
     for (size_t l = 0; l < count; ++l) record->norms[l] = std::sqrt(sq[l]);
   }
-}
-
-bool GradientEngine::LaneRoute(bool use_lanes, size_t count) const {
-  // A full-width pack costs less than `count` scalar passes once count
-  // exceeds ~lanes/2, so only a mostly-empty tail takes the scalar route.
-  return use_lanes && count * 2 > lanes_;
-}
-
-void GradientEngine::ComputeRecord(size_t participant,
-                                   const std::vector<const Tensor*>& inputs,
-                                   const size_t* labels, size_t begin,
-                                   size_t count, bool use_lanes,
-                                   NormMode mode, double clip,
-                                   const PendingPack& pending,
-                                   PackRecord* record) {
-  if (use_lanes) {
-    DPAUDIT_METRIC_DISTRIBUTION("dpaudit_gradient_engine_lane_fill", 0.0,
-                                1.0, 16,
-                                static_cast<double>(count) /
-                                    static_cast<double>(lanes_));
-  }
-  if (LaneRoute(use_lanes, count)) {
-    ComputeLaneRecord(participant, inputs, labels, begin, count, mode,
-                      pending, record);
-  } else {
-    DPAUDIT_CHECK(pending.record == nullptr);
-    const size_t per_example = NormsPerExample(mode);
-    record->count = count;
-    record->lane_route = false;
-    record->data.resize(count * num_params_);
-    record->norms.resize(count * per_example);
-    for (size_t k = 0; k < count; ++k) {
-      float* grad = record->data.data() + k * num_params_;
-      replicas_[participant].PerExampleGradientTo(
-          *inputs[begin + k], labels[begin + k], &workspaces_[participant],
-          grad);
-      double* norms = record->norms.data() + k * per_example;
-      if (mode == NormMode::kWhole) {
-        norms[0] = L2Norm(grad, num_params_);
-      } else {
-        for (size_t r = 0; r < ranges_.size(); ++r) {
-          norms[r] = L2Norm(grad + ranges_[r].offset, ranges_[r].size);
-        }
-      }
-    }
-  }
   record->scales.resize(record->norms.size());
   for (size_t i = 0; i < record->norms.size(); ++i) {
     record->scales[i] = ClipScale(record->norms[i], clip);
@@ -510,34 +455,8 @@ void GradientEngine::AccumulateBlock(const PackRecord& record, size_t index,
 void GradientEngine::Accumulate(const PackRecord& record,
                                 const uint8_t* flags, NormMode mode,
                                 ClippedSums* out) const {
-  if (record.lane_route) {
-    for (size_t b = 0; b < record.blocks.size(); ++b) {
-      AccumulateBlock(record, b, flags, mode, out, nullptr, nullptr);
-    }
-    return;
-  }
-  const size_t per_example = NormsPerExample(mode);
-  for (size_t k = 0; k < record.count; ++k) {
-    const uint8_t sums = flags[k];
-    if (sums == 0) continue;
-    // A record in both sums is clipped once and added to both in one pass
-    // over its gradient (AccumulateScaledPair); each sum still receives the
-    // same rounded terms in the same order.
-    float* first = (sums & kSumA) ? out->sum_a.data() : out->sum_b.data();
-    float* second = sums == (kSumA | kSumB) ? out->sum_b.data() : nullptr;
-    const float* grad = record.data.data() + k * num_params_;
-    const double* scales = record.scales.data() + k * per_example;
-    for (size_t r = 0; r < per_example; ++r) {
-      const size_t offset = mode == NormMode::kWhole ? 0 : ranges_[r].offset;
-      const size_t size =
-          mode == NormMode::kWhole ? num_params_ : ranges_[r].size;
-      if (second == nullptr) {
-        AccumulateScaled(first + offset, grad + offset, size, scales[r]);
-      } else {
-        AccumulateScaledPair(first + offset, second + offset, grad + offset,
-                             size, scales[r]);
-      }
-    }
+  for (size_t b = 0; b < record.blocks.size(); ++b) {
+    AccumulateBlock(record, b, flags, mode, out, nullptr, nullptr);
   }
 }
 
@@ -557,13 +476,14 @@ GradientEngine::ClippedSums GradientEngine::ClipAndSum(
   ClippedSums out;
   out.sum_a.assign(num_params_, 0.0f);
   out.sum_b.assign(num_params_, 0.0f);
-  out.norms.reserve(n * NormsPerExample(mode));
-  // The lane path packs same-shaped examples; a heterogeneous call (never
-  // the case for the paper's fixed-shape datasets) falls back to the scalar
-  // route, which is bit-identical anyway.
-  const bool use_lanes = lanes_ > 0 && HomogeneousShapes(inputs);
-  const size_t group = std::max<size_t>(1, lanes_);
-  const size_t packs = (n + group - 1) / group;
+  // Packs hold same-shaped examples, and so does every call: the paper's
+  // datasets have one shape per network.
+  for (size_t j = 1; j < n; ++j) {
+    DPAUDIT_CHECK(inputs[j]->shape() == inputs[0]->shape())
+        << "example " << j << " shape " << inputs[j]->ShapeString()
+        << " != " << inputs[0]->ShapeString();
+  }
+  const size_t packs = (n + lanes_ - 1) / lanes_;
   const size_t per_example = NormsPerExample(mode);
   out.norms.resize(n * per_example);
   // A sole participant computes every pack in order, so it holds each pack
@@ -575,22 +495,21 @@ GradientEngine::ClippedSums GradientEngine::ClipAndSum(
   OrderedReduction reduction(records_.size());
   ThreadPool::ParallelForChunked(
       packs, threads_, /*grain=*/1, [&](size_t p, size_t participant) {
-        const size_t j = p * group;
-        const size_t count = std::min(group, n - j);
+        const size_t j = p * lanes_;
+        const size_t count = std::min(lanes_, n - j);
         PackRecord& record = records_[p % records_.size()];
         PendingPack fused{nullptr, nullptr, &out};
         if (!sole) {
           reduction.AwaitSlot(p);
         } else if (pending.record != nullptr) {
-          if (pending.record->lane_route && LaneRoute(use_lanes, count) &&
-              CanFuseNormPass(lanes_)) {
+          if (CanFuseNormPass(lanes_)) {
             fused = pending;
           } else {
             Accumulate(*pending.record, pending.sums, mode, &out);
           }
         }
-        ComputeRecord(participant, inputs, labels.data(), j, count, use_lanes,
-                      mode, clip, fused, &record);
+        ComputeRecord(participant, inputs, labels.data(), j, count, mode, clip,
+                      fused, &record);
         std::copy(record.norms.begin(), record.norms.end(),
                   out.norms.begin() + j * per_example);
         if (sole) {
@@ -598,7 +517,7 @@ GradientEngine::ClippedSums GradientEngine::ClipAndSum(
         } else {
           reduction.Publish(p, [&](size_t q) {
             Accumulate(records_[q % records_.size()],
-                       sums.data() + q * group, mode, &out);
+                       sums.data() + q * lanes_, mode, &out);
           });
         }
       });

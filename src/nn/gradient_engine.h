@@ -14,28 +14,28 @@
 // each pack inside the next pack's norm pass. No caller ever sees a
 // per-example gradient; the engine returns the sums and the pre-clip norms.
 //
-// Determinism contract: a per-example gradient depends only on the
-// parameters and the example, never on which participant computes it or in
-// what order, and every reduction happens in a fixed order: each norm is one
-// ascending double chain over the flat gradient (L2Norm's), and each sum
-// element receives its examples' terms float(scale * double(g)) in example
-// order (AccumulateScaled's). Results are therefore bit-identical for any
-// thread count, including the sequential reference implementation in
-// Network.
+// Packs: a participant pushes B same-shaped examples (B = the engine's lane
+// width, DPAUDIT_BATCH_LANES, default 8) through the layers' lane-SoA entry
+// points, where each lane keeps its own accumulators. Every pack runs at
+// width B; a ragged tail is padded with copies of its last example, whose
+// lanes never reach the norms or the sums. The clip stage then reads the
+// layers' gradient blocks in place — stored lane-SoA blocks for conv and
+// channel-norm, and for dense layers the two factors (output gradient and
+// input) of the weight gradient, whose float products it recomputes instead
+// of storing. The norm pass runs every lane's chain over those blocks in
+// flat order; the accumulate pass walks the pack element by element and adds
+// the lanes' terms in example order, so each sum is read and written once
+// per pack.
 //
-// The batched lane path (DPAUDIT_BATCH_LANES, default 8) extends the same
-// contract to lane packs: a participant pushes up to B same-shaped examples
-// through the layers' lane-SoA entry points, where each lane keeps its own
-// accumulators advancing in the scalar path's ascending order. The clip
-// stage then reads the layers' gradient blocks in place — stored lane-SoA
-// blocks for conv and channel-norm, and for dense layers the two factors
-// (output gradient and input) of the weight gradient, whose float products
-// it recomputes instead of storing. The norm pass runs every lane's chain
-// over those blocks in flat order; the accumulate pass walks the pack
-// element by element and adds the lanes' terms in example order, so each
-// sum is read and written once per pack. A lane's result therefore never
-// depends on its pack mates, the pack width, or ragged tail packs —
-// bit-identical to the scalar path for any B and thread count.
+// Determinism contract: a per-example gradient depends only on the
+// parameters and the example, never on its pack mates, the lane width, the
+// participant that computes it or the order packs finish in, and every
+// reduction happens in a fixed order: each norm is one ascending double
+// chain over the flat gradient (L2Norm's), and each sum element receives its
+// examples' terms float(scale * double(g)) in example order
+// (AccumulateScaled's). Results are therefore bit-identical for any thread
+// count and any lane width; width 1 (DPAUDIT_BATCH_LANES=1) is the
+// reference.
 
 #ifndef DPAUDIT_NN_GRADIENT_ENGINE_H_
 #define DPAUDIT_NN_GRADIENT_ENGINE_H_
@@ -59,11 +59,9 @@ class GradientEngine {
     /// DefaultThreadCount(). With one participant the engine runs inline
     /// on the calling thread.
     size_t threads = 0;
-    /// Lane count for the batched forward/backward path: 0 selects the
-    /// legacy one-example-at-a-time path, kBatchLanesAuto reads
-    /// DPAUDIT_BATCH_LANES (default 8). Clamped to kMaxBatchLanes; forced
-    /// to 0 when the architecture has a layer without lane support.
-    /// Bit-identical results either way.
+    /// Lane width of every pack, >= 1; kBatchLanesAuto reads
+    /// DPAUDIT_BATCH_LANES (default 8). Clamped to kMaxBatchLanes.
+    /// Bit-identical results for any width.
     size_t batch_lanes = kBatchLanesAuto;
   };
 
@@ -93,8 +91,7 @@ class GradientEngine {
 
   size_t num_params() const { return num_params_; }
   size_t threads() const { return threads_; }
-  /// Effective lane count after env resolution and architecture gating
-  /// (0 = scalar path).
+  /// Effective lane width after env resolution and clamping.
   size_t batch_lanes() const { return lanes_; }
   const std::vector<Network::ParamRange>& param_ranges() const {
     return ranges_;
@@ -109,18 +106,25 @@ class GradientEngine {
   /// clip_norm / sqrt(#ranges) for kPerLayer — and adds it, in ascending j,
   /// to each sum its `sums[j]` flags name (kSumA, kSumB, both or neither).
   /// Bit-identical to per-example L2Norm, ClipScale and AccumulateScaled in
-  /// example order, for any thread and lane count.
+  /// example order, for any thread and lane count. Every input must have
+  /// inputs[0]'s shape (CHECK).
   ClippedSums ClipAndSum(const std::vector<const Tensor*>& inputs,
                          const std::vector<size_t>& labels,
                          const std::vector<uint8_t>& sums, NormMode mode,
                          double clip_norm);
 
-  /// Drop-in equivalents of the Network methods of the same names,
-  /// bit-identical to them for any thread count.
+  /// Sum over the given examples of per-example gradients clipped to L2
+  /// norm `clip_norm` (Abadi et al.): g_j * min(1, C / ||g_j||). If
+  /// `per_example_norms` is non-null it receives each pre-clip norm.
   std::vector<float> ClippedGradientSum(
       const std::vector<Tensor>& inputs, const std::vector<size_t>& labels,
       double clip_norm, std::vector<double>* per_example_norms = nullptr);
 
+  /// Per-layer clipping (Thakkar et al., the paper's Section 7 remark about
+  /// "setting C differently for each layer"): each parameterized layer's
+  /// slice of the per-example gradient is clipped to C / sqrt(L) where L is
+  /// the number of parameterized layers, so the whole clipped gradient still
+  /// has norm at most C and the global sensitivity analysis is unchanged.
   std::vector<float> PerLayerClippedGradientSum(
       const std::vector<Tensor>& inputs, const std::vector<size_t>& labels,
       double clip_norm);
@@ -136,15 +140,13 @@ class GradientEngine {
     size_t range;  // LayerParamRanges index
   };
 
-  /// One group of up to max(1, lanes_) consecutive examples after a
-  /// participant has computed and normed it: everything the reducer needs to
-  /// add the group to the sums in example order.
+  /// One pack of up to lanes_ consecutive examples after a participant has
+  /// computed and normed it: everything the reducer needs to add the pack to
+  /// the sums in example order.
   struct PackRecord {
     size_t count = 0;
-    /// Lane route: `data` holds each block's row factors (lane-SoA, lanes_
-    /// wide) followed by its column factors, lane-major (count lanes).
-    /// Scalar route: `data` holds `count` flat gradients.
-    bool lane_route = false;
+    /// `data` holds each block's row factors (lane-SoA, lanes_ wide)
+    /// followed by its column factors, lane-major (count lanes).
     std::vector<RecordBlock> blocks;
     std::vector<float> data;
     std::vector<double> norms;   // count * norms per example
@@ -153,8 +155,8 @@ class GradientEngine {
 
   /// A pack whose accumulate pass has not run yet: its record, its
   /// examples' sum flags and the sums they go into. A sole participant's
-  /// next lane pack finishes it in its norm pass (see ComputeLaneRecord;
-  /// 8 lanes with AVX2+FMA).
+  /// next pack finishes it in its norm pass (see ComputeRecord; 8 lanes
+  /// with AVX2+FMA).
   struct PendingPack {
     const PackRecord* record;
     const uint8_t* sums;
@@ -165,37 +167,25 @@ class GradientEngine {
     return mode == NormMode::kWhole ? 1 : ranges_.size();
   }
 
-  /// True when a group of `count` examples takes the lane route.
-  bool LaneRoute(bool use_lanes, size_t count) const;
-
   /// Computes examples [begin, begin + count) into `record` on
   /// `participant`'s replica: gradients, norms and clip scales. `count` may
-  /// be ragged (< lanes_) at the dataset tail: a mostly-full tail is padded
-  /// to the full lane width with copies of its last example (padded lanes
-  /// never reach the norms or the sums — lanes are independent, so the real
-  /// lanes are untouched), while a mostly-empty tail runs the scalar route.
-  /// Bit-identical either way; the split only picks the cheaper route. A
-  /// non-null `pending.record` (lane route only) is accumulated during the
+  /// be ragged (< lanes_) at the dataset tail; the pack is then padded to
+  /// the full width with copies of its last example (padded lanes never
+  /// reach the norms or the sums — lanes are independent, so the real lanes
+  /// are untouched). A non-null `pending.record` is accumulated during the
   /// norm pass.
   void ComputeRecord(size_t participant,
                      const std::vector<const Tensor*>& inputs,
                      const size_t* labels, size_t begin, size_t count,
-                     bool use_lanes, NormMode mode, double clip,
-                     const PendingPack& pending, PackRecord* record);
-
-  /// Lane route of ComputeRecord for one pack, without the clip scales.
-  void ComputeLaneRecord(size_t participant,
-                         const std::vector<const Tensor*>& inputs,
-                         const size_t* labels, size_t begin, size_t count,
-                         NormMode mode, const PendingPack& pending,
-                         PackRecord* record);
+                     NormMode mode, double clip, const PendingPack& pending,
+                     PackRecord* record);
 
   /// Adds `record`'s clipped gradients to the sums its examples' flags
   /// name, in example order.
   void Accumulate(const PackRecord& record, const uint8_t* flags,
                   NormMode mode, ClippedSums* out) const;
 
-  /// Accumulate for one block of a lane record. A non-null `next` (the same
+  /// Accumulate for one block of a record. A non-null `next` (the same
   /// block of the next pack, 8 lanes) has its norm steps run inside the
   /// same loop, continuing the chains in next_sq.
   void AccumulateBlock(const PackRecord& record, size_t index,
@@ -203,7 +193,7 @@ class GradientEngine {
                        const LaneGradBlock* next, double* next_sq) const;
 
   size_t threads_;
-  size_t lanes_;  // 0 = scalar path
+  size_t lanes_;  // pack width, >= 1
   size_t num_params_;
   std::vector<Network::ParamRange> ranges_;
   std::vector<Network> replicas_;              // one per participant

@@ -100,8 +100,9 @@ ConfusionMatrix EvaluateConfusion(Network& model,
                                   size_t num_classes) {
   DPAUDIT_CHECK_EQ(inputs.size(), labels.size());
   ConfusionMatrix matrix(num_classes);
+  const std::vector<size_t> predicted = model.Predictions(inputs);
   for (size_t i = 0; i < inputs.size(); ++i) {
-    matrix.Record(labels[i], model.Predict(inputs[i]));
+    matrix.Record(labels[i], predicted[i]);
   }
   return matrix;
 }

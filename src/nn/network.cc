@@ -1,7 +1,6 @@
 #include "nn/network.h"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
 #include "nn/activations.h"
@@ -13,7 +12,6 @@
 #include "tensor/tensor.h"
 #include "util/env.h"
 #include "util/logging.h"
-#include "util/math_util.h"
 
 namespace dpaudit {
 
@@ -43,10 +41,26 @@ size_t Network::NumParams() const {
   return n;
 }
 
+const Tensor& Network::ForwardLanes(const Tensor* const* inputs,
+                                    size_t lanes, GradientWorkspace* ws) {
+  DPAUDIT_CHECK_GT(lanes, 0u);
+  DPAUDIT_CHECK_LE(lanes, kMaxBatchLanes);
+  DPAUDIT_CHECK(!layers_.empty());
+  PackLanes(inputs, lanes, &ws->lane_input);
+  ws->lane_acts.resize(layers_.size());
+  const Tensor* cur = &ws->lane_input;
+  for (size_t i = 0; i < layers_.size(); ++i) {
+    layers_[i]->ForwardBatchInto(*cur, lanes, &ws->lane_acts[i]);
+    cur = &ws->lane_acts[i];
+  }
+  return *cur;
+}
+
 Tensor Network::Forward(const Tensor& input) {
-  Tensor activation = input;
-  for (auto& layer : layers_) activation = layer->Forward(activation);
-  return activation;
+  const Tensor* in = &input;
+  Tensor logits;
+  UnpackLane(ForwardLanes(&in, 1, &scratch_), 0, &logits);
+  return logits;
 }
 
 double Network::ExampleLoss(const Tensor& input, size_t label) {
@@ -64,78 +78,48 @@ size_t Network::Predict(const Tensor& input) {
   return best;
 }
 
+std::vector<size_t> Network::Predictions(const std::vector<Tensor>& inputs) {
+  // A ragged last pack is padded with copies of its last input, as in the
+  // gradient engine: lanes are independent, so padding changes no class.
+  constexpr size_t kLanes = kDefaultBatchLanes;
+  std::vector<size_t> classes(inputs.size());
+  const Tensor* pack[kLanes];
+  for (size_t j = 0; j < inputs.size(); j += kLanes) {
+    const size_t count = std::min(kLanes, inputs.size() - j);
+    for (size_t l = 0; l < kLanes; ++l) {
+      pack[l] = &inputs[j + std::min(l, count - 1)];
+    }
+    const Tensor& logits = ForwardLanes(pack, kLanes, &scratch_);
+    const size_t num_classes = logits.size() / kLanes;
+    DPAUDIT_CHECK_GT(num_classes, 0u);
+    for (size_t l = 0; l < count; ++l) {
+      size_t best = 0;
+      for (size_t c = 1; c < num_classes; ++c) {
+        if (logits[c * kLanes + l] > logits[best * kLanes + l]) best = c;
+      }
+      classes[j + l] = best;
+    }
+  }
+  return classes;
+}
+
 double Network::Accuracy(const std::vector<Tensor>& inputs,
                          const std::vector<size_t>& labels) {
   DPAUDIT_CHECK_EQ(inputs.size(), labels.size());
   DPAUDIT_CHECK(!inputs.empty());
+  const std::vector<size_t> predicted = Predictions(inputs);
   size_t correct = 0;
   for (size_t i = 0; i < inputs.size(); ++i) {
-    if (Predict(inputs[i]) == labels[i]) ++correct;
+    if (predicted[i] == labels[i]) ++correct;
   }
   return static_cast<double>(correct) / static_cast<double>(inputs.size());
-}
-
-void Network::ZeroGrads() {
-  for (auto& layer : layers_) layer->ZeroGrads();
-}
-
-void Network::FlatGradsTo(float* dst) const {
-  for (const auto& layer : layers_) {
-    for (Tensor* g : const_cast<Layer&>(*layer).Grads()) {
-      std::copy(g->data(), g->data() + g->size(), dst);
-      dst += g->size();
-    }
-  }
-}
-
-double Network::PerExampleGradientTo(const Tensor& input, size_t label,
-                                     GradientWorkspace* ws, float* dst) {
-  ZeroGrads();
-  // Forward with one activation buffer per layer: every layer's input stays
-  // alive and unmodified through the backward sweep, so layers cache
-  // pointers to their inputs instead of deep-copying them (layer.h lifetime
-  // contract).
-  ws->acts.resize(layers_.size());
-  const Tensor* cur = &input;
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    layers_[i]->ForwardInto(*cur, &ws->acts[i]);
-    cur = &ws->acts[i];
-  }
-  double loss = SoftmaxCrossEntropyInto(*cur, label, &ws->grad_a);
-  const Tensor* gcur = &ws->grad_a;
-  Tensor* gnext = &ws->grad_b;
-  Tensor* gspare = &ws->grad_a;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    (*it)->BackwardInto(*gcur, gnext);
-    gcur = gnext;
-    std::swap(gnext, gspare);
-  }
-  FlatGradsTo(dst);
-  return loss;
-}
-
-bool Network::SupportsBatchLanes() const {
-  if (layers_.empty()) return false;
-  for (const auto& layer : layers_) {
-    if (!layer->SupportsBatchLanes()) return false;
-  }
-  return true;
 }
 
 void Network::LaneGradientsInto(const Tensor* const* inputs,
                                 const size_t* labels, size_t lanes,
                                 GradientWorkspace* ws) {
-  DPAUDIT_CHECK_GT(lanes, 0u);
-  DPAUDIT_CHECK_LE(lanes, kMaxBatchLanes);
-  DPAUDIT_CHECK(!layers_.empty());
-  PackLanes(inputs, lanes, &ws->lane_input);
-  ws->lane_acts.resize(layers_.size());
-  const Tensor* cur = &ws->lane_input;
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    layers_[i]->ForwardBatchInto(*cur, lanes, &ws->lane_acts[i]);
-    cur = &ws->lane_acts[i];
-  }
-  SoftmaxCrossEntropyBatchInto(*cur, labels, lanes, &ws->grad_a);
+  const Tensor& logits = ForwardLanes(inputs, lanes, ws);
+  SoftmaxCrossEntropyBatchInto(logits, labels, lanes, &ws->grad_a);
   const Tensor* gcur = &ws->grad_a;
   Tensor* gnext = &ws->grad_b;
   Tensor* gspare = &ws->grad_a;
@@ -157,33 +141,20 @@ void Network::LaneGradientsInto(const Tensor* const* inputs,
   }
 }
 
-double Network::PerExampleGradientInto(const Tensor& input, size_t label,
-                                       GradientWorkspace* ws) {
-  ws->grad.resize(NumParams());
-  return PerExampleGradientTo(input, label, ws, ws->grad.data());
-}
-
 std::vector<float> Network::PerExampleGradient(const Tensor& input,
                                                size_t label) {
-  PerExampleGradientInto(input, label, &scratch_);
-  return scratch_.grad;
-}
-
-std::vector<float> Network::ClippedGradientSum(
-    const std::vector<Tensor>& inputs, const std::vector<size_t>& labels,
-    double clip_norm, std::vector<double>* per_example_norms) {
-  DPAUDIT_CHECK_EQ(inputs.size(), labels.size());
-  DPAUDIT_CHECK_GT(clip_norm, 0.0);
-  std::vector<float> sum(NumParams(), 0.0f);
-  if (per_example_norms != nullptr) per_example_norms->clear();
-  for (size_t j = 0; j < inputs.size(); ++j) {
-    PerExampleGradientInto(inputs[j], labels[j], &scratch_);
-    const float* grad = scratch_.grad.data();
-    double norm = L2Norm(grad, scratch_.grad.size());
-    if (per_example_norms != nullptr) per_example_norms->push_back(norm);
-    AccumulateScaled(sum.data(), grad, sum.size(), ClipScale(norm, clip_norm));
+  const Tensor* in = &input;
+  LaneGradientsInto(&in, &label, 1, &scratch_);
+  std::vector<float> grad;
+  grad.reserve(NumParams());
+  for (const LaneGradBlock& block : scratch_.lane_grads) {
+    for (size_t r = 0; r < block.num_rows; ++r) {
+      for (size_t c = 0; c < block.num_cols; ++c) {
+        grad.push_back(block.rows[r] * block.cols[c]);
+      }
+    }
   }
-  return sum;
+  return grad;
 }
 
 std::vector<Network::ParamRange> Network::LayerParamRanges() const {
@@ -198,28 +169,6 @@ std::vector<Network::ParamRange> Network::LayerParamRanges() const {
     offset += layer_size;
   }
   return ranges;
-}
-
-std::vector<float> Network::PerLayerClippedGradientSum(
-    const std::vector<Tensor>& inputs, const std::vector<size_t>& labels,
-    double clip_norm) {
-  DPAUDIT_CHECK_EQ(inputs.size(), labels.size());
-  DPAUDIT_CHECK_GT(clip_norm, 0.0);
-  std::vector<ParamRange> ranges = LayerParamRanges();
-  DPAUDIT_CHECK(!ranges.empty());
-  double per_layer_clip =
-      clip_norm / std::sqrt(static_cast<double>(ranges.size()));
-  std::vector<float> sum(NumParams(), 0.0f);
-  for (size_t j = 0; j < inputs.size(); ++j) {
-    PerExampleGradientInto(inputs[j], labels[j], &scratch_);
-    const float* grad = scratch_.grad.data();
-    for (const ParamRange& range : ranges) {
-      double norm = L2Norm(grad + range.offset, range.size);
-      AccumulateScaled(sum.data() + range.offset, grad + range.offset,
-                       range.size, ClipScale(norm, per_layer_clip));
-    }
-  }
-  return sum;
 }
 
 std::vector<float> Network::FlatParams() const {

@@ -1,6 +1,8 @@
 // Sequential network container with the per-example-gradient operations that
-// DPSGD and the DP adversary need: flattened parameter access, per-example
-// clipped gradients, and clipped batch-gradient sums.
+// DPSGD and the DP adversary need: flattened parameter access and lane
+// passes that leave every example's parameter gradient in the layers' lane
+// gradient blocks. Clipping and summing those gradients is the gradient
+// engine's job (nn/gradient_engine.h).
 
 #ifndef DPAUDIT_NN_NETWORK_H_
 #define DPAUDIT_NN_NETWORK_H_
@@ -15,26 +17,23 @@
 
 namespace dpaudit {
 
-/// Reusable scratch buffers for one forward/backward pass. After the first
-/// example has sized the buffers, a per-example gradient computation performs
-/// no heap allocation. Each concurrent computation needs its own workspace
-/// (and its own Network replica, since layers cache activations).
+/// Reusable scratch buffers for one lane pass. After the first pack has
+/// sized the buffers, a forward/backward pass performs no heap allocation.
+/// Each concurrent computation needs its own workspace (and its own Network
+/// replica, since layers cache activations).
 ///
 /// Activations are kept one-buffer-per-layer (not ping-ponged): layer i's
-/// input — `acts[i-1]`, or the caller's input tensor for layer 0 — stays
-/// valid and unmodified through the backward sweep, which is what lets
-/// layers cache a pointer to their input instead of deep-copying it (see the
-/// lifetime contract in layer.h).
+/// input — `lane_acts[i-1]`, or `lane_input` for layer 0 — stays valid and
+/// unmodified through the backward sweep, which is what lets layers cache a
+/// pointer to their input instead of deep-copying it (see the lifetime
+/// contract in layer.h). The dense layers' factored weight gradients point
+/// into these buffers too.
 struct GradientWorkspace {
-  std::vector<Tensor> acts;  // forward output of each layer (scalar path)
-  Tensor grad_a, grad_b;     // backward gradient ping-pong buffers
-  std::vector<float> grad;   // flat per-example gradient (NumParams floats)
-  // Batched lane path: the packed lane input and per-layer lane activations
-  // (which also back the dense layers' factored weight gradients), then the
-  // pack's parameter-gradient blocks in flat gradient order, each with the
-  // index of its LayerParamRanges range. Refreshed every pack.
-  Tensor lane_input;
-  std::vector<Tensor> lane_acts;
+  Tensor lane_input;              // the packed lane input
+  std::vector<Tensor> lane_acts;  // lane output of each layer
+  Tensor grad_a, grad_b;          // backward gradient ping-pong buffers
+  // The pack's parameter-gradient blocks in flat gradient order, each with
+  // the index of its LayerParamRanges range. Refreshed every pack.
   std::vector<LaneGradBlock> lane_grads;
   std::vector<size_t> lane_grad_ranges;
 };
@@ -72,7 +71,8 @@ class Network {
   /// Total number of scalar parameters.
   size_t NumParams() const;
 
-  /// Runs the example through all layers and returns the logits.
+  /// Runs the example through all layers (a lane pass over a pack of one)
+  /// and returns the logits.
   Tensor Forward(const Tensor& input);
 
   /// Cross-entropy loss of one example (no gradient side effects beyond the
@@ -82,56 +82,27 @@ class Network {
   /// argmax class for one example.
   size_t Predict(const Tensor& input);
 
+  /// argmax class of every input, in input order. Runs packs of
+  /// kDefaultBatchLanes same-shaped examples; Predict on each input alone
+  /// gives the same classes.
+  std::vector<size_t> Predictions(const std::vector<Tensor>& inputs);
+
   /// Fraction of (inputs[i], labels[i]) classified correctly.
   double Accuracy(const std::vector<Tensor>& inputs,
                   const std::vector<size_t>& labels);
 
   /// Gradient of the cross-entropy loss of ONE example with respect to all
-  /// parameters, flattened in layer order. Does not disturb accumulated
-  /// layer gradients beyond overwriting them.
+  /// parameters, flattened in layer order: a lane pass over a pack of one.
   std::vector<float> PerExampleGradient(const Tensor& input, size_t label);
 
-  /// Allocation-free form of PerExampleGradient: runs the pass through the
-  /// workspace buffers, leaves the flat gradient in `ws->grad`, and returns
-  /// the example loss.
-  double PerExampleGradientInto(const Tensor& input, size_t label,
-                                GradientWorkspace* ws);
-
-  /// Like PerExampleGradientInto but writes the flat gradient into `dst`
-  /// (NumParams floats) instead of `ws->grad`, for callers that own the
-  /// destination buffer (e.g. the gradient engine's scalar route).
-  double PerExampleGradientTo(const Tensor& input, size_t label,
-                              GradientWorkspace* ws, float* dst);
-
-  /// True when every layer implements the batched lane entry points, i.e.
-  /// LaneGradientsInto may be used on this architecture.
-  bool SupportsBatchLanes() const;
-
-  /// Batched forward/backward: packs `lanes` same-shaped examples into one
+  /// Lane forward/backward: packs `lanes` same-shaped examples into one
   /// lane-SoA pass through the whole stack and leaves the pack's per-lane
   /// parameter gradients in ws->lane_grads / ws->lane_grad_ranges. Lane l's
-  /// gradient, read element by element from the blocks, is bit-identical to
-  /// PerExampleGradientTo on that example alone, for any lane count. The
-  /// blocks stay valid until the next lane pass on this network and
-  /// workspace. Requires SupportsBatchLanes().
+  /// gradient, read element by element from the blocks, depends only on
+  /// lane l's example: it is bit-identical for any lane count. The blocks
+  /// stay valid until the next lane pass on this network and workspace.
   void LaneGradientsInto(const Tensor* const* inputs, const size_t* labels,
                          size_t lanes, GradientWorkspace* ws);
-
-  /// Sum over the given examples of per-example gradients clipped to L2 norm
-  /// `clip_norm` (Abadi et al.): g_j * min(1, C / ||g_j||). Returns the flat
-  /// sum; if `per_example_norms` is non-null it receives each pre-clip norm.
-  std::vector<float> ClippedGradientSum(
-      const std::vector<Tensor>& inputs, const std::vector<size_t>& labels,
-      double clip_norm, std::vector<double>* per_example_norms = nullptr);
-
-  /// Per-layer clipping (Thakkar et al., the paper's Section 7 remark about
-  /// "setting C differently for each layer"): each parameterized layer's
-  /// slice of the per-example gradient is clipped to C / sqrt(L) where L is
-  /// the number of parameterized layers, so the whole clipped gradient still
-  /// has norm at most C and the global sensitivity analysis is unchanged.
-  std::vector<float> PerLayerClippedGradientSum(
-      const std::vector<Tensor>& inputs, const std::vector<size_t>& labels,
-      double clip_norm);
 
   /// Flat [offset, size) ranges of each parameterized layer within the
   /// flattened parameter/gradient vectors (layers without parameters are
@@ -155,15 +126,14 @@ class Network {
   std::string Describe() const;
 
  private:
-  void ZeroGrads();
-
-  /// Copies the accumulated layer gradients, flattened in layer order, into
-  /// `dst` (NumParams floats).
-  void FlatGradsTo(float* dst) const;
+  /// Packs `lanes` inputs and runs the forward sweep; returns the lane
+  /// logits ([classes, lanes]), which live in `ws`.
+  const Tensor& ForwardLanes(const Tensor* const* inputs, size_t lanes,
+                             GradientWorkspace* ws);
 
   std::vector<std::unique_ptr<Layer>> layers_;
-  /// Scratch for the sequential per-example-gradient entry points; lets the
-  /// public convenience methods run allocation-free at steady state.
+  /// Scratch for the single-example conveniences; lets them run
+  /// allocation-free at steady state.
   GradientWorkspace scratch_;
 };
 

@@ -11,120 +11,13 @@ namespace dpaudit {
 
 namespace {
 
-#if defined(DPAUDIT_X86_DISPATCH)
-
-// 2x2/stride-2 pooling over one pair of input rows, eight output columns per
-// iteration; requires ow >= 8. A ragged tail is covered by re-running the
-// window over the last eight columns — pooling is a pure function of the
-// input, so recomputed outputs and argmaxes are identical to the first pass.
-// The four candidates are compared in the same (py, px) order as the scalar
-// code with strict greater-than, so ties resolve to the same argmax.
-// best_off lanes hold plane-relative offsets as int32 (planes in this
-// codebase are far below 2^31 elements).
-__attribute__((target("avx2"))) void MaxPool2RowAvx2(
-    const float* row0, const float* row1, int base_off, int w, float* out_row,
-    int* off_row, size_t ow) {
-  size_t x = 0;
-  while (true) {
-    const float* p0 = row0 + 2 * x;
-    const float* p1 = row1 + 2 * x;
-    // Deinterleave 16 consecutive floats into even (px=0) and odd (px=1)
-    // column candidates for 8 outputs.
-    const __m256 a0 = _mm256_loadu_ps(p0);
-    const __m256 a1 = _mm256_loadu_ps(p0 + 8);
-    const __m256 b0 = _mm256_loadu_ps(p1);
-    const __m256 b1 = _mm256_loadu_ps(p1 + 8);
-    const __m256 r0e = _mm256_castpd_ps(_mm256_permute4x64_pd(
-        _mm256_castps_pd(_mm256_shuffle_ps(a0, a1, _MM_SHUFFLE(2, 0, 2, 0))),
-        _MM_SHUFFLE(3, 1, 2, 0)));
-    const __m256 r0o = _mm256_castpd_ps(_mm256_permute4x64_pd(
-        _mm256_castps_pd(_mm256_shuffle_ps(a0, a1, _MM_SHUFFLE(3, 1, 3, 1))),
-        _MM_SHUFFLE(3, 1, 2, 0)));
-    const __m256 r1e = _mm256_castpd_ps(_mm256_permute4x64_pd(
-        _mm256_castps_pd(_mm256_shuffle_ps(b0, b1, _MM_SHUFFLE(2, 0, 2, 0))),
-        _MM_SHUFFLE(3, 1, 2, 0)));
-    const __m256 r1o = _mm256_castpd_ps(_mm256_permute4x64_pd(
-        _mm256_castps_pd(_mm256_shuffle_ps(b0, b1, _MM_SHUFFLE(3, 1, 3, 1))),
-        _MM_SHUFFLE(3, 1, 2, 0)));
-    const __m256i off_base = _mm256_add_epi32(
-        _mm256_set1_epi32(base_off + 2 * static_cast<int>(x)),
-        _mm256_setr_epi32(0, 2, 4, 6, 8, 10, 12, 14));
-    __m256 best = r0e;
-    __m256i best_off = off_base;
-    __m256 mask = _mm256_cmp_ps(r0o, best, _CMP_GT_OQ);
-    best = _mm256_blendv_ps(best, r0o, mask);
-    best_off = _mm256_blendv_epi8(
-        best_off, _mm256_add_epi32(off_base, _mm256_set1_epi32(1)),
-        _mm256_castps_si256(mask));
-    const __m256i off_row1 = _mm256_add_epi32(off_base, _mm256_set1_epi32(w));
-    mask = _mm256_cmp_ps(r1e, best, _CMP_GT_OQ);
-    best = _mm256_blendv_ps(best, r1e, mask);
-    best_off = _mm256_blendv_epi8(best_off, off_row1,
-                                  _mm256_castps_si256(mask));
-    mask = _mm256_cmp_ps(r1o, best, _CMP_GT_OQ);
-    best = _mm256_blendv_ps(best, r1o, mask);
-    best_off = _mm256_blendv_epi8(
-        best_off, _mm256_add_epi32(off_row1, _mm256_set1_epi32(1)),
-        _mm256_castps_si256(mask));
-    _mm256_storeu_ps(out_row + x, best);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(off_row + x), best_off);
-    if (x + 8 >= ow) break;
-    x = (x + 16 <= ow) ? x + 8 : ow - 8;
-  }
-}
-
-// Four output columns per iteration for rows with 4 <= ow < 8, same scheme
-// as the 8-wide version (overlapped tail, strict-greater candidate order).
-__attribute__((target("avx2"))) void MaxPool2Row4Avx2(
-    const float* row0, const float* row1, int base_off, int w, float* out_row,
-    int* off_row, size_t ow) {
-  size_t x = 0;
-  while (true) {
-    const float* p0 = row0 + 2 * x;
-    const float* p1 = row1 + 2 * x;
-    const __m128 a0 = _mm_loadu_ps(p0);
-    const __m128 a1 = _mm_loadu_ps(p0 + 4);
-    const __m128 b0 = _mm_loadu_ps(p1);
-    const __m128 b1 = _mm_loadu_ps(p1 + 4);
-    const __m128 r0e = _mm_shuffle_ps(a0, a1, _MM_SHUFFLE(2, 0, 2, 0));
-    const __m128 r0o = _mm_shuffle_ps(a0, a1, _MM_SHUFFLE(3, 1, 3, 1));
-    const __m128 r1e = _mm_shuffle_ps(b0, b1, _MM_SHUFFLE(2, 0, 2, 0));
-    const __m128 r1o = _mm_shuffle_ps(b0, b1, _MM_SHUFFLE(3, 1, 3, 1));
-    const __m128i off_base =
-        _mm_add_epi32(_mm_set1_epi32(base_off + 2 * static_cast<int>(x)),
-                      _mm_setr_epi32(0, 2, 4, 6));
-    __m128 best = r0e;
-    __m128i best_off = off_base;
-    __m128 mask = _mm_cmp_ps(r0o, best, _CMP_GT_OQ);
-    best = _mm_blendv_ps(best, r0o, mask);
-    best_off = _mm_blendv_epi8(best_off,
-                               _mm_add_epi32(off_base, _mm_set1_epi32(1)),
-                               _mm_castps_si128(mask));
-    const __m128i off_row1 = _mm_add_epi32(off_base, _mm_set1_epi32(w));
-    mask = _mm_cmp_ps(r1e, best, _CMP_GT_OQ);
-    best = _mm_blendv_ps(best, r1e, mask);
-    best_off = _mm_blendv_epi8(best_off, off_row1, _mm_castps_si128(mask));
-    mask = _mm_cmp_ps(r1o, best, _CMP_GT_OQ);
-    best = _mm_blendv_ps(best, r1o, mask);
-    best_off = _mm_blendv_epi8(best_off,
-                               _mm_add_epi32(off_row1, _mm_set1_epi32(1)),
-                               _mm_castps_si128(mask));
-    _mm_storeu_ps(out_row + x, best);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(off_row + x), best_off);
-    if (x + 4 >= ow) break;
-    x = (x + 8 <= ow) ? x + 4 : ow - 4;
-  }
-}
-
-#endif  // DPAUDIT_X86_DISPATCH
-
 // ---- Batched lane kernel ---------------------------------------------------
 //
 // One body shared between the portable path (runtime `lanes`) and the AVX2
-// wrapper (lanes pinned to 8). Candidates are visited in the same (py, px)
-// order as the scalar loop with the same strict greater-than, expressed as
-// branchless selects so the compiler can vectorize across lanes; ties
-// therefore resolve to the same argmax as the scalar path.
+// wrapper (lanes pinned to 8). Candidates are visited in (py, px) order with
+// a strict greater-than, expressed as branchless selects so the compiler can
+// vectorize across lanes; ties therefore resolve to the first maximum in
+// that order for any lane count.
 
 DPAUDIT_LANE_INLINE void MaxPoolForwardLanesBody(
     const float* __restrict__ in, float* __restrict__ out,
@@ -169,7 +62,7 @@ DPAUDIT_LANE_INLINE void MaxPoolForwardLanesBody(
 #if defined(DPAUDIT_X86_DISPATCH)
 // Hand-vectorized: one ymm of lane values plus one of lane argmaxes per
 // output element, candidates blended in the body's (py, px) order with the
-// same strict greater-than (false on NaN, like the scalar compare), so
+// same strict greater-than (false on NaN, like the body's compare), so
 // values and tie-breaks match the portable body exactly. Written with
 // intrinsics because the mixed float/int selects defeat the autovectorizer.
 __attribute__((target("avx2"))) void MaxPoolForwardLanes8Avx2(
@@ -208,85 +101,6 @@ __attribute__((target("avx2"))) void MaxPoolForwardLanes8Avx2(
 
 MaxPool2d::MaxPool2d(size_t pool) : pool_(pool) {
   DPAUDIT_CHECK_GT(pool_, 0u);
-}
-
-void MaxPool2d::ForwardInto(const Tensor& input, Tensor* output) {
-  DPAUDIT_CHECK_EQ(input.rank(), 3u);
-  size_t c = input.dim(0);
-  size_t h = input.dim(1);
-  size_t w = input.dim(2);
-  DPAUDIT_CHECK_GE(h, pool_);
-  DPAUDIT_CHECK_GE(w, pool_);
-  size_t oh = h / pool_;
-  size_t ow = w / pool_;
-  input_shape_ = input.shape();
-  output->ResizeTo({c, oh, ow});
-  argmax_.assign(c * oh * ow, 0);
-  const float* in = input.data();
-  float* o = output->data();
-#if defined(DPAUDIT_X86_DISPATCH)
-  if (pool_ == 2 && ow >= 4 && HasAvx2()) {
-    off_scratch_.resize(ow);
-    size_t out_idx = 0;
-    for (size_t ch = 0; ch < c; ++ch) {
-      const float* plane = in + ch * h * w;
-      const size_t plane_base = ch * h * w;
-      for (size_t y = 0; y < oh; ++y) {
-        const float* row0 = plane + 2 * y * w;
-        const float* row1 = row0 + w;
-        if (ow >= 8) {
-          MaxPool2RowAvx2(row0, row1, static_cast<int>(2 * y * w),
-                          static_cast<int>(w), o + out_idx,
-                          off_scratch_.data(), ow);
-        } else {
-          MaxPool2Row4Avx2(row0, row1, static_cast<int>(2 * y * w),
-                           static_cast<int>(w), o + out_idx,
-                           off_scratch_.data(), ow);
-        }
-        for (size_t x = 0; x < ow; ++x) {
-          argmax_[out_idx + x] =
-              plane_base + static_cast<size_t>(off_scratch_[x]);
-        }
-        out_idx += ow;
-      }
-    }
-    return;
-  }
-#endif
-  size_t out_idx = 0;
-  for (size_t ch = 0; ch < c; ++ch) {
-    const float* plane = in + ch * h * w;
-    for (size_t y = 0; y < oh; ++y) {
-      for (size_t x = 0; x < ow; ++x) {
-        size_t base = y * pool_ * w + x * pool_;
-        float best = plane[base];
-        size_t best_off = base;
-        for (size_t py = 0; py < pool_; ++py) {
-          const float* row = plane + base + py * w;
-          for (size_t px = 0; px < pool_; ++px) {
-            if (row[px] > best) {
-              best = row[px];
-              best_off = base + py * w + px;
-            }
-          }
-        }
-        o[out_idx] = best;
-        argmax_[out_idx++] = ch * h * w + best_off;
-      }
-    }
-  }
-}
-
-void MaxPool2d::BackwardInto(const Tensor& grad_output, Tensor* grad_input) {
-  DPAUDIT_CHECK_EQ(grad_output.size(), argmax_.size())
-      << "Backward before Forward, or shape changed";
-  grad_input->ResizeTo(input_shape_);
-  grad_input->Fill(0.0f);
-  const float* g = grad_output.data();
-  float* gi = grad_input->data();
-  for (size_t i = 0; i < argmax_.size(); ++i) {
-    gi[argmax_[i]] += g[i];
-  }
 }
 
 void MaxPool2d::ForwardBatchInto(const Tensor& input, size_t lanes,

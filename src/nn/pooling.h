@@ -18,9 +18,6 @@ class MaxPool2d : public Layer {
  public:
   explicit MaxPool2d(size_t pool);
 
-  void ForwardInto(const Tensor& input, Tensor* output) override;
-  void BackwardInto(const Tensor& grad_output, Tensor* grad_input) override;
-  bool SupportsBatchLanes() const override { return true; }
   void ForwardBatchInto(const Tensor& input, size_t lanes,
                         Tensor* output) override;
   void BackwardBatchInto(const Tensor& grad_output, size_t lanes,
@@ -30,13 +27,12 @@ class MaxPool2d : public Layer {
   }
   std::string Name() const override;
 
+  size_t pool() const { return pool_; }
+
  private:
   size_t pool_;
-  std::vector<size_t> argmax_;  // flat input index chosen per output cell
-  std::vector<size_t> input_shape_;
-  std::vector<int> off_scratch_;  // plane-relative argmax lanes (AVX2 path)
-  // Batched lane state: example-flat argmax per (cell, lane), int32 since
-  // the planes here are far below 2^31 elements.
+  // Lane state: example-flat argmax per (cell, lane), int32 since the
+  // planes here are far below 2^31 elements.
   std::vector<int> lane_argmax_;
   std::vector<size_t> batch_input_shape_;
   size_t batch_lanes_ = 0;

@@ -50,9 +50,9 @@ inline void SetBatchLanesOverride(int64_t value) {
 }
 
 /// DPAUDIT_BATCH_LANES: how many examples the gradient engine packs into one
-/// forward/backward pass (0 = legacy one-example-at-a-time path). Results
-/// are bit-identical for any value; this only trades memory for throughput.
-/// Clamped to [0, kMaxBatchLanes]. A SetBatchLanesOverride value (the
+/// forward/backward pass (1 = the width-1 reference). Results are
+/// bit-identical for any value; this only trades memory for throughput.
+/// Clamped to [1, kMaxBatchLanes]. A SetBatchLanesOverride value (the
 /// --lanes flag) takes precedence over the environment.
 inline size_t BatchLanesFromEnv() {
   int64_t lanes =
@@ -61,7 +61,7 @@ inline size_t BatchLanesFromEnv() {
     lanes = EnvInt64("DPAUDIT_BATCH_LANES",
                      static_cast<int64_t>(kDefaultBatchLanes));
   }
-  if (lanes < 0) lanes = 0;
+  if (lanes < 1) lanes = 1;
   if (lanes > static_cast<int64_t>(kMaxBatchLanes)) {
     lanes = static_cast<int64_t>(kMaxBatchLanes);
   }

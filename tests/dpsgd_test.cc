@@ -16,6 +16,7 @@ namespace {
 
 using testing_helpers::BlobDataset;
 using testing_helpers::ExtremeBoundedNeighbor;
+using testing_helpers::ReferenceClippedGradientSum;
 using testing_helpers::TinyNetwork;
 
 DpSgdConfig FastConfig() {
@@ -505,12 +506,9 @@ std::vector<float> ReferenceSampledRun(const Network& initial,
       if (sampled[j]) batch_dprime.Add(d.inputs[j], d.labels[j]);
       if (sampled[j] || j == x1) batch_d.Add(d.inputs[j], d.labels[j]);
     }
-    std::vector<float> released =
-        release_d ? model.ClippedGradientSum(batch_d.inputs, batch_d.labels,
-                                             config.clip_norm)
-                  : model.ClippedGradientSum(batch_dprime.inputs,
-                                             batch_dprime.labels,
-                                             config.clip_norm);
+    const Dataset& batch = release_d ? batch_d : batch_dprime;
+    std::vector<float> released = ReferenceClippedGradientSum(
+        model, batch.inputs, batch.labels, config.clip_norm);
     GaussianMechanism(config.noise_multiplier * config.clip_norm)
         .Perturb(released, rng);
     std::vector<float> mean(released.size());

@@ -16,11 +16,14 @@ namespace dpaudit {
 namespace {
 
 using testing_helpers::BlobDataset;
+using testing_helpers::ReferenceClippedGradientSum;
+using testing_helpers::ReferencePerLayerClippedGradientSum;
 using testing_helpers::TinyNetwork;
 
-// The engine's determinism contract is exact: for any thread count its sums
-// must be bit-identical to the sequential reference in Network, so every
-// comparison below is EXPECT_EQ on floats, not a tolerance check.
+// The engine's determinism contract is exact: for any thread count and lane
+// width its sums must be bit-identical to the sequential width-1 reference
+// (ReferenceClippedGradientSum), so every comparison below
+// is EXPECT_EQ on floats, not a tolerance check.
 
 Dataset MnistBlobs(size_t count, Rng& rng) {
   Dataset d;
@@ -45,7 +48,7 @@ TEST_P(GradientEngineTest, ClippedGradientSumMatchesNetworkBitwise) {
 
   std::vector<double> ref_norms;
   std::vector<float> ref =
-      net.ClippedGradientSum(d.inputs, d.labels, 1.0, &ref_norms);
+      ReferenceClippedGradientSum(net, d.inputs, d.labels, 1.0, &ref_norms);
 
   GradientEngine::Options options;
   options.threads = threads;
@@ -71,7 +74,7 @@ TEST_P(GradientEngineTest, PerLayerClippedGradientSumMatchesNetworkBitwise) {
   Dataset d = BlobDataset(17, rng);
 
   std::vector<float> ref =
-      net.PerLayerClippedGradientSum(d.inputs, d.labels, 1.0);
+      ReferencePerLayerClippedGradientSum(net, d.inputs, d.labels, 1.0);
 
   GradientEngine::Options options;
   options.threads = threads;
@@ -93,7 +96,7 @@ TEST_P(GradientEngineTest, ConvolutionalNetworkMatchesNetworkBitwise) {
 
   std::vector<double> ref_norms;
   std::vector<float> ref =
-      net.ClippedGradientSum(d.inputs, d.labels, 2.0, &ref_norms);
+      ReferenceClippedGradientSum(net, d.inputs, d.labels, 2.0, &ref_norms);
 
   GradientEngine::Options options;
   options.threads = threads;
@@ -114,10 +117,9 @@ TEST_P(GradientEngineTest, ConvolutionalNetworkMatchesNetworkBitwise) {
 INSTANTIATE_TEST_SUITE_P(Threads, GradientEngineTest,
                          ::testing::Values(1u, 2u, 8u));
 
-// Batched lane path: for every lane count B (including B that leaves a
-// ragged final pack) and every thread count, the lane engine must be
-// bit-identical to both the scalar-path engine (batch_lanes = 0) and the
-// sequential Network reference — gradients AND norms.
+// For every lane width B (including B that leaves a ragged final pack, and
+// the width-1 reference itself) and every thread count, the engine must be
+// bit-identical to the sequential width-1 reference — gradients AND norms.
 class BatchLanesTest
     : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
 
@@ -131,13 +133,13 @@ TEST_P(BatchLanesTest, DenseNetworkBitIdenticalToScalarPath) {
 
   std::vector<double> ref_norms;
   std::vector<float> ref =
-      net.ClippedGradientSum(d.inputs, d.labels, 1.0, &ref_norms);
+      ReferenceClippedGradientSum(net, d.inputs, d.labels, 1.0, &ref_norms);
 
   GradientEngine::Options options;
   options.threads = threads;
   options.batch_lanes = lanes;
   GradientEngine engine(net, options);
-  EXPECT_EQ(lanes <= 1 ? 0u : lanes, engine.batch_lanes());
+  EXPECT_EQ(lanes, engine.batch_lanes());
   engine.SyncParams(net);
   std::vector<double> norms;
   std::vector<float> sum =
@@ -161,7 +163,7 @@ TEST_P(BatchLanesTest, ConvolutionalNetworkBitIdenticalToScalarPath) {
 
   std::vector<double> ref_norms;
   std::vector<float> ref =
-      net.ClippedGradientSum(d.inputs, d.labels, 2.0, &ref_norms);
+      ReferenceClippedGradientSum(net, d.inputs, d.labels, 2.0, &ref_norms);
 
   GradientEngine::Options options;
   options.threads = threads;
@@ -189,7 +191,7 @@ TEST_P(BatchLanesTest, PerLayerClippingBitIdenticalToScalarPath) {
   Dataset d = BlobDataset(17, rng);
 
   std::vector<float> ref =
-      net.PerLayerClippedGradientSum(d.inputs, d.labels, 1.0);
+      ReferencePerLayerClippedGradientSum(net, d.inputs, d.labels, 1.0);
 
   GradientEngine::Options options;
   options.threads = threads;
@@ -210,7 +212,7 @@ TEST_P(BatchLanesTest, PerLayerClippingBitIdenticalToScalarPath) {
 // gradient blocks straddle the 8-element vectors. With an unclipped C, a sum
 // that only example j joins is example j's gradient itself, so sum A
 // (example j) and sum B (example j + 1) read single gradients back through
-// the clip stage, on the lane route wherever the pack is full.
+// the clip stage, from full and padded packs alike.
 TEST_P(BatchLanesTest, VisitorNormsBitIdenticalToL2NormOnConvNetwork) {
   const size_t lanes = std::get<0>(GetParam());
   const size_t threads = std::get<1>(GetParam());
@@ -271,8 +273,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1u, 3u, 8u, 13u),
                        ::testing::Values(1u, 4u, 13u)));
 
-// More packs than the record ring holds (two per participant), on both
-// routes: participants wait for their slot's previous pack to be reduced,
+// More packs than the record ring holds (two per participant), at width 1
+// and 8: participants wait for their slot's previous pack to be reduced,
 // and the reducer turn passes between them many times per call.
 TEST(GradientEngineRegionTest, RecordRingWrapsBitIdenticalToNetwork) {
   Rng rng(41);
@@ -282,10 +284,10 @@ TEST(GradientEngineRegionTest, RecordRingWrapsBitIdenticalToNetwork) {
 
   std::vector<double> ref_norms;
   std::vector<float> ref =
-      net.ClippedGradientSum(d.inputs, d.labels, 1.0, &ref_norms);
+      ReferenceClippedGradientSum(net, d.inputs, d.labels, 1.0, &ref_norms);
 
   for (size_t threads : {2u, 4u}) {
-    for (size_t lanes : {0u, 8u}) {
+    for (size_t lanes : {1u, 8u}) {
       GradientEngine::Options options;
       options.threads = threads;
       options.batch_lanes = lanes;
@@ -301,39 +303,33 @@ TEST(GradientEngineRegionTest, RecordRingWrapsBitIdenticalToNetwork) {
   }
 }
 
-// A ragged tail pack takes one of two routes: counts <= B/2 run the scalar
-// path, larger counts are padded to the full lane width (padded lanes are
-// discarded). Pin both sides of the boundary at B = 8 — tails of 4 (last
-// scalar-route count) and 5 (first padded count), plus datasets small
-// enough that the tail is the only pack — on the conv net, where the
-// padded route engages the width-pinned fast kernels.
-TEST(BatchLanesRaggedTest, TailRouteBoundaryBitIdenticalToScalarPath) {
-  for (size_t n : {4u, 5u, 12u, 13u}) {
+// Every pack runs at the engine's width: a ragged tail of any size 1..7 is
+// padded to 8 lanes with copies of its last example, and the padded lanes
+// never reach the sums or the norms. Pin every tail size, alone and after a
+// full pack, on the conv net, where the padded packs run the width-pinned
+// fast kernels, against the width-1 engine, whose packs are never padded.
+TEST(BatchLanesRaggedTest, EveryTailSizeIsPaddedBitIdenticalToWidthOne) {
+  for (size_t n = 1; n < 16; ++n) {
+    if (n == 8) continue;  // no tail
     Rng rng(37);
     Network net = BuildMnistNetwork(12);
     net.Initialize(rng);
     Dataset d = MnistBlobs(n, rng);
-
-    std::vector<double> ref_norms;
-    std::vector<float> ref =
-        net.ClippedGradientSum(d.inputs, d.labels, 2.0, &ref_norms);
-
-    GradientEngine::Options options;
-    options.threads = 1;
-    options.batch_lanes = 8;
-    GradientEngine engine(net, options);
-    engine.SyncParams(net);
-    std::vector<double> norms;
-    std::vector<float> sum =
-        engine.ClippedGradientSum(d.inputs, d.labels, 2.0, &norms);
-
-    ASSERT_EQ(ref.size(), sum.size());
-    for (size_t i = 0; i < ref.size(); ++i) {
-      EXPECT_EQ(ref[i], sum[i]) << "n=" << n << " i=" << i;
-    }
-    ASSERT_EQ(ref_norms.size(), norms.size());
-    for (size_t i = 0; i < norms.size(); ++i) {
-      EXPECT_EQ(ref_norms[i], norms[i]) << "n=" << n << " i=" << i;
+    for (size_t threads : {1u, 4u}) {
+      std::vector<float> sums[2];
+      std::vector<double> norms[2];
+      const size_t widths[2] = {1, 8};
+      for (size_t w = 0; w < 2; ++w) {
+        GradientEngine::Options options;
+        options.threads = threads;
+        options.batch_lanes = widths[w];
+        GradientEngine engine(net, options);
+        engine.SyncParams(net);
+        sums[w] = engine.ClippedGradientSum(d.inputs, d.labels, 2.0, &norms[w]);
+      }
+      EXPECT_EQ(sums[0], sums[1]) << "n=" << n << " threads=" << threads;
+      EXPECT_EQ(norms[0], norms[1]) << "n=" << n << " threads=" << threads;
+      EXPECT_EQ(n, norms[1].size());
     }
   }
 }
@@ -359,7 +355,8 @@ TEST(GradientEngineApiTest, SyncParamsTracksUpdatedWeights) {
   for (size_t i = 0; i < stale.size(); ++i) EXPECT_EQ(before[i], stale[i]);
 
   engine.SyncParams(net);
-  std::vector<float> ref = net.ClippedGradientSum(d.inputs, d.labels, 1.0);
+  std::vector<float> ref =
+      ReferenceClippedGradientSum(net, d.inputs, d.labels, 1.0);
   std::vector<float> fresh = engine.ClippedGradientSum(d.inputs, d.labels, 1.0);
   ASSERT_EQ(ref.size(), fresh.size());
   for (size_t i = 0; i < fresh.size(); ++i) EXPECT_EQ(ref[i], fresh[i]);

@@ -1,9 +1,10 @@
-// Layer-level bit-identity of the batched lane kernels against the scalar
-// path, at shapes that hit every register-block remainder: conv x blocks,
-// channel blocks and filter blocks (and the weight-gradient row tiles),
-// dense output and input blocks, channel-norm channel blocks. Lanes 8 run
-// the AVX2 wrappers where the CPU has them; lanes 3 run the portable
-// bodies. Every comparison is EXPECT_EQ on floats: the contract is exact.
+// Layer-level bit-identity of the lane kernels against the plain scalar
+// path of tests/reference_layers.h, at shapes that hit every register-block
+// remainder: conv x blocks, channel blocks and filter blocks (and the
+// weight-gradient row tiles), dense output and input blocks, channel-norm
+// channel blocks. Lanes 8 run the AVX2 wrappers where the CPU has them;
+// lanes 1 (the width-1 reference instance) and 3 run the portable bodies.
+// Every comparison is EXPECT_EQ on floats: the contract is exact.
 
 #include <gtest/gtest.h>
 
@@ -14,17 +15,23 @@
 #include <limits>
 #include <vector>
 
+#include "nn/activations.h"
 #include "nn/channel_norm.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
 #include "nn/gradient_engine.h"
 #include "nn/network.h"
+#include "nn/pooling.h"
 #include "tensor/tensor.h"
+#include "tests/reference_layers.h"
+#include "tests/test_helpers.h"
 #include "util/random.h"
 #include "util/simd.h"
 
 namespace dpaudit {
 namespace {
+
+using testing_helpers::ReferenceClippedGradientSum;
 
 Tensor RandomTensor(const std::vector<size_t>& shape, Rng& rng) {
   Tensor t(shape);
@@ -66,8 +73,11 @@ Tensor Pack(const std::vector<Tensor>& examples) {
 
 using GradMaker = std::function<Tensor(const std::vector<size_t>&)>;
 
-// Runs `layer` over `inputs` on the lane path and, lane by lane, on the
-// scalar path, with output gradients from `make_grad`; expects identical
+// The lane widths every layer is checked at.
+constexpr size_t kWidths[] = {1, 3, 8};
+
+// Runs `layer` over `inputs` on the lane path and, lane by lane, through the
+// reference pass, with output gradients from `make_grad`; expects identical
 // outputs, input gradients and parameter gradients.
 void ExpectLanesMatchScalar(Layer& layer, const std::vector<Tensor>& inputs,
                             const GradMaker& make_grad) {
@@ -84,31 +94,27 @@ void ExpectLanesMatchScalar(Layer& layer, const std::vector<Tensor>& inputs,
   layer.BackwardBatchInto(packed_g, lanes, &packed_gi);
   std::vector<LaneGradBlock> blocks;
   layer.AppendLaneGrads(&blocks);
-  const std::vector<Tensor*> param_grads = layer.Grads();
-  ASSERT_EQ(param_grads.size(), blocks.size());
 
   for (size_t l = 0; l < lanes; ++l) {
     SCOPED_TRACE(::testing::Message() << "lane " << l);
-    Tensor out;
-    layer.ForwardInto(inputs[l], &out);
+    const reference::ExamplePass ref =
+        reference::Pass(layer, inputs[l], grads[l]);
     Tensor lane_out;
     UnpackLane(packed_out, l, &lane_out);
-    ASSERT_EQ(out.shape(), lane_out.shape());
-    for (size_t e = 0; e < out.size(); ++e) {
-      ASSERT_EQ(out[e], lane_out[e]) << "output " << e;
+    ASSERT_EQ(ref.output.shape(), lane_out.shape());
+    for (size_t e = 0; e < ref.output.size(); ++e) {
+      ASSERT_EQ(ref.output[e], lane_out[e]) << "output " << e;
     }
-    layer.ZeroGrads();
-    Tensor gi;
-    layer.BackwardInto(grads[l], &gi);
     Tensor lane_gi;
     UnpackLane(packed_gi, l, &lane_gi);
-    ASSERT_EQ(gi.shape(), lane_gi.shape());
-    for (size_t e = 0; e < gi.size(); ++e) {
-      ASSERT_EQ(gi[e], lane_gi[e]) << "grad input " << e;
+    ASSERT_EQ(ref.grad_input.shape(), lane_gi.shape());
+    for (size_t e = 0; e < ref.grad_input.size(); ++e) {
+      ASSERT_EQ(ref.grad_input[e], lane_gi[e]) << "grad input " << e;
     }
+    ASSERT_EQ(ref.param_grads.size(), blocks.size());
     for (size_t b = 0; b < blocks.size(); ++b) {
       const LaneGradBlock& block = blocks[b];
-      const Tensor& pg = *param_grads[b];
+      const Tensor& pg = ref.param_grads[b];
       ASSERT_EQ(pg.size(), block.size());
       for (size_t e = 0; e < pg.size(); ++e) {
         // Each element is the float product of its row and column factors
@@ -135,7 +141,7 @@ void ExpectLanesMatchScalar(Layer& layer, const std::vector<size_t>& in_shape,
 
 TEST(LaneKernelsTest, ConvMatchesScalarPathAtEveryBlockRemainder) {
   Rng rng(101);
-  for (size_t lanes : {3u, 8u}) {
+  for (size_t lanes : kWidths) {
     for (size_t k : {3u, 5u}) {
       for (size_t ow : {3u, 4u, 5u, 6u, 7u, 11u, 26u}) {
         for (size_t C : {1u, 3u, 4u, 5u}) {
@@ -160,7 +166,7 @@ TEST(LaneKernelsTest, ConvMatchesScalarPathAtEveryBlockRemainder) {
 
 TEST(LaneKernelsTest, DenseMatchesScalarPathAtEveryBlockRemainder) {
   Rng rng(103);
-  for (size_t lanes : {3u, 8u}) {
+  for (size_t lanes : kWidths) {
     for (size_t in : {1u, 7u, 600u}) {
       for (size_t out : {1u, 5u, 48u}) {
         SCOPED_TRACE(::testing::Message()
@@ -187,7 +193,7 @@ TEST(LaneKernelsTest, DenseMatchesScalarPathAtEveryBlockRemainder) {
 
 TEST(LaneKernelsTest, ChannelNormMatchesScalarPathAtEveryBlockRemainder) {
   Rng rng(107);
-  for (size_t lanes : {3u, 8u}) {
+  for (size_t lanes : kWidths) {
     for (size_t channels : {1u, 3u, 4u, 5u, 8u}) {
       SCOPED_TRACE(::testing::Message()
                    << "lanes=" << lanes << " channels=" << channels);
@@ -202,6 +208,47 @@ TEST(LaneKernelsTest, ChannelNormMatchesScalarPathAtEveryBlockRemainder) {
       ExpectLanesMatchScalar(norm, {channels, 6, 5}, lanes, rng);
       if (HasFatalFailure()) return;
     }
+  }
+}
+
+// Max pooling with ties (values drawn from a handful of small integers, so
+// windows often hold equal maxima) and trailing rows and columns that valid
+// mode drops, and Relu over values that include zeros.
+TEST(LaneKernelsTest, PoolAndReluMatchScalarPath) {
+  Rng rng(131);
+  auto small_ints = [&rng](const std::vector<size_t>& shape) {
+    Tensor t(shape);
+    for (size_t i = 0; i < t.size(); ++i) {
+      t[i] = static_cast<float>(static_cast<int>(rng.Uniform() * 5.0) - 2);
+    }
+    return t;
+  };
+  for (size_t lanes : kWidths) {
+    for (size_t pool : {2u, 3u}) {
+      for (size_t w : {4u, 7u, 13u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "lanes=" << lanes << " pool=" << pool << " w=" << w);
+        MaxPool2d layer(pool);
+        std::vector<Tensor> inputs;
+        for (size_t l = 0; l < lanes; ++l) {
+          inputs.push_back(small_ints({3, 5, w}));
+        }
+        ExpectLanesMatchScalar(layer, inputs,
+                               [&rng](const std::vector<size_t>& shape) {
+                                 return RandomTensor(shape, rng);
+                               });
+        if (HasFatalFailure()) return;
+      }
+    }
+    SCOPED_TRACE(::testing::Message() << "relu lanes=" << lanes);
+    Relu relu;
+    std::vector<Tensor> inputs;
+    for (size_t l = 0; l < lanes; ++l) inputs.push_back(small_ints({19}));
+    ExpectLanesMatchScalar(relu, inputs,
+                           [&rng](const std::vector<size_t>& shape) {
+                             return RandomTensor(shape, rng);
+                           });
+    if (HasFatalFailure()) return;
   }
 }
 
@@ -228,7 +275,7 @@ Tensor CancellingTensor(const std::vector<size_t>& shape, size_t planes,
 
 TEST(LaneKernelsTest, CancellingDoubleChainsKeepTheirOrder) {
   Rng rng(127);
-  for (size_t lanes : {3u, 8u}) {
+  for (size_t lanes : kWidths) {
     SCOPED_TRACE(::testing::Message() << "lanes=" << lanes);
     for (size_t ow : {11u, 26u}) {
       Conv2d conv(3, 3, 3);
@@ -264,8 +311,8 @@ TEST(LaneKernelsTest, CancellingDoubleChainsKeepTheirOrder) {
 }
 
 // The audit benchmark's networks end to end: 8 lanes through the engine at
-// 1 and 4 threads against the sequential scalar reference, gradients and
-// norms. 13 examples leave a 5-example tail, which takes the padded route.
+// 1 and 4 threads against the sequential width-1 reference, gradients and
+// norms. 13 examples leave a 5-example tail, which is padded.
 TEST(LaneKernelsTest, AuditSizeNetworksBitIdenticalThroughEngine) {
   struct Case {
     const char* name;
@@ -284,7 +331,7 @@ TEST(LaneKernelsTest, AuditSizeNetworksBitIdenticalThroughEngine) {
     for (size_t j = 0; j < inputs.size(); ++j) labels.push_back(j % c.classes);
     std::vector<double> ref_norms;
     const std::vector<float> ref =
-        c.net.ClippedGradientSum(inputs, labels, 1.0, &ref_norms);
+        ReferenceClippedGradientSum(c.net, inputs, labels, 1.0, &ref_norms);
     for (size_t threads : {1u, 4u}) {
       SCOPED_TRACE(::testing::Message()
                    << c.name << " threads=" << threads);

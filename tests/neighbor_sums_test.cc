@@ -19,6 +19,8 @@ namespace {
 
 using testing_helpers::BlobDataset;
 using testing_helpers::ExtremeBoundedNeighbor;
+using testing_helpers::ReferenceClippedGradientSum;
+using testing_helpers::ReferencePerLayerClippedGradientSum;
 using testing_helpers::TinyNetwork;
 using testing_helpers::kClasses;
 using testing_helpers::kFeatures;
@@ -175,14 +177,15 @@ TEST_P(NeighborSharingTest, SharedPathMatchesTwoPassBitwise) {
     EXPECT_EQ(d_prime.size(), shared.norms_dprime.size());
   }
 
-  // And both must match the Network reference directly.
-  std::vector<float> ref_d =
-      c.per_layer ? net.PerLayerClippedGradientSum(d.inputs, d.labels, clip)
-                  : net.ClippedGradientSum(d.inputs, d.labels, clip);
-  std::vector<float> ref_dprime =
-      c.per_layer
-          ? net.PerLayerClippedGradientSum(d_prime.inputs, d_prime.labels, clip)
-          : net.ClippedGradientSum(d_prime.inputs, d_prime.labels, clip);
+  // And both must match the sequential reference directly.
+  auto reference = [&](const Dataset& data) {
+    return c.per_layer ? ReferencePerLayerClippedGradientSum(
+                             net, data.inputs, data.labels, clip)
+                       : ReferenceClippedGradientSum(net, data.inputs,
+                                                     data.labels, clip);
+  };
+  std::vector<float> ref_d = reference(d);
+  std::vector<float> ref_dprime = reference(d_prime);
   ASSERT_EQ(ref_d.size(), shared.sum_d.size());
   for (size_t i = 0; i < ref_d.size(); ++i) {
     EXPECT_EQ(ref_d[i], shared.sum_d[i]) << i;
@@ -273,12 +276,11 @@ TEST(NeighborSharingTest, PoissonBatchRestrictsTheCommonRecords) {
 // conv net (4/8 filters) and the 600-48-30 Purchase MLP, whose dense layers
 // hand over factored weight gradients. n = 16 records make two full packs
 // of D at 8 lanes. Bounded k = 7 puts d_k and d'_k in different packs and
-// k = n - 1 puts d'_k in a one-example scalar tail; unbounded k = n - 1
+// k = n - 1 puts d'_k in a one-example padded tail; unbounded k = n - 1
 // leaves D's last pack with only one example in sum_dprime. Every record
 // has some zero features, so dense products of a negative output gradient
-// with a zero input are -0 on the lane path and +0 in the scalar path's
-// zero-initialised dw. C is the median norm, so some examples are clipped
-// and some are not.
+// with a zero input are -0. C is the median norm, so some examples are
+// clipped and some are not.
 struct AuditShape {
   std::string name;
   Network net;
@@ -316,10 +318,17 @@ void ExpectAuditShapeBitIdentical(AuditShape& shape) {
   for (NormMode norm_mode : {NormMode::kWhole, NormMode::kPerLayer}) {
     const bool per_layer = norm_mode == NormMode::kPerLayer;
     std::vector<double> norms;
-    shape.net.ClippedGradientSum(shape.d.inputs, shape.d.labels, 1.0, &norms);
+    ReferenceClippedGradientSum(shape.net, shape.d.inputs, shape.d.labels,
+                                1.0, &norms);
     std::nth_element(norms.begin(), norms.begin() + norms.size() / 2,
                      norms.end());
     const double clip = norms[norms.size() / 2];
+    auto reference = [&](const Dataset& data) {
+      return per_layer ? ReferencePerLayerClippedGradientSum(
+                             shape.net, data.inputs, data.labels, clip)
+                       : ReferenceClippedGradientSum(shape.net, data.inputs,
+                                                     data.labels, clip);
+    };
     struct Neighbour {
       NeighborMode mode;
       size_t k;
@@ -337,17 +346,9 @@ void ExpectAuditShapeBitIdentical(AuditShape& shape) {
       const NeighborOverlap overlap =
           AnalyzeNeighborOverlap(shape.d, d_prime, nb.mode);
       ASSERT_TRUE(overlap.sharable);
-      const std::vector<float> ref_d =
-          per_layer ? shape.net.PerLayerClippedGradientSum(
-                          shape.d.inputs, shape.d.labels, clip)
-                    : shape.net.ClippedGradientSum(shape.d.inputs,
-                                                   shape.d.labels, clip);
-      const std::vector<float> ref_dprime =
-          per_layer ? shape.net.PerLayerClippedGradientSum(
-                          d_prime.inputs, d_prime.labels, clip)
-                    : shape.net.ClippedGradientSum(d_prime.inputs,
-                                                   d_prime.labels, clip);
-      for (size_t lanes : {0u, 8u}) {
+      const std::vector<float> ref_d = reference(shape.d);
+      const std::vector<float> ref_dprime = reference(d_prime);
+      for (size_t lanes : {1u, 8u}) {
         for (size_t threads : {1u, 4u, 13u}) {
           SCOPED_TRACE(::testing::Message()
                        << shape.name << " per_layer=" << per_layer

@@ -8,6 +8,7 @@
 
 #include "nn/activations.h"
 #include "nn/dense.h"
+#include "nn/gradient_engine.h"
 #include "util/math_util.h"
 #include "util/random.h"
 
@@ -21,6 +22,15 @@ Network SmallNet(Rng& rng) {
   net.Add(std::make_unique<Dense>(6, 3));
   net.Initialize(rng);
   return net;
+}
+
+// The clip stage lives in the gradient engine; this one runs it inline.
+std::unique_ptr<GradientEngine> InlineEngine(const Network& net) {
+  GradientEngine::Options options;
+  options.threads = 1;
+  auto engine = std::make_unique<GradientEngine>(net, options);
+  engine->SyncParams(net);
+  return engine;
 }
 
 TEST(NetworkTest, NumParamsCountsEverything) {
@@ -81,7 +91,8 @@ TEST(NetworkTest, ClippedGradientRespectsNorm) {
   Network net = SmallNet(rng);
   Tensor x({4}, {2.0f, -1.0f, 3.0f, 0.5f});
   const double clip = 0.01;  // force clipping
-  std::vector<float> clipped = net.ClippedGradientSum({x}, {0}, clip);
+  std::vector<float> clipped =
+      InlineEngine(net)->ClippedGradientSum({x}, {0}, clip);
   EXPECT_NEAR(L2Norm(clipped), clip, 1e-6);
 }
 
@@ -90,7 +101,8 @@ TEST(NetworkTest, ClippingIsNoOpBelowThreshold) {
   Network net = SmallNet(rng);
   Tensor x({4}, {0.1f, 0.0f, -0.1f, 0.2f});
   std::vector<float> raw = net.PerExampleGradient(x, 1);
-  std::vector<float> clipped = net.ClippedGradientSum({x}, {1}, 1e9);
+  std::vector<float> clipped =
+      InlineEngine(net)->ClippedGradientSum({x}, {1}, 1e9);
   EXPECT_EQ(raw, clipped);
 }
 
@@ -109,7 +121,7 @@ TEST(NetworkTest, ClippedGradientSumEqualsSumOfClippedGradients) {
   const double clip = 0.5;
   std::vector<double> norms;
   std::vector<float> sum =
-      net.ClippedGradientSum(inputs, labels, clip, &norms);
+      InlineEngine(net)->ClippedGradientSum(inputs, labels, clip, &norms);
   ASSERT_EQ(norms.size(), 5u);
   std::vector<float> manual(net.NumParams(), 0.0f);
   for (int i = 0; i < 5; ++i) {
@@ -144,6 +156,27 @@ TEST(NetworkTest, PredictAndAccuracy) {
   EXPECT_DOUBLE_EQ(fixed.Accuracy(inputs, labels_half), 0.5);
 }
 
+// Predictions runs packs of eight and pads the last one; every class must
+// equal Predict's on the example alone.
+TEST(NetworkTest, PredictionsMatchPredictAcrossPaddedPacks) {
+  Rng rng(24);
+  Network net = BuildMnistNetwork(12);
+  net.Initialize(rng);
+  for (size_t n : {1u, 7u, 8u, 11u, 17u}) {
+    std::vector<Tensor> inputs;
+    for (size_t i = 0; i < n; ++i) {
+      Tensor x({1, 12, 12});
+      for (float& v : x.vec()) v = static_cast<float>(rng.Gaussian());
+      inputs.push_back(x);
+    }
+    const std::vector<size_t> classes = net.Predictions(inputs);
+    ASSERT_EQ(n, classes.size());
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(net.Predict(inputs[i]), classes[i]) << "n=" << n << " i=" << i;
+    }
+  }
+}
+
 TEST(NetworkTest, LayerParamRangesTileTheFlatVector) {
   Rng rng(20);
   Network net = SmallNet(rng);  // dense + relu + dense
@@ -169,8 +202,8 @@ TEST(NetworkTest, PerLayerClippingBoundsEachLayerSlice) {
     labels.push_back(static_cast<size_t>(i % 3));
   }
   const double clip = 0.2;  // force clipping everywhere
-  std::vector<float> sum = net.PerLayerClippedGradientSum(inputs, labels,
-                                                          clip);
+  std::vector<float> sum =
+      InlineEngine(net)->PerLayerClippedGradientSum(inputs, labels, clip);
   // Each example contributes at most clip/sqrt(L) per layer slice, so the
   // sum's slice norms are bounded by n * clip / sqrt(L).
   std::vector<Network::ParamRange> ranges = net.LayerParamRanges();
@@ -192,8 +225,9 @@ TEST(NetworkTest, PerLayerClippingNoOpForSmallGradients) {
   std::vector<Tensor> inputs = {Tensor({4}, {0.01f, 0.0f, 0.01f, 0.0f})};
   std::vector<size_t> labels = {1};
   std::vector<float> per_layer =
-      net.PerLayerClippedGradientSum(inputs, labels, 1e9);
-  std::vector<float> flat = net.ClippedGradientSum(inputs, labels, 1e9);
+      InlineEngine(net)->PerLayerClippedGradientSum(inputs, labels, 1e9);
+  std::vector<float> flat =
+      InlineEngine(net)->ClippedGradientSum(inputs, labels, 1e9);
   EXPECT_EQ(per_layer, flat);
 }
 

@@ -160,6 +160,27 @@ TEST_F(RuntimeOptionsTest, ValidateRejectsOutOfRangeValues) {
   EXPECT_FALSE(options.Validate().ok());
 }
 
+// There is no lane width 0: the lane bodies are the only per-example code,
+// and width 1 is their reference instance.
+TEST_F(RuntimeOptionsTest, ZeroLanesIsRejectedInFavourOfWidthOne) {
+  RuntimeOptions options;
+  options.batch_lanes = 0;
+  Status status = options.Validate();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("1 runs the width-1 reference"),
+            std::string::npos)
+      << status.message();
+  EXPECT_FALSE(ParseArgs({"--lanes=0"}).ok());
+  StatusOr<RuntimeOptions> one = ParseArgs({"--lanes=1"});
+  ASSERT_TRUE(one.ok()) << one.status();
+  EXPECT_EQ(one->batch_lanes, 1);
+  // Callers that bypass Validate still never see width 0.
+  SetBatchLanesOverride(0);
+  EXPECT_EQ(BatchLanesFromEnv(), 1u);
+  SetBatchLanesOverride(-1);
+}
+
 TEST_F(RuntimeOptionsTest, HelpListsEveryKnobWithEnvAndDefault) {
   std::ostringstream out;
   PrintRuntimeOptionsHelp("bench_fig08", out);

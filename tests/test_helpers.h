@@ -1,25 +1,30 @@
 // Shared fixtures for the DPSGD / adversary / experiment tests: a tiny
 // two-class dense network and small synthetic datasets that keep per-test
-// wall clock in the tens of milliseconds, plus per-test scratch directories
-// and a rendezvous for pinning the participants of a parallel region.
+// wall clock in the tens of milliseconds, the sequential clipped-sum
+// references the gradient engine is checked against, plus per-test scratch
+// directories and a rendezvous for pinning the participants of a parallel
+// region.
 
 #ifndef DPAUDIT_TESTS_TEST_HELPERS_H_
 #define DPAUDIT_TESTS_TEST_HELPERS_H_
 
 #include <unistd.h>
 
+#include <cmath>
 #include <condition_variable>
 #include <cstddef>
 #include <filesystem>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "data/dataset.h"
 #include "gtest/gtest.h"
 #include "nn/activations.h"
 #include "nn/dense.h"
 #include "nn/network.h"
+#include "util/math_util.h"
 #include "util/random.h"
 
 namespace dpaudit {
@@ -60,6 +65,48 @@ inline Dataset ExtremeBoundedNeighbor(const Dataset& d, float value) {
   Tensor x({kFeatures});
   x.Fill(value);
   return d.WithRecordReplaced(0, std::move(x), kClasses - 1);
+}
+
+/// The sequential reference of the engine's clipped sums: each example's
+/// gradient from a width-1 lane pass (Network::PerExampleGradient), then
+/// L2Norm, ClipScale and AccumulateScaled, one example after another. If
+/// `norms` is non-null it receives each pre-clip norm.
+inline std::vector<float> ReferenceClippedGradientSum(
+    Network& net, const std::vector<Tensor>& inputs,
+    const std::vector<size_t>& labels, double clip_norm,
+    std::vector<double>* norms = nullptr) {
+  std::vector<float> sum(net.NumParams(), 0.0f);
+  if (norms != nullptr) norms->clear();
+  for (size_t j = 0; j < inputs.size(); ++j) {
+    const std::vector<float> grad = net.PerExampleGradient(inputs[j],
+                                                           labels[j]);
+    const double norm = L2Norm(grad);
+    if (norms != nullptr) norms->push_back(norm);
+    AccumulateScaled(sum.data(), grad.data(), sum.size(),
+                     ClipScale(norm, clip_norm));
+  }
+  return sum;
+}
+
+/// Per-layer counterpart: each parameterized layer's slice of every
+/// gradient is clipped to clip_norm / sqrt(#layers).
+inline std::vector<float> ReferencePerLayerClippedGradientSum(
+    Network& net, const std::vector<Tensor>& inputs,
+    const std::vector<size_t>& labels, double clip_norm) {
+  const std::vector<Network::ParamRange> ranges = net.LayerParamRanges();
+  const double clip =
+      clip_norm / std::sqrt(static_cast<double>(ranges.size()));
+  std::vector<float> sum(net.NumParams(), 0.0f);
+  for (size_t j = 0; j < inputs.size(); ++j) {
+    const std::vector<float> grad = net.PerExampleGradient(inputs[j],
+                                                           labels[j]);
+    for (const Network::ParamRange& range : ranges) {
+      const double norm = L2Norm(grad.data() + range.offset, range.size);
+      AccumulateScaled(sum.data() + range.offset, grad.data() + range.offset,
+                       range.size, ClipScale(norm, clip));
+    }
+  }
+  return sum;
 }
 
 /// A scratch directory path unique to the running test case and process:
