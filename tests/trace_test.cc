@@ -5,12 +5,16 @@
 #include <cstdio>
 #include <filesystem>
 #include <set>
+#include <sstream>
 #include <string>
 
 #include "core/auditor.h"
+#include "core/ledger_bridge.h"
+#include "core/sweep_journal.h"
 #include "dp/privacy_params.h"
 #include "io/serialization.h"
 #include "nn/optimizer.h"
+#include "obs/audit_ledger.h"
 #include "tests/test_helpers.h"
 
 namespace dpaudit {
@@ -276,6 +280,61 @@ TEST(TraceFingerprintTest, BatchConfigKeyIsPinned) {
   EXPECT_EQ(FingerprintExperiment(f.net, f.d, f.d_prime, FastExperiment())
                 .ToHex(),
             "9ff8bd8ef9968879adf7751fd0a7c0f9");
+}
+
+/// FNV-1a 64 of a byte string, as 16 hex characters.
+std::string BytesDigest(const void* data, size_t size) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(
+                    Fnv1a64(static_cast<const uint8_t*>(data), size)));
+  return buf;
+}
+
+TEST(TraceFingerprintTest, OnDiskTrialBytesArePinned) {
+  // A tiny fixed experiment (2 reps x 3 steps, dense net, coin-flipped
+  // challenge bit, test set) pins the bytes of every per-trial artifact:
+  // the .dptrace blob, each sweep-journal trial row and the ledger
+  // experiment block. Recordings made by older builds are replayed,
+  // resumed and checked against these encodings, so the digests may only
+  // change together with the format's schema version.
+  Fixture f;
+  Rng test_rng(7);
+  const Dataset test_set = BlobDataset(5, test_rng);
+  ScopedCacheDir dir("pinned_bytes");
+  TraceStore store(dir.path());
+  DiExperimentConfig config = FastExperiment();
+  config.dpsgd.epochs = 3;
+  config.repetitions = 2;
+  config.randomize_challenge_bit = true;
+  config.threads = 1;
+  config.trace_store = &store;
+  ASSERT_TRUE(
+      RunDiExperiment(f.net, f.d, f.d_prime, config, &test_set).ok());
+  const TraceFingerprint key =
+      FingerprintExperiment(f.net, f.d, f.d_prime, config, &test_set);
+  StatusOr<ExperimentTrace> trace = store.Load(key);
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  ASSERT_EQ(trace->trials.size(), 2u);
+
+  StatusOr<std::vector<uint8_t>> blob = SerializeTrace(*trace);
+  ASSERT_TRUE(blob.ok());
+  EXPECT_EQ(BytesDigest(blob->data(), blob->size()), "f4aa183c07fdc941");
+
+  const char* const kRowDigests[] = {"49a6d17162eae45b", "c655502b7c44659f"};
+  for (size_t rep = 0; rep < 2; ++rep) {
+    const std::string row =
+        EncodeJournalTrialRow(key, rep, config.seed, trace->trials[rep]);
+    EXPECT_EQ(BytesDigest(row.data(), row.size()), kRowDigests[rep])
+        << "journal row " << rep;
+  }
+
+  std::ostringstream ledger;
+  obs::WriteLedgerExperiment(
+      ledger, BuildLedgerExperiment(key, config, f.d, f.d_prime, &test_set,
+                                    trace->trials, config.repetitions));
+  const std::string block = ledger.str();
+  EXPECT_EQ(BytesDigest(block.data(), block.size()), "707967a386bc2801");
 }
 
 TEST(TraceFingerprintTest, SamplingRateSeparatesKeys) {
