@@ -44,7 +44,7 @@ void Run() {
       // z * 2C) or report the configured C for fixed clipping.
       RunningSummary final_sigma;
       for (const DiTrialResult& trial : summary->trials) {
-        final_sigma.Add(trial.sigmas.back());
+        final_sigma.Add(trial.steps.back().sigma);
       }
       double final_clip =
           mode == SensitivityMode::kGlobal

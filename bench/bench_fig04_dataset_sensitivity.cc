@@ -10,6 +10,7 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
+#include "core/dpsgd.h"
 #include "data/dataset.h"
 #include "dp/privacy_params.h"
 #include "stats/summary.h"
@@ -53,9 +54,9 @@ void RunTask(const BenchParams& params, const Task& task) {
     DPAUDIT_CHECK_OK(summary.status());
     std::vector<double> sensitivities;
     for (const DiTrialResult& trial : summary->trials) {
-      sensitivities.insert(sensitivities.end(),
-                           trial.local_sensitivities.begin(),
-                           trial.local_sensitivities.end());
+      for (const StepRecord& step : trial.steps) {
+        sensitivities.push_back(step.local_sensitivity);
+      }
     }
     table.AddRow({choice.label,
                   TableWriter::Cell(choice.candidate.dissimilarity, 4),

@@ -32,8 +32,8 @@ std::vector<RunningSummary> PerStepSensitivities(
   DPAUDIT_CHECK_OK(summary.status());
   std::vector<RunningSummary> per_step(params.epochs);
   for (const DiTrialResult& trial : summary->trials) {
-    for (size_t i = 0; i < trial.local_sensitivities.size(); ++i) {
-      per_step[i].Add(trial.local_sensitivities[i]);
+    for (size_t i = 0; i < trial.steps.size(); ++i) {
+      per_step[i].Add(trial.steps[i].local_sensitivity);
     }
   }
   return per_step;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 
+#include "core/dpsgd.h"
 #include "core/ledger_bridge.h"
 #include "core/scores.h"
 #include "dp/rdp_accountant.h"
@@ -11,25 +12,21 @@
 
 namespace dpaudit {
 
-StatusOr<double> EpsilonFromSensitivities(
-    const std::vector<double>& sigmas,
-    const std::vector<double>& local_sensitivities, double delta) {
-  if (sigmas.size() != local_sensitivities.size()) {
-    return Status::InvalidArgument("sigma and sensitivity series differ");
-  }
-  if (sigmas.empty()) {
+StatusOr<double> EpsilonFromSensitivities(const std::vector<StepRecord>& steps,
+                                          double delta) {
+  if (steps.empty()) {
     return Status::InvalidArgument("need at least one step");
   }
   if (!(delta > 0.0 && delta < 1.0)) {
     return Status::InvalidArgument("delta must be in (0, 1)");
   }
   RdpAccountant accountant;
-  for (size_t i = 0; i < sigmas.size(); ++i) {
-    if (!(sigmas[i] > 0.0)) {
+  for (const StepRecord& step : steps) {
+    if (!(step.sigma > 0.0)) {
       return Status::InvalidArgument("sigma must be > 0 at every step");
     }
-    if (local_sensitivities[i] <= 0.0) continue;  // indistinguishable step
-    accountant.AddGaussianSteps(sigmas[i] / local_sensitivities[i]);
+    if (step.local_sensitivity <= 0.0) continue;  // indistinguishable step
+    accountant.AddGaussianSteps(step.sigma / step.local_sensitivity);
   }
   if (accountant.steps() == 0) return 0.0;
   return accountant.GetEpsilon(delta);
@@ -42,10 +39,8 @@ StatusOr<double> EpsilonFromSensitivities(const DiExperimentSummary& summary,
   }
   RunningSummary epsilons;
   for (const DiTrialResult& trial : summary.trials) {
-    DPAUDIT_ASSIGN_OR_RETURN(
-        double eps, EpsilonFromSensitivities(trial.sigmas,
-                                             trial.local_sensitivities,
-                                             delta));
+    DPAUDIT_ASSIGN_OR_RETURN(double eps,
+                             EpsilonFromSensitivities(trial.steps, delta));
     epsilons.Add(eps);
   }
   return epsilons.mean();

@@ -20,13 +20,14 @@
 
 namespace dpaudit {
 
-/// epsilon' from per-step (sigma_i, LS_i) pairs: builds a heterogeneous RDP
-/// accountant with per-step noise multipliers sigma_i / LS_i and converts at
-/// the given delta. Steps whose LS_i is zero contribute nothing (the two
-/// hypotheses were indistinguishable at that step).
-StatusOr<double> EpsilonFromSensitivities(
-    const std::vector<double>& sigmas,
-    const std::vector<double>& local_sensitivities, double delta);
+/// epsilon' from one trial's per-step (sigma_i, LS_i) pairs: builds a
+/// heterogeneous RDP accountant with per-step noise multipliers
+/// sigma_i / LS_i and converts at the given delta. Steps whose LS_i is zero
+/// contribute nothing (the two hypotheses were indistinguishable at that
+/// step). Each step is priced as an unsubsampled Gaussian, so for sampling
+/// rates q < 1 this is an upper bound that ignores amplification.
+StatusOr<double> EpsilonFromSensitivities(const std::vector<StepRecord>& steps,
+                                          double delta);
 
 /// Averaged over many trials: per step, uses that trial's sigma and LS.
 /// Returns the mean epsilon' across trials (Figure 8 plots this per target

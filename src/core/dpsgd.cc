@@ -139,7 +139,7 @@ StatusOr<DpSgdResult> RunDpSgd(const Network& initial, const Dataset& d,
     std::vector<float>& sum_d = sums.sum_d;
     std::vector<float>& sum_dprime = sums.sum_dprime;
 
-    DpSgdStepRecord record;
+    StepRecord record;
     record.clip_norm = clip;
     record.local_sensitivity = GradientDistance(sum_d, sum_dprime);
     const double global_sensitivity =

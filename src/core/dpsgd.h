@@ -88,12 +88,18 @@ struct DpSgdConfig {
   Status Validate() const;
 };
 
-/// Per-step audit trail.
-struct DpSgdStepRecord {
-  double sigma = 0.0;              // noise std used (sum space)
-  double sensitivity_used = 0.0;   // Delta f_i that scaled sigma
-  double local_sensitivity = 0.0;  // ||S_D - S_D'|| observed at this step
+/// One mechanism release, as the trainer made it and A_DI scored it: the
+/// per-step record of every trial (core/experiment.h), persisted field for
+/// field by the trace cache, the sweep journal and the ledger. RunDpSgd
+/// fills the mechanism fields; RunDiTrial adds the adversary's.
+struct StepRecord {
   double clip_norm = 0.0;          // C_i in effect at this step
+  double local_sensitivity = 0.0;  // ||S_D - S_D'|| observed at this step
+  double sensitivity_used = 0.0;   // Delta f_i that scaled sigma
+  double sigma = 0.0;              // noise std used (sum space)
+  double log_density_d = 0.0;      // log Pr[M(S_D) = r_i]
+  double log_density_dprime = 0.0; // log Pr[M(S_D') = r_i]
+  double belief_d = 0.5;           // beta_i(D) after this release
 };
 
 /// Receives every release as it happens. `sum_d` / `sum_dprime` are the
@@ -109,8 +115,8 @@ class DpSgdStepObserver {
 };
 
 struct DpSgdResult {
-  Network model;                        // trained network
-  std::vector<DpSgdStepRecord> steps;   // one record per update step
+  Network model;                  // trained network
+  std::vector<StepRecord> steps;  // one per update step, mechanism fields
 };
 
 /// Runs DPSGD. `initial` provides the architecture and theta_0 (known to the

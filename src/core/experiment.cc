@@ -5,7 +5,6 @@
 
 #include "core/adversary.h"
 #include "core/sweep_scheduler.h"
-#include "core/trace.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "util/random.h"
@@ -63,7 +62,7 @@ std::vector<double> DiExperimentSummary::TestAccuracies() const {
 
 Status RunDiTrial(const Network& architecture, const Dataset& d,
                   const Dataset& d_prime, const DiExperimentConfig& config,
-                  size_t rep, DiTrialResult* trial_out, TrialTrace* record,
+                  size_t rep, DiTrialResult* trial_out,
                   const Dataset* test_set) {
   // Nests under the scheduling span: pool tasks adopt the scheduling
   // thread's span through the telemetry hooks.
@@ -81,7 +80,7 @@ Status RunDiTrial(const Network& architecture, const Dataset& d,
                                        config.dpsgd, rng, &adversary);
   if (!run.ok()) return run.status();
 
-  DiTrialResult& trial = *trial_out;
+  DiTrialResult trial;
   trial.trained_on_d = train_on_d;
   trial.adversary_says_d = adversary.DecideD();
   // The adversary tracks belief in D; when training ran on D' its belief in
@@ -89,43 +88,24 @@ Status RunDiTrial(const Network& architecture, const Dataset& d,
   // the Figure 6 distributions are comparable.
   trial.final_belief_d = adversary.FinalBeliefD();
   trial.max_belief_d = adversary.MaxBeliefD();
-  trial.local_sensitivities.reserve(run->steps.size());
-  trial.sigmas.reserve(run->steps.size());
-  for (const DpSgdStepRecord& step : run->steps) {
-    trial.local_sensitivities.push_back(step.local_sensitivity);
-    trial.sigmas.push_back(step.sigma);
-  }
   if (test_set != nullptr && !test_set->empty()) {
     trial.test_accuracy =
         run->model.Accuracy(test_set->inputs, test_set->labels);
   }
-
-  if (record != nullptr) {
-    TrialTrace& recorded = *record;
-    recorded.trained_on_d = trial.trained_on_d;
-    recorded.adversary_says_d = trial.adversary_says_d;
-    recorded.final_belief_d = trial.final_belief_d;
-    recorded.max_belief_d = trial.max_belief_d;
-    recorded.test_accuracy = trial.test_accuracy;
-    recorded.belief_history = adversary.BeliefHistory();
-    const std::vector<double>& log_d = adversary.StepLogDensitiesD();
-    const std::vector<double>& log_dp = adversary.StepLogDensitiesDPrime();
-    recorded.steps.resize(run->steps.size());
-    for (size_t i = 0; i < run->steps.size(); ++i) {
-      StepTraceRecord& step = recorded.steps[i];
-      const DpSgdStepRecord& step_record = run->steps[i];
-      step.clip_norm = step_record.clip_norm;
-      step.local_sensitivity = step_record.local_sensitivity;
-      step.sensitivity_used = step_record.sensitivity_used;
-      step.sigma = step_record.sigma;
-      step.log_density_d = i < log_d.size() ? log_d[i] : 0.0;
-      step.log_density_dprime = i < log_dp.size() ? log_dp[i] : 0.0;
-      // history[0] is the prior, history[i+1] the belief after step i.
-      step.belief_d = i + 1 < recorded.belief_history.size()
-                          ? recorded.belief_history[i + 1]
-                          : recorded.final_belief_d;
-    }
+  trial.belief_history = adversary.BeliefHistory();
+  trial.steps = std::move(run->steps);
+  const std::vector<double>& log_d = adversary.StepLogDensitiesD();
+  const std::vector<double>& log_dp = adversary.StepLogDensitiesDPrime();
+  for (size_t i = 0; i < trial.steps.size(); ++i) {
+    StepRecord& step = trial.steps[i];
+    step.log_density_d = i < log_d.size() ? log_d[i] : 0.0;
+    step.log_density_dprime = i < log_dp.size() ? log_dp[i] : 0.0;
+    // history[0] is the prior, history[i+1] the belief after step i.
+    step.belief_d = i + 1 < trial.belief_history.size()
+                        ? trial.belief_history[i + 1]
+                        : trial.final_belief_d;
   }
+  *trial_out = std::move(trial);
   return Status::Ok();
 }
 

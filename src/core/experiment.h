@@ -1,10 +1,11 @@
 // The differential-identifiability experiment Exp^DI (Experiment 2) for
 // DPSGD, repeated for statistical stability. One trial = initialize weights,
 // run DPSGD on the challenger's dataset while A_DI observes every release,
-// record the adversary's beliefs and decision plus the per-step
-// sensitivities for auditing. RunDiTrial runs one trial; the sweep scheduler
+// record the adversary's beliefs and decision plus the per-step record of
+// every release. RunDiTrial runs one trial; the sweep scheduler
 // (core/sweep_scheduler.h) runs the repetitions, and RunDiExperiment is its
-// one-cell case.
+// one-cell case. DiTrialResult is the one in-memory record of a trial: the
+// summary, the trace cache, the sweep journal and the ledger all hold it.
 
 #ifndef DPAUDIT_CORE_EXPERIMENT_H_
 #define DPAUDIT_CORE_EXPERIMENT_H_
@@ -20,7 +21,6 @@
 namespace dpaudit {
 
 class TraceStore;
-struct TrialTrace;
 
 struct DiExperimentConfig {
   DpSgdConfig dpsgd;
@@ -44,14 +44,15 @@ struct DiExperimentConfig {
   TraceStore* trace_store = nullptr;
 };
 
+/// One repetition of Experiment 2.
 struct DiTrialResult {
   bool trained_on_d = true;       // challenger bit b
   bool adversary_says_d = false;  // adversary output b'
   double final_belief_d = 0.5;    // beta_k(D)
   double max_belief_d = 0.5;      // max_i beta_i(D)
-  std::vector<double> local_sensitivities;  // per step ||S_D - S_D'||
-  std::vector<double> sigmas;               // per step noise std
-  double test_accuracy = -1.0;              // -1 when not evaluated
+  double test_accuracy = -1.0;    // -1 when not evaluated
+  std::vector<double> belief_history;  // beta_0 (prior) .. beta_k
+  std::vector<StepRecord> steps;       // one per release
 
   bool Success() const { return adversary_says_d == trained_on_d; }
 };
@@ -87,13 +88,12 @@ struct DiExperimentSummary {
 /// on which thread runs the trial, or on how many trials run around it.
 /// That independence is what makes flattened sweep scheduling
 /// (core/sweep_scheduler.h) and trace prefix reuse (core/trace.h) sound.
-/// Fills `*trial`; when `record` is non-null, also fills the step-trace
-/// record for the cache. Callers are expected to resolve
+/// Overwrites `*trial`. Callers are expected to resolve
 /// config.dpsgd.threads (0 means "let RunDpSgd pick") before fanning trials
 /// out, so nested parallelism stays within one budget.
 Status RunDiTrial(const Network& architecture, const Dataset& d,
                   const Dataset& d_prime, const DiExperimentConfig& config,
-                  size_t rep, DiTrialResult* trial, TrialTrace* record,
+                  size_t rep, DiTrialResult* trial,
                   const Dataset* test_set = nullptr);
 
 /// Runs the repeated experiment as a one-cell RunSweep with

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "core/dpsgd.h"
 #include "data/dataset.h"
 #include "dp/privacy_params.h"
 
@@ -17,12 +18,34 @@ std::string DigestHex(uint64_t digest) {
   return buf;
 }
 
+/// The ledger content digest of the first `count` trials: one path for the
+/// experiment block and the audit row, so the two always agree.
+std::string LedgerDigestOfTrials(const std::vector<DiTrialResult>& trials,
+                                 size_t count) {
+  obs::LedgerDigest digest;
+  std::vector<double> sigmas;
+  std::vector<double> local_sensitivities;
+  for (size_t rep = 0; rep < count; ++rep) {
+    const DiTrialResult& trial = trials[rep];
+    sigmas.clear();
+    local_sensitivities.clear();
+    for (const StepRecord& step : trial.steps) {
+      sigmas.push_back(step.sigma);
+      local_sensitivities.push_back(step.local_sensitivity);
+    }
+    digest.AddTrial(trial.trained_on_d, trial.adversary_says_d,
+                    trial.final_belief_d, trial.max_belief_d,
+                    trial.test_accuracy, sigmas, local_sensitivities);
+  }
+  return digest.Hex();
+}
+
 }  // namespace
 
 obs::LedgerExperiment BuildLedgerExperiment(
     const TraceFingerprint& fingerprint, const DiExperimentConfig& config,
     const Dataset& d, const Dataset& d_prime, const Dataset* test_set,
-    const std::vector<TrialTrace>& trials, size_t repetitions) {
+    const std::vector<DiTrialResult>& trials, size_t repetitions) {
   obs::LedgerExperiment experiment;
   experiment.fingerprint = fingerprint.ToHex();
   experiment.seed = config.seed;
@@ -43,30 +66,25 @@ obs::LedgerExperiment BuildLedgerExperiment(
           : std::string();
 
   const size_t reps = std::min(repetitions, trials.size());
-  obs::LedgerDigest digest;
   experiment.trials.reserve(reps);
   for (size_t rep = 0; rep < reps; ++rep) {
-    const TrialTrace& trace = trials[rep];
+    const DiTrialResult& result = trials[rep];
     if (rep == 0) {
-      experiment.steps_per_trial = trace.steps.size();
+      experiment.steps_per_trial = result.steps.size();
       experiment.prior_belief_d =
-          trace.belief_history.empty() ? 0.5 : trace.belief_history.front();
+          result.belief_history.empty() ? 0.5 : result.belief_history.front();
     }
     obs::LedgerTrial trial;
     trial.rep = rep;
-    trial.trained_on_d = trace.trained_on_d;
-    trial.adversary_says_d = trace.adversary_says_d;
-    trial.final_belief_d = trace.final_belief_d;
-    trial.max_belief_d = trace.max_belief_d;
-    trial.test_accuracy = trace.test_accuracy;
-    trial.steps.reserve(trace.steps.size());
-    std::vector<double> sigmas;
-    std::vector<double> local_sensitivities;
-    sigmas.reserve(trace.steps.size());
-    local_sensitivities.reserve(trace.steps.size());
+    trial.trained_on_d = result.trained_on_d;
+    trial.adversary_says_d = result.adversary_says_d;
+    trial.final_belief_d = result.final_belief_d;
+    trial.max_belief_d = result.max_belief_d;
+    trial.test_accuracy = result.test_accuracy;
+    trial.steps.reserve(result.steps.size());
     double llr = 0.0;
-    for (size_t i = 0; i < trace.steps.size(); ++i) {
-      const StepTraceRecord& record = trace.steps[i];
+    for (size_t i = 0; i < result.steps.size(); ++i) {
+      const StepRecord& record = result.steps[i];
       obs::LedgerStep step;
       step.step = i;
       step.clip_norm = record.clip_norm;
@@ -81,38 +99,21 @@ obs::LedgerExperiment BuildLedgerExperiment(
       step.rdp_eps_alpha2 =
           obs::LedgerRdpAlpha2(record.sigma, record.local_sensitivity);
       trial.steps.push_back(step);
-      sigmas.push_back(record.sigma);
-      local_sensitivities.push_back(record.local_sensitivity);
     }
-    digest.AddTrial(trial.trained_on_d, trial.adversary_says_d,
-                    trial.final_belief_d, trial.max_belief_d,
-                    trial.test_accuracy, sigmas, local_sensitivities);
     experiment.trials.push_back(std::move(trial));
   }
-  experiment.digest = digest.Hex();
+  experiment.digest = LedgerDigestOfTrials(trials, reps);
   return experiment;
 }
 
 void EmitLedgerExperiment(const TraceFingerprint& fingerprint,
                           const DiExperimentConfig& config, const Dataset& d,
                           const Dataset& d_prime, const Dataset* test_set,
-                          const std::vector<TrialTrace>& trials,
-                          size_t repetitions) {
+                          const std::vector<DiTrialResult>& trials) {
   if (!obs::AuditLedgerEnabled()) return;
   obs::LedgerExperiment experiment = BuildLedgerExperiment(
-      fingerprint, config, d, d_prime, test_set, trials, repetitions);
+      fingerprint, config, d, d_prime, test_set, trials, trials.size());
   obs::AppendLedgerExperiment(&experiment);
-}
-
-std::string LedgerDigestOfSummary(const DiExperimentSummary& summary) {
-  obs::LedgerDigest digest;
-  for (const DiTrialResult& trial : summary.trials) {
-    digest.AddTrial(trial.trained_on_d, trial.adversary_says_d,
-                    trial.final_belief_d, trial.max_belief_d,
-                    trial.test_accuracy, trial.sigmas,
-                    trial.local_sensitivities);
-  }
-  return digest.Hex();
 }
 
 void EmitLedgerError(const TraceFingerprint& fingerprint,
@@ -133,7 +134,7 @@ void EmitLedgerAudit(const DiExperimentSummary& summary, double delta,
                      const AuditReport& report) {
   if (!obs::AuditLedgerEnabled()) return;
   obs::LedgerAudit audit;
-  audit.digest = LedgerDigestOfSummary(summary);
+  audit.digest = LedgerDigestOfTrials(summary.trials, summary.trials.size());
   audit.delta = delta;
   audit.epsilon_from_sensitivities = report.epsilon_from_sensitivities;
   audit.epsilon_from_belief = report.epsilon_from_belief;

@@ -1,7 +1,7 @@
 // Converts core experiment types into the plain-data rows of the privacy-
 // audit ledger (obs/audit_ledger.h) and emits them. The obs layer sits below
-// core and cannot see DiExperimentConfig/TrialTrace/DiExperimentSummary, so
-// this bridge is where those types are flattened into ledger rows.
+// core and cannot see DiExperimentConfig/DiTrialResult/DiExperimentSummary,
+// so this bridge is where those types are flattened into ledger rows.
 //
 // Call sites (all gated on obs::AuditLedgerEnabled(), all at sequential
 // points of the run so row order is deterministic):
@@ -29,34 +29,27 @@ namespace dpaudit {
 /// its bridge files (see tools/lint/layers.txt).
 inline bool LedgerEnabled() { return obs::AuditLedgerEnabled(); }
 
-/// Flattens the first `repetitions` recorded trials of one repeated
-/// experiment into a ledger experiment block. `trials` may hold MORE than
-/// `repetitions` entries (a cache recording longer than the request); the
-/// extras are not emitted, preserving cold/replay row parity. The cumulative
-/// LLR and the per-step RDP contribution are derived here, in repetition/
-/// step order, so a replayed trace reproduces them bit-identically.
+/// Flattens the first `repetitions` trials of one repeated experiment into
+/// a ledger experiment block. `trials` may hold MORE than `repetitions`
+/// entries; the extras are not emitted. The cumulative LLR and the per-step
+/// RDP contribution are derived here, in repetition/step order, so a
+/// replayed trace reproduces them bit-identically.
 obs::LedgerExperiment BuildLedgerExperiment(
     const TraceFingerprint& fingerprint, const DiExperimentConfig& config,
     const Dataset& d, const Dataset& d_prime, const Dataset* test_set,
-    const std::vector<TrialTrace>& trials, size_t repetitions);
+    const std::vector<DiTrialResult>& trials, size_t repetitions);
 
-/// BuildLedgerExperiment + AppendLedgerExperiment. Callers gate on
-/// obs::AuditLedgerEnabled() before collecting trials; this re-checks it so
-/// a disabled ledger is always a no-op.
+/// BuildLedgerExperiment over every trial + AppendLedgerExperiment. A no-op
+/// when the ledger is disabled.
 void EmitLedgerExperiment(const TraceFingerprint& fingerprint,
                           const DiExperimentConfig& config, const Dataset& d,
                           const Dataset& d_prime, const Dataset* test_set,
-                          const std::vector<TrialTrace>& trials,
-                          size_t repetitions);
-
-/// The ledger content digest of a summary's trials — the same digest
-/// BuildLedgerExperiment stamps on the experiment block built from the
-/// equivalent trial traces, which is what lets an audit row name the
-/// experiment it audited without core handing obs any core type.
-std::string LedgerDigestOfSummary(const DiExperimentSummary& summary);
+                          const std::vector<DiTrialResult>& trials);
 
 /// Emits the audit row for one AuditExperiment call (no-op when the ledger
-/// is disabled).
+/// is disabled). The row carries the same content digest the experiment
+/// block of these trials carries, which is what lets it name the experiment
+/// it audited without core handing obs any core type.
 void EmitLedgerAudit(const DiExperimentSummary& summary, double delta,
                      const AuditReport& report);
 

@@ -37,11 +37,17 @@ DiExperimentSummary SummaryFromExperiment(
     result.final_belief_d = trial.final_belief_d;
     result.max_belief_d = trial.max_belief_d;
     result.test_accuracy = trial.test_accuracy;
-    result.sigmas.reserve(trial.steps.size());
-    result.local_sensitivities.reserve(trial.steps.size());
+    result.steps.reserve(trial.steps.size());
     for (const obs::LedgerStep& step : trial.steps) {
-      result.sigmas.push_back(step.sigma);
-      result.local_sensitivities.push_back(step.local_sensitivity);
+      StepRecord record;
+      record.clip_norm = step.clip_norm;
+      record.local_sensitivity = step.local_sensitivity;
+      record.sensitivity_used = step.sensitivity_used;
+      record.sigma = step.sigma;
+      record.log_density_d = step.log_density_d;
+      record.log_density_dprime = step.log_density_dprime;
+      record.belief_d = step.belief_d;
+      result.steps.push_back(record);
     }
     summary.trials.push_back(std::move(result));
   }

@@ -6,6 +6,8 @@
 #include <system_error>
 #include <utility>
 
+#include "core/dpsgd.h"
+#include "core/experiment.h"
 #include "obs/json_util.h"
 #include "util/fault_injection.h"
 #include "util/logging.h"
@@ -141,7 +143,7 @@ std::string EncodeJournalManifestRow(const SweepJournalManifest& manifest) {
 }
 
 std::string EncodeJournalTrialRow(const TraceFingerprint& key, uint64_t rep,
-                                  uint64_t seed, const TrialTrace& trial) {
+                                  uint64_t seed, const DiTrialResult& trial) {
   std::string row;
   // ~32 bytes per double: generous reserve keeps appends allocation-free.
   row.reserve(256 + 32 * (trial.belief_history.size() +
@@ -159,7 +161,7 @@ std::string EncodeJournalTrialRow(const TraceFingerprint& key, uint64_t rep,
   // Steps flattened 7-wide in declaration order; the decoder re-folds.
   std::vector<double> flat;
   flat.reserve(7 * trial.steps.size());
-  for (const StepTraceRecord& s : trial.steps) {
+  for (const StepRecord& s : trial.steps) {
     flat.push_back(s.clip_norm);
     flat.push_back(s.local_sensitivity);
     flat.push_back(s.sensitivity_used);
@@ -176,7 +178,8 @@ std::string EncodeJournalTrialRow(const TraceFingerprint& key, uint64_t rep,
 }
 
 bool DecodeJournalTrialRow(const std::string& line, std::string* fp_hex,
-                           uint64_t* rep, uint64_t* seed, TrialTrace* trial) {
+                           uint64_t* rep, uint64_t* seed,
+                           DiTrialResult* trial) {
   const size_t digest_at = line.rfind(kDigestNeedle);
   if (digest_at == std::string::npos) return false;
   std::string digest;
@@ -202,7 +205,7 @@ bool DecodeJournalTrialRow(const std::string& line, std::string* fp_hex,
   }
   trial->steps.resize(flat.size() / 7);
   for (size_t i = 0; i < trial->steps.size(); ++i) {
-    StepTraceRecord& s = trial->steps[i];
+    StepRecord& s = trial->steps[i];
     s.clip_norm = flat[7 * i + 0];
     s.local_sensitivity = flat[7 * i + 1];
     s.sensitivity_used = flat[7 * i + 2];
@@ -243,7 +246,7 @@ StatusOr<LoadedSweepJournal> LoadSweepJournal(const std::string& path) {
     std::string fp_hex;
     uint64_t rep = 0;
     uint64_t seed = 0;
-    TrialTrace trial;
+    DiTrialResult trial;
     if (!DecodeJournalTrialRow(line, &fp_hex, &rep, &seed, &trial)) {
       ++loaded.dropped_rows;
       continue;
@@ -296,8 +299,8 @@ StatusOr<std::unique_ptr<SweepJournal>> SweepJournal::Open(
   return journal;
 }
 
-const TrialTrace* SweepJournal::Find(const TraceFingerprint& key,
-                                     uint64_t rep) const {
+const DiTrialResult* SweepJournal::Find(const TraceFingerprint& key,
+                                        uint64_t rep) const {
   const auto by_fp = loaded_.trials.find(key.ToHex());
   if (by_fp == loaded_.trials.end()) return nullptr;
   const auto by_rep = by_fp->second.find(rep);
@@ -306,7 +309,7 @@ const TrialTrace* SweepJournal::Find(const TraceFingerprint& key,
 }
 
 void SweepJournal::AppendTrial(const TraceFingerprint& key, uint64_t rep,
-                               uint64_t seed, const TrialTrace& trial) {
+                               uint64_t seed, const DiTrialResult& trial) {
   if (append_broken_.load(std::memory_order_relaxed)) return;
   Status status = Status::Ok();
   if (fault::FailJournalWrite()) {

@@ -6,7 +6,7 @@
 // (`<binary>.sweep.jsonl`, by default under the telemetry directory) that
 // records every freshly trained trial the moment it completes: the cell's
 // content fingerprint (the same 128-bit key as the trace cache), the
-// repetition index, the seed, and the FULL trial trace — per-step
+// repetition index, the seed, and the FULL trial record — per-step
 // observables included — terminated by a line digest. A re-launched sweep
 // loads the journal, skips every recorded trial, and recomputes only the
 // tail; because the stored doubles round-trip bit-exactly (%.17g), the
@@ -57,7 +57,7 @@ struct SweepJournalManifest {
 struct LoadedSweepJournal {
   SweepJournalManifest manifest;
   bool has_manifest = false;
-  std::map<std::string, std::map<uint64_t, TrialTrace>> trials;
+  std::map<std::string, std::map<uint64_t, DiTrialResult>> trials;
   size_t trial_rows = 0;     // valid trial rows loaded
   size_t dropped_rows = 0;   // corrupt/undigestible rows skipped
   bool torn_tail = false;    // file ended mid-line (crash signature)
@@ -84,13 +84,13 @@ class SweepJournal {
 
   /// The recorded trial for (key, rep), or nullptr. The pointer is stable
   /// for the journal's lifetime.
-  const TrialTrace* Find(const TraceFingerprint& key, uint64_t rep) const;
+  const DiTrialResult* Find(const TraceFingerprint& key, uint64_t rep) const;
 
   /// Appends one freshly trained trial. Thread-safe; called from pool
   /// workers as trials complete. A write failure logs once and disables
   /// further appends (crash-safety degrades; the sweep itself continues).
   void AppendTrial(const TraceFingerprint& key, uint64_t rep, uint64_t seed,
-                   const TrialTrace& trial);
+                   const DiTrialResult& trial);
 
   size_t loaded_trials() const { return loaded_.trial_rows; }
   const LoadedSweepJournal& loaded() const { return loaded_; }
@@ -108,10 +108,11 @@ class SweepJournal {
 // Serialization internals, exposed for tests and `sweep status`.
 std::string EncodeJournalManifestRow(const SweepJournalManifest& manifest);
 std::string EncodeJournalTrialRow(const TraceFingerprint& key, uint64_t rep,
-                                  uint64_t seed, const TrialTrace& trial);
+                                  uint64_t seed, const DiTrialResult& trial);
 /// Strict row decode (digest verified). False on any mismatch.
 bool DecodeJournalTrialRow(const std::string& line, std::string* fp_hex,
-                           uint64_t* rep, uint64_t* seed, TrialTrace* trial);
+                           uint64_t* rep, uint64_t* seed,
+                           DiTrialResult* trial);
 
 }  // namespace dpaudit
 

@@ -34,14 +34,14 @@ struct CellRun {
   Status prep_status = Status::Ok();
   DiExperimentConfig config;  // configured copy, dpsgd.threads resolved
   TraceFingerprint key;
+  // The cell's one trial array, indexed by rep: replayed, resumed and
+  // trained trials land here, and it is saved, journaled, ledgered and
+  // returned as the summary from here.
   ExperimentTrace trace;
-  bool record = false;   // trace.trials collects this run for Save()
-  bool collect = false;  // trace.trials collects live trials (Save/ledger/
-                         // journal)
+  bool record = false;   // Save() the trace once every rep has run
   size_t replayed = 0;   // leading trials replayed from the cache
   size_t resumed = 0;    // trials filled from the checkpoint journal
   std::vector<uint8_t> from_journal;  // per-rep: skip training, journal won
-  DiExperimentSummary summary;
   std::vector<Status> trial_status;
   std::atomic<size_t> retried{0};  // extra attempts beyond each first try
   std::atomic<size_t> trials_finished{0};  // heartbeat: cell done detection
@@ -145,18 +145,16 @@ class ProgressMonitor {
 
 // Fills the reps the trace cache did not cover from the checkpoint journal.
 // The cache prefix wins where both apply — the bytes are identical either
-// way (both are recordings of the same pure trial function), the cache is
-// simply already in trace form. Journal-resumed reps keep their summary and
-// trace slots exactly as a live run would have produced them, so everything
+// way (both are recordings of the same pure trial function). Journal-resumed
+// reps fill their slots exactly as a live run would have, so everything
 // downstream (estimators, ledger, Save) is bit-identical.
 void ResumeFromJournal(SweepJournal* journal, size_t reps, CellRun* run) {
   if (journal == nullptr) return;
   run->from_journal.assign(reps, 0);
   for (size_t rep = run->replayed; rep < reps; ++rep) {
-    const TrialTrace* trial = journal->Find(run->key, rep);
+    const DiTrialResult* trial = journal->Find(run->key, rep);
     if (trial == nullptr) continue;
-    run->summary.trials[rep] = ToTrialResult(*trial);
-    if (run->collect) run->trace.trials[rep] = *trial;
+    run->trace.trials[rep] = *trial;
     run->from_journal[rep] = 1;
     ++run->resumed;
   }
@@ -198,58 +196,34 @@ void PrepareCell(size_t inner_threads, TraceStore* store, bool ledger,
   }
 
   const size_t reps = run->config.repetitions;
-  run->summary.trials.resize(reps);
   run->trial_status.assign(reps, Status::Ok());
-
-  const bool need_key =
-      store != nullptr || ledger || journal != nullptr;
-  if (need_key) {
+  if (store != nullptr || ledger || journal != nullptr) {
     run->key = FingerprintExperiment(*cell.architecture, *cell.d,
                                      *cell.d_prime, run->config,
                                      cell.test_set);
+    run->trace.fingerprint = run->key;
   }
-  if (store == nullptr) {
-    if (ledger || journal != nullptr) {
-      // No cache, but the ledger needs the per-step traces of every live
-      // trial, and the journal needs them to checkpoint trained trials.
-      run->trace.fingerprint = run->key;
-      run->trace.trials.resize(reps);
-      run->collect = true;
-    }
-    ResumeFromJournal(journal, reps, run);
-    return;
-  }
-  StatusOr<ExperimentTrace> cached = store->Load(run->key);
-  if (cached.ok()) {
-    run->replayed = std::min(cached->trials.size(), reps);
-    if (cached->trials.size() < reps || ledger) {
-      // Shorter recording: keep it as the prefix of this run's trace and
-      // train only the tail (the prefix-extensible contract, core/trace.h).
-      // With the ledger on, a full hit's traces are kept too — the recording
-      // may exceed `reps`; it is never truncated or re-saved, and the ledger
-      // emits only the first `reps`, matching the cold run byte-for-byte.
+  if (store != nullptr) {
+    StatusOr<ExperimentTrace> cached = store->Load(run->key);
+    if (cached.ok()) {
+      // A shorter recording is this run's prefix and only the tail trains
+      // (the prefix-extensible contract, core/trace.h). A longer one is cut
+      // to `reps` below: a full hit is never re-saved, so the summary and
+      // the ledger see exactly the trials a cold run would.
       run->trace.trials = std::move(cached->trials);
+      run->replayed = std::min(run->trace.trials.size(), reps);
       if (run->replayed < reps) {
         DPAUDIT_LOG(INFO) << "trace " << run->key.ToHex() << " replays "
                           << run->replayed << "/" << reps
                           << " repetitions; extending";
       }
+    } else if (cached.status().code() != StatusCode::kNotFound) {
+      DPAUDIT_LOG(WARNING) << "ignoring unreadable trace " << run->key.ToHex()
+                           << ": " << cached.status().message();
     }
-    const std::vector<TrialTrace>& source =
-        run->trace.trials.empty() ? cached->trials : run->trace.trials;
-    for (size_t i = 0; i < run->replayed; ++i) {
-      run->summary.trials[i] = ToTrialResult(source[i]);
-    }
-  } else if (cached.status().code() != StatusCode::kNotFound) {
-    DPAUDIT_LOG(WARNING) << "ignoring unreadable trace " << run->key.ToHex()
-                         << ": " << cached.status().message();
+    run->record = run->replayed < reps;
   }
-  if (run->replayed < reps) {
-    run->trace.fingerprint = run->key;
-    run->trace.trials.resize(reps);
-    run->record = true;
-    run->collect = true;
-  }
+  run->trace.trials.resize(reps);
   ResumeFromJournal(journal, reps, run);
 }
 
@@ -377,9 +351,7 @@ std::vector<StatusOr<DiExperimentSummary>> RunSweep(
         try {
           trial_result = RunDiTrial(
               *run.cell->architecture, *run.cell->d, *run.cell->d_prime,
-              run.config, rep, &run.summary.trials[rep],
-              run.collect ? &run.trace.trials[rep] : nullptr,
-              run.cell->test_set);
+              run.config, rep, &run.trace.trials[rep], run.cell->test_set);
         } catch (const std::exception& e) {
           trial_result =
               Status::Internal(std::string("trial threw: ") + e.what());
@@ -403,7 +375,7 @@ std::vector<StatusOr<DiExperimentSummary>> RunSweep(
       }
     }
     run.trial_status[rep] = trial_result;
-    if (trial_result.ok() && journal != nullptr && run.collect) {
+    if (trial_result.ok() && journal != nullptr) {
       // Checkpoint the trial the moment it completes, from the worker — rows
       // land in completion order, which resume tolerates by keying on
       // (fingerprint, rep).
@@ -467,8 +439,7 @@ std::vector<StatusOr<DiExperimentSummary>> RunSweep(
     }
     const bool degraded = failed_reps > 0;
     if (degraded) {
-      // Partial-repetition estimate: compact summary (and trace, so the
-      // ledger digest matches the summary the caller audits) down to the
+      // Partial-repetition estimate: compact the trials down to the
       // surviving reps, preserving repetition order. The trace is NOT saved
       // — a cache entry must be a pure prefix of reps 0..k-1, which a
       // gapped recording is not — and journaled survivors keep their true
@@ -478,42 +449,31 @@ std::vector<StatusOr<DiExperimentSummary>> RunSweep(
                            << failed_reps << "/" << reps
                            << " repetitions exhausted the retry budget ("
                            << first_failure.message() << ")";
-      DiExperimentSummary compact;
-      std::vector<TrialTrace> compact_traces;
-      compact.trials.reserve(reps - failed_reps);
-      if (run.collect) compact_traces.reserve(reps - failed_reps);
+      std::vector<DiTrialResult> survivors;
+      survivors.reserve(reps - failed_reps);
       for (size_t rep = 0; rep < reps; ++rep) {
-        if (!run.trial_status[rep].ok()) continue;
-        compact.trials.push_back(std::move(run.summary.trials[rep]));
-        if (run.collect) {
-          compact_traces.push_back(std::move(run.trace.trials[rep]));
+        if (run.trial_status[rep].ok()) {
+          survivors.push_back(std::move(run.trace.trials[rep]));
         }
       }
-      if (ledger) {
-        EmitLedgerExperiment(run.key, run.config, *cells[i].d,
-                             *cells[i].d_prime, cells[i].test_set,
-                             compact_traces, compact.trials.size());
-        EmitLedgerError(run.key, reps, compact.trials.size(), failed_reps,
-                        first_failure.message());
+      run.trace.trials = std::move(survivors);
+    } else {
+      if (run.record) {
+        DPAUDIT_SPAN("trace_record");
+        Status saved = options.trace_store->Save(run.trace);
+        if (!saved.ok()) {
+          DPAUDIT_LOG(WARNING) << "cannot cache trace " << run.key.ToHex()
+                               << ": " << saved.message();
+        }
       }
-      results.push_back(std::move(compact));
-      continue;
-    }
-    if (run.record) {
-      DPAUDIT_SPAN("trace_record");
-      Status saved = options.trace_store->Save(run.trace);
-      if (!saved.ok()) {
-        DPAUDIT_LOG(WARNING) << "cannot cache trace " << run.key.ToHex()
-                             << ": " << saved.message();
-      }
-    }
-    if (options.trace_store != nullptr) {
-      if (run.replayed == reps) {
-        ++local.trace_full_hits;
-      } else if (run.replayed > 0) {
-        ++local.trace_prefix_hits;
-      } else {
-        ++local.trace_misses;
+      if (options.trace_store != nullptr) {
+        if (run.replayed == reps) {
+          ++local.trace_full_hits;
+        } else if (run.replayed > 0) {
+          ++local.trace_prefix_hits;
+        } else {
+          ++local.trace_misses;
+        }
       }
     }
     // The sequential results loop is the single emission point: ledger rows
@@ -522,9 +482,15 @@ std::vector<StatusOr<DiExperimentSummary>> RunSweep(
     if (ledger) {
       EmitLedgerExperiment(run.key, run.config, *cells[i].d,
                            *cells[i].d_prime, cells[i].test_set,
-                           run.trace.trials, reps);
+                           run.trace.trials);
+      if (degraded) {
+        EmitLedgerError(run.key, reps, run.trace.trials.size(), failed_reps,
+                        first_failure.message());
+      }
     }
-    results.push_back(std::move(run.summary));
+    DiExperimentSummary summary;
+    summary.trials = std::move(run.trace.trials);
+    results.push_back(std::move(summary));
   }
 
   CountSweepMetrics(local);

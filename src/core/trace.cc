@@ -186,38 +186,13 @@ TraceFingerprint FingerprintExperiment(const Network& architecture,
   return key;
 }
 
-DiTrialResult ToTrialResult(const TrialTrace& trace) {
-  DiTrialResult trial;
-  trial.trained_on_d = trace.trained_on_d;
-  trial.adversary_says_d = trace.adversary_says_d;
-  trial.final_belief_d = trace.final_belief_d;
-  trial.max_belief_d = trace.max_belief_d;
-  trial.test_accuracy = trace.test_accuracy;
-  trial.local_sensitivities.reserve(trace.steps.size());
-  trial.sigmas.reserve(trace.steps.size());
-  for (const StepTraceRecord& step : trace.steps) {
-    trial.local_sensitivities.push_back(step.local_sensitivity);
-    trial.sigmas.push_back(step.sigma);
-  }
-  return trial;
-}
-
-DiExperimentSummary ExperimentTrace::ToSummary() const {
-  DiExperimentSummary summary;
-  summary.trials.reserve(trials.size());
-  for (const TrialTrace& trial : trials) {
-    summary.trials.push_back(ToTrialResult(trial));
-  }
-  return summary;
-}
-
 StatusOr<std::vector<uint8_t>> SerializeTrace(const ExperimentTrace& trace) {
   std::vector<uint8_t> payload;
   wire::PutU32(payload, kTraceSchemaVersion);
   wire::PutU64(payload, trace.fingerprint.hi);
   wire::PutU64(payload, trace.fingerprint.lo);
   wire::PutU64(payload, trace.trials.size());
-  for (const TrialTrace& trial : trace.trials) {
+  for (const DiTrialResult& trial : trace.trials) {
     PutBool(payload, trial.trained_on_d);
     PutBool(payload, trial.adversary_says_d);
     wire::PutF64(payload, trial.final_belief_d);
@@ -226,7 +201,7 @@ StatusOr<std::vector<uint8_t>> SerializeTrace(const ExperimentTrace& trace) {
     wire::PutU64(payload, trial.belief_history.size());
     for (double b : trial.belief_history) wire::PutF64(payload, b);
     wire::PutU64(payload, trial.steps.size());
-    for (const StepTraceRecord& step : trial.steps) {
+    for (const StepRecord& step : trial.steps) {
       wire::PutF64(payload, step.clip_norm);
       wire::PutF64(payload, step.local_sensitivity);
       wire::PutF64(payload, step.sensitivity_used);
@@ -256,7 +231,7 @@ StatusOr<ExperimentTrace> DeserializeTrace(const std::vector<uint8_t>& bytes) {
     return Status::InvalidArgument("trace trial count exceeds payload");
   }
   trace.trials.resize(num_trials);
-  for (TrialTrace& trial : trace.trials) {
+  for (DiTrialResult& trial : trace.trials) {
     DPAUDIT_ASSIGN_OR_RETURN(uint32_t trained, reader.U32());
     DPAUDIT_ASSIGN_OR_RETURN(uint32_t says_d, reader.U32());
     trial.trained_on_d = trained != 0;
@@ -277,7 +252,7 @@ StatusOr<ExperimentTrace> DeserializeTrace(const std::vector<uint8_t>& bytes) {
       return Status::InvalidArgument("trace step count exceeds payload");
     }
     trial.steps.resize(steps);
-    for (StepTraceRecord& step : trial.steps) {
+    for (StepRecord& step : trial.steps) {
       DPAUDIT_ASSIGN_OR_RETURN(step.clip_norm, reader.F64());
       DPAUDIT_ASSIGN_OR_RETURN(step.local_sensitivity, reader.F64());
       DPAUDIT_ASSIGN_OR_RETURN(step.sensitivity_used, reader.F64());

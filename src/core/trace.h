@@ -3,10 +3,11 @@
 // The paper derives three epsilon' estimators — from per-step sensitivities,
 // from posterior beliefs, and from the empirical advantage — out of the SAME
 // repeated DPSGD runs, yet each audit consumer historically retrained its
-// grid cell from scratch. A StepTrace captures everything those estimators
-// (and the figure binaries) read from a run: per repetition and per step the
-// clip norm, local and used sensitivity, noise sigma, the released-vs-centers
-// log-likelihood contributions, and the belief trajectory, plus the trial's
+// grid cell from scratch. An ExperimentTrace holds everything those
+// estimators (and the figure binaries) read from a run: the trials
+// themselves (core/experiment.h's DiTrialResult), with per step the clip
+// norm, local and used sensitivity, noise sigma, the released-vs-centers
+// log-likelihood contributions, and the belief trajectory, plus each trial's
 // final/max beliefs, decision, and test accuracy. A TraceStore persists
 // complete traces through io/serialization's checksummed framing, keyed by a
 // content fingerprint of the experiment inputs; replaying a trace through
@@ -63,43 +64,14 @@ struct TraceFingerprint {
   }
 };
 
-/// One mechanism release, as both the trainer and the adversary saw it.
-struct StepTraceRecord {
-  double clip_norm = 0.0;          // C_i in effect at this step
-  double local_sensitivity = 0.0;  // ||S_D - S_D'|| at this step
-  double sensitivity_used = 0.0;   // Delta f_i that scaled sigma
-  double sigma = 0.0;              // noise std (sum space)
-  double log_density_d = 0.0;      // log Pr[M(S_D) = r_i]
-  double log_density_dprime = 0.0; // log Pr[M(S_D') = r_i]
-  double belief_d = 0.5;           // beta_i(D) after this release
-};
-
-/// One repetition of Experiment 2.
-struct TrialTrace {
-  bool trained_on_d = true;
-  bool adversary_says_d = false;
-  double final_belief_d = 0.5;
-  double max_belief_d = 0.5;
-  double test_accuracy = -1.0;  // -1 when no test set was evaluated
-  std::vector<double> belief_history;  // beta_0 (prior) .. beta_k
-  std::vector<StepTraceRecord> steps;
-};
-
-/// A complete recorded experiment: everything an experiment's summary is
-/// built from, plus the per-step observables the summary discards.
+/// A complete recorded experiment: every trial of a repeated experiment,
+/// per-step records included. All doubles are stored as IEEE-754 bit
+/// patterns, so the replayed trials — and every epsilon' estimator computed
+/// from them — are bit-identical to the recording run.
 struct ExperimentTrace {
   TraceFingerprint fingerprint;
-  std::vector<TrialTrace> trials;
-
-  /// Reconstructs the DiExperimentSummary a live run would have returned.
-  /// All doubles are stored as IEEE-754 bit patterns, so the replayed
-  /// summary — and every epsilon' estimator computed from it — is
-  /// bit-identical to the recording run.
-  DiExperimentSummary ToSummary() const;
+  std::vector<DiTrialResult> trials;
 };
-
-/// Reconstructs the DiTrialResult one recorded repetition replays to.
-DiTrialResult ToTrialResult(const TrialTrace& trial);
 
 /// Process-wide trace-cache activity, mirrored into the obs metrics registry
 /// (dpaudit_trace_cache_{hits,misses,corrupt,evictions}_total). Counted

@@ -305,7 +305,7 @@ TEST(FederatedTest, LocalSensitivityModeScalesNoise) {
   ASSERT_TRUE(run.result.ok());
   // LS in the aggregate equals the victim-side gradient delta and must
   // respect the bounded global cap.
-  for (const DpSgdStepRecord& step : run.result->steps) {
+  for (const StepRecord& step : run.result->steps) {
     EXPECT_GE(step.local_sensitivity, 0.0);
     EXPECT_LE(step.local_sensitivity, 2.0 * config.clip_norm + 1e-6);
   }

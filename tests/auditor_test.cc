@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "core/dpsgd.h"
 #include "core/scores.h"
 #include "dp/rdp_accountant.h"
 #include "tests/test_helpers.h"
@@ -15,6 +16,17 @@ using testing_helpers::BlobDataset;
 using testing_helpers::ExtremeBoundedNeighbor;
 using testing_helpers::TinyNetwork;
 
+/// One trial's step records from parallel (sigma, LS) series.
+std::vector<StepRecord> Steps(const std::vector<double>& sigmas,
+                              const std::vector<double>& local_sensitivities) {
+  std::vector<StepRecord> steps(sigmas.size());
+  for (size_t i = 0; i < steps.size(); ++i) {
+    steps[i].sigma = sigmas[i];
+    steps[i].local_sensitivity = local_sensitivities[i];
+  }
+  return steps;
+}
+
 TEST(EpsilonFromSensitivitiesTest, ConstantRatioMatchesAccountant) {
   // sigma_i / LS_i constant at z: epsilon' equals the plain accountant value.
   const double z = 1.5;
@@ -23,7 +35,7 @@ TEST(EpsilonFromSensitivitiesTest, ConstantRatioMatchesAccountant) {
   std::vector<double> sigmas(k, 3.0 * z);
   std::vector<double> ls(k, 3.0);
   double expected = *ComposedEpsilonForNoiseMultiplier(z, delta, k);
-  StatusOr<double> actual = EpsilonFromSensitivities(sigmas, ls, delta);
+  StatusOr<double> actual = EpsilonFromSensitivities(Steps(sigmas, ls), delta);
   ASSERT_TRUE(actual.ok());
   EXPECT_NEAR(*actual, expected, 1e-10);
 }
@@ -35,8 +47,8 @@ TEST(EpsilonFromSensitivitiesTest, SmallerSensitivityMeansSmallerEpsilon) {
   std::vector<double> sigmas(30, 6.0);  // noise scaled to GS = 2C = 6
   std::vector<double> ls_tight(30, 6.0);
   std::vector<double> ls_loose(30, 1.5);  // factual difference much smaller
-  double eps_tight = *EpsilonFromSensitivities(sigmas, ls_tight, delta);
-  double eps_loose = *EpsilonFromSensitivities(sigmas, ls_loose, delta);
+  double eps_tight = *EpsilonFromSensitivities(Steps(sigmas, ls_tight), delta);
+  double eps_loose = *EpsilonFromSensitivities(Steps(sigmas, ls_loose), delta);
   EXPECT_LT(eps_loose, eps_tight);
 }
 
@@ -45,19 +57,18 @@ TEST(EpsilonFromSensitivitiesTest, ZeroSensitivityStepsContributeNothing) {
   std::vector<double> sigmas = {2.0, 2.0, 2.0};
   std::vector<double> ls_all = {1.0, 1.0, 1.0};
   std::vector<double> ls_some = {1.0, 0.0, 1.0};
-  double eps_all = *EpsilonFromSensitivities(sigmas, ls_all, delta);
-  double eps_some = *EpsilonFromSensitivities(sigmas, ls_some, delta);
+  double eps_all = *EpsilonFromSensitivities(Steps(sigmas, ls_all), delta);
+  double eps_some = *EpsilonFromSensitivities(Steps(sigmas, ls_some), delta);
   EXPECT_LT(eps_some, eps_all);
   // All-zero: no distinguishable release at all.
   EXPECT_DOUBLE_EQ(
-      *EpsilonFromSensitivities(sigmas, {0.0, 0.0, 0.0}, delta), 0.0);
+      *EpsilonFromSensitivities(Steps(sigmas, {0.0, 0.0, 0.0}), delta), 0.0);
 }
 
 TEST(EpsilonFromSensitivitiesTest, RejectsBadInput) {
-  EXPECT_FALSE(EpsilonFromSensitivities({1.0}, {1.0, 2.0}, 1e-4).ok());
-  EXPECT_FALSE(EpsilonFromSensitivities({}, {}, 1e-4).ok());
-  EXPECT_FALSE(EpsilonFromSensitivities({0.0}, {1.0}, 1e-4).ok());
-  EXPECT_FALSE(EpsilonFromSensitivities({1.0}, {1.0}, 0.0).ok());
+  EXPECT_FALSE(EpsilonFromSensitivities(std::vector<StepRecord>{}, 1e-4).ok());
+  EXPECT_FALSE(EpsilonFromSensitivities(Steps({0.0}, {1.0}), 1e-4).ok());
+  EXPECT_FALSE(EpsilonFromSensitivities(Steps({1.0}, {1.0}), 0.0).ok());
 }
 
 TEST(EpsilonFromMaxBeliefTest, InvertsRhoBeta) {

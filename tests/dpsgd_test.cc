@@ -71,7 +71,7 @@ TEST(DpSgdTest, ProducesOneRecordPerEpoch) {
   auto result = RunDpSgd(net, d, d_prime, true, FastConfig(), run_rng);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->steps.size(), 5u);
-  for (const DpSgdStepRecord& step : result->steps) {
+  for (const StepRecord& step : result->steps) {
     EXPECT_GT(step.sigma, 0.0);
     EXPECT_GT(step.sensitivity_used, 0.0);
     EXPECT_GE(step.local_sensitivity, 0.0);
@@ -413,7 +413,7 @@ TEST(SampledDpSgdTest, RunsAndRecordsSampling) {
                          run_rng, &observer);
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->steps.size(), 24u);
-  for (const DpSgdStepRecord& step : result->steps) {
+  for (const StepRecord& step : result->steps) {
     // Unbounded global sensitivity is C, whatever the batch.
     EXPECT_DOUBLE_EQ(step.sigma, config.noise_multiplier * config.clip_norm);
   }

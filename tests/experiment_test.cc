@@ -11,6 +11,7 @@ namespace dpaudit {
 namespace {
 
 using testing_helpers::BlobDataset;
+using testing_helpers::ExpectSummariesBitIdentical;
 using testing_helpers::ExtremeBoundedNeighbor;
 using testing_helpers::TinyNetwork;
 
@@ -44,8 +45,8 @@ TEST(DiExperimentTest, ProducesOneTrialPerRepetition) {
   EXPECT_EQ(summary->trials.size(), 16u);
   for (const DiTrialResult& trial : summary->trials) {
     EXPECT_TRUE(trial.trained_on_d);  // fixed-bit mode
-    EXPECT_EQ(trial.local_sensitivities.size(), 5u);
-    EXPECT_EQ(trial.sigmas.size(), 5u);
+    EXPECT_EQ(trial.steps.size(), 5u);
+    EXPECT_EQ(trial.belief_history.size(), 6u);  // prior + one per step
     EXPECT_GE(trial.final_belief_d, 0.0);
     EXPECT_LE(trial.final_belief_d, 1.0);
     EXPECT_GE(trial.max_belief_d, trial.final_belief_d - 1e-12);
@@ -90,19 +91,7 @@ TEST(DiExperimentTest, GradientEngineThreadCountInvariance) {
 
   const DiExperimentSummary& ref = runs[0];
   for (size_t r = 1; r < runs.size(); ++r) {
-    ASSERT_EQ(ref.trials.size(), runs[r].trials.size());
-    for (size_t i = 0; i < ref.trials.size(); ++i) {
-      const DiTrialResult& a = ref.trials[i];
-      const DiTrialResult& b = runs[r].trials[i];
-      EXPECT_EQ(a.adversary_says_d, b.adversary_says_d);
-      EXPECT_EQ(a.final_belief_d, b.final_belief_d);
-      EXPECT_EQ(a.max_belief_d, b.max_belief_d);
-      ASSERT_EQ(a.local_sensitivities.size(), b.local_sensitivities.size());
-      for (size_t s = 0; s < a.local_sensitivities.size(); ++s) {
-        EXPECT_EQ(a.local_sensitivities[s], b.local_sensitivities[s]);
-        EXPECT_EQ(a.sigmas[s], b.sigmas[s]);
-      }
-    }
+    ExpectSummariesBitIdentical(ref, runs[r]);
   }
 }
 
@@ -215,9 +204,9 @@ TEST(DiExperimentTest, FixedWeightsModeSharesInitialization) {
   EXPECT_EQ(summary->trials.size(), 4u);
   // With shared theta_0 the per-step sigmas at step 0 are identical across
   // trials in GS mode (sensitivity is the constant global bound).
-  double sigma0 = summary->trials[0].sigmas[0];
+  double sigma0 = summary->trials[0].steps[0].sigma;
   for (const auto& trial : summary->trials) {
-    EXPECT_DOUBLE_EQ(trial.sigmas[0], sigma0);
+    EXPECT_DOUBLE_EQ(trial.steps[0].sigma, sigma0);
   }
 }
 
@@ -302,17 +291,7 @@ TEST(SampledExperimentTest, DeterministicAcrossThreadCounts) {
   auto parallel = RunDiExperiment(f.net, f.d, f.d_prime, config);
   ASSERT_TRUE(serial.ok()) << serial.status();
   ASSERT_TRUE(parallel.ok()) << parallel.status();
-  ASSERT_EQ(serial->trials.size(), parallel->trials.size());
-  for (size_t i = 0; i < serial->trials.size(); ++i) {
-    EXPECT_EQ(serial->trials[i].final_belief_d,
-              parallel->trials[i].final_belief_d);
-    EXPECT_EQ(serial->trials[i].max_belief_d,
-              parallel->trials[i].max_belief_d);
-    EXPECT_EQ(serial->trials[i].adversary_says_d,
-              parallel->trials[i].adversary_says_d);
-    EXPECT_EQ(serial->trials[i].local_sensitivities,
-              parallel->trials[i].local_sensitivities);
-  }
+  ExpectSummariesBitIdentical(*serial, *parallel);
 }
 
 }  // namespace

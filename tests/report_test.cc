@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "core/dpsgd.h"
+
 namespace dpaudit {
 namespace {
 
@@ -23,8 +25,11 @@ DiExperimentSummary TestSummary(double belief) {
   win.adversary_says_d = true;
   win.final_belief_d = belief;
   win.max_belief_d = belief;
-  win.sigmas = {1.0, 1.0};
-  win.local_sensitivities = {0.5, 0.5};
+  win.steps.resize(2);
+  for (StepRecord& step : win.steps) {
+    step.sigma = 1.0;
+    step.local_sensitivity = 0.5;
+  }
   DiTrialResult loss = win;
   loss.adversary_says_d = false;
   loss.final_belief_d = 0.4;

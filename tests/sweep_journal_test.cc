@@ -6,8 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -16,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "core/dpsgd.h"
 #include "core/trace.h"
 #include "tests/test_helpers.h"
 #include "util/fault_injection.h"
@@ -24,42 +23,12 @@
 namespace dpaudit {
 namespace {
 
-void ExpectSameDouble(double a, double b, const std::string& what) {
-  if (std::isnan(a) && std::isnan(b)) return;  // NaN payload may canonicalize
-  EXPECT_EQ(std::bit_cast<uint64_t>(a), std::bit_cast<uint64_t>(b)) << what;
-}
+using testing_helpers::ExpectTrialsBitIdentical;
 
-void ExpectTraceBitIdentical(const TrialTrace& a, const TrialTrace& b) {
-  EXPECT_EQ(a.trained_on_d, b.trained_on_d);
-  EXPECT_EQ(a.adversary_says_d, b.adversary_says_d);
-  ExpectSameDouble(a.final_belief_d, b.final_belief_d, "final_belief_d");
-  ExpectSameDouble(a.max_belief_d, b.max_belief_d, "max_belief_d");
-  ExpectSameDouble(a.test_accuracy, b.test_accuracy, "test_accuracy");
-  ASSERT_EQ(a.belief_history.size(), b.belief_history.size());
-  for (size_t i = 0; i < a.belief_history.size(); ++i) {
-    ExpectSameDouble(a.belief_history[i], b.belief_history[i],
-                     "belief_history[" + std::to_string(i) + "]");
-  }
-  ASSERT_EQ(a.steps.size(), b.steps.size());
-  for (size_t i = 0; i < a.steps.size(); ++i) {
-    const std::string at = "step " + std::to_string(i);
-    ExpectSameDouble(a.steps[i].clip_norm, b.steps[i].clip_norm, at);
-    ExpectSameDouble(a.steps[i].local_sensitivity,
-                     b.steps[i].local_sensitivity, at);
-    ExpectSameDouble(a.steps[i].sensitivity_used, b.steps[i].sensitivity_used,
-                     at);
-    ExpectSameDouble(a.steps[i].sigma, b.steps[i].sigma, at);
-    ExpectSameDouble(a.steps[i].log_density_d, b.steps[i].log_density_d, at);
-    ExpectSameDouble(a.steps[i].log_density_dprime,
-                     b.steps[i].log_density_dprime, at);
-    ExpectSameDouble(a.steps[i].belief_d, b.steps[i].belief_d, at);
-  }
-}
-
-/// A trial trace with awkward doubles: denormals, negatives, NaN, ±inf, and
+/// A trial record with awkward doubles: denormals, negatives, NaN, ±inf, and
 /// values that need all 17 significant digits.
-TrialTrace AwkwardTrace(uint64_t salt) {
-  TrialTrace trace;
+DiTrialResult AwkwardTrace(uint64_t salt) {
+  DiTrialResult trace;
   trace.trained_on_d = (salt % 2) == 0;
   trace.adversary_says_d = (salt % 3) == 0;
   trace.final_belief_d = 0.1 + 1e-17 * static_cast<double>(salt);
@@ -70,7 +39,7 @@ TrialTrace AwkwardTrace(uint64_t salt) {
                           -std::numeric_limits<double>::infinity(),
                           5e-324, -0.0};
   for (size_t i = 0; i < 3; ++i) {
-    StepTraceRecord step;
+    StepRecord step;
     step.clip_norm = 3.0;
     step.local_sensitivity = 1e-300 * static_cast<double>(i + 1);
     step.sensitivity_used = 0.1234567890123456789;
@@ -111,18 +80,18 @@ class SweepJournalTest : public ::testing::Test {
 
 TEST_F(SweepJournalTest, TrialRowRoundTripsBitExactly) {
   const TraceFingerprint key = Fp("0123456789abcdef0123456789abcdef");
-  const TrialTrace trace = AwkwardTrace(1);
+  const DiTrialResult trace = AwkwardTrace(1);
   const std::string row = EncodeJournalTrialRow(key, 7, 42, trace);
 
   std::string fp_hex;
   uint64_t rep = 0;
   uint64_t seed = 0;
-  TrialTrace decoded;
+  DiTrialResult decoded;
   ASSERT_TRUE(DecodeJournalTrialRow(row, &fp_hex, &rep, &seed, &decoded));
   EXPECT_EQ(fp_hex, key.ToHex());
   EXPECT_EQ(rep, 7u);
   EXPECT_EQ(seed, 42u);
-  ExpectTraceBitIdentical(trace, decoded);
+  ExpectTrialsBitIdentical(trace, decoded);
 }
 
 TEST_F(SweepJournalTest, TamperedRowsFailTheDigest) {
@@ -131,7 +100,7 @@ TEST_F(SweepJournalTest, TamperedRowsFailTheDigest) {
   std::string fp_hex;
   uint64_t rep = 0;
   uint64_t seed = 0;
-  TrialTrace decoded;
+  DiTrialResult decoded;
   ASSERT_TRUE(DecodeJournalTrialRow(row, &fp_hex, &rep, &seed, &decoded));
 
   // Flip one payload character: the digest must catch it.
@@ -152,7 +121,7 @@ TEST_F(SweepJournalTest, OpenWritesTheManifestAndFindServesLoadedRows) {
   const char* argv[] = {"bench_fig08", "--telemetry=tele", "--threads=4"};
   RecordCommandLineForJournal(3, const_cast<char* const*>(argv));
   const TraceFingerprint key = Fp("00112233445566778899aabbccddeeff");
-  const TrialTrace trace = AwkwardTrace(3);
+  const DiTrialResult trace = AwkwardTrace(3);
   {
     StatusOr<std::unique_ptr<SweepJournal>> journal = SweepJournal::Open(path);
     ASSERT_TRUE(journal.ok()) << journal.status();
@@ -174,15 +143,15 @@ TEST_F(SweepJournalTest, OpenWritesTheManifestAndFindServesLoadedRows) {
   EXPECT_EQ(loaded->dropped_rows, 0u);
   EXPECT_FALSE(loaded->torn_tail);
   ASSERT_EQ(loaded->trials.count(key.ToHex()), 1u);
-  ExpectTraceBitIdentical(trace, loaded->trials[key.ToHex()][0]);
+  ExpectTrialsBitIdentical(trace, loaded->trials[key.ToHex()][0]);
 
   // Re-open: the journal serves the recorded trials through Find.
   StatusOr<std::unique_ptr<SweepJournal>> reopened = SweepJournal::Open(path);
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ((*reopened)->loaded_trials(), 2u);
-  const TrialTrace* found = (*reopened)->Find(key, 0);
+  const DiTrialResult* found = (*reopened)->Find(key, 0);
   ASSERT_NE(found, nullptr);
-  ExpectTraceBitIdentical(trace, *found);
+  ExpectTrialsBitIdentical(trace, *found);
   EXPECT_EQ((*reopened)->Find(key, 1), nullptr);
 }
 
@@ -250,14 +219,14 @@ TEST_F(SweepJournalTest, LaterDuplicateRowsWin) {
   ASSERT_TRUE(log.Open(path).ok());
   ASSERT_TRUE(log.Append(EncodeJournalTrialRow(key, 0, 1, AwkwardTrace(0)))
                   .ok());
-  const TrialTrace winner = AwkwardTrace(9);
+  const DiTrialResult winner = AwkwardTrace(9);
   ASSERT_TRUE(log.Append(EncodeJournalTrialRow(key, 0, 1, winner)).ok());
   log.Close();
 
   StatusOr<LoadedSweepJournal> loaded = LoadSweepJournal(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->trial_rows, 2u);
-  ExpectTraceBitIdentical(winner, loaded->trials[key.ToHex()][0]);
+  ExpectTrialsBitIdentical(winner, loaded->trials[key.ToHex()][0]);
 }
 
 TEST_F(SweepJournalTest, InjectedWriteFailureDisablesAppendsNotTheSweep) {
@@ -308,7 +277,7 @@ TEST_F(SweepJournalTest, ConcurrentAppendsSurviveStrictParsing) {
   for (size_t c = 0; c < kCells; ++c) {
     ASSERT_EQ(loaded->trials[keys[c].ToHex()].size(), kReps);
     for (uint64_t rep = 0; rep < kReps; ++rep) {
-      ExpectTraceBitIdentical(AwkwardTrace(c * kReps + rep),
+      ExpectTrialsBitIdentical(AwkwardTrace(c * kReps + rep),
                               loaded->trials[keys[c].ToHex()][rep]);
     }
   }

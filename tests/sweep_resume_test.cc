@@ -15,10 +15,12 @@
 #include "core/sweep_scheduler.h"
 #include "dp/privacy_params.h"
 #include "io/append_log.h"
+#include "tests/test_helpers.h"
 #include "util/fault_injection.h"
 
 namespace dpaudit {
 namespace {
+using testing_helpers::ExpectSummariesBitIdentical;
 
 /// Fresh per-test journal directory under gtest's temp dir.
 class ScopedJournalDir {
@@ -43,23 +45,6 @@ bench::BenchParams TinyParams() {
   params.epochs = 3;
   params.seed = 42;
   return params;
-}
-
-void ExpectTrialsBitIdentical(const DiExperimentSummary& expected,
-                              const DiExperimentSummary& got) {
-  ASSERT_EQ(got.trials.size(), expected.trials.size());
-  for (size_t i = 0; i < expected.trials.size(); ++i) {
-    const DiTrialResult& a = expected.trials[i];
-    const DiTrialResult& b = got.trials[i];
-    EXPECT_EQ(a.trained_on_d, b.trained_on_d) << "trial " << i;
-    EXPECT_EQ(a.adversary_says_d, b.adversary_says_d) << "trial " << i;
-    // Bit-identity: exact double equality, no tolerance.
-    EXPECT_EQ(a.final_belief_d, b.final_belief_d) << "trial " << i;
-    EXPECT_EQ(a.max_belief_d, b.max_belief_d) << "trial " << i;
-    EXPECT_EQ(a.test_accuracy, b.test_accuracy) << "trial " << i;
-    EXPECT_EQ(a.local_sensitivities, b.local_sensitivities) << "trial " << i;
-    EXPECT_EQ(a.sigmas, b.sigmas) << "trial " << i;
-  }
 }
 
 class SweepResumeTest : public ::testing::Test {
@@ -120,8 +105,8 @@ TEST_F(SweepResumeTest, SecondRunResumesEveryTrialFromTheJournal) {
   ASSERT_EQ(second_stats.per_cell.size(), 2u);
   EXPECT_EQ(second_stats.per_cell[0].resumed, 3u);
   EXPECT_EQ(second_stats.per_cell[1].resumed, 3u);
-  ExpectTrialsBitIdentical(*first[0], *second[0]);
-  ExpectTrialsBitIdentical(*first[1], *second[1]);
+  ExpectSummariesBitIdentical(*first[0], *second[0]);
+  ExpectSummariesBitIdentical(*first[1], *second[1]);
 }
 
 TEST_F(SweepResumeTest, PartialJournalResumesOnlyTheCompletedTrials) {
@@ -165,8 +150,8 @@ TEST_F(SweepResumeTest, PartialJournalResumesOnlyTheCompletedTrials) {
   ASSERT_TRUE(resumed[1].ok());
   EXPECT_EQ(stats.trials_resumed, 2u);
   EXPECT_EQ(stats.trials_trained, 4u);
-  ExpectTrialsBitIdentical(*reference[0], *resumed[0]);
-  ExpectTrialsBitIdentical(*reference[1], *resumed[1]);
+  ExpectSummariesBitIdentical(*reference[0], *resumed[0]);
+  ExpectSummariesBitIdentical(*reference[1], *resumed[1]);
 }
 
 TEST_F(SweepResumeTest, FailuresUnderTheRetryBudgetChangeNothing) {
@@ -191,8 +176,8 @@ TEST_F(SweepResumeTest, FailuresUnderTheRetryBudgetChangeNothing) {
   EXPECT_EQ(stats.trials_retried, 6u);
   EXPECT_EQ(stats.trials_failed, 0u);
   EXPECT_EQ(stats.cells_degraded, 0u);
-  ExpectTrialsBitIdentical(*reference[0], *retried[0]);
-  ExpectTrialsBitIdentical(*reference[1], *retried[1]);
+  ExpectSummariesBitIdentical(*reference[0], *retried[0]);
+  ExpectSummariesBitIdentical(*reference[1], *retried[1]);
 }
 
 TEST_F(SweepResumeTest, ExhaustedRetriesDegradeTheCellNotTheSweep) {
@@ -253,8 +238,8 @@ TEST_F(SweepResumeTest, ResumeAfterDegradationRetrainsOnlyTheFailedRep) {
   EXPECT_EQ(resumed_stats.trials_resumed, 5u);
   EXPECT_EQ(resumed_stats.trials_trained, 1u);
   EXPECT_EQ(resumed_stats.trials_failed, 0u);
-  ExpectTrialsBitIdentical(*reference[0], *resumed[0]);
-  ExpectTrialsBitIdentical(*reference[1], *resumed[1]);
+  ExpectSummariesBitIdentical(*reference[0], *resumed[0]);
+  ExpectSummariesBitIdentical(*reference[1], *resumed[1]);
 }
 
 TEST_F(SweepResumeTest, CellWhereEveryRepFailsKeepsTheErrorBehavior) {
@@ -302,8 +287,8 @@ TEST_F(SweepResumeTest, ResumeIsThreadCountIndependent) {
     ASSERT_TRUE(resumed[1].ok());
     EXPECT_EQ(stats.trials_resumed, 6u);
     EXPECT_EQ(stats.trials_trained, 0u);
-    ExpectTrialsBitIdentical(*reference[0], *resumed[0]);
-    ExpectTrialsBitIdentical(*reference[1], *resumed[1]);
+    ExpectSummariesBitIdentical(*reference[0], *resumed[0]);
+    ExpectSummariesBitIdentical(*reference[1], *resumed[1]);
   }
 }
 

@@ -99,8 +99,7 @@ std::vector<bench::AuditSweepRow> NaiveAuditSweep(
     summary.trials.resize(config.repetitions);
     for (size_t rep = 0; rep < config.repetitions; ++rep) {
       Status st = RunDiTrial(task.architecture, task.d, task.d_prime_bounded,
-                             config, rep, &summary.trials[rep],
-                             /*record=*/nullptr);
+                             config, rep, &summary.trials[rep]);
       EXPECT_TRUE(st.ok()) << st;
     }
     return summary;

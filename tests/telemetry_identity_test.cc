@@ -20,6 +20,7 @@ namespace dpaudit {
 namespace {
 
 using testing_helpers::BlobDataset;
+using testing_helpers::ExpectSummariesBitIdentical;
 using testing_helpers::ExtremeBoundedNeighbor;
 using testing_helpers::TinyNetwork;
 
@@ -52,26 +53,6 @@ DiExperimentSummary RunOnce(bool telemetry) {
   return *summary;
 }
 
-void ExpectBitIdentical(const DiExperimentSummary& a,
-                        const DiExperimentSummary& b) {
-  ASSERT_EQ(a.trials.size(), b.trials.size());
-  for (size_t i = 0; i < a.trials.size(); ++i) {
-    const DiTrialResult& x = a.trials[i];
-    const DiTrialResult& y = b.trials[i];
-    EXPECT_EQ(x.trained_on_d, y.trained_on_d) << "trial " << i;
-    EXPECT_EQ(x.adversary_says_d, y.adversary_says_d) << "trial " << i;
-    // Exact double equality, not near: the contract is bit identity.
-    EXPECT_EQ(x.final_belief_d, y.final_belief_d) << "trial " << i;
-    EXPECT_EQ(x.max_belief_d, y.max_belief_d) << "trial " << i;
-    ASSERT_EQ(x.local_sensitivities.size(), y.local_sensitivities.size());
-    for (size_t s = 0; s < x.local_sensitivities.size(); ++s) {
-      EXPECT_EQ(x.local_sensitivities[s], y.local_sensitivities[s])
-          << "trial " << i << " step " << s;
-      EXPECT_EQ(x.sigmas[s], y.sigmas[s]) << "trial " << i << " step " << s;
-    }
-  }
-}
-
 class TelemetryIdentityTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -89,8 +70,8 @@ TEST_F(TelemetryIdentityTest, ExperimentBitIdenticalWithTelemetryOnAndOff) {
   DiExperimentSummary off = RunOnce(/*telemetry=*/false);
   DiExperimentSummary on = RunOnce(/*telemetry=*/true);
   DiExperimentSummary off_again = RunOnce(/*telemetry=*/false);
-  ExpectBitIdentical(off, on);
-  ExpectBitIdentical(off, off_again);
+  ExpectSummariesBitIdentical(off, on);
+  ExpectSummariesBitIdentical(off, off_again);
 }
 
 TEST_F(TelemetryIdentityTest, InstrumentedRunPopulatesTheProfileTree) {

@@ -1,24 +1,27 @@
 // Shared fixtures for the DPSGD / adversary / experiment tests: a tiny
 // two-class dense network and small synthetic datasets that keep per-test
 // wall clock in the tens of milliseconds, the sequential clipped-sum
-// references the gradient engine is checked against, plus per-test scratch
-// directories and a rendezvous for pinning the participants of a parallel
-// region.
+// references the gradient engine is checked against, a bit-identity check
+// for trial records, plus per-test scratch directories and a rendezvous for
+// pinning the participants of a parallel region.
 
 #ifndef DPAUDIT_TESTS_TEST_HELPERS_H_
 #define DPAUDIT_TESTS_TEST_HELPERS_H_
 
 #include <unistd.h>
 
+#include <bit>
 #include <cmath>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "core/experiment.h"
 #include "data/dataset.h"
 #include "gtest/gtest.h"
 #include "nn/activations.h"
@@ -107,6 +110,56 @@ inline std::vector<float> ReferencePerLayerClippedGradientSum(
     }
   }
   return sum;
+}
+
+/// Expects two doubles to share a bit pattern; two NaNs match whatever their
+/// payloads, which a text round trip may canonicalize.
+inline void ExpectSameDouble(double a, double b, const std::string& what) {
+  if (std::isnan(a) && std::isnan(b)) return;
+  EXPECT_EQ(std::bit_cast<uint64_t>(a), std::bit_cast<uint64_t>(b)) << what;
+}
+
+/// Expects two trial records to be bit-identical: decision, beliefs, test
+/// accuracy, belief history and every field of every step. Callers name the
+/// trial with SCOPED_TRACE.
+inline void ExpectTrialsBitIdentical(const DiTrialResult& a,
+                                     const DiTrialResult& b) {
+  EXPECT_EQ(a.trained_on_d, b.trained_on_d);
+  EXPECT_EQ(a.adversary_says_d, b.adversary_says_d);
+  ExpectSameDouble(a.final_belief_d, b.final_belief_d, "final_belief_d");
+  ExpectSameDouble(a.max_belief_d, b.max_belief_d, "max_belief_d");
+  ExpectSameDouble(a.test_accuracy, b.test_accuracy, "test_accuracy");
+  ASSERT_EQ(a.belief_history.size(), b.belief_history.size());
+  for (size_t i = 0; i < a.belief_history.size(); ++i) {
+    ExpectSameDouble(a.belief_history[i], b.belief_history[i],
+                     "belief_history[" + std::to_string(i) + "]");
+  }
+  ASSERT_EQ(a.steps.size(), b.steps.size());
+  for (size_t i = 0; i < a.steps.size(); ++i) {
+    const std::string at = "step " + std::to_string(i);
+    const StepRecord& x = a.steps[i];
+    const StepRecord& y = b.steps[i];
+    ExpectSameDouble(x.clip_norm, y.clip_norm, at + " clip_norm");
+    ExpectSameDouble(x.local_sensitivity, y.local_sensitivity,
+                     at + " local_sensitivity");
+    ExpectSameDouble(x.sensitivity_used, y.sensitivity_used,
+                     at + " sensitivity_used");
+    ExpectSameDouble(x.sigma, y.sigma, at + " sigma");
+    ExpectSameDouble(x.log_density_d, y.log_density_d, at + " log_density_d");
+    ExpectSameDouble(x.log_density_dprime, y.log_density_dprime,
+                     at + " log_density_dprime");
+    ExpectSameDouble(x.belief_d, y.belief_d, at + " belief_d");
+  }
+}
+
+/// ExpectTrialsBitIdentical over every trial of two summaries.
+inline void ExpectSummariesBitIdentical(const DiExperimentSummary& a,
+                                        const DiExperimentSummary& b) {
+  ASSERT_EQ(a.trials.size(), b.trials.size());
+  for (size_t i = 0; i < a.trials.size(); ++i) {
+    SCOPED_TRACE("trial " + std::to_string(i));
+    ExpectTrialsBitIdentical(a.trials[i], b.trials[i]);
+  }
 }
 
 /// A scratch directory path unique to the running test case and process:

@@ -9,6 +9,7 @@
 #include <string>
 
 #include "core/auditor.h"
+#include "core/dpsgd.h"
 #include "core/ledger_bridge.h"
 #include "core/sweep_journal.h"
 #include "dp/privacy_params.h"
@@ -21,6 +22,8 @@ namespace dpaudit {
 namespace {
 
 using testing_helpers::BlobDataset;
+using testing_helpers::ExpectSummariesBitIdentical;
+using testing_helpers::ExpectTrialsBitIdentical;
 using testing_helpers::ExtremeBoundedNeighbor;
 using testing_helpers::TinyNetwork;
 
@@ -65,7 +68,7 @@ ExperimentTrace SampleTrace() {
   ExperimentTrace trace;
   trace.fingerprint = {0x0123456789abcdefULL, 0xfedcba9876543210ULL};
   for (int t = 0; t < 3; ++t) {
-    TrialTrace trial;
+    DiTrialResult trial;
     trial.trained_on_d = t != 1;
     trial.adversary_says_d = t == 0;
     trial.final_belief_d = 0.25 * (t + 1);
@@ -73,7 +76,7 @@ ExperimentTrace SampleTrace() {
     trial.test_accuracy = t == 2 ? 0.875 : -1.0;
     trial.belief_history = {0.5, 0.6 + 0.01 * t, 0.7 + 0.01 * t};
     for (int s = 0; s < 2; ++s) {
-      StepTraceRecord step;
+      StepRecord step;
       step.clip_norm = 1.0 + s;
       step.local_sensitivity = 0.125 * (s + 1);
       step.sensitivity_used = 0.25 * (s + 1);
@@ -92,26 +95,8 @@ void ExpectTracesEqual(const ExperimentTrace& a, const ExperimentTrace& b) {
   EXPECT_EQ(a.fingerprint, b.fingerprint);
   ASSERT_EQ(a.trials.size(), b.trials.size());
   for (size_t t = 0; t < a.trials.size(); ++t) {
-    const TrialTrace& ta = a.trials[t];
-    const TrialTrace& tb = b.trials[t];
-    EXPECT_EQ(ta.trained_on_d, tb.trained_on_d);
-    EXPECT_EQ(ta.adversary_says_d, tb.adversary_says_d);
-    EXPECT_EQ(ta.final_belief_d, tb.final_belief_d);
-    EXPECT_EQ(ta.max_belief_d, tb.max_belief_d);
-    EXPECT_EQ(ta.test_accuracy, tb.test_accuracy);
-    EXPECT_EQ(ta.belief_history, tb.belief_history);
-    ASSERT_EQ(ta.steps.size(), tb.steps.size());
-    for (size_t s = 0; s < ta.steps.size(); ++s) {
-      EXPECT_EQ(ta.steps[s].clip_norm, tb.steps[s].clip_norm);
-      EXPECT_EQ(ta.steps[s].local_sensitivity,
-                tb.steps[s].local_sensitivity);
-      EXPECT_EQ(ta.steps[s].sensitivity_used, tb.steps[s].sensitivity_used);
-      EXPECT_EQ(ta.steps[s].sigma, tb.steps[s].sigma);
-      EXPECT_EQ(ta.steps[s].log_density_d, tb.steps[s].log_density_d);
-      EXPECT_EQ(ta.steps[s].log_density_dprime,
-                tb.steps[s].log_density_dprime);
-      EXPECT_EQ(ta.steps[s].belief_d, tb.steps[s].belief_d);
-    }
+    SCOPED_TRACE("trial " + std::to_string(t));
+    ExpectTrialsBitIdentical(a.trials[t], b.trials[t]);
   }
 }
 
@@ -153,24 +138,6 @@ TEST(TraceSerializationTest, DetectsCorruption) {
   // Wrong blob kind (a dataset is not a trace).
   EXPECT_FALSE(
       DeserializeTrace(FrameBlob(kBlobKindDataset, {1, 2, 3})).ok());
-}
-
-TEST(TraceSerializationTest, SummaryReconstruction) {
-  ExperimentTrace trace = SampleTrace();
-  DiExperimentSummary summary = trace.ToSummary();
-  ASSERT_EQ(summary.trials.size(), trace.trials.size());
-  for (size_t t = 0; t < trace.trials.size(); ++t) {
-    EXPECT_EQ(summary.trials[t].trained_on_d, trace.trials[t].trained_on_d);
-    EXPECT_EQ(summary.trials[t].final_belief_d,
-              trace.trials[t].final_belief_d);
-    ASSERT_EQ(summary.trials[t].local_sensitivities.size(),
-              trace.trials[t].steps.size());
-    for (size_t s = 0; s < trace.trials[t].steps.size(); ++s) {
-      EXPECT_EQ(summary.trials[t].local_sensitivities[s],
-                trace.trials[t].steps[s].local_sensitivity);
-      EXPECT_EQ(summary.trials[t].sigmas[s], trace.trials[t].steps[s].sigma);
-    }
-  }
 }
 
 TEST(TraceFingerprintTest, EachConfigFieldInvalidatesTheKey) {
@@ -460,24 +427,8 @@ TEST(TraceCacheTest, WarmReplayIsBitIdenticalToColdRun) {
   auto warm = RunDiExperiment(f.net, f.d, f.d_prime, config);
   ASSERT_TRUE(warm.ok()) << warm.status();
 
-  for (const DiExperimentSummary* summary :
-       {&*cold, &*warm}) {
-    ASSERT_EQ(summary->trials.size(), reference->trials.size());
-    for (size_t i = 0; i < reference->trials.size(); ++i) {
-      const DiTrialResult& a = reference->trials[i];
-      const DiTrialResult& b = summary->trials[i];
-      EXPECT_EQ(a.trained_on_d, b.trained_on_d);
-      EXPECT_EQ(a.adversary_says_d, b.adversary_says_d);
-      EXPECT_EQ(a.final_belief_d, b.final_belief_d);
-      EXPECT_EQ(a.max_belief_d, b.max_belief_d);
-      EXPECT_EQ(a.test_accuracy, b.test_accuracy);
-      ASSERT_EQ(a.local_sensitivities.size(), b.local_sensitivities.size());
-      for (size_t s = 0; s < a.local_sensitivities.size(); ++s) {
-        EXPECT_EQ(a.local_sensitivities[s], b.local_sensitivities[s]);
-        EXPECT_EQ(a.sigmas[s], b.sigmas[s]);
-      }
-    }
-  }
+  ExpectSummariesBitIdentical(*reference, *cold);
+  ExpectSummariesBitIdentical(*reference, *warm);
 
   // All three epsilon' estimators must agree bit-for-bit.
   double delta = 1.0 / 9.0;
@@ -525,18 +476,8 @@ void ExpectTrialPrefixBitIdentical(const DiExperimentSummary& reference,
   ASSERT_LE(count, reference.trials.size());
   ASSERT_EQ(got.trials.size(), count);
   for (size_t i = 0; i < count; ++i) {
-    const DiTrialResult& a = reference.trials[i];
-    const DiTrialResult& b = got.trials[i];
-    EXPECT_EQ(a.trained_on_d, b.trained_on_d);
-    EXPECT_EQ(a.adversary_says_d, b.adversary_says_d);
-    EXPECT_EQ(a.final_belief_d, b.final_belief_d);
-    EXPECT_EQ(a.max_belief_d, b.max_belief_d);
-    EXPECT_EQ(a.test_accuracy, b.test_accuracy);
-    ASSERT_EQ(a.local_sensitivities.size(), b.local_sensitivities.size());
-    for (size_t s = 0; s < a.local_sensitivities.size(); ++s) {
-      EXPECT_EQ(a.local_sensitivities[s], b.local_sensitivities[s]);
-      EXPECT_EQ(a.sigmas[s], b.sigmas[s]);
-    }
+    SCOPED_TRACE("trial " + std::to_string(i));
+    ExpectTrialsBitIdentical(reference.trials[i], got.trials[i]);
   }
 }
 

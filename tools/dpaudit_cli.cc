@@ -53,6 +53,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/auditor.h"
@@ -366,24 +367,25 @@ Status RunTrace(const ArgParser& args) {
                              TraceFingerprint::FromHex(key));
     DPAUDIT_ASSIGN_OR_RETURN(ExperimentTrace trace,
                              store.Load(fingerprint));
-    DiExperimentSummary summary = trace.ToSummary();
+    DiExperimentSummary summary;
+    summary.trials = std::move(trace.trials);
     std::printf("trace %s (%s)\n", key.c_str(),
                 store.PathFor(fingerprint).c_str());
-    std::printf("  repetitions        = %zu\n", trace.trials.size());
+    std::printf("  repetitions        = %zu\n", summary.trials.size());
     std::printf("  steps per trial    = %zu\n",
-                trace.trials.empty() ? 0 : trace.trials[0].steps.size());
+                summary.trials.empty() ? 0 : summary.trials[0].steps.size());
     std::printf("  success rate       = %.3f\n", summary.SuccessRate());
     std::printf("  empirical adv      = %.3f\n",
                 summary.EmpiricalAdvantage());
     std::printf("  max belief in D    = %.3f\n", summary.MaxBeliefInD());
-    if (!trace.trials.empty()) {
-      const TrialTrace& first = trace.trials[0];
+    if (!summary.trials.empty()) {
+      const DiTrialResult& first = summary.trials[0];
       std::printf("  trial 0: trained_on_d=%d says_d=%d final_belief=%.4f "
                   "max_belief=%.4f\n",
                   first.trained_on_d ? 1 : 0, first.adversary_says_d ? 1 : 0,
                   first.final_belief_d, first.max_belief_d);
       if (!first.steps.empty()) {
-        const StepTraceRecord& step = first.steps[0];
+        const StepRecord& step = first.steps[0];
         std::printf("  trial 0 step 0: clip=%.4f ls=%.6f used=%.6f "
                     "sigma=%.6f belief=%.4f\n",
                     step.clip_norm, step.local_sensitivity,
