@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "nn/loss.h"
 #include "stats/summary.h"
 #include "tensor/tensor.h"
 #include "util/logging.h"
@@ -24,9 +25,12 @@ Status MiAdversary::Calibrate(Network& model, Rng& rng) {
   if (probes.empty()) {
     return Status::Internal("distribution sampler returned no records");
   }
+  // One batched logits pass over the probes; each loss is bit-identical to
+  // ExampleLoss on the probe alone.
+  const std::vector<Tensor> logits = model.Logits(probes.inputs);
   RunningSummary losses;
   for (size_t i = 0; i < probes.size(); ++i) {
-    losses.Add(model.ExampleLoss(probes.inputs[i], probes.labels[i]));
+    losses.Add(SoftmaxCrossEntropy(logits[i], probes.labels[i]).loss);
   }
   threshold_ = threshold_fraction_ * losses.mean();
   return Status::Ok();

@@ -11,9 +11,9 @@
 
 namespace dpaudit {
 
-AttackFeatures ExtractAttackFeatures(Network& model, const Tensor& input,
-                                     size_t label) {
-  Tensor logits = model.Forward(input);
+namespace {
+
+AttackFeatures FeaturesFromLogits(const Tensor& logits, size_t label) {
   DPAUDIT_CHECK_LT(label, logits.size());
   Tensor probs = SoftmaxProbabilities(logits);
   AttackFeatures features;
@@ -28,6 +28,24 @@ AttackFeatures ExtractAttackFeatures(Network& model, const Tensor& input,
   }
   features.top_confidence = top;
   features.entropy = entropy;
+  return features;
+}
+
+}  // namespace
+
+AttackFeatures ExtractAttackFeatures(Network& model, const Tensor& input,
+                                     size_t label) {
+  return FeaturesFromLogits(model.Forward(input), label);
+}
+
+std::vector<AttackFeatures> ExtractAttackFeatures(Network& model,
+                                                  const Dataset& records) {
+  const std::vector<Tensor> logits = model.Logits(records.inputs);
+  std::vector<AttackFeatures> features;
+  features.reserve(logits.size());
+  for (size_t i = 0; i < logits.size(); ++i) {
+    features.push_back(FeaturesFromLogits(logits[i], records.labels[i]));
+  }
   return features;
 }
 
@@ -126,15 +144,14 @@ StatusOr<ShadowAttackResult> RunShadowAttackExperiment(
                                          /*train_on_d=*/true, config.dpsgd,
                                          rng, /*observer=*/nullptr);
     DPAUDIT_RETURN_IF_ERROR(run.status());
-    for (size_t i = 0; i < shadow_data.size(); ++i) {
-      attack_features.push_back(ExtractAttackFeatures(
-          run->model, shadow_data.inputs[i], shadow_data.labels[i]));
+    for (const AttackFeatures& f :
+         ExtractAttackFeatures(run->model, shadow_data)) {
+      attack_features.push_back(f);
       attack_labels.push_back(true);
     }
     Dataset fresh = sampler(config.train_size, rng);
-    for (size_t i = 0; i < fresh.size(); ++i) {
-      attack_features.push_back(ExtractAttackFeatures(
-          run->model, fresh.inputs[i], fresh.labels[i]));
+    for (const AttackFeatures& f : ExtractAttackFeatures(run->model, fresh)) {
+      attack_features.push_back(f);
       attack_labels.push_back(false);
     }
   }

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/dpsgd.h"
+#include "data/dataset.h"
 #include "mi/membership_inference.h"
 #include "nn/network.h"
 #include "util/status.h"
@@ -41,6 +42,11 @@ struct AttackFeatures {
 /// Extracts attack features for (input, label) under `model`.
 AttackFeatures ExtractAttackFeatures(Network& model, const Tensor& input,
                                      size_t label);
+
+/// Attack features of every record, in record order, from one batched
+/// logits pass (Network::Logits); each equals the single-record extraction.
+std::vector<AttackFeatures> ExtractAttackFeatures(Network& model,
+                                                  const Dataset& records);
 
 /// Binary logistic regression over AttackFeatures, trained with gradient
 /// descent on standardized features.

@@ -68,8 +68,9 @@ double Network::ExampleLoss(const Tensor& input, size_t label) {
   return SoftmaxCrossEntropy(logits, label).loss;
 }
 
-size_t Network::Predict(const Tensor& input) {
-  Tensor logits = Forward(input);
+namespace {
+
+size_t ArgMax(const Tensor& logits) {
   DPAUDIT_CHECK_GT(logits.size(), 0u);
   size_t best = 0;
   for (size_t i = 1; i < logits.size(); ++i) {
@@ -78,28 +79,31 @@ size_t Network::Predict(const Tensor& input) {
   return best;
 }
 
-std::vector<size_t> Network::Predictions(const std::vector<Tensor>& inputs) {
+}  // namespace
+
+size_t Network::Predict(const Tensor& input) { return ArgMax(Forward(input)); }
+
+std::vector<Tensor> Network::Logits(const std::vector<Tensor>& inputs) {
   // A ragged last pack is padded with copies of its last input, as in the
-  // gradient engine: lanes are independent, so padding changes no class.
+  // gradient engine: lanes are independent, so padding changes no logit.
   constexpr size_t kLanes = kDefaultBatchLanes;
-  std::vector<size_t> classes(inputs.size());
+  std::vector<Tensor> logits(inputs.size());
   const Tensor* pack[kLanes];
   for (size_t j = 0; j < inputs.size(); j += kLanes) {
     const size_t count = std::min(kLanes, inputs.size() - j);
     for (size_t l = 0; l < kLanes; ++l) {
       pack[l] = &inputs[j + std::min(l, count - 1)];
     }
-    const Tensor& logits = ForwardLanes(pack, kLanes, &scratch_);
-    const size_t num_classes = logits.size() / kLanes;
-    DPAUDIT_CHECK_GT(num_classes, 0u);
-    for (size_t l = 0; l < count; ++l) {
-      size_t best = 0;
-      for (size_t c = 1; c < num_classes; ++c) {
-        if (logits[c * kLanes + l] > logits[best * kLanes + l]) best = c;
-      }
-      classes[j + l] = best;
-    }
+    const Tensor& packed = ForwardLanes(pack, kLanes, &scratch_);
+    for (size_t l = 0; l < count; ++l) UnpackLane(packed, l, &logits[j + l]);
   }
+  return logits;
+}
+
+std::vector<size_t> Network::Predictions(const std::vector<Tensor>& inputs) {
+  const std::vector<Tensor> logits = Logits(inputs);
+  std::vector<size_t> classes(logits.size());
+  for (size_t i = 0; i < logits.size(); ++i) classes[i] = ArgMax(logits[i]);
   return classes;
 }
 

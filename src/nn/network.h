@@ -82,9 +82,13 @@ class Network {
   /// argmax class for one example.
   size_t Predict(const Tensor& input);
 
-  /// argmax class of every input, in input order. Runs packs of
-  /// kDefaultBatchLanes same-shaped examples; Predict on each input alone
-  /// gives the same classes.
+  /// Logits of every input, in input order: the one batched inference pass.
+  /// Runs packs of kDefaultBatchLanes same-shaped examples; Forward on each
+  /// input alone gives bit-identical logits.
+  std::vector<Tensor> Logits(const std::vector<Tensor>& inputs);
+
+  /// argmax class of every input, in input order (from Logits); Predict on
+  /// each input alone gives the same classes.
   std::vector<size_t> Predictions(const std::vector<Tensor>& inputs);
 
   /// Fraction of (inputs[i], labels[i]) classified correctly.

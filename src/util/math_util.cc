@@ -42,55 +42,35 @@ double L2Norm(const float* v, size_t n) {
 
 namespace {
 
-// One body for both accumulate forms (b == nullptr: single sum), shared by
-// the portable call and the AVX2 wrapper. Each element is an exact widening,
-// one rounded double multiply, one rounding to float and one float add per
-// sum, in that order whatever the vector width, so every path rounds
+// One body for the portable call and the AVX2 wrapper. Each element is an
+// exact widening, one rounded double multiply, one rounding to float and one
+// float add, in that order whatever the vector width, so every path rounds
 // identically.
-DPAUDIT_LANE_INLINE void AccumulateScaledBody(float* __restrict__ a,
-                                              float* __restrict__ b,
+DPAUDIT_LANE_INLINE void AccumulateScaledBody(float* __restrict__ sum,
                                               const float* __restrict__ g,
                                               size_t n, double scale) {
-  if (b == nullptr) {
-    for (size_t i = 0; i < n; ++i) a[i] += static_cast<float>(scale * g[i]);
-    return;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    const float t = static_cast<float>(scale * g[i]);
-    a[i] += t;
-    b[i] += t;
-  }
+  for (size_t i = 0; i < n; ++i) sum[i] += static_cast<float>(scale * g[i]);
 }
 
 #if defined(DPAUDIT_X86_DISPATCH)
-__attribute__((target("avx2"))) void AccumulateScaledAvx2(float* a, float* b,
+__attribute__((target("avx2"))) void AccumulateScaledAvx2(float* sum,
                                                           const float* g,
                                                           size_t n,
                                                           double scale) {
-  AccumulateScaledBody(a, b, g, n, scale);
+  AccumulateScaledBody(sum, g, n, scale);
 }
 #endif
-
-void AccumulateScaledDispatch(float* a, float* b, const float* g, size_t n,
-                              double scale) {
-#if defined(DPAUDIT_X86_DISPATCH)
-  if (HasAvx2()) {
-    AccumulateScaledAvx2(a, b, g, n, scale);
-    return;
-  }
-#endif
-  AccumulateScaledBody(a, b, g, n, scale);
-}
 
 }  // namespace
 
 void AccumulateScaled(float* sum, const float* g, size_t n, double scale) {
-  AccumulateScaledDispatch(sum, nullptr, g, n, scale);
-}
-
-void AccumulateScaledPair(float* a, float* b, const float* g, size_t n,
-                          double scale) {
-  AccumulateScaledDispatch(a, b, g, n, scale);
+#if defined(DPAUDIT_X86_DISPATCH)
+  if (HasAvx2()) {
+    AccumulateScaledAvx2(sum, g, n, scale);
+    return;
+  }
+#endif
+  AccumulateScaledBody(sum, g, n, scale);
 }
 
 double L2Norm(const std::vector<double>& v) {

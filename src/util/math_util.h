@@ -70,12 +70,6 @@ inline double ClipScale(double norm, double clip_norm) {
 /// The buffers must not overlap.
 void AccumulateScaled(float* sum, const float* g, size_t n, double scale);
 
-/// AccumulateScaled into two sums in one pass over g: a[i] and b[i] each
-/// get += float(scale * g[i]), bit-identical to two AccumulateScaled calls.
-/// This is the step for a record that both neighbouring datasets share.
-void AccumulateScaledPair(float* a, float* b, const float* g, size_t n,
-                          double scale);
-
 /// Euclidean distance ||a - b||; requires equal sizes.
 double L2Distance(const std::vector<float>& a, const std::vector<float>& b);
 

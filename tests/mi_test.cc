@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "stats/summary.h"
 #include "tensor/tensor.h"
 #include "tests/test_helpers.h"
 
@@ -24,6 +25,24 @@ TEST(MiAdversaryTest, CalibrationSetsThreshold) {
   MiAdversary adversary(BlobSampler(), /*probe_count=*/16);
   ASSERT_TRUE(adversary.Calibrate(net, rng).ok());
   EXPECT_GT(adversary.threshold(), 0.0);
+}
+
+TEST(MiAdversaryTest, ThresholdIsTheMeanOfSingleRecordProbeLosses) {
+  // Calibrate scores its probes in one batched pass; the threshold must be
+  // bit-identical to scoring each probe alone.
+  Rng rng(3);
+  Network net = TinyNetwork();
+  net.Initialize(rng);
+  Rng probe_rng(9);
+  MiAdversary adversary(BlobSampler(), /*probe_count=*/11);
+  ASSERT_TRUE(adversary.Calibrate(net, probe_rng).ok());
+  Rng replay_rng(9);
+  const Dataset probes = BlobDataset(11, replay_rng);
+  RunningSummary losses;
+  for (size_t i = 0; i < probes.size(); ++i) {
+    losses.Add(net.ExampleLoss(probes.inputs[i], probes.labels[i]));
+  }
+  EXPECT_EQ(adversary.threshold(), losses.mean());
 }
 
 TEST(MiAdversaryTest, DecideComparesLossToThreshold) {

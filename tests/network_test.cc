@@ -177,6 +177,31 @@ TEST(NetworkTest, PredictionsMatchPredictAcrossPaddedPacks) {
   }
 }
 
+// Logits is the one batched inference pass (Predictions, Accuracy and the
+// MI probes read it); every row must be bit-identical to Forward's.
+TEST(NetworkTest, LogitsMatchForwardAcrossPaddedPacks) {
+  Rng rng(25);
+  Network net = BuildMnistNetwork(12);
+  net.Initialize(rng);
+  for (size_t n : {0u, 1u, 7u, 8u, 11u, 17u}) {
+    std::vector<Tensor> inputs;
+    for (size_t i = 0; i < n; ++i) {
+      Tensor x({1, 12, 12});
+      for (float& v : x.vec()) v = static_cast<float>(rng.Gaussian());
+      inputs.push_back(x);
+    }
+    const std::vector<Tensor> logits = net.Logits(inputs);
+    ASSERT_EQ(n, logits.size());
+    for (size_t i = 0; i < n; ++i) {
+      const Tensor single = net.Forward(inputs[i]);
+      ASSERT_EQ(single.shape(), logits[i].shape());
+      for (size_t c = 0; c < single.size(); ++c) {
+        EXPECT_EQ(single[c], logits[i][c]) << "n=" << n << " i=" << i;
+      }
+    }
+  }
+}
+
 TEST(NetworkTest, LayerParamRangesTileTheFlatVector) {
   Rng rng(20);
   Network net = SmallNet(rng);  // dense + relu + dense

@@ -31,6 +31,20 @@ TEST(ExtractAttackFeaturesTest, FeaturesAreConsistent) {
   EXPECT_NEAR(f.loss, -std::log(f.true_confidence), 1e-5);
 }
 
+TEST(ExtractAttackFeaturesTest, BatchedMatchesSingleRecord) {
+  Rng rng(3);
+  Network net = TinyNetwork();
+  net.Initialize(rng);
+  Dataset d = BlobDataset(11, rng);  // one full pack and a padded tail
+  const std::vector<AttackFeatures> batched = ExtractAttackFeatures(net, d);
+  ASSERT_EQ(batched.size(), d.size());
+  for (size_t i = 0; i < d.size(); ++i) {
+    const AttackFeatures single =
+        ExtractAttackFeatures(net, d.inputs[i], d.labels[i]);
+    EXPECT_EQ(batched[i].AsArray(), single.AsArray()) << "record " << i;
+  }
+}
+
 TEST(LogisticAttackModelTest, LearnsASeparableRule) {
   // Members: low loss; non-members: high loss.
   std::vector<AttackFeatures> features;
