@@ -58,8 +58,8 @@ class DiAdversary : public DpSgdStepObserver {
   bool DecideD() const { return tracker_.DecideD(); }
 
   /// Per-step log Pr[r_i | D] / log Pr[r_i | D'] — the released-vs-centers
-  /// log-likelihood contributions a StepTrace records (the mixture density
-  /// under D when q < 1).
+  /// log-likelihood contributions each trial's StepRecord keeps (the
+  /// mixture density under D when q < 1).
   const std::vector<double>& StepLogDensitiesD() const {
     return log_density_d_;
   }

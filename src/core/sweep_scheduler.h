@@ -12,11 +12,11 @@
 // trials.
 //
 // Determinism: trial r of a cell is a pure function of the cell's inputs and
-// r (see RunDiTrial), and results are reduced into per-cell summary slots by
-// index, so the returned summaries are bit-identical to a serial loop of
-// RunDiTrial over every cell and repetition — for any thread count, any
-// dispatch order, and any trace-cache state. This is the only path that runs
-// repetitions: RunDiExperiment is a one-cell RunSweep.
+// r (see RunDiTrial), and every trial lands in its own slot of the cell's
+// one trial array, so the returned summaries are bit-identical to a serial
+// loop of RunDiTrial over every cell and repetition — for any thread count,
+// any dispatch order, and any trace-cache state. This is the only path that
+// runs repetitions: RunDiExperiment is a one-cell RunSweep.
 //
 // Crash safety and failure isolation: with
 // SweepOptions::checkpoint set, every freshly trained trial is appended to a
