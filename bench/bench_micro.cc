@@ -59,8 +59,8 @@ BENCHMARK(BM_GaussianLogDensity)->Arg(1024)->Arg(65536);
 // The two gradient dimensionalities the paper's experiments release at:
 // the MNIST CNN-ish network and the Purchase-100 MLP. Applied to the
 // mechanism/adversary hot-path benchmarks below so their numbers speak
-// directly to fig06-fig10 wall-clock. scripts/run_experiment_bench.sh
-// snapshots these into BENCH_experiment_suite.json.
+// directly to fig06-fig10 wall-clock, where BENCH_scaling.json reports
+// their share as the mechanism_perturb and adversary span rows.
 void GradientDims(benchmark::internal::Benchmark* bench) {
   static const size_t kMnistParams = BuildMnistNetwork().NumParams();
   static const size_t kPurchaseParams = BuildPurchaseNetwork().NumParams();
@@ -218,8 +218,7 @@ BENCHMARK(BM_PurchasePerExampleGradient);
 // Clipped-gradient-sum throughput through the gradient engine. Args are
 // {batch size, engine worker threads}. items_processed counts examples, so
 // per-example cost is directly comparable across batch sizes and thread
-// counts. scripts/run_gradient_bench.sh snapshots these into
-// BENCH_gradient_engine.json.
+// counts.
 void BM_ClippedGradientSumMnist(benchmark::State& state) {
   const size_t batch = static_cast<size_t>(state.range(0));
   Network net = BuildMnistNetwork();
@@ -247,8 +246,7 @@ BENCHMARK(BM_ClippedGradientSumMnist)
 
 // Lane width 8 vs the width-1 reference on the same workload. Args are
 // {batch size, engine worker threads, batch lanes}; results are
-// bit-identical, only throughput differs. scripts/run_experiment_bench.sh
-// snapshots the single-thread b64 pair into BENCH_batched_lanes.json.
+// bit-identical, only throughput differs.
 void BM_ClippedGradientSumMnistLanes(benchmark::State& state) {
   const size_t batch = static_cast<size_t>(state.range(0));
   Network net = BuildMnistNetwork();

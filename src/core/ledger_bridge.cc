@@ -23,20 +23,7 @@ std::string DigestHex(uint64_t digest) {
 std::string LedgerDigestOfTrials(const std::vector<DiTrialResult>& trials,
                                  size_t count) {
   obs::LedgerDigest digest;
-  std::vector<double> sigmas;
-  std::vector<double> local_sensitivities;
-  for (size_t rep = 0; rep < count; ++rep) {
-    const DiTrialResult& trial = trials[rep];
-    sigmas.clear();
-    local_sensitivities.clear();
-    for (const StepRecord& step : trial.steps) {
-      sigmas.push_back(step.sigma);
-      local_sensitivities.push_back(step.local_sensitivity);
-    }
-    digest.AddTrial(trial.trained_on_d, trial.adversary_says_d,
-                    trial.final_belief_d, trial.max_belief_d,
-                    trial.test_accuracy, sigmas, local_sensitivities);
-  }
+  for (size_t rep = 0; rep < count; ++rep) digest.AddTrial(trials[rep]);
   return digest.Hex();
 }
 

@@ -62,17 +62,7 @@ Status CheckExperiment(const obs::LedgerExperiment& experiment,
   // 1. Content digest over the trial rows.
   obs::LedgerDigest digest;
   for (const obs::LedgerTrial& trial : experiment.trials) {
-    std::vector<double> sigmas;
-    std::vector<double> local_sensitivities;
-    sigmas.reserve(trial.steps.size());
-    local_sensitivities.reserve(trial.steps.size());
-    for (const obs::LedgerStep& step : trial.steps) {
-      sigmas.push_back(step.sigma);
-      local_sensitivities.push_back(step.local_sensitivity);
-    }
-    digest.AddTrial(trial.trained_on_d, trial.adversary_says_d,
-                    trial.final_belief_d, trial.max_belief_d,
-                    trial.test_accuracy, sigmas, local_sensitivities);
+    digest.AddTrial(trial);
   }
   if (digest.Hex() != experiment.digest) {
     return Status::InvalidArgument(where + ": digest mismatch (recomputed " +

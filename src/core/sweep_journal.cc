@@ -299,13 +299,26 @@ StatusOr<std::unique_ptr<SweepJournal>> SweepJournal::Open(
   return journal;
 }
 
-const DiTrialResult* SweepJournal::Find(const TraceFingerprint& key,
-                                        uint64_t rep) const {
-  const auto by_fp = loaded_.trials.find(key.ToHex());
-  if (by_fp == loaded_.trials.end()) return nullptr;
+bool SweepJournal::Take(const TraceFingerprint& key, uint64_t rep,
+                        DiTrialResult* out) {
+  const std::string fp_hex = key.ToHex();
+  std::lock_guard<std::mutex> lock(take_mu_);
+  const auto taken = taken_.find(fp_hex);
+  if (taken != taken_.end()) {
+    const auto by_rep = taken->second.find(rep);
+    if (by_rep != taken->second.end()) {
+      *out = *by_rep->second;
+      return true;
+    }
+  }
+  const auto by_fp = loaded_.trials.find(fp_hex);
+  if (by_fp == loaded_.trials.end()) return false;
   const auto by_rep = by_fp->second.find(rep);
-  if (by_rep == by_fp->second.end()) return nullptr;
-  return &by_rep->second;
+  if (by_rep == by_fp->second.end()) return false;
+  *out = std::move(by_rep->second);
+  by_fp->second.erase(by_rep);
+  taken_[fp_hex][rep] = out;
+  return true;
 }
 
 void SweepJournal::AppendTrial(const TraceFingerprint& key, uint64_t rep,

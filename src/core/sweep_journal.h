@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -82,9 +83,13 @@ class SweepJournal {
   static StatusOr<std::unique_ptr<SweepJournal>> Open(
       const std::string& path);
 
-  /// The recorded trial for (key, rep), or nullptr. The pointer is stable
-  /// for the journal's lifetime.
-  const DiTrialResult* Find(const TraceFingerprint& key, uint64_t rep) const;
+  /// Moves the recorded trial for (key, rep) into `*out` and returns true;
+  /// false when the journal holds none. The row leaves the journal, so a
+  /// resumed trial is held once, in the sweep's trial array. Another cell
+  /// with the same fingerprint gets a copy from the first taker's `*out`,
+  /// which must therefore stay in place, unmodified, until the last Take.
+  /// Thread-safe; cells prepare on pool workers.
+  bool Take(const TraceFingerprint& key, uint64_t rep, DiTrialResult* out);
 
   /// Appends one freshly trained trial. Thread-safe; called from pool
   /// workers as trials complete. A write failure logs once and disables
@@ -93,7 +98,6 @@ class SweepJournal {
                    const DiTrialResult& trial);
 
   size_t loaded_trials() const { return loaded_.trial_rows; }
-  const LoadedSweepJournal& loaded() const { return loaded_; }
   const std::string& path() const { return path_; }
 
  private:
@@ -101,6 +105,9 @@ class SweepJournal {
 
   std::string path_;
   LoadedSweepJournal loaded_;
+  std::mutex take_mu_;  // guards loaded_.trials and taken_ during Take
+  // Where each taken row went, keyed like loaded_.trials.
+  std::map<std::string, std::map<uint64_t, const DiTrialResult*>> taken_;
   AppendLog log_;
   std::atomic<bool> append_broken_{false};
 };

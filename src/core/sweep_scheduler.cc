@@ -146,15 +146,15 @@ class ProgressMonitor {
 // Fills the reps the trace cache did not cover from the checkpoint journal.
 // The cache prefix wins where both apply — the bytes are identical either
 // way (both are recordings of the same pure trial function). Journal-resumed
-// reps fill their slots exactly as a live run would have, so everything
-// downstream (estimators, ledger, Save) is bit-identical.
+// reps are moved into their slots exactly as a live run would have filled
+// them, so everything downstream (estimators, ledger, Save) is bit-identical.
+// A resumed slot is never written again during the sweep, which is what
+// SweepJournal::Take needs to serve a second cell with the same fingerprint.
 void ResumeFromJournal(SweepJournal* journal, size_t reps, CellRun* run) {
   if (journal == nullptr) return;
   run->from_journal.assign(reps, 0);
   for (size_t rep = run->replayed; rep < reps; ++rep) {
-    const DiTrialResult* trial = journal->Find(run->key, rep);
-    if (trial == nullptr) continue;
-    run->trace.trials[rep] = *trial;
+    if (!journal->Take(run->key, rep, &run->trace.trials[rep])) continue;
     run->from_journal[rep] = 1;
     ++run->resumed;
   }

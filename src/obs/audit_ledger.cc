@@ -31,22 +31,6 @@ void LedgerDigest::AddF64(double v) {
   AddU64(bits);
 }
 
-void LedgerDigest::AddTrial(bool trained_on_d, bool adversary_says_d,
-                            double final_belief_d, double max_belief_d,
-                            double test_accuracy,
-                            const std::vector<double>& sigmas,
-                            const std::vector<double>& local_sensitivities) {
-  AddU64(trained_on_d ? 1 : 0);
-  AddU64(adversary_says_d ? 1 : 0);
-  AddF64(final_belief_d);
-  AddF64(max_belief_d);
-  AddF64(test_accuracy);
-  AddU64(sigmas.size());
-  for (double s : sigmas) AddF64(s);
-  AddU64(local_sensitivities.size());
-  for (double ls : local_sensitivities) AddF64(ls);
-}
-
 std::string LedgerDigest::Hex() const {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%016llx",

@@ -169,10 +169,21 @@ struct LedgerFile {
 /// exactly when the underlying observables do.
 class LedgerDigest {
  public:
-  void AddTrial(bool trained_on_d, bool adversary_says_d,
-                double final_belief_d, double max_belief_d,
-                double test_accuracy, const std::vector<double>& sigmas,
-                const std::vector<double>& local_sensitivities);
+  /// Hashes one trial straight from its step rows. `Trial` is any type with
+  /// LedgerTrial's outcome fields and a `steps` range whose elements carry
+  /// `.sigma` and `.local_sensitivity`: LedgerTrial and core's DiTrialResult.
+  template <typename Trial>
+  void AddTrial(const Trial& trial) {
+    AddU64(trial.trained_on_d ? 1 : 0);
+    AddU64(trial.adversary_says_d ? 1 : 0);
+    AddF64(trial.final_belief_d);
+    AddF64(trial.max_belief_d);
+    AddF64(trial.test_accuracy);
+    AddU64(trial.steps.size());
+    for (const auto& step : trial.steps) AddF64(step.sigma);
+    AddU64(trial.steps.size());
+    for (const auto& step : trial.steps) AddF64(step.local_sensitivity);
+  }
 
   /// 16 lowercase hex characters.
   std::string Hex() const;

@@ -71,16 +71,10 @@ LedgerExperiment MakeExperiment(uint64_t seq) {
     trial.final_belief_d = 0.6 + 0.01 * static_cast<double>(rep);
     trial.max_belief_d = trial.final_belief_d;
     trial.test_accuracy = -1.0;
-    std::vector<double> sigmas;
-    std::vector<double> local_sensitivities;
     for (uint64_t s = 0; s < experiment.steps_per_trial; ++s) {
       trial.steps.push_back(MakeStep(s));
-      sigmas.push_back(trial.steps.back().sigma);
-      local_sensitivities.push_back(trial.steps.back().local_sensitivity);
     }
-    digest.AddTrial(trial.trained_on_d, trial.adversary_says_d,
-                    trial.final_belief_d, trial.max_belief_d,
-                    trial.test_accuracy, sigmas, local_sensitivities);
+    digest.AddTrial(trial);
     experiment.trials.push_back(std::move(trial));
   }
   experiment.digest = digest.Hex();

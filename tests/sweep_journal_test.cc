@@ -116,7 +116,7 @@ TEST_F(SweepJournalTest, TamperedRowsFailTheDigest) {
                             &decoded));
 }
 
-TEST_F(SweepJournalTest, OpenWritesTheManifestAndFindServesLoadedRows) {
+TEST_F(SweepJournalTest, OpenWritesTheManifestAndTakeServesLoadedRows) {
   const std::string path = Path("run.sweep.jsonl");
   const char* argv[] = {"bench_fig08", "--telemetry=tele", "--threads=4"};
   RecordCommandLineForJournal(3, const_cast<char* const*>(argv));
@@ -126,7 +126,8 @@ TEST_F(SweepJournalTest, OpenWritesTheManifestAndFindServesLoadedRows) {
     StatusOr<std::unique_ptr<SweepJournal>> journal = SweepJournal::Open(path);
     ASSERT_TRUE(journal.ok()) << journal.status();
     EXPECT_EQ((*journal)->loaded_trials(), 0u);
-    EXPECT_EQ((*journal)->Find(key, 0), nullptr);
+    DiTrialResult missing;
+    EXPECT_FALSE((*journal)->Take(key, 0, &missing));
     (*journal)->AppendTrial(key, 0, 42, trace);
     (*journal)->AppendTrial(key, 3, 42, AwkwardTrace(4));
   }
@@ -145,14 +146,19 @@ TEST_F(SweepJournalTest, OpenWritesTheManifestAndFindServesLoadedRows) {
   ASSERT_EQ(loaded->trials.count(key.ToHex()), 1u);
   ExpectTrialsBitIdentical(trace, loaded->trials[key.ToHex()][0]);
 
-  // Re-open: the journal serves the recorded trials through Find.
+  // Re-open: the journal hands the recorded trials out through Take. A
+  // second Take of the same row copies it from where the first one put it.
   StatusOr<std::unique_ptr<SweepJournal>> reopened = SweepJournal::Open(path);
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ((*reopened)->loaded_trials(), 2u);
-  const DiTrialResult* found = (*reopened)->Find(key, 0);
-  ASSERT_NE(found, nullptr);
-  ExpectTrialsBitIdentical(trace, *found);
-  EXPECT_EQ((*reopened)->Find(key, 1), nullptr);
+  DiTrialResult first;
+  ASSERT_TRUE((*reopened)->Take(key, 0, &first));
+  ExpectTrialsBitIdentical(trace, first);
+  DiTrialResult second;
+  ASSERT_TRUE((*reopened)->Take(key, 0, &second));
+  ExpectTrialsBitIdentical(trace, second);
+  DiTrialResult absent;
+  EXPECT_FALSE((*reopened)->Take(key, 1, &absent));
 }
 
 TEST_F(SweepJournalTest, TornTailIsTruncatedOnReopen) {

@@ -109,6 +109,39 @@ TEST_F(SweepResumeTest, SecondRunResumesEveryTrialFromTheJournal) {
   ExpectSummariesBitIdentical(*first[1], *second[1]);
 }
 
+TEST_F(SweepResumeTest, CellsSharingAFingerprintBothResume) {
+  // The journal moves each row out to the first cell that takes it; a second
+  // cell with the same fingerprint must still resume every trial, not
+  // retrain, and both must match the uninterrupted run bit for bit.
+  bench::BenchParams params = TinyParams();
+  bench::Task task = bench::MakeMnistTask(params);
+  std::vector<SweepCell> cells = MakeCells(task, params);
+  cells.push_back(cells[0]);
+  ScopedJournalDir dir("shared_fingerprint");
+
+  SweepOptions options;
+  options.checkpoint = dir.Journal();
+  auto reference = RunSweep(cells, options);
+  for (const auto& result : reference) ASSERT_TRUE(result.ok());
+
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    options.threads = threads;
+    SweepStats stats;
+    auto resumed = RunSweep(cells, options, &stats);
+    EXPECT_EQ(stats.trials_trained, 0u);
+    EXPECT_EQ(stats.trials_resumed, 9u);
+    ASSERT_EQ(stats.per_cell.size(), 3u);
+    EXPECT_EQ(stats.per_cell[0].resumed, 3u);
+    EXPECT_EQ(stats.per_cell[2].resumed, 3u);
+    for (size_t i = 0; i < cells.size(); ++i) {
+      ASSERT_TRUE(resumed[i].ok()) << resumed[i].status();
+      ExpectSummariesBitIdentical(*reference[i], *resumed[i]);
+    }
+    ExpectSummariesBitIdentical(*resumed[0], *resumed[2]);
+  }
+}
+
 TEST_F(SweepResumeTest, PartialJournalResumesOnlyTheCompletedTrials) {
   bench::BenchParams params = TinyParams();
   bench::Task task = bench::MakeMnistTask(params);
