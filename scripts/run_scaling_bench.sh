@@ -170,7 +170,7 @@ try:
                       f"cold {wall:.2f} s, warm {warm_wall:.2f} s",
                       flush=True)
 
-    rows, build_info, sizes = [], {}, {}
+    rows = []
     for binary in BINARIES:
         for threads in THREADS:
             traced_run, counters, build_info, sizes = traced(binary, threads)
