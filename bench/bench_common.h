@@ -15,8 +15,8 @@
 // core/runtime_options.h or `--help`) through InitBenchRuntime, with
 // precedence CLI flag > DPAUDIT_* environment variable > default. With
 // telemetry enabled the binary writes a hierarchical phase profile, a JSONL
-// event stream, a Prometheus exposition, and the audit ledger at exit, plus
-// a sweep checkpoint journal (<dir>/<binary>.sweep.jsonl) that makes an
+// event stream, a Prometheus exposition, and the audit ledger at exit.
+// --checkpoint=<file> adds a sweep checkpoint journal that makes an
 // interrupted sweep resumable. Exports go to stderr/files only, so stdout
 // stays byte-identical with telemetry on or off.
 
@@ -49,19 +49,10 @@
 namespace dpaudit {
 namespace bench {
 
-/// Last path component of argv[0], for default artifact names.
-inline std::string BinaryBasename(const char* argv0) {
-  const std::string path = argv0 == nullptr ? "" : argv0;
-  const size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
 /// The one-call runtime setup every bench binary does first thing in main:
 /// parses the shared runtime flags out of argv (precedence: flag > DPAUDIT_*
-/// env > default), handles --help, publishes and applies the options, starts
-/// telemetry, and defaults the sweep checkpoint journal to
-/// <telemetry_dir>/<binary>.sweep.jsonl when telemetry is on. Exits with an
-/// actionable message on a malformed flag. Call before any parallel region
+/// env > default), handles --help, publishes and applies the options and
+/// starts telemetry. Exits with an actionable message on a malformed flag. Call before any parallel region
 /// so every phase lands in the profile and the knobs take effect.
 inline void InitBenchRuntime(int* argc, char** argv) {
   // Record the pre-strip command line so `dpaudit_cli sweep resume` can
@@ -77,10 +68,6 @@ inline void InitBenchRuntime(int* argc, char** argv) {
   if (options->help) {
     PrintRuntimeOptionsHelp(argv[0], std::cout);
     std::exit(0);
-  }
-  if (options->checkpoint.empty() && options->telemetry_enabled) {
-    options->checkpoint = options->telemetry_dir + "/" +
-                          BinaryBasename(argv[0]) + ".sweep.jsonl";
   }
   InitRuntimeOptions(*options);
   DPAUDIT_CHECK_OK(ApplyRuntimeOptions(*options));

@@ -535,6 +535,8 @@ int main(int argc, char** argv) {
   }
   argc = out;
   dpaudit::obs::InitTelemetry(argv[0], options);
+  // The clip-stage kernel tier, so results name the bodies that ran.
+  benchmark::AddCustomContext("simd", dpaudit::obs::ActiveSimdDispatch());
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -108,7 +108,11 @@ result = {
     "provenance": {
         # -dirty: the after binary was built from uncommitted changes.
         "commit": git("describe", "--always", "--dirty"),
-        "build_type": "Release (-O3 -g, portable x86-64, runtime AVX2/FMA dispatch)",
+        "build_type": "Release (-O3 -g, portable x86-64, runtime SIMD dispatch)",
+        # The clip-stage kernel tier each binary ran (bench_micro's "simd"
+        # context; "unknown" from a binary that does not report it).
+        "simd_before": ctx_before.get("simd", "unknown"),
+        "simd_after": ctx_after.get("simd", "unknown"),
         "compiler": compiler(),
         "cores": os.cpu_count(),
         "threads": 1,

@@ -79,9 +79,8 @@ struct RuntimeOptions {
   /// jittered per attempt). 0 retries immediately.
   uint64_t retry_backoff_ms = 10;
 
-  /// Sweep checkpoint journal path; empty disables checkpointing. Bench
-  /// binaries with telemetry enabled default this to
-  /// <telemetry_dir>/<binary>.sweep.jsonl.
+  /// Sweep checkpoint journal path; empty (the default, telemetry on or
+  /// off) disables checkpointing.
   std::string checkpoint;
 
   /// Deterministic fault-injection spec (util/fault_injection.h); empty

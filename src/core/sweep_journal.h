@@ -3,7 +3,7 @@
 // A paper-scale sweep (Figures 8-10, Table 2) is hours of (cell x
 // repetition) trials; losing the whole grid to one crash at 95% is not
 // acceptable for an audit service. The journal is an append-only JSONL file
-// (`<binary>.sweep.jsonl`, by default under the telemetry directory) that
+// (`--checkpoint` / DPAUDIT_SWEEP_CHECKPOINT; off by default) that
 // records every freshly trained trial the moment it completes: the cell's
 // content fingerprint (the same 128-bit key as the trace cache), the
 // repetition index, the seed, and the FULL trial record — per-step

@@ -27,12 +27,17 @@ namespace {
 // Norm pass: lanes are independent chains, so vectorizing across them keeps
 // every chain's ascending-element order — the L2Norm chain — and each
 // sqrt(sq[l]) is bit-identical to L2Norm over lane l's flat gradient. The
-// square of a widened float is exact in double, so the AVX2 wrappers fuse
-// it into its add (AddExactProduct in util/simd.h).
+// square of a widened float is exact in double, so the x86 bodies fuse it
+// into its add (AddExactProduct in util/simd.h).
 //
 // Accumulate pass: every sum element receives its lanes' terms
 // float(scale * double(g)) in lane (= example) order — the rounding
 // sequence of AccumulateScaled, one example after another.
+//
+// Each pass has three bodies, picked by the engine's SimdTier: the portable
+// one, AVX2+FMA (8 lanes or elements as two 4-wide halves) and AVX-512 (all
+// 8 in one zmm). The vector bodies apply the same IEEE operations to every
+// element in the same order, so the tiers are bit-identical.
 
 DPAUDIT_LANE_INLINE void SquaresBody(const float* __restrict__ d,
                                      size_t rows,
@@ -94,16 +99,36 @@ struct NormOperand {
 };
 
 /// True when the accumulate pass can carry the next pack's norm pass.
-bool CanFuseNormPass(size_t lanes) {
-#if defined(DPAUDIT_X86_DISPATCH)
-  return lanes == 8 && HasAvx2Fma();
-#else
-  (void)lanes;
-  return false;
-#endif
+bool CanFuseNormPass(size_t lanes, SimdTier tier) {
+  return lanes == 8 && tier != SimdTier::kScalar;
 }
 
 #if defined(DPAUDIT_X86_DISPATCH)
+/// The vector accumulate bodies' per-lane operands, copied out of the
+/// arguments: the compiler cannot prove the sum stores leave those alone.
+struct LaneOperands {
+  const float* cols[kMaxBatchLanes];
+  double scale[kMaxBatchLanes];
+  float factor[kMaxBatchLanes];
+  bool to_a[kMaxBatchLanes];
+  bool to_b[kMaxBatchLanes];
+  bool any_a = false;
+  bool any_b = false;
+
+  DPAUDIT_LANE_INLINE LaneOperands(const float* const* x, const float* d,
+                                   const LaneTerm* terms, size_t count) {
+    for (size_t l = 0; l < count; ++l) {
+      cols[l] = x[l];
+      scale[l] = terms[l].scale;
+      factor[l] = d[l];
+      to_a[l] = (terms[l].sums & GradientEngine::kSumA) != 0;
+      to_b[l] = (terms[l].sums & GradientEngine::kSumB) != 0;
+      any_a |= to_a[l];
+      any_b |= to_b[l];
+    }
+  }
+};
+
 // Norm steps for elements [begin, end) of one block row, 8 lanes as two
 // 4-lane halves: the float product, exact widening, then one fused
 // multiply-add per lane.
@@ -151,23 +176,7 @@ __attribute__((target("avx2,fma"))) void AccumulateLanesAvx2Fma(
     const float* const* x, const float* d, const LaneTerm* terms,
     size_t count_arg, size_t n, float* a, float* b, const NormOperand* norm) {
   const size_t count = kCount != 0 ? kCount : count_arg;
-  // Local copies: the compiler cannot prove the sum stores leave them alone.
-  const float* cols[kMaxBatchLanes];
-  double scale[kMaxBatchLanes];
-  float factor[kMaxBatchLanes];
-  bool to_a[kMaxBatchLanes];
-  bool to_b[kMaxBatchLanes];
-  bool any_a = false;
-  bool any_b = false;
-  for (size_t l = 0; l < count; ++l) {
-    cols[l] = x[l];
-    scale[l] = terms[l].scale;
-    factor[l] = d[l];
-    to_a[l] = (terms[l].sums & GradientEngine::kSumA) != 0;
-    to_b[l] = (terms[l].sums & GradientEngine::kSumB) != 0;
-    any_a |= to_a[l];
-    any_b |= to_b[l];
-  }
+  const LaneOperands ops(x, d, terms, count);
   __m256d sq_lo = _mm256_setzero_pd();
   __m256d sq_hi = _mm256_setzero_pd();
   __m128 nd_lo = _mm_setzero_ps();
@@ -180,32 +189,32 @@ __attribute__((target("avx2,fma"))) void AccumulateLanesAvx2Fma(
   }
   size_t e = 0;
   for (; e + 8 <= n; e += 8) {
-    __m128 a_lo = any_a ? _mm_loadu_ps(a + e) : _mm_setzero_ps();
-    __m128 a_hi = any_a ? _mm_loadu_ps(a + e + 4) : _mm_setzero_ps();
-    __m128 b_lo = any_b ? _mm_loadu_ps(b + e) : _mm_setzero_ps();
-    __m128 b_hi = any_b ? _mm_loadu_ps(b + e + 4) : _mm_setzero_ps();
+    __m128 a_lo = ops.any_a ? _mm_loadu_ps(a + e) : _mm_setzero_ps();
+    __m128 a_hi = ops.any_a ? _mm_loadu_ps(a + e + 4) : _mm_setzero_ps();
+    __m128 b_lo = ops.any_b ? _mm_loadu_ps(b + e) : _mm_setzero_ps();
+    __m128 b_hi = ops.any_b ? _mm_loadu_ps(b + e + 4) : _mm_setzero_ps();
 #pragma GCC unroll 8
     for (size_t l = 0; l < count; ++l) {
-      const __m128 f = _mm_set1_ps(factor[l]);
-      const __m256d s = _mm256_set1_pd(scale[l]);
+      const __m128 f = _mm_set1_ps(ops.factor[l]);
+      const __m256d s = _mm256_set1_pd(ops.scale[l]);
       const __m128 t_lo =
-          ScaledTerms4(_mm_mul_ps(f, _mm_loadu_ps(cols[l] + e)), s);
+          ScaledTerms4(_mm_mul_ps(f, _mm_loadu_ps(ops.cols[l] + e)), s);
       const __m128 t_hi =
-          ScaledTerms4(_mm_mul_ps(f, _mm_loadu_ps(cols[l] + e + 4)), s);
-      if (to_a[l]) {
+          ScaledTerms4(_mm_mul_ps(f, _mm_loadu_ps(ops.cols[l] + e + 4)), s);
+      if (ops.to_a[l]) {
         a_lo = _mm_add_ps(a_lo, t_lo);
         a_hi = _mm_add_ps(a_hi, t_hi);
       }
-      if (to_b[l]) {
+      if (ops.to_b[l]) {
         b_lo = _mm_add_ps(b_lo, t_lo);
         b_hi = _mm_add_ps(b_hi, t_hi);
       }
     }
-    if (any_a) {
+    if (ops.any_a) {
       _mm_storeu_ps(a + e, a_lo);
       _mm_storeu_ps(a + e + 4, a_hi);
     }
-    if (any_b) {
+    if (ops.any_b) {
       _mm_storeu_ps(b + e, b_lo);
       _mm_storeu_ps(b + e + 4, b_hi);
     }
@@ -213,7 +222,7 @@ __attribute__((target("avx2,fma"))) void AccumulateLanesAvx2Fma(
   }
   if (e < n) {
     const float* tail[kMaxBatchLanes];
-    for (size_t l = 0; l < count; ++l) tail[l] = cols[l] + e;
+    for (size_t l = 0; l < count; ++l) tail[l] = ops.cols[l] + e;
     AccumulateLanesBody(tail, d, terms, count, n - e, a + e, b + e);
     if (kNorm) Squares8(nd_lo, nd_hi, norm->x, e, n, &sq_lo, &sq_hi);
   }
@@ -222,12 +231,102 @@ __attribute__((target("avx2,fma"))) void AccumulateLanesAvx2Fma(
     _mm256_storeu_pd(norm->sq + 4, sq_hi);
   }
 }
+
+// _mm512_cvtps_pd and _mm512_cvtpd_ps through their zero-masking forms with
+// a full mask: the same instructions, without GCC 12's -Wmaybe-uninitialized
+// from the plain forms' undefined pass-through operand.
+__attribute__((target("avx2,fma,avx512f"), always_inline)) inline __m512d
+WidenPs8(__m256 v) {
+  return _mm512_maskz_cvtps_pd(0xFF, v);
+}
+
+__attribute__((target("avx2,fma,avx512f"), always_inline)) inline __m256
+NarrowPd8(__m512d v) {
+  return _mm512_maskz_cvtpd_ps(0xFF, v);
+}
+
+// Squares8 with the 8 lanes in one zmm.
+__attribute__((target("avx2,fma,avx512f"), always_inline)) inline void
+Squares8Zmm(__m256 d, const float* x, size_t begin, size_t end,
+            __m512d* sq) {
+  for (size_t c = begin; c < end; ++c) {
+    const __m512d v = WidenPs8(_mm256_mul_ps(d, _mm256_loadu_ps(x + c * 8)));
+    *sq = _mm512_fmadd_pd(v, v, *sq);
+  }
+}
+
+__attribute__((target("avx2,fma,avx512f"))) void Squares8Avx512(
+    const float* d, size_t rows, const float* x, size_t cols, double* sq) {
+  __m512d acc = _mm512_loadu_pd(sq);
+  for (size_t r = 0; r < rows; ++r) {
+    Squares8Zmm(_mm256_loadu_ps(d + r * 8), x, 0, cols, &acc);
+  }
+  _mm512_storeu_pd(sq, acc);
+}
+
+// AccumulateLanesAvx2Fma with each lane's 8 terms widened, scaled and
+// narrowed in one zmm, and the next pack's norm chains in one zmm.
+template <size_t kCount, bool kNorm>
+__attribute__((target("avx2,fma,avx512f"))) void AccumulateLanesAvx512(
+    const float* const* x, const float* d, const LaneTerm* terms,
+    size_t count_arg, size_t n, float* a, float* b, const NormOperand* norm) {
+  const size_t count = kCount != 0 ? kCount : count_arg;
+  const LaneOperands ops(x, d, terms, count);
+  __m512d sq = _mm512_setzero_pd();
+  __m256 nd = _mm256_setzero_ps();
+  if (kNorm) {
+    sq = _mm512_loadu_pd(norm->sq);
+    nd = _mm256_loadu_ps(norm->d);
+  }
+  size_t e = 0;
+  for (; e + 8 <= n; e += 8) {
+    __m256 sum_a = ops.any_a ? _mm256_loadu_ps(a + e) : _mm256_setzero_ps();
+    __m256 sum_b = ops.any_b ? _mm256_loadu_ps(b + e) : _mm256_setzero_ps();
+#pragma GCC unroll 8
+    for (size_t l = 0; l < count; ++l) {
+      const __m256 g = _mm256_mul_ps(_mm256_set1_ps(ops.factor[l]),
+                                     _mm256_loadu_ps(ops.cols[l] + e));
+      const __m256 t =
+          NarrowPd8(_mm512_mul_pd(WidenPs8(g), _mm512_set1_pd(ops.scale[l])));
+      if (ops.to_a[l]) sum_a = _mm256_add_ps(sum_a, t);
+      if (ops.to_b[l]) sum_b = _mm256_add_ps(sum_b, t);
+    }
+    if (ops.any_a) _mm256_storeu_ps(a + e, sum_a);
+    if (ops.any_b) _mm256_storeu_ps(b + e, sum_b);
+    if (kNorm) Squares8Zmm(nd, norm->x, e, e + 8, &sq);
+  }
+  if (e < n) {
+    const float* tail[kMaxBatchLanes];
+    for (size_t l = 0; l < count; ++l) tail[l] = ops.cols[l] + e;
+    AccumulateLanesBody(tail, d, terms, count, n - e, a + e, b + e);
+    if (kNorm) Squares8Zmm(nd, norm->x, e, n, &sq);
+  }
+  if (kNorm) _mm512_storeu_pd(norm->sq, sq);
+}
+
+// The vector accumulate body of `tier` (not kScalar).
+template <size_t kCount, bool kNorm>
+void AccumulateLanesVector(SimdTier tier, const float* const* x,
+                           const float* d, const LaneTerm* terms,
+                           size_t count, size_t n, float* a, float* b,
+                           const NormOperand* norm) {
+  if (tier == SimdTier::kAvx512) {
+    AccumulateLanesAvx512<kCount, kNorm>(x, d, terms, count, n, a, b, norm);
+  } else {
+    AccumulateLanesAvx2Fma<kCount, kNorm>(x, d, terms, count, n, a, b, norm);
+  }
+}
 #endif  // DPAUDIT_X86_DISPATCH
 
 /// Continues each of `lanes` chains sq[l] over `block`.
-void LaneSquares(const LaneGradBlock& block, size_t lanes, double* sq) {
+void LaneSquares(SimdTier tier, const LaneGradBlock& block, size_t lanes,
+                 double* sq) {
 #if defined(DPAUDIT_X86_DISPATCH)
-  if (lanes == 8 && HasAvx2Fma()) {
+  if (lanes == 8 && tier == SimdTier::kAvx512) {
+    Squares8Avx512(block.rows, block.num_rows, block.cols, block.num_cols, sq);
+    return;
+  }
+  if (lanes == 8 && tier == SimdTier::kAvx2Fma) {
     Squares8Avx2Fma(block.rows, block.num_rows, block.cols, block.num_cols,
                     sq);
     return;
@@ -239,21 +338,25 @@ void LaneSquares(const LaneGradBlock& block, size_t lanes, double* sq) {
 
 /// The accumulate pass over one block row; a non-null `norm` (only when
 /// CanFuseNormPass) also runs the next pack's norm steps over it.
-void AccumulateLanes(const float* const* x, const float* d,
+void AccumulateLanes(SimdTier tier, const float* const* x, const float* d,
                      const LaneTerm* terms, size_t count, size_t n, float* a,
                      float* b, const NormOperand* norm) {
 #if defined(DPAUDIT_X86_DISPATCH)
-  if (HasAvx2Fma()) {
+  if (tier != SimdTier::kScalar) {
     if (norm != nullptr) {
       if (count == 8) {
-        AccumulateLanesAvx2Fma<8, true>(x, d, terms, count, n, a, b, norm);
+        AccumulateLanesVector<8, true>(tier, x, d, terms, count, n, a, b,
+                                       norm);
       } else {
-        AccumulateLanesAvx2Fma<0, true>(x, d, terms, count, n, a, b, norm);
+        AccumulateLanesVector<0, true>(tier, x, d, terms, count, n, a, b,
+                                       norm);
       }
     } else if (count == 8) {
-      AccumulateLanesAvx2Fma<8, false>(x, d, terms, count, n, a, b, nullptr);
+      AccumulateLanesVector<8, false>(tier, x, d, terms, count, n, a, b,
+                                      nullptr);
     } else {
-      AccumulateLanesAvx2Fma<0, false>(x, d, terms, count, n, a, b, nullptr);
+      AccumulateLanesVector<0, false>(tier, x, d, terms, count, n, a, b,
+                                      nullptr);
     }
     return;
   }
@@ -316,7 +419,8 @@ GradientEngine::GradientEngine(const Network& architecture, Options options)
                  ? BatchLanesFromEnv()
                  : std::min(options.batch_lanes, kMaxBatchLanes)),
       num_params_(architecture.NumParams()),
-      ranges_(architecture.LayerParamRanges()) {
+      ranges_(architecture.LayerParamRanges()),
+      tier_(ClipStageTier()) {
   DPAUDIT_CHECK_GE(lanes_, 1u) << "batch lanes must be >= 1; 1 runs the "
                                   "width-1 reference";
   replicas_.reserve(threads_);
@@ -402,7 +506,7 @@ void GradientEngine::ComputeRecord(size_t participant,
       AccumulateBlock(*pending.record, b, pending.sums, mode, pending.out,
                       &ws.lane_grads[b], sq);
     } else {
-      LaneSquares(ws.lane_grads[b], lanes_, sq);
+      LaneSquares(tier_, ws.lane_grads[b], lanes_, sq);
     }
     const bool range_ends =
         b + 1 == num_blocks || ws.lane_grad_ranges[b + 1] != range;
@@ -446,8 +550,9 @@ void GradientEngine::AccumulateBlock(const PackRecord& record, size_t index,
       norm.d = next->rows + r * lanes_;
       norm.x = next->cols;
     }
-    AccumulateLanes(cols, rows + r * lanes_, terms, record.count, block.cols,
-                    out->sum_a.data() + offset, out->sum_b.data() + offset,
+    AccumulateLanes(tier_, cols, rows + r * lanes_, terms, record.count,
+                    block.cols, out->sum_a.data() + offset,
+                    out->sum_b.data() + offset,
                     next == nullptr ? nullptr : &norm);
   }
 }
@@ -502,7 +607,7 @@ GradientEngine::ClippedSums GradientEngine::ClipAndSum(
         if (!sole) {
           reduction.AwaitSlot(p);
         } else if (pending.record != nullptr) {
-          if (CanFuseNormPass(lanes_)) {
+          if (CanFuseNormPass(lanes_, tier_)) {
             fused = pending;
           } else {
             Accumulate(*pending.record, pending.sums, mode, &out);

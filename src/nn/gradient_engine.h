@@ -25,7 +25,11 @@
 // of storing. The norm pass runs every lane's chain over those blocks in
 // flat order; the accumulate pass walks the pack element by element and adds
 // the lanes' terms in example order, so each sum is read and written once
-// per pack.
+// per pack. Both passes have three bodies — portable, AVX2+FMA and AVX-512
+// (all 8 lanes in one zmm) — and the engine runs the highest tier the CPU
+// has (ClipStageTier in util/simd.h, read at construction). Every body
+// gives each element the same IEEE operations in the same order, so the
+// tier never changes a bit.
 //
 // Determinism contract: a per-example gradient depends only on the
 // parameters and the example, never on its pack mates, the lane width, the
@@ -46,6 +50,7 @@
 
 #include "nn/network.h"
 #include "tensor/tensor.h"
+#include "util/simd.h"
 
 namespace dpaudit {
 
@@ -93,6 +98,8 @@ class GradientEngine {
   size_t threads() const { return threads_; }
   /// Effective lane width after env resolution and clamping.
   size_t batch_lanes() const { return lanes_; }
+  /// The clip stage's kernel tier: ClipStageTier() at construction.
+  SimdTier simd_tier() const { return tier_; }
   const std::vector<Network::ParamRange>& param_ranges() const {
     return ranges_;
   }
@@ -156,7 +163,7 @@ class GradientEngine {
   /// A pack whose accumulate pass has not run yet: its record, its
   /// examples' sum flags and the sums they go into. A sole participant's
   /// next pack finishes it in its norm pass (see ComputeRecord; 8 lanes
-  /// with AVX2+FMA).
+  /// with the AVX2+FMA or AVX-512 bodies).
   struct PendingPack {
     const PackRecord* record;
     const uint8_t* sums;
@@ -196,6 +203,7 @@ class GradientEngine {
   size_t lanes_;  // pack width, >= 1
   size_t num_params_;
   std::vector<Network::ParamRange> ranges_;
+  SimdTier tier_;  // clip-stage kernel bodies
   std::vector<Network> replicas_;              // one per participant
   std::vector<GradientWorkspace> workspaces_;  // one per participant
   std::vector<PackRecord> records_;  // ring of packs, 2 per participant

@@ -145,13 +145,7 @@ uint64_t ThreadsForBuildInfo() { return DefaultThreadCount(); }
 
 }  // namespace
 
-const char* ActiveSimdDispatch() {
-#if defined(DPAUDIT_X86_DISPATCH)
-  return HasAvx2() ? "avx2" : "scalar";
-#else
-  return "scalar";
-#endif
-}
+const char* ActiveSimdDispatch() { return SimdTierName(ClipStageTier()); }
 
 const char* BuildGitCommit() {
 #if defined(DPAUDIT_GIT_COMMIT)

@@ -64,8 +64,8 @@ void InitTelemetry(const std::string& argv0_or_name,
 /// Writes the exports (idempotent; a no-op when telemetry is disabled).
 void FlushTelemetry();
 
-/// The SIMD path the runtime dispatch selects on this machine: "avx2" or
-/// "scalar".
+/// The clip stage's kernel tier on this machine (ClipStageTier in
+/// util/simd.h): "scalar", "avx2" (AVX2+FMA) or "avx512".
 const char* ActiveSimdDispatch();
 
 /// The git commit the binary was built from (DPAUDIT_GIT_COMMIT, injected by

@@ -1,13 +1,14 @@
 // Runtime SIMD dispatch support for the x86-64 kernels.
 //
-// DPAUDIT_X86_DISPATCH is defined when the compiler can build AVX2 code paths
-// behind __attribute__((target("avx2"))) regardless of the baseline -march.
-// Callers check HasAvx2() or HasAvx2Fma() at runtime so the default build
-// stays portable.
+// DPAUDIT_X86_DISPATCH is defined when the compiler can build AVX2 and
+// AVX-512 code paths behind __attribute__((target(...))) regardless of the
+// baseline -march. Callers check HasAvx2(), HasAvx2Fma() or ClipStageTier()
+// at runtime so the default build stays portable.
 
 #ifndef DPAUDIT_UTIL_SIMD_H_
 #define DPAUDIT_UTIL_SIMD_H_
 
+#include <atomic>
 #include <cmath>
 
 // Forces a shared kernel body into its target("avx2,fma") wrapper so the
@@ -63,8 +64,79 @@ inline bool HasAvx2Fma() {
   return has;
 }
 
+// The clip stage's zmm kernels are built for target("avx2,fma,avx512f").
+// __builtin_cpu_supports reports avx512f only when the OS also saves the
+// zmm state (XCR0), so a true result means the kernels can run.
+inline bool HasAvx512() {
+  static const bool has = HasAvx2Fma() && __builtin_cpu_supports("avx512f");
+  return has;
+}
+
 }  // namespace dpaudit
 
 #endif  // __x86_64__ && __GNUC__
+
+namespace dpaudit {
+
+/// The clip stage's kernel bodies (nn/gradient_engine.cc), slowest first:
+/// portable, AVX2+FMA (8 lanes as two ymm halves) and AVX-512 (8 lanes in
+/// one zmm). All three give bit-identical results.
+enum class SimdTier { kScalar = 0, kAvx2Fma = 1, kAvx512 = 2 };
+
+/// The highest tier this CPU runs.
+inline SimdTier DetectedSimdTier() {
+#if defined(DPAUDIT_X86_DISPATCH)
+  if (HasAvx512()) return SimdTier::kAvx512;
+  if (HasAvx2Fma()) return SimdTier::kAvx2Fma;
+#endif
+  return SimdTier::kScalar;
+}
+
+namespace simd_internal {
+/// ScopedSimdTierCapForTest's cap; kAvx512 caps nothing.
+inline std::atomic<SimdTier>& TierCap() {
+  static std::atomic<SimdTier> cap{SimdTier::kAvx512};
+  return cap;
+}
+}  // namespace simd_internal
+
+/// The tier the clip stage runs: DetectedSimdTier(), lowered only by a
+/// ScopedSimdTierCapForTest.
+inline SimdTier ClipStageTier() {
+  const SimdTier cap = simd_internal::TierCap().load();
+  const SimdTier detected = DetectedSimdTier();
+  return cap < detected ? cap : detected;
+}
+
+/// "scalar", "avx2" (AVX2+FMA) or "avx512".
+inline const char* SimdTierName(SimdTier tier) {
+  switch (tier) {
+    case SimdTier::kAvx512:
+      return "avx512";
+    case SimdTier::kAvx2Fma:
+      return "avx2";
+    case SimdTier::kScalar:
+      break;
+  }
+  return "scalar";
+}
+
+/// Caps ClipStageTier() at `cap` for its lifetime, so tests run every body
+/// the host supports, not only its fastest. Only for tests: set it before
+/// constructing the engines under test, which read the tier once.
+class ScopedSimdTierCapForTest {
+ public:
+  explicit ScopedSimdTierCapForTest(SimdTier cap)
+      : previous_(simd_internal::TierCap().exchange(cap)) {}
+  ~ScopedSimdTierCapForTest() { simd_internal::TierCap().store(previous_); }
+  ScopedSimdTierCapForTest(const ScopedSimdTierCapForTest&) = delete;
+  ScopedSimdTierCapForTest& operator=(const ScopedSimdTierCapForTest&) =
+      delete;
+
+ private:
+  SimdTier previous_;
+};
+
+}  // namespace dpaudit
 
 #endif  // DPAUDIT_UTIL_SIMD_H_

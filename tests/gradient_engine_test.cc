@@ -16,6 +16,7 @@ namespace dpaudit {
 namespace {
 
 using testing_helpers::BlobDataset;
+using testing_helpers::ClipTierTest;
 using testing_helpers::ReferenceClippedGradientSum;
 using testing_helpers::ReferencePerLayerClippedGradientSum;
 using testing_helpers::TinyNetwork;
@@ -274,9 +275,12 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1u, 4u, 13u)));
 
 // More packs than the record ring holds (two per participant), at width 1
-// and 8: participants wait for their slot's previous pack to be reduced,
-// and the reducer turn passes between them many times per call.
-TEST(GradientEngineRegionTest, RecordRingWrapsBitIdenticalToNetwork) {
+// and 8, at every clip-stage tier: participants wait for their slot's
+// previous pack to be reduced, and the reducer turn passes between them many
+// times per call.
+class GradientEngineRegionTest : public ClipTierTest {};
+
+TEST_P(GradientEngineRegionTest, RecordRingWrapsBitIdenticalToNetwork) {
   Rng rng(41);
   Network net = TinyNetwork();
   net.Initialize(rng);
@@ -292,6 +296,7 @@ TEST(GradientEngineRegionTest, RecordRingWrapsBitIdenticalToNetwork) {
       options.threads = threads;
       options.batch_lanes = lanes;
       GradientEngine engine(net, options);
+      ASSERT_EQ(GetParam(), engine.simd_tier());
       engine.SyncParams(net);
       std::vector<double> norms;
       std::vector<float> sum =
@@ -303,12 +308,17 @@ TEST(GradientEngineRegionTest, RecordRingWrapsBitIdenticalToNetwork) {
   }
 }
 
+INSTANTIATE_CLIP_TIERS(GradientEngineRegionTest);
+
 // Every pack runs at the engine's width: a ragged tail of any size 1..7 is
 // padded to 8 lanes with copies of its last example, and the padded lanes
 // never reach the sums or the norms. Pin every tail size, alone and after a
 // full pack, on the conv net, where the padded packs run the width-pinned
-// fast kernels, against the width-1 engine, whose packs are never padded.
-TEST(BatchLanesRaggedTest, EveryTailSizeIsPaddedBitIdenticalToWidthOne) {
+// fast kernels, against the width-1 engine, whose packs are never padded,
+// at every clip-stage tier.
+class BatchLanesRaggedTest : public ClipTierTest {};
+
+TEST_P(BatchLanesRaggedTest, EveryTailSizeIsPaddedBitIdenticalToWidthOne) {
   for (size_t n = 1; n < 16; ++n) {
     if (n == 8) continue;  // no tail
     Rng rng(37);
@@ -333,6 +343,8 @@ TEST(BatchLanesRaggedTest, EveryTailSizeIsPaddedBitIdenticalToWidthOne) {
     }
   }
 }
+
+INSTANTIATE_CLIP_TIERS(BatchLanesRaggedTest);
 
 TEST(GradientEngineApiTest, SyncParamsTracksUpdatedWeights) {
   Rng rng(17);

@@ -18,6 +18,7 @@ namespace dpaudit {
 namespace {
 
 using testing_helpers::BlobDataset;
+using testing_helpers::ClipTierTest;
 using testing_helpers::ExtremeBoundedNeighbor;
 using testing_helpers::ReferenceClippedGradientSum;
 using testing_helpers::ReferencePerLayerClippedGradientSum;
@@ -379,15 +380,20 @@ void ExpectAuditShapeBitIdentical(AuditShape& shape) {
   }
 }
 
-TEST(NeighborSharingAuditShapeTest, PurchaseNetBitIdenticalToReferences) {
+// Both audit networks at every clip-stage tier.
+class NeighborSharingAuditShapeTest : public ClipTierTest {};
+
+TEST_P(NeighborSharingAuditShapeTest, PurchaseNetBitIdenticalToReferences) {
   AuditShape shape = MakeAuditShape(/*purchase=*/true);
   ExpectAuditShapeBitIdentical(shape);
 }
 
-TEST(NeighborSharingAuditShapeTest, MnistNetBitIdenticalToReferences) {
+TEST_P(NeighborSharingAuditShapeTest, MnistNetBitIdenticalToReferences) {
   AuditShape shape = MakeAuditShape(/*purchase=*/false);
   ExpectAuditShapeBitIdentical(shape);
 }
+
+INSTANTIATE_CLIP_TIERS(NeighborSharingAuditShapeTest);
 
 }  // namespace
 }  // namespace dpaudit

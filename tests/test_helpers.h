@@ -18,6 +18,8 @@
 #include <filesystem>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -29,8 +31,15 @@
 #include "nn/network.h"
 #include "util/math_util.h"
 #include "util/random.h"
+#include "util/simd.h"
 
 namespace dpaudit {
+
+/// Names a tier in gtest output ("avx512"), not by its bytes.
+inline void PrintTo(SimdTier tier, std::ostream* os) {
+  *os << SimdTierName(tier);
+}
+
 namespace testing_helpers {
 
 constexpr size_t kFeatures = 8;
@@ -201,6 +210,38 @@ class Rendezvous {
   const size_t expected_;
   size_t arrived_ = 0;
 };
+
+/// A test run at each clip-stage kernel tier (util/simd.h): the parameter
+/// caps ClipStageTier() for the test's body, so engines built there run
+/// that tier's bodies. A tier the host lacks is skipped with the reason
+/// printed, so the log shows which bodies ran. Instantiate with
+/// INSTANTIATE_CLIP_TIERS(Suite).
+class ClipTierTest : public ::testing::TestWithParam<SimdTier> {
+ protected:
+  void SetUp() override {
+    if (GetParam() > DetectedSimdTier()) {
+      GTEST_SKIP() << "this CPU lacks the " << SimdTierName(GetParam())
+                   << " clip-stage kernels; their tier did not run";
+    }
+    cap_.emplace(GetParam());
+  }
+
+ private:
+  std::optional<ScopedSimdTierCapForTest> cap_;
+};
+
+inline std::string ClipTierName(
+    const ::testing::TestParamInfo<SimdTier>& info) {
+  return SimdTierName(info.param);
+}
+
+#define INSTANTIATE_CLIP_TIERS(Suite)                                     \
+  INSTANTIATE_TEST_SUITE_P(                                               \
+      ClipTiers, Suite,                                                   \
+      ::testing::Values(::dpaudit::SimdTier::kScalar,                     \
+                        ::dpaudit::SimdTier::kAvx2Fma,                    \
+                        ::dpaudit::SimdTier::kAvx512),                    \
+      ::dpaudit::testing_helpers::ClipTierName)
 
 }  // namespace testing_helpers
 }  // namespace dpaudit
