@@ -10,9 +10,10 @@
 # warm against the cache it just filled. These untraced runs give the
 # end-to-end numbers: cold wall time (median and quartiles), the children's
 # user+sys CPU, and warm wall time. Everything else is the binaries' own
-# output: trial counts and per-phase span rows from one extra --telemetry
-# run per (binary, threads), sizes and SIMD from the header lines. Traced
-# runs are slower than untraced ones, so their rows sit under `traced_run`.
+# output: trial counts and per-phase span rows from the metrics.prom of one
+# extra --telemetry run per (binary, threads), sizes and SIMD from the header
+# lines. Traced runs are slower than untraced ones, so their rows sit under
+# `traced_run`.
 #
 # Fails unless build/ is a Release build, and if a binary's stdout differs
 # between thread counts, cold and warm, or traced and untraced runs (the
@@ -108,29 +109,42 @@ def spread(values):
 
 
 def traced(binary, threads):
-    """One cold --telemetry run: its span rows, counters and build_info."""
+    """One cold --telemetry run: its span rows, counters and build_info from
+    metrics.prom, and its wall time from profile.txt."""
     tdir = fresh("telemetry")
     stdout, _, _ = run(binary, threads, fresh("cache"), f"--telemetry={tdir}")
     check(binary, threads, stdout, "traced")
-    counters, spans, wall_ns, build_info = {}, {}, 0, {}
-    with open(os.path.join(tdir, binary + ".events.jsonl")) as f:
-        for event in map(json.loads, f):
-            kind = event.get("type")
-            if kind == "run":
-                wall_ns = int(event["wall_ns"])
-            elif kind == "counter":
-                counters[event["name"]] = int(event["value"])
-            elif kind == "gauge" and event["name"].startswith(
-                    "dpaudit_build_info{"):
-                build_info = dict(re.findall(r'(\w+)="([^"]*)"',
-                                             event["name"]))
-            elif kind == "span":
-                spans[event["path"]] = {
-                    "count": int(event["count"]),
-                    "total_ms": round(int(event["total_ns"]) / 1e6, 3),
-                    "self_ms": round(int(event["self_ns"]) / 1e6, 3)}
-    return {"wall_s": round(wall_ns / 1e9, 3), "spans": spans}, \
-        counters, build_info, header(stdout)
+    types, counters, totals, counts, build_info = {}, {}, {}, {}, {}
+    with open(os.path.join(tdir, binary + ".metrics.prom")) as f:
+        for line in f:
+            if line.startswith("# TYPE "):
+                _, _, base, kind = line.split()
+                types[base] = kind
+                continue
+            name, value = line.rsplit(" ", 1)
+            base = name.split("{", 1)[0]
+            labels = dict(re.findall(r'(\w+)="([^"]*)"', name))
+            if base == "dpaudit_span_seconds_total":
+                totals[labels["path"]] = round(float(value) * 1e9)
+            elif base == "dpaudit_span_count":
+                counts[labels["path"]] = int(value)
+            elif base == "dpaudit_build_info":
+                build_info = labels
+            elif types.get(base) == "counter":
+                counters[name] = int(value)
+    spans = {}
+    for path, total_ns in totals.items():
+        # Self time is total minus the direct children's totals (obs/span.cc).
+        children_ns = sum(t for p, t in totals.items()
+                          if p.rpartition("/")[0] == path)
+        spans[path] = {"count": counts[path],
+                       "total_ms": round(total_ns / 1e6, 3),
+                       "self_ms": round(max(total_ns - children_ns, 0) / 1e6,
+                                        3)}
+    with open(os.path.join(tdir, binary + ".profile.txt")) as f:
+        wall_s = float(re.search(r"^wall ([0-9.]+) s", f.read(), re.M)[1])
+    return {"wall_s": wall_s, "spans": spans}, counters, build_info, \
+        header(stdout)
 
 
 def compiler():

@@ -65,8 +65,8 @@ const std::vector<RuntimeKnob>& RuntimeKnobTable() {
        "step-trace cache directory; repeated experiments replay recordings "
        "bit-identically instead of retraining"},
       {"--telemetry", "DPAUDIT_TELEMETRY", "(off)",
-       "telemetry export directory (profile.txt, events.jsonl, "
-       "metrics.prom, ledger.jsonl); stdout stays byte-identical"},
+       "telemetry export directory (profile.txt, metrics.prom, "
+       "trace.json, ledger.jsonl); stdout stays byte-identical"},
       {"--progress", "DPAUDIT_PROGRESS", "0",
        "sweep heartbeat interval in seconds through stderr logging; 0 = off"},
       {"--log-level", "DPAUDIT_LOG_LEVEL", "INFO",

@@ -8,6 +8,7 @@
 
 #include "core/dpsgd.h"
 #include "core/experiment.h"
+#include "io/serialization.h"
 #include "obs/json_util.h"
 #include "util/fault_injection.h"
 #include "util/logging.h"
@@ -15,15 +16,16 @@
 namespace dpaudit {
 namespace {
 
+/// The row digest's FNV-1a offset basis: FNV's 14695981039346656037 with
+/// the last digit dropped. Kept only so journals already on disk still
+/// verify; a new format would use Fnv1a64's standard basis.
+constexpr uint64_t kJournalFnvBasis = 1469598103934665603ull;
+
 /// FNV-1a over the row prefix; 16 lowercase hex chars, matching the ledger's
 /// digest width so `sweep status` output reads uniformly.
-uint64_t Fnv1a(const char* data, size_t size) {
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = 0; i < size; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
+uint64_t RowDigest(const std::string& row, size_t size) {
+  return Fnv1a64(reinterpret_cast<const uint8_t*>(row.data()), size,
+                 kJournalFnvBasis);
 }
 
 std::string HexDigest(uint64_t h) {
@@ -172,7 +174,7 @@ std::string EncodeJournalTrialRow(const TraceFingerprint& key, uint64_t rep,
   }
   AppendNumberArray("steps", flat, &row);
   row += kDigestNeedle;
-  row += HexDigest(Fnv1a(row.data(), row.size()));
+  row += HexDigest(RowDigest(row, row.size()));
   row += "\"}";
   return row;
 }
@@ -187,7 +189,7 @@ bool DecodeJournalTrialRow(const std::string& line, std::string* fp_hex,
     return false;
   }
   const size_t covered = digest_at + sizeof(kDigestNeedle) - 1;
-  if (digest != HexDigest(Fnv1a(line.data(), covered))) return false;
+  if (digest != HexDigest(RowDigest(line, covered))) return false;
   if (!obs::JsonExtractString(line, "fp", fp_hex) ||
       !obs::JsonExtractUint(line, "rep", rep) ||
       !obs::JsonExtractUint(line, "seed", seed) ||

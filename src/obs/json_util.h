@@ -1,7 +1,7 @@
 // Shared JSON formatting/scanning helpers for the obs exporters.
 //
-// Every obs artifact that speaks JSON — the telemetry events.jsonl, the
-// privacy-audit ledger, the Chrome trace export — writes through these so
+// Every artifact that speaks JSON — the privacy-audit ledger, the Chrome
+// trace export, the sweep journal — writes through these so
 // the formats agree on escaping and on double round-tripping: FormatDouble
 // uses %.17g, which reproduces any IEEE-754 double bit-exactly when parsed
 // back, the property the ledger's replay-parity and epsilon'-recomputation

@@ -12,8 +12,8 @@ thread_local SpanNode* tls_current_span = nullptr;
 // ---------------------------------------------------------------------------
 // Raw span event stream (Chrome/Perfetto trace export). Each thread appends
 // to its own buffer; a global registry keeps the buffers alive (shared_ptr,
-// so a pool thread exiting after a test does not invalidate the snapshot) and
-// a process-wide cap bounds memory on long sweeps.
+// so a pool thread exiting after a test does not invalidate the snapshot).
+// ScopedSpan::Exit bounds the stream per span path (kEventsPerSpanNode).
 
 struct SpanEventBuffer {
   std::mutex mu;
@@ -24,11 +24,7 @@ struct SpanEventBuffer {
 struct SpanEventRegistry {
   std::mutex mu;
   std::vector<std::shared_ptr<SpanEventBuffer>> buffers;
-  std::atomic<uint64_t> total{0};
-  std::atomic<uint64_t> dropped{0};
 };
-
-constexpr uint64_t kMaxSpanEvents = 1u << 20;
 
 SpanEventRegistry& EventRegistry() {
   static SpanEventRegistry* registry = new SpanEventRegistry();
@@ -48,12 +44,6 @@ SpanEventBuffer* LocalEventBuffer() {
 }
 
 void RecordSpanEvent(const char* name, uint64_t start_ns, uint64_t dur_ns) {
-  SpanEventRegistry& registry = EventRegistry();
-  if (registry.total.fetch_add(1, std::memory_order_relaxed) >=
-      kMaxSpanEvents) {
-    registry.dropped.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
   SpanEventBuffer* buffer = LocalEventBuffer();
   std::lock_guard<std::mutex> lock(buffer->mu);
   buffer->events.push_back({name, start_ns, dur_ns, buffer->tid});
@@ -61,7 +51,7 @@ void RecordSpanEvent(const char* name, uint64_t start_ns, uint64_t dur_ns) {
 
 }  // namespace
 
-std::vector<SpanEvent> CollectSpanEvents(uint64_t* dropped) {
+std::vector<SpanEvent> CollectSpanEvents() {
   SpanEventRegistry& registry = EventRegistry();
   std::vector<std::shared_ptr<SpanEventBuffer>> buffers;
   {
@@ -73,9 +63,6 @@ std::vector<SpanEvent> CollectSpanEvents(uint64_t* dropped) {
     std::lock_guard<std::mutex> lock(buffer->mu);
     out.insert(out.end(), buffer->events.begin(), buffer->events.end());
   }
-  if (dropped != nullptr) {
-    *dropped = registry.dropped.load(std::memory_order_relaxed);
-  }
   return out;
 }
 
@@ -86,8 +73,6 @@ void ResetSpanEventsForTest() {
     std::lock_guard<std::mutex> buffer_lock(buffer->mu);
     buffer->events.clear();
   }
-  registry.total.store(0, std::memory_order_relaxed);
-  registry.dropped.store(0, std::memory_order_relaxed);
 }
 
 uint64_t MonotonicNowNs() {
@@ -198,8 +183,9 @@ void ScopedSpan::Enter(const char* name) {
 
 void ScopedSpan::Exit() {
   const uint64_t elapsed_ns = MonotonicNowNs() - start_ns_;
-  node_->RecordVisit(elapsed_ns);
-  RecordSpanEvent(name_, start_ns_, elapsed_ns);
+  if (node_->RecordVisit(elapsed_ns) < kEventsPerSpanNode) {
+    RecordSpanEvent(name_, start_ns_, elapsed_ns);
+  }
   tls_current_span = prev_;
 }
 

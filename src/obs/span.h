@@ -48,9 +48,10 @@ class SpanNode {
     return total_ns_.load(std::memory_order_relaxed);
   }
 
-  void RecordVisit(uint64_t elapsed_ns) {
+  /// Adds one visit; returns the visit count before it.
+  uint64_t RecordVisit(uint64_t elapsed_ns) {
     total_ns_.fetch_add(elapsed_ns, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
+    return count_.fetch_add(1, std::memory_order_relaxed);
   }
 
   /// Finds or creates the child named `name`. Children are few per node, so
@@ -83,10 +84,20 @@ SpanContext CurrentSpanContext();
 /// the caller can restore it.
 SpanContext ExchangeSpanContext(SpanContext context);
 
+/// Raw events kept per span path: the first this many visits of each
+/// SpanNode. A sweep repeats the same few paths thousands of times (fig08:
+/// 5,760 train steps, 7 spans each), so the timeline needs only the first
+/// visits of each to show its shape, while 256 still keeps every
+/// repetition-level visit of the paper's sweeps (fig08 has 192). The
+/// trace then grows with the number of paths, not with steps; the
+/// aggregated profile still counts every visit.
+constexpr uint64_t kEventsPerSpanNode = 256;
+
 /// One completed span instance, kept for the Chrome/Perfetto trace export
 /// (telemetry.h WriteTraceJson). Unlike the aggregated SpanNode tree, this
-/// is the raw event stream: one record per DPAUDIT_SPAN scope exit. `name`
-/// is the static string literal the macro was given, so no copy is made.
+/// is the raw event stream: one record per DPAUDIT_SPAN scope exit, up to
+/// kEventsPerSpanNode per path. `name` is the static string literal the
+/// macro was given, so no copy is made.
 struct SpanEvent {
   const char* name = nullptr;
   uint64_t start_ns = 0;  // MonotonicNowNs at scope entry
@@ -95,14 +106,11 @@ struct SpanEvent {
 };
 
 /// Snapshot of all span events recorded so far, grouped by tid ascending and
-/// in chronological order within a thread. `dropped`, when non-null, receives
-/// the number of events discarded after the process-wide cap (the trace stays
-/// bounded on long sweeps; the aggregated profile is never capped).
-std::vector<SpanEvent> CollectSpanEvents(uint64_t* dropped = nullptr);
+/// in chronological order within a thread.
+std::vector<SpanEvent> CollectSpanEvents();
 
-/// Clears recorded span events and the drop counter. Per-thread buffers
-/// persist (pool threads hold pointers into them across tests); only their
-/// contents are cleared.
+/// Clears recorded span events. Per-thread buffers persist (pool threads
+/// hold pointers into them across tests); only their contents are cleared.
 void ResetSpanEventsForTest();
 
 /// Owns the profile tree root.

@@ -5,10 +5,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <filesystem>
 #include <fstream>
-#include <iomanip>
 #include <iostream>
 #include <mutex>
 #include <sstream>
@@ -39,17 +37,7 @@ struct TelemetryState {
   std::string directory;
   uint64_t start_ns = 0;
   bool flushed = false;
-
-  struct LogRecord {
-    LogLevel level;
-    std::string file;
-    int line;
-    std::string message;
-  };
-  std::deque<LogRecord> log_buffer;  // capped at kMaxLogRecords
 };
-
-constexpr size_t kMaxLogRecords = 1024;
 
 TelemetryState& State() {
   static TelemetryState* state = new TelemetryState();
@@ -107,33 +95,7 @@ constexpr ThreadPoolTelemetryHooks kPoolHooks = {
 };
 
 // ---------------------------------------------------------------------------
-// Log mirror: every emitted record lands in a capped buffer for the JSONL
-// export.
-
-void TelemetryLogSink(LogLevel level, const char* file, int line,
-                      const std::string& message) {
-  TelemetryState& state = State();
-  std::lock_guard<std::mutex> lock(state.mu);
-  if (state.log_buffer.size() >= kMaxLogRecords) {
-    state.log_buffer.pop_front();
-  }
-  state.log_buffer.push_back({level, file, line, message});
-}
-
-// ---------------------------------------------------------------------------
 // Formatting helpers (JsonEscape/FormatDouble come from obs/json_util.h).
-
-char LevelLetterFor(LogLevel level) {
-  switch (level) {
-    case LogLevel::kInfo:
-      return 'I';
-    case LogLevel::kWarning:
-      return 'W';
-    case LogLevel::kError:
-      return 'E';
-  }
-  return '?';
-}
 
 /// "dpaudit_build_info{binary="x"}" -> "dpaudit_build_info".
 std::string BaseMetricName(const std::string& name) {
@@ -142,6 +104,16 @@ std::string BaseMetricName(const std::string& name) {
 }
 
 uint64_t ThreadsForBuildInfo() { return DefaultThreadCount(); }
+
+/// Registers (or refreshes) the dpaudit_build_info gauge for `binary_name`.
+void RegisterBuildInfo(const std::string& binary_name) {
+  std::ostringstream name;
+  name << "dpaudit_build_info{binary=\"" << binary_name << "\",simd=\""
+       << ActiveSimdDispatch() << "\",threads=\"" << ThreadsForBuildInfo()
+       << "\",batch_lanes=\"" << BatchLanesFromEnv() << "\",commit=\""
+       << BuildGitCommit() << "\"}";
+  MetricsRegistry::Global().GetGauge(name.str()).Set(1.0);
+}
 
 }  // namespace
 
@@ -165,15 +137,6 @@ TelemetryOptions TelemetryOptionsFromEnv() {
   return options;
 }
 
-void RegisterBuildInfo(const std::string& binary_name) {
-  std::ostringstream name;
-  name << "dpaudit_build_info{binary=\"" << binary_name << "\",simd=\""
-       << ActiveSimdDispatch() << "\",threads=\"" << ThreadsForBuildInfo()
-       << "\",batch_lanes=\"" << BatchLanesFromEnv() << "\",commit=\""
-       << BuildGitCommit() << "\"}";
-  MetricsRegistry::Global().GetGauge(name.str()).Set(1.0);
-}
-
 void InitTelemetry(const std::string& argv0_or_name,
                    const TelemetryOptions& options) {
   TelemetryState& state = State();
@@ -188,7 +151,6 @@ void InitTelemetry(const std::string& argv0_or_name,
   if (!options.enabled) return;
 
   SetThreadPoolTelemetryHooks(&kPoolHooks);
-  SetLogSink(&TelemetryLogSink);
   LedgerManifest manifest;
   manifest.binary = binary;
   manifest.simd = ActiveSimdDispatch();
@@ -278,67 +240,6 @@ void WriteProfileReport(std::ostream& os, uint64_t wall_ns) {
   }
 }
 
-void WriteJsonl(std::ostream& os) {
-  TelemetryState& state = State();
-  std::string binary;
-  uint64_t start_ns;
-  std::vector<TelemetryState::LogRecord> logs;
-  {
-    std::lock_guard<std::mutex> lock(state.mu);
-    binary = state.binary_name;
-    start_ns = state.start_ns;
-    logs.assign(state.log_buffer.begin(), state.log_buffer.end());
-  }
-  const uint64_t wall_ns =
-      start_ns == 0 ? 0 : MonotonicNowNs() - start_ns;
-
-  os << "{\"type\":\"run\",\"binary\":\"" << JsonEscape(binary)
-     << "\",\"simd\":\"" << ActiveSimdDispatch()
-     << "\",\"threads\":" << ThreadsForBuildInfo()
-     << ",\"wall_ns\":" << wall_ns << "}\n";
-
-  for (const SpanRegistry::Stat& stat : SpanRegistry::Global().Collect()) {
-    os << "{\"type\":\"span\",\"path\":\"" << JsonEscape(stat.path)
-       << "\",\"depth\":" << stat.depth << ",\"count\":" << stat.count
-       << ",\"total_ns\":" << stat.total_ns
-       << ",\"self_ns\":" << stat.self_ns << "}\n";
-  }
-
-  for (const MetricSnapshot& snap : MetricsRegistry::Global().Snapshot()) {
-    switch (snap.kind) {
-      case MetricSnapshot::Kind::kCounter:
-        os << "{\"type\":\"counter\",\"name\":\"" << JsonEscape(snap.name)
-           << "\",\"value\":" << static_cast<uint64_t>(snap.value) << "}\n";
-        break;
-      case MetricSnapshot::Kind::kGauge:
-        os << "{\"type\":\"gauge\",\"name\":\"" << JsonEscape(snap.name)
-           << "\",\"value\":" << FormatDouble(snap.value) << "}\n";
-        break;
-      case MetricSnapshot::Kind::kDistribution:
-        os << "{\"type\":\"distribution\",\"name\":\"" << JsonEscape(snap.name)
-           << "\",\"count\":" << snap.summary.count()
-           << ",\"mean\":" << FormatDouble(snap.summary.mean())
-           << ",\"min\":"
-           << FormatDouble(snap.summary.count() == 0 ? 0.0
-                                                     : snap.summary.min())
-           << ",\"max\":"
-           << FormatDouble(snap.summary.count() == 0 ? 0.0
-                                                     : snap.summary.max())
-           << ",\"p50\":" << FormatDouble(snap.p50)
-           << ",\"p90\":" << FormatDouble(snap.p90)
-           << ",\"p99\":" << FormatDouble(snap.p99) << "}\n";
-        break;
-    }
-  }
-
-  for (const TelemetryState::LogRecord& record : logs) {
-    os << "{\"type\":\"log\",\"level\":\"" << LevelLetterFor(record.level)
-       << "\",\"file\":\"" << JsonEscape(record.file)
-       << "\",\"line\":" << record.line << ",\"message\":\""
-       << JsonEscape(record.message) << "\"}\n";
-  }
-}
-
 namespace {
 
 /// Emits one metric family: a `# TYPE` line the first time each base name is
@@ -411,8 +312,7 @@ void WriteTraceJson(std::ostream& os) {
     binary = state.binary_name;
     start_ns = state.start_ns;
   }
-  uint64_t dropped = 0;
-  const std::vector<SpanEvent> events = CollectSpanEvents(&dropped);
+  const std::vector<SpanEvent> events = CollectSpanEvents();
 
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   // Metadata event naming the process; also guarantees a non-empty array.
@@ -427,89 +327,7 @@ void WriteTraceJson(std::ostream& os) {
        << ",\"dur\":" << FormatDouble(static_cast<double>(event.dur_ns) * 1e-3)
        << ",\"pid\":1,\"tid\":" << event.tid << "}";
   }
-  os << "]";
-  if (dropped > 0) {
-    os << ",\"dpaudit_dropped_events\":" << dropped;
-  }
-  os << "}\n";
-}
-
-// ---------------------------------------------------------------------------
-// JSONL -> Prometheus re-rendering (dpaudit_cli metrics --from-jsonl).
-
-Status RenderPrometheusFromJsonl(std::istream& in, std::ostream& out) {
-  std::ostringstream body;
-  std::string last_base;
-  std::string line;
-  size_t line_no = 0;
-  bool saw_any = false;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    std::string type;
-    if (!JsonExtractString(line, "type", &type)) {
-      return Status::InvalidArgument("events.jsonl line " +
-                                     std::to_string(line_no) +
-                                     ": missing \"type\" field");
-    }
-    saw_any = true;
-    const std::string context =
-        "events.jsonl line " + std::to_string(line_no) + " (" + type + ")";
-    if (type == "run" || type == "log") continue;
-    if (type == "counter" || type == "gauge") {
-      std::string name;
-      double value = 0.0;
-      if (!JsonExtractString(line, "name", &name) ||
-          !JsonExtractNumber(line, "value", &value)) {
-        return Status::InvalidArgument(context + ": missing name/value");
-      }
-      EmitProm(body, &last_base, name,
-               type == "counter" ? "counter" : "gauge", FormatDouble(value));
-      continue;
-    }
-    if (type == "distribution") {
-      std::string name;
-      double count = 0.0, mean = 0.0, p50 = 0.0, p90 = 0.0, p99 = 0.0;
-      if (!JsonExtractString(line, "name", &name) ||
-          !JsonExtractNumber(line, "count", &count) ||
-          !JsonExtractNumber(line, "mean", &mean) ||
-          !JsonExtractNumber(line, "p50", &p50) ||
-          !JsonExtractNumber(line, "p90", &p90) ||
-          !JsonExtractNumber(line, "p99", &p99)) {
-        return Status::InvalidArgument(context + ": missing fields");
-      }
-      const std::string base = BaseMetricName(name);
-      body << "# TYPE " << base << " summary\n";
-      body << base << "{quantile=\"0.5\"} " << FormatDouble(p50) << "\n";
-      body << base << "{quantile=\"0.9\"} " << FormatDouble(p90) << "\n";
-      body << base << "{quantile=\"0.99\"} " << FormatDouble(p99) << "\n";
-      body << base << "_sum " << FormatDouble(mean * count) << "\n";
-      body << base << "_count " << static_cast<uint64_t>(count) << "\n";
-      last_base = base;
-      continue;
-    }
-    if (type == "span") {
-      std::string path;
-      double count = 0.0, total_ns = 0.0;
-      if (!JsonExtractString(line, "path", &path) ||
-          !JsonExtractNumber(line, "count", &count) ||
-          !JsonExtractNumber(line, "total_ns", &total_ns)) {
-        return Status::InvalidArgument(context + ": missing fields");
-      }
-      body << "dpaudit_span_seconds_total{path=\"" << path << "\"} "
-           << FormatDouble(total_ns * 1e-9) << "\n";
-      body << "dpaudit_span_count{path=\"" << path << "\"} "
-           << static_cast<uint64_t>(count) << "\n";
-      last_base.clear();
-      continue;
-    }
-    return Status::InvalidArgument(context + ": unknown event type");
-  }
-  if (!saw_any) {
-    return Status::InvalidArgument("events.jsonl is empty");
-  }
-  out << body.str();
-  return Status::Ok();
+  os << "]}\n";
 }
 
 void FlushTelemetry() {
@@ -543,10 +361,6 @@ void FlushTelemetry() {
     WriteProfileReport(profile, wall_ns);
   }
   {
-    std::ofstream events(prefix + ".events.jsonl");
-    WriteJsonl(events);
-  }
-  {
     std::ofstream prom(prefix + ".metrics.prom");
     WritePrometheus(prom);
   }
@@ -560,7 +374,7 @@ void FlushTelemetry() {
   // byte-identical with telemetry off.
   WriteProfileReport(RawLogStream(), wall_ns);
   DPAUDIT_LOG(INFO) << "telemetry exports: " << prefix
-                    << ".{profile.txt,events.jsonl,metrics.prom,trace.json}";
+                    << ".{profile.txt,metrics.prom,trace.json}";
 }
 
 }  // namespace obs

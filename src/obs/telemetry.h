@@ -6,13 +6,15 @@
 // every instrumentation site (DPAUDIT_SPAN, DPAUDIT_METRIC_COUNT, the
 // thread-pool task hooks) costs exactly one relaxed atomic load; nothing is
 // allocated, timed, or written. When enabled, InitTelemetry installs the
-// thread-pool hooks and a log mirror, and FlushTelemetry (registered via
-// atexit) writes three exports under the telemetry directory:
+// thread-pool hooks, and FlushTelemetry (registered via atexit) writes three
+// exports under the telemetry directory, one per question:
 //
-//   <binary>.profile.txt   hierarchical span profile (also printed to stderr)
-//   <binary>.events.jsonl  structured run/span/metric/log events, one per line
-//   <binary>.metrics.prom  Prometheus text exposition of the registry
-//   <binary>.trace.json    Chrome Trace Event stream (chrome://tracing)
+//   <binary>.profile.txt   hierarchical span profile, for people (also
+//                          printed to stderr)
+//   <binary>.metrics.prom  Prometheus text exposition of the registry and
+//                          the span totals and counts, for machines
+//   <binary>.trace.json    Chrome Trace Event timeline (chrome://tracing) of
+//                          each span path's first kEventsPerSpanNode visits
 //
 // InitTelemetry also arms the privacy-audit ledger (obs/audit_ledger.h),
 // which streams `<binary>.ledger.jsonl` into the same directory as the
@@ -28,8 +30,6 @@
 #include <atomic>
 #include <iosfwd>
 #include <string>
-
-#include "util/status.h"
 
 namespace dpaudit {
 namespace obs {
@@ -56,7 +56,7 @@ TelemetryOptions TelemetryOptionsFromEnv();
 /// export file prefix and the build_info labels. Always registers the
 /// dpaudit_build_info gauge (simd dispatch path, default thread count); when
 /// `options.enabled` it additionally flips the enabled flag, installs the
-/// thread-pool telemetry hooks and the log mirror, and registers
+/// thread-pool telemetry hooks, arms the audit ledger and registers
 /// FlushTelemetry via atexit. Safe to call once per process.
 void InitTelemetry(const std::string& argv0_or_name,
                    const TelemetryOptions& options);
@@ -73,15 +73,9 @@ const char* ActiveSimdDispatch();
 /// the audit-ledger run manifest, and bench provenance.
 const char* BuildGitCommit();
 
-/// Registers (or refreshes) the dpaudit_build_info gauge for `binary_name`
-/// without starting telemetry. Used by binaries that want the gauge in a
-/// scrape but manage the lifecycle themselves (dpaudit_cli metrics).
-void RegisterBuildInfo(const std::string& binary_name);
-
 /// Exporters over the current registry state. `wall_ns` of 0 means "unknown"
 /// (span coverage is then omitted from the profile header).
 void WriteProfileReport(std::ostream& os, uint64_t wall_ns);
-void WriteJsonl(std::ostream& os);
 void WritePrometheus(std::ostream& os);
 
 /// Chrome Trace Event export of the raw span event stream (`ph:"X"` complete
@@ -89,13 +83,8 @@ void WritePrometheus(std::ostream& os);
 /// chrome://tracing and Perfetto. Written as `<binary>.trace.json`.
 void WriteTraceJson(std::ostream& os);
 
-/// Re-renders a previously written events.jsonl as a Prometheus exposition
-/// (the `dpaudit_cli metrics --from-jsonl` path). Malformed lines fail with
-/// InvalidArgument.
-Status RenderPrometheusFromJsonl(std::istream& in, std::ostream& out);
-
 /// Test/bench hook: flips the enabled flag and installs/removes the
-/// thread-pool hooks without touching files, atexit, or the log mirror.
+/// thread-pool hooks without touching files, atexit, or the ledger.
 void EnableTelemetryForTest(bool enabled);
 
 }  // namespace obs

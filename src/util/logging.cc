@@ -25,11 +25,6 @@ std::atomic<int>& MinLevelStorage() {
   return level;
 }
 
-std::atomic<LogSink>& SinkStorage() {
-  static std::atomic<LogSink> sink{nullptr};
-  return sink;
-}
-
 char LevelLetter(LogLevel level) {
   switch (level) {
     case LogLevel::kInfo:
@@ -67,10 +62,6 @@ void SetMinLogLevel(LogLevel level) {
                           std::memory_order_relaxed);
 }
 
-void SetLogSink(LogSink sink) {
-  SinkStorage().store(sink, std::memory_order_relaxed);
-}
-
 std::ostream& RawLogStream() { return std::cerr; }
 
 namespace internal_logging {
@@ -81,11 +72,8 @@ LogMessageFatal::~LogMessageFatal() {
 }
 
 LogMessage::~LogMessage() {
-  const std::string message = stream_.str();
   std::fprintf(stderr, "[dpaudit %c] %s:%d %s\n", LevelLetter(level_),
-               ShortFileName(file_), line_, message.c_str());
-  LogSink sink = SinkStorage().load(std::memory_order_relaxed);
-  if (sink != nullptr) sink(level_, file_, line_, message);
+               ShortFileName(file_), line_, stream_.str().c_str());
 }
 
 }  // namespace internal_logging

@@ -12,10 +12,7 @@
 // Messages below the runtime threshold are filtered before any streaming
 // work happens. The threshold defaults to INFO and is configurable through
 // the DPAUDIT_LOG_LEVEL environment variable (INFO, WARNING, ERROR, or 0-2)
-// or SetMinLogLevel(). Output goes to stderr as "[dpaudit I] file:line msg";
-// an optional process-wide sink (SetLogSink) additionally receives every
-// emitted record — obs/telemetry mirrors records into its JSONL event
-// export through it.
+// or SetMinLogLevel(). Output goes to stderr as "[dpaudit I] file:line msg".
 
 #ifndef DPAUDIT_UTIL_LOGGING_H_
 #define DPAUDIT_UTIL_LOGGING_H_
@@ -42,15 +39,9 @@ inline bool LogLevelEnabled(LogLevel level) {
   return static_cast<int>(level) >= static_cast<int>(MinLogLevel());
 }
 
-/// Additional observer of emitted (post-filter) log records; nullptr to
-/// remove. The sink runs after the stderr write, on the logging thread.
-using LogSink = void (*)(LogLevel level, const char* file, int line,
-                         const std::string& message);
-void SetLogSink(LogSink sink);
-
 /// The raw stderr-backed stream for intentionally unformatted multi-line
 /// output (profile reports, banners). Unlike DPAUDIT_LOG it applies no
-/// level filter, record prefix, or sink mirroring — single-line diagnostics
+/// level filter or record prefix — single-line diagnostics
 /// belong in DPAUDIT_LOG. This accessor exists so library code never names
 /// std::cerr directly (enforced by the dpaudit-cerr lint rule); never
 /// stdout-backed, because experiment stdout is a byte-stable artifact.
@@ -73,8 +64,7 @@ class LogMessageFatal {
   std::ostringstream stream_;
 };
 
-// Accumulates one non-fatal record; the destructor writes it to stderr and
-// the installed sink.
+// Accumulates one non-fatal record; the destructor writes it to stderr.
 class LogMessage {
  public:
   LogMessage(const char* file, int line, LogLevel level)

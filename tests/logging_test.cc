@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,51 +45,62 @@ TEST(CheckTest, CheckDoesNotDoubleEvaluate) {
   EXPECT_EQ(calls, 1);
 }
 
-// Captures emitted records through the process-wide sink.
-struct SinkCapture {
-  static std::vector<std::pair<LogLevel, std::string>>& Records() {
-    static std::vector<std::pair<LogLevel, std::string>> records;
-    return records;
-  }
-  static void Sink(LogLevel level, const char* /*file*/, int /*line*/,
-                   const std::string& message) {
-    Records().emplace_back(level, message);
-  }
-};
-
+// Captures what DPAUDIT_LOG writes to stderr and splits it into records:
+// the level letter and the message after the "file:line " prefix.
 class LogTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    SinkCapture::Records().clear();
-    SetLogSink(&SinkCapture::Sink);
     SetMinLogLevel(LogLevel::kInfo);
+    ::testing::internal::CaptureStderr();
   }
   void TearDown() override {
-    SetLogSink(nullptr);
+    if (capturing_) ::testing::internal::GetCapturedStderr();
     SetMinLogLevel(LogLevel::kInfo);
   }
+
+  /// Ends the capture and returns the records written since SetUp.
+  std::vector<std::pair<char, std::string>> Records() {
+    capturing_ = false;
+    std::istringstream lines(::testing::internal::GetCapturedStderr());
+    std::vector<std::pair<char, std::string>> records;
+    std::string line;
+    while (std::getline(lines, line)) {
+      EXPECT_EQ(line.rfind("[dpaudit ", 0), 0u) << line;
+      const size_t message = line.find(' ', line.find("] ") + 2);
+      EXPECT_NE(message, std::string::npos) << line;
+      records.emplace_back(line[9], line.substr(message + 1));
+    }
+    return records;
+  }
+
+ private:
+  bool capturing_ = true;
 };
 
 TEST_F(LogTest, EmitsAtOrAboveThreshold) {
   DPAUDIT_LOG(INFO) << "hello " << 42;
   DPAUDIT_LOG(WARNING) << "careful";
   DPAUDIT_LOG(ERROR) << "broken";
-  ASSERT_EQ(SinkCapture::Records().size(), 3u);
-  EXPECT_EQ(SinkCapture::Records()[0].first, LogLevel::kInfo);
-  EXPECT_EQ(SinkCapture::Records()[0].second, "hello 42");
-  EXPECT_EQ(SinkCapture::Records()[1].first, LogLevel::kWarning);
-  EXPECT_EQ(SinkCapture::Records()[2].first, LogLevel::kError);
+  const auto records = Records();
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[0].first, 'I');
+  EXPECT_EQ(records[0].second, "hello 42");
+  EXPECT_EQ(records[1].first, 'W');
+  EXPECT_EQ(records[1].second, "careful");
+  EXPECT_EQ(records[2].first, 'E');
+  EXPECT_EQ(records[2].second, "broken");
 }
 
 TEST_F(LogTest, FiltersBelowThreshold) {
   SetMinLogLevel(LogLevel::kWarning);
   DPAUDIT_LOG(INFO) << "suppressed";
   DPAUDIT_LOG(WARNING) << "kept";
-  ASSERT_EQ(SinkCapture::Records().size(), 1u);
-  EXPECT_EQ(SinkCapture::Records()[0].second, "kept");
   SetMinLogLevel(LogLevel::kError);
   DPAUDIT_LOG(WARNING) << "also suppressed";
-  EXPECT_EQ(SinkCapture::Records().size(), 1u);
+  const auto records = Records();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].first, 'W');
+  EXPECT_EQ(records[0].second, "kept");
 }
 
 TEST_F(LogTest, SuppressedMessagesSkipTheStreamChain) {
@@ -99,6 +111,9 @@ TEST_F(LogTest, SuppressedMessagesSkipTheStreamChain) {
   EXPECT_EQ(calls, 0);
   DPAUDIT_LOG(ERROR) << side_effect();
   EXPECT_EQ(calls, 1);
+  const auto records = Records();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].second, "1");
 }
 
 TEST_F(LogTest, LogLevelEnabledMatchesThreshold) {
@@ -107,12 +122,6 @@ TEST_F(LogTest, LogLevelEnabledMatchesThreshold) {
   EXPECT_TRUE(LogLevelEnabled(LogLevel::kWarning));
   EXPECT_TRUE(LogLevelEnabled(LogLevel::kError));
   EXPECT_EQ(MinLogLevel(), LogLevel::kWarning);
-}
-
-TEST_F(LogTest, RemovedSinkStopsReceiving) {
-  SetLogSink(nullptr);
-  DPAUDIT_LOG(ERROR) << "unseen";
-  EXPECT_TRUE(SinkCapture::Records().empty());
 }
 
 }  // namespace

@@ -208,34 +208,6 @@ TEST_F(ObsMetricsTest, PrometheusExpositionShape) {
   EXPECT_NE(out.find("dpaudit_things_total 3"), std::string::npos);
 }
 
-TEST_F(ObsMetricsTest, JsonlRoundTripsThroughPrometheusRenderer) {
-  MetricsRegistry::Global().GetCounter("dpaudit_rt_total").Add(7);
-  MetricsRegistry::Global().GetGauge("dpaudit_rt_gauge").Set(2.5);
-  MetricsRegistry::Global()
-      .GetDistribution("dpaudit_rt_us", 0.0, 100.0, 10)
-      .Record(42.0);
-  std::ostringstream jsonl;
-  WriteJsonl(jsonl);
-  std::istringstream in(jsonl.str());
-  std::ostringstream prom;
-  Status st = RenderPrometheusFromJsonl(in, prom);
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  const std::string out = prom.str();
-  EXPECT_NE(out.find("dpaudit_rt_total 7"), std::string::npos);
-  EXPECT_NE(out.find("dpaudit_rt_gauge 2.5"), std::string::npos);
-  EXPECT_NE(out.find("dpaudit_rt_us_count 1"), std::string::npos);
-}
-
-TEST_F(ObsMetricsTest, MalformedJsonlRejected) {
-  std::istringstream in("{\"nope\":1}\n");
-  std::ostringstream out;
-  Status st = RenderPrometheusFromJsonl(in, out);
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  std::istringstream empty("");
-  Status st2 = RenderPrometheusFromJsonl(empty, out);
-  EXPECT_EQ(st2.code(), StatusCode::kInvalidArgument);
-}
-
 }  // namespace
 }  // namespace obs
 }  // namespace dpaudit

@@ -1,7 +1,7 @@
 // Tests for the Chrome/Perfetto trace export: complete ("ph":"X") events
 // from the per-thread span event buffers, well-formed JSON (balanced
-// braces/brackets outside strings), one event per span visit, and a clean
-// empty export when nothing was recorded.
+// braces/brackets outside strings), one event per span visit up to each
+// path's bound, and a clean empty export when nothing was recorded.
 
 #include <gtest/gtest.h>
 
@@ -66,6 +66,16 @@ void ExpectWellFormed(const std::string& json) {
   EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
 }
 
+size_t CountCompleteEvents(const std::string& json) {
+  size_t count = 0;
+  for (size_t pos = 0;
+       (pos = json.find("\"ph\":\"X\"", pos)) != std::string::npos;
+       pos += 1) {
+    ++count;
+  }
+  return count;
+}
+
 TEST_F(TraceExportTest, EmptyExportIsWellFormedWithProcessMetadata) {
   const std::string json = Export();
   ExpectWellFormed(json);
@@ -84,13 +94,7 @@ TEST_F(TraceExportTest, OneCompleteEventPerSpanVisit) {
   const std::string json = Export();
   ExpectWellFormed(json);
 
-  size_t complete_events = 0;
-  for (size_t pos = 0;
-       (pos = json.find("\"ph\":\"X\"", pos)) != std::string::npos;
-       pos += 1) {
-    ++complete_events;
-  }
-  EXPECT_EQ(complete_events, 3u);
+  EXPECT_EQ(CountCompleteEvents(json), 3u);
   EXPECT_NE(json.find("\"name\":\"export_outer\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"export_inner\""), std::string::npos);
   EXPECT_NE(json.find("\"cat\":\"dpaudit\""), std::string::npos);
@@ -104,15 +108,28 @@ TEST_F(TraceExportTest, PoolWorkersGetDistinctThreadIds) {
                                  [&](size_t) {
     DPAUDIT_SPAN("export_task");
   });
-  uint64_t dropped = 0;
-  const std::vector<SpanEvent> events = CollectSpanEvents(&dropped);
-  EXPECT_EQ(dropped, 0u);
+  const std::vector<SpanEvent> events = CollectSpanEvents();
   size_t task_events = 0;
   for (const SpanEvent& event : events) {
     if (std::string(event.name) == "export_task") ++task_events;
   }
   EXPECT_EQ(task_events, 64u);
   ExpectWellFormed(Export());
+}
+
+TEST_F(TraceExportTest, EachSpanPathKeepsOnlyItsFirstVisits) {
+  for (uint64_t i = 0; i < kEventsPerSpanNode + 10; ++i) {
+    DPAUDIT_SPAN("export_repeated");
+  }
+  const std::string json = Export();
+  ExpectWellFormed(json);
+  EXPECT_EQ(CountCompleteEvents(json), kEventsPerSpanNode);
+  // The aggregated profile still counts every visit.
+  const std::vector<SpanRegistry::Stat> stats =
+      SpanRegistry::Global().Collect();
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].path, "export_repeated");
+  EXPECT_EQ(stats[0].count, kEventsPerSpanNode + 10);
 }
 
 TEST_F(TraceExportTest, DisabledTelemetryRecordsNoEvents) {

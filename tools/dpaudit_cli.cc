@@ -20,11 +20,6 @@
 //       Inspect and manage the step-trace cache. --cache defaults to the
 //       DPAUDIT_TRACE_CACHE environment variable.
 //
-//   dpaudit_cli metrics [--from-jsonl FILE]
-//       Print a Prometheus text exposition: of this process's registry
-//       (build info plus anything the invoked command recorded), or of a
-//       telemetry events.jsonl written by an earlier --telemetry run.
-//
 //   dpaudit_cli ledger list --file RUN.ledger.jsonl
 //   dpaudit_cli ledger show --file RUN.ledger.jsonl [--seq N]
 //   dpaudit_cli ledger check --file RUN.ledger.jsonl [--tolerance 1e-9]
@@ -50,7 +45,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -83,7 +77,7 @@ void PrintUsage() {
   std::fprintf(
       stderr,
       "usage: dpaudit_cli "
-      "<scores|plan|experiment|trace|ledger|sweep|metrics> [--flags]\n"
+      "<scores|plan|experiment|trace|ledger|sweep> [--flags]\n"
       "  scores     --epsilon E --delta D\n"
       "  plan       (--rho-beta B | --rho-alpha A) --delta D "
       "[--steps K]\n"
@@ -101,7 +95,6 @@ void PrintUsage() {
       "             | check --file F [--tolerance 1e-9]\n"
       "             | diff --a F --b F\n"
       "  sweep      status --journal F | resume --journal F\n"
-      "  metrics    [--from-jsonl FILE]\n"
       "shared runtime flags (--threads=N, --retries=N, ...): --help\n");
 }
 
@@ -307,21 +300,6 @@ Status RunExperiment(const ArgParser& args) {
     std::printf("  model weights saved to %s\n", save_model.c_str());
   }
   obs::FlushTelemetry();
-  return Status::Ok();
-}
-
-Status RunMetrics(const ArgParser& args) {
-  std::string from_jsonl = args.GetString("from-jsonl", "");
-  DPAUDIT_RETURN_IF_ERROR(args.CheckAllConsumed());
-  if (!from_jsonl.empty()) {
-    std::ifstream in(from_jsonl);
-    if (!in) {
-      return Status::NotFound("cannot open " + from_jsonl);
-    }
-    return obs::RenderPrometheusFromJsonl(in, std::cout);
-  }
-  obs::RegisterBuildInfo("dpaudit_cli");
-  obs::WritePrometheus(std::cout);
   return Status::Ok();
 }
 
@@ -687,7 +665,6 @@ int Main(int argc, char** argv) {
   if (command == "trace") status = RunTrace(*args);
   if (command == "ledger") status = RunLedger(*args);
   if (command == "sweep") status = RunSweepCmd(*args);
-  if (command == "metrics") status = RunMetrics(*args);
   if (!status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
     if (status.code() == StatusCode::kInvalidArgument) PrintUsage();

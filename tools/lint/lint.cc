@@ -99,8 +99,8 @@ void CheckStdout(const SourceFile& file, std::vector<Finding>* out) {
 
 // ---------------------------------------------------------------------------
 // dpaudit-cerr: diagnostics go through DPAUDIT_LOG (leveled, filterable,
-// mirrored into the telemetry JSONL export); raw std::cerr bypasses all of
-// that. util/logging is the sink implementation and the one exception.
+// one record format); raw std::cerr bypasses all of that. util/logging is
+// the stderr writer and the one exception.
 
 void CheckCerr(const SourceFile& file, std::vector<Finding>* out) {
   if (!InTree(file.rel, "src")) return;
