@@ -125,7 +125,6 @@ inline std::vector<std::vector<AuditSweepRow>> RunAuditSweeps(
   // sweep resumable, and failed trials are retried before a cell degrades.
   options.checkpoint = runtime.checkpoint;
   options.trial_retries = runtime.trial_retries;
-  options.retry_backoff_ms = runtime.retry_backoff_ms;
   options.verbose = runtime.verbose;
   SweepStats stats;
   std::vector<StatusOr<DiExperimentSummary>> summaries =

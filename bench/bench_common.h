@@ -14,8 +14,9 @@
 // (--threads, --lanes, --telemetry, --retries, --checkpoint, ... — see
 // core/runtime_options.h or `--help`) through InitBenchRuntime, with
 // precedence CLI flag > DPAUDIT_* environment variable > default. With
-// telemetry enabled the binary writes a hierarchical phase profile, a JSONL
-// event stream, a Prometheus exposition, and the audit ledger at exit.
+// telemetry enabled the binary writes a hierarchical phase profile, a
+// Prometheus exposition of its counters, a Chrome trace, and the audit
+// ledger at exit.
 // --checkpoint=<file> adds a sweep checkpoint journal that makes an
 // interrupted sweep resumable. Exports go to stderr/files only, so stdout
 // stays byte-identical with telemetry on or off.
@@ -71,12 +72,8 @@ inline void InitBenchRuntime(int* argc, char** argv) {
   }
   InitRuntimeOptions(*options);
   DPAUDIT_CHECK_OK(ApplyRuntimeOptions(*options));
-  obs::TelemetryOptions telemetry = obs::TelemetryOptionsFromEnv();
-  if (options->telemetry_enabled) {
-    telemetry.enabled = true;
-    telemetry.directory = options->telemetry_dir;
-  }
-  obs::InitTelemetry(argv[0], telemetry);
+  obs::InitTelemetry(argv[0], {options->telemetry_enabled,
+                               options->telemetry_dir});
 }
 
 struct BenchParams {

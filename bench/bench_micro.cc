@@ -13,6 +13,7 @@
 #include "core/adversary.h"
 #include "core/belief.h"
 #include "core/neighbor_sums.h"
+#include "core/runtime_options.h"
 #include "data/dataset.h"
 #include "data/dissimilarity.h"
 #include "data/synthetic_mnist.h"
@@ -520,8 +521,9 @@ BENCHMARK(BM_Hamming600);
 // Custom main instead of BENCHMARK_MAIN(): google-benchmark rejects unknown
 // flags, so --telemetry=<dir> is consumed here before Initialize sees argv.
 int main(int argc, char** argv) {
-  dpaudit::obs::TelemetryOptions options =
-      dpaudit::obs::TelemetryOptionsFromEnv();
+  const dpaudit::RuntimeOptions runtime = dpaudit::RuntimeOptions::FromEnv();
+  dpaudit::obs::TelemetryOptions options{runtime.telemetry_enabled,
+                                         runtime.telemetry_dir};
   int out = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];

@@ -2,12 +2,13 @@
 // (Section 6.4) — train at a target epsilon under both sensitivity modes
 // and report how much of the privacy budget was factually spent.
 //
-//   ./audit_model [epsilon] [reps]   (defaults: 2.2, 20)
+//   ./audit_model [epsilon] [reps] [runtime flags]   (defaults: 2.2, 20)
 
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 
+#include "bench/bench_common.h"
 #include "core/auditor.h"
 #include "core/experiment.h"
 #include "data/dataset_sensitivity.h"
@@ -21,6 +22,7 @@
 using namespace dpaudit;
 
 int main(int argc, char** argv) {
+  bench::InitBenchRuntime(&argc, argv);
   double epsilon = argc > 1 ? std::strtod(argv[1], nullptr) : 2.2;
   size_t reps = argc > 2 ? static_cast<size_t>(std::strtol(argv[2], nullptr, 10)) : 20;
   const size_t epochs = 30;

@@ -6,12 +6,14 @@
 // complementary score, and the per-step Gaussian noise multiplier for a
 // k-step DPSGD run under RDP composition.
 //
-//   ./choose_epsilon [k] [delta]   (defaults: k = 30, delta = 1e-3)
+//   ./choose_epsilon [k] [delta] [runtime flags]
+//   (defaults: k = 30, delta = 1e-3)
 
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 
+#include "bench/bench_common.h"
 #include "core/scores.h"
 #include "dp/rdp_accountant.h"
 #include "util/table_writer.h"
@@ -19,6 +21,7 @@
 using namespace dpaudit;
 
 int main(int argc, char** argv) {
+  bench::InitBenchRuntime(&argc, argv);
   size_t k = argc > 1 ? static_cast<size_t>(std::strtol(argv[1], nullptr, 10)) : 30;
   double delta = argc > 2 ? std::strtod(argv[2], nullptr) : 1e-3;
 

@@ -11,12 +11,13 @@
 // posterior-belief attack against the released updates, once with weak
 // noise and once with noise calibrated to rho_beta = 0.9.
 //
-//   ./federated_audit [rounds]   (default 30)
+//   ./federated_audit [rounds] [runtime flags]   (default 30)
 
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "core/adversary.h"
 #include "core/dpsgd.h"
 #include "core/scores.h"
@@ -46,6 +47,7 @@ Dataset Union(const std::vector<Dataset>& honest, const Dataset& victim) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::InitBenchRuntime(&argc, argv);
   size_t rounds = argc > 1 ? static_cast<size_t>(std::strtol(argv[1], nullptr, 10)) : 30;
   const double delta = 0.01;
 

@@ -7,11 +7,12 @@
 // roster from the released gradient trail, and how does DP calibration
 // change that?
 //
-//   ./lineup_demo [num_worlds]   (default 5)
+//   ./lineup_demo [num_worlds] [runtime flags]   (default 5)
 
 #include <cstdio>
 #include <cstdlib>
 
+#include "bench/bench_common.h"
 #include "core/multi_world.h"
 #include "core/scores.h"
 #include "data/dataset_sensitivity.h"
@@ -22,6 +23,7 @@
 using namespace dpaudit;
 
 int main(int argc, char** argv) {
+  bench::InitBenchRuntime(&argc, argv);
   size_t num_worlds =
       argc > 1 ? static_cast<size_t>(std::strtol(argv[1], nullptr, 10)) : 5;
   if (num_worlds < 2) num_worlds = 2;

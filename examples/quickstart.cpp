@@ -2,12 +2,13 @@
 // model with DPSGD, and audit the empirical privacy loss with the
 // implemented DP adversary.
 //
-//   ./quickstart [rho_beta]   (default 0.9)
+//   ./quickstart [rho_beta] [runtime flags]   (default 0.9)
 
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 
+#include "bench/bench_common.h"
 #include "core/auditor.h"
 #include "core/experiment.h"
 #include "core/scores.h"
@@ -20,6 +21,7 @@
 using namespace dpaudit;
 
 int main(int argc, char** argv) {
+  bench::InitBenchRuntime(&argc, argv);
   // 1. The data scientist's input: "an adversary must never be more than
   //    90% certain that any individual's record was in the training data".
   double rho_beta = argc > 1 ? std::strtod(argv[1], nullptr) : 0.9;

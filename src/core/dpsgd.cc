@@ -7,7 +7,6 @@
 #include "dp/mechanism.h"
 #include "dp/sensitivity.h"
 #include "nn/gradient_engine.h"
-#include "obs/metrics.h"
 #include "obs/span.h"
 #include "stats/summary.h"
 #include "util/thread_pool.h"
@@ -106,7 +105,6 @@ StatusOr<DpSgdResult> RunDpSgd(const Network& initial, const Dataset& d,
 
   for (size_t step = 0; step < config.epochs; ++step) {
     DPAUDIT_SPAN("train_step");
-    DPAUDIT_METRIC_COUNT("dpaudit_train_steps_total", 1);
     // With q < 1 the step first draws its batch: each common record in
     // index order, then x1 (only when training runs on D). The release is
     // centered on sum_d iff training runs on D and x1 made the batch.

@@ -5,7 +5,6 @@
 
 #include "core/adversary.h"
 #include "core/sweep_scheduler.h"
-#include "obs/metrics.h"
 #include "obs/span.h"
 #include "util/random.h"
 
@@ -67,7 +66,6 @@ Status RunDiTrial(const Network& architecture, const Dataset& d,
   // Nests under the scheduling span: pool tasks adopt the scheduling
   // thread's span through the telemetry hooks.
   DPAUDIT_SPAN("repetition");
-  DPAUDIT_METRIC_COUNT("dpaudit_repetitions_total", 1);
   Rng rng = Rng(config.seed).Split(rep);
   Network model = architecture.Clone();
   if (config.reinitialize_weights) model.Initialize(rng);

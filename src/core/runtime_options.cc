@@ -74,9 +74,6 @@ const std::vector<RuntimeKnob>& RuntimeKnobTable() {
       {"--retries", "DPAUDIT_TRIAL_RETRIES", "2",
        "retry budget per sweep trial before the cell degrades to a "
        "partial-repetition estimate (max 100)"},
-      {"--retry-backoff-ms", "DPAUDIT_RETRY_BACKOFF_MS", "10",
-       "base backoff between trial retries, milliseconds, deterministically "
-       "jittered per attempt"},
       {"--checkpoint", "DPAUDIT_SWEEP_CHECKPOINT", "(off)",
        "sweep checkpoint journal path; a re-launched sweep skips trials the "
        "journal already holds (see `dpaudit_cli sweep status|resume`)"},
@@ -103,8 +100,6 @@ RuntimeOptions RuntimeOptions::FromEnv() {
   options.log_level = EnvString("DPAUDIT_LOG_LEVEL", "");
   const int64_t retries = EnvInt64("DPAUDIT_TRIAL_RETRIES", 2);
   options.trial_retries = retries > 0 ? static_cast<size_t>(retries) : 0;
-  const int64_t backoff = EnvInt64("DPAUDIT_RETRY_BACKOFF_MS", 10);
-  options.retry_backoff_ms = backoff > 0 ? static_cast<uint64_t>(backoff) : 0;
   options.checkpoint = EnvString("DPAUDIT_SWEEP_CHECKPOINT", "");
   options.fault_spec = EnvString("DPAUDIT_FAULT_INJECT", "");
   options.verbose = EnvInt64("DPAUDIT_VERBOSE", 0) != 0;
@@ -202,14 +197,6 @@ StatusOr<RuntimeOptions> RuntimeOptions::FromEnvAndArgs(int* argc,
              "(got \"" + arg + "\")");
       } else {
         options.trial_retries = static_cast<size_t>(retries);
-      }
-    } else if (name == "--retry-backoff-ms") {
-      int64_t backoff = 0;
-      if (!has_value || !ParseInt64(value, &backoff) || backoff < 0) {
-        fail("--retry-backoff-ms needs a non-negative integer (got \"" + arg +
-             "\")");
-      } else {
-        options.retry_backoff_ms = static_cast<uint64_t>(backoff);
       }
     } else if (name == "--checkpoint") {
       if (!has_value || value.empty()) {

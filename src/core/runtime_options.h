@@ -75,10 +75,6 @@ struct RuntimeOptions {
   /// to a partial-repetition estimate.
   size_t trial_retries = 2;
 
-  /// Base backoff between trial retries, milliseconds (deterministically
-  /// jittered per attempt). 0 retries immediately.
-  uint64_t retry_backoff_ms = 10;
-
   /// Sweep checkpoint journal path; empty (the default, telemetry on or
   /// off) disables checkpointing.
   std::string checkpoint;

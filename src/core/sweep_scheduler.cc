@@ -47,22 +47,6 @@ struct CellRun {
   std::atomic<size_t> trials_finished{0};  // heartbeat: cell done detection
 };
 
-/// Deterministic per-attempt backoff jitter: splitmix64 over (seed, cell,
-/// rep, attempt), so retry timing never depends on wall clock or thread
-/// identity (results never depend on timing either way; this just keeps the
-/// schedule reproducible for debugging).
-uint64_t RetryJitterMs(uint64_t seed, size_t cell, size_t rep, size_t attempt,
-                       uint64_t base_ms) {
-  uint64_t z = seed ^ (0x9e3779b97f4a7c15ull * (cell + 1)) ^
-               (0xbf58476d1ce4e5b9ull * (rep + 1)) ^
-               (0x94d049bb133111ebull * attempt);
-  z += 0x9e3779b97f4a7c15ull;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  z ^= z >> 31;
-  return base_ms == 0 ? 0 : z % (base_ms + 1);
-}
-
 // --progress/DPAUDIT_PROGRESS (core/runtime_options.h): opt-in sweep
 // heartbeat. A single monitor thread wakes every `secs` seconds and reports
 // cells/trials done, throughput, and an ETA through DPAUDIT_LOG (stderr), so
@@ -279,7 +263,6 @@ std::vector<StatusOr<DiExperimentSummary>> RunSweep(
   const size_t inner_threads =
       NestedThreadBudget(threads, std::min(threads, total));
   const size_t retries = options.trial_retries;
-  const uint64_t backoff_base_ms = options.retry_backoff_ms;
   ProgressMonitor monitor(cells.size(), total);
 
   // Checkpoint journal: loaded up front so PrepareCell can skip trials a
@@ -336,10 +319,11 @@ std::vector<StatusOr<DiExperimentSummary>> RunSweep(
       last_cell = static_cast<const void*>(&run);
     }
     // Failure isolation: a throwing (or fault-injected) trial is retried up
-    // to the budget with jittered backoff; the trial is a pure function of
-    // (config, seed, rep), so a retry that succeeds is bit-identical to a
-    // first attempt that would have. Exhaustion marks the rep failed and the
-    // cell degrades in the results loop instead of sinking the sweep.
+    // to the budget, immediately: the trial is a pure function of (config,
+    // seed, rep), so waiting cannot change its outcome, and a retry that
+    // succeeds is bit-identical to a first attempt that would have.
+    // Exhaustion marks the rep failed and the cell degrades in the results
+    // loop instead of sinking the sweep.
     Status trial_result = Status::Ok();
     for (size_t attempt = 1;; ++attempt) {
       if (fault::FailTrialAttempt(c, rep)) {
@@ -366,13 +350,6 @@ std::vector<StatusOr<DiExperimentSummary>> RunSweep(
                            << " failed: " << trial_result.message()
                            << "; retrying ("
                            << (retries - attempt + 1) << " left)";
-      const uint64_t backoff_ms =
-          backoff_base_ms * attempt +
-          RetryJitterMs(run.config.seed, c, rep, attempt, backoff_base_ms);
-      if (backoff_ms > 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(
-            std::min<uint64_t>(backoff_ms, 10'000)));
-      }
     }
     run.trial_status[rep] = trial_result;
     if (trial_result.ok() && journal != nullptr) {

@@ -24,10 +24,10 @@
 // re-launched sweep replays journaled trials instead of retraining them —
 // stdout and ledger bytes are identical to an uninterrupted run. A trial
 // that throws (or is failed by fault injection, util/fault_injection.h) is
-// retried up to SweepOptions::trial_retries times with jittered backoff; on
-// exhaustion the cell degrades to a partial-repetition summary, surfaced in
-// SweepStats, the dpaudit_sweep_* metrics, and a ledger `error` row, instead
-// of failing the sweep.
+// retried up to SweepOptions::trial_retries times; on exhaustion the cell
+// degrades to a partial-repetition summary, surfaced in SweepStats, the
+// dpaudit_sweep_* metrics, and a ledger `error` row, instead of failing the
+// sweep.
 
 #ifndef DPAUDIT_CORE_SWEEP_SCHEDULER_H_
 #define DPAUDIT_CORE_SWEEP_SCHEDULER_H_
@@ -79,9 +79,6 @@ struct SweepOptions {
   /// repetition summary instead of erroring the whole sweep; a cell where
   /// every rep fails keeps the historical error behavior.
   size_t trial_retries = 2;
-  /// Base backoff between retry attempts, milliseconds, deterministically
-  /// jittered per (seed, cell, rep, attempt). 0 retries immediately.
-  uint64_t retry_backoff_ms = 10;
   /// Per-cell accounting (replayed/resumed/trained/failed/retried) through
   /// DPAUDIT_LOG. Never touches stdout.
   bool verbose = false;

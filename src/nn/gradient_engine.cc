@@ -447,10 +447,6 @@ void GradientEngine::ComputeRecord(size_t participant,
                                    size_t count, NormMode mode, double clip,
                                    const PendingPack& pending,
                                    PackRecord* record) {
-  DPAUDIT_METRIC_DISTRIBUTION("dpaudit_gradient_engine_lane_fill", 0.0, 1.0,
-                              16,
-                              static_cast<double>(count) /
-                                  static_cast<double>(lanes_));
   // Every pack runs at the engine's width: the fast wrappers pin the lane
   // count, and a narrower runtime width is slower than a padded full pack.
   // So a ragged tail is padded with copies of its last example.
@@ -589,6 +585,7 @@ GradientEngine::ClippedSums GradientEngine::ClipAndSum(
         << " != " << inputs[0]->ShapeString();
   }
   const size_t packs = (n + lanes_ - 1) / lanes_;
+  DPAUDIT_METRIC_COUNT("dpaudit_gradient_engine_packs_total", packs);
   const size_t per_example = NormsPerExample(mode);
   out.norms.resize(n * per_example);
   // A sole participant computes every pack in order, so it holds each pack

@@ -9,7 +9,6 @@
 #include <fstream>
 #include <iostream>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -52,7 +51,7 @@ std::string Basename(const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// Thread-pool hooks: span-context propagation + queue/execute distributions.
+// Thread-pool hooks: span-context propagation.
 
 const void* PoolCaptureContext() {
   return static_cast<const void*>(CurrentSpanContext());
@@ -68,52 +67,13 @@ void PoolExitContext(const void* previous) {
       static_cast<SpanContext>(const_cast<void*>(previous)));
 }
 
-void PoolRecordTaskNs(uint64_t queue_ns, uint64_t execute_ns) {
-  static DistributionMetric& queue_us =
-      MetricsRegistry::Global().GetDistribution("dpaudit_pool_queue_us", 0.0,
-                                               1e5, 200);
-  static DistributionMetric& execute_us =
-      MetricsRegistry::Global().GetDistribution("dpaudit_pool_execute_us",
-                                               0.0, 1e6, 200);
-  queue_us.Record(static_cast<double>(queue_ns) * 1e-3);
-  execute_us.Record(static_cast<double>(execute_ns) * 1e-3);
-}
-
-void PoolRecordQueueDepth(size_t depth) {
-  static DistributionMetric& queue_depth =
-      MetricsRegistry::Global().GetDistribution("dpaudit_pool_queue_depth",
-                                                0.0, 4096.0, 128);
-  queue_depth.Record(static_cast<double>(depth));
-}
-
 constexpr ThreadPoolTelemetryHooks kPoolHooks = {
     &PoolCaptureContext,
     &PoolEnterContext,
     &PoolExitContext,
-    &PoolRecordTaskNs,
-    &PoolRecordQueueDepth,
 };
 
-// ---------------------------------------------------------------------------
-// Formatting helpers (JsonEscape/FormatDouble come from obs/json_util.h).
-
-/// "dpaudit_build_info{binary="x"}" -> "dpaudit_build_info".
-std::string BaseMetricName(const std::string& name) {
-  const size_t brace = name.find('{');
-  return brace == std::string::npos ? name : name.substr(0, brace);
-}
-
 uint64_t ThreadsForBuildInfo() { return DefaultThreadCount(); }
-
-/// Registers (or refreshes) the dpaudit_build_info gauge for `binary_name`.
-void RegisterBuildInfo(const std::string& binary_name) {
-  std::ostringstream name;
-  name << "dpaudit_build_info{binary=\"" << binary_name << "\",simd=\""
-       << ActiveSimdDispatch() << "\",threads=\"" << ThreadsForBuildInfo()
-       << "\",batch_lanes=\"" << BatchLanesFromEnv() << "\",commit=\""
-       << BuildGitCommit() << "\"}";
-  MetricsRegistry::Global().GetGauge(name.str()).Set(1.0);
-}
 
 }  // namespace
 
@@ -127,16 +87,6 @@ const char* BuildGitCommit() {
 #endif
 }
 
-TelemetryOptions TelemetryOptionsFromEnv() {
-  TelemetryOptions options;
-  const std::string dir = EnvString("DPAUDIT_TELEMETRY", "");
-  if (!dir.empty()) {
-    options.enabled = true;
-    options.directory = dir;
-  }
-  return options;
-}
-
 void InitTelemetry(const std::string& argv0_or_name,
                    const TelemetryOptions& options) {
   TelemetryState& state = State();
@@ -147,7 +97,6 @@ void InitTelemetry(const std::string& argv0_or_name,
     state.directory = options.directory;
     state.start_ns = MonotonicNowNs();
   }
-  RegisterBuildInfo(binary);
   if (!options.enabled) return;
 
   SetThreadPoolTelemetryHooks(&kPoolHooks);
@@ -240,52 +189,23 @@ void WriteProfileReport(std::ostream& os, uint64_t wall_ns) {
   }
 }
 
-namespace {
-
-/// Emits one metric family: a `# TYPE` line the first time each base name is
-/// seen, then the sample line.
-void EmitProm(std::ostream& os, std::string* last_base,
-              const std::string& name, const char* type,
-              const std::string& value) {
-  const std::string base = BaseMetricName(name);
-  if (base != *last_base) {
-    os << "# TYPE " << base << " " << type << "\n";
-    *last_base = base;
-  }
-  os << name << " " << value << "\n";
-}
-
-}  // namespace
-
 void WritePrometheus(std::ostream& os) {
-  std::string last_base;
   for (const MetricSnapshot& snap : MetricsRegistry::Global().Snapshot()) {
-    switch (snap.kind) {
-      case MetricSnapshot::Kind::kCounter:
-        EmitProm(os, &last_base, snap.name, "counter",
-                 std::to_string(static_cast<uint64_t>(snap.value)));
-        break;
-      case MetricSnapshot::Kind::kGauge:
-        EmitProm(os, &last_base, snap.name, "gauge",
-                 FormatDouble(snap.value));
-        break;
-      case MetricSnapshot::Kind::kDistribution: {
-        const std::string base = BaseMetricName(snap.name);
-        os << "# TYPE " << base << " summary\n";
-        os << base << "{quantile=\"0.5\"} " << FormatDouble(snap.p50) << "\n";
-        os << base << "{quantile=\"0.9\"} " << FormatDouble(snap.p90) << "\n";
-        os << base << "{quantile=\"0.99\"} " << FormatDouble(snap.p99)
-           << "\n";
-        os << base << "_sum "
-           << FormatDouble(snap.summary.mean() *
-                           static_cast<double>(snap.summary.count()))
-           << "\n";
-        os << base << "_count " << snap.summary.count() << "\n";
-        last_base = base;
-        break;
-      }
-    }
+    os << "# TYPE " << snap.name << " counter\n"
+       << snap.name << " " << snap.value << "\n";
   }
+
+  TelemetryState& state = State();
+  std::string binary;
+  {
+    std::lock_guard<std::mutex> lock(state.mu);
+    binary = state.binary_name;
+  }
+  os << "# TYPE dpaudit_build_info gauge\n"
+     << "dpaudit_build_info{binary=\"" << binary << "\",simd=\""
+     << ActiveSimdDispatch() << "\",threads=\"" << ThreadsForBuildInfo()
+     << "\",batch_lanes=\"" << BatchLanesFromEnv() << "\",commit=\""
+     << BuildGitCommit() << "\"} 1\n";
 
   const std::vector<SpanRegistry::Stat> stats =
       SpanRegistry::Global().Collect();

@@ -2,17 +2,19 @@
 // the end-of-run exporters.
 //
 // Telemetry is opt-in per process (the --telemetry=<dir> flag or the
-// DPAUDIT_TELEMETRY environment variable). When disabled — the default —
-// every instrumentation site (DPAUDIT_SPAN, DPAUDIT_METRIC_COUNT, the
-// thread-pool task hooks) costs exactly one relaxed atomic load; nothing is
-// allocated, timed, or written. When enabled, InitTelemetry installs the
-// thread-pool hooks, and FlushTelemetry (registered via atexit) writes three
-// exports under the telemetry directory, one per question:
+// DPAUDIT_TELEMETRY environment variable, both read by core/runtime_options).
+// When disabled — the default — every instrumentation site (DPAUDIT_SPAN,
+// DPAUDIT_METRIC_COUNT, the thread-pool span-context hooks) costs exactly
+// one relaxed atomic load; nothing is allocated, timed, or written. When
+// enabled, InitTelemetry installs the thread-pool hooks, and FlushTelemetry
+// (registered via atexit) writes three exports under the telemetry
+// directory, one per question:
 //
 //   <binary>.profile.txt   hierarchical span profile, for people (also
 //                          printed to stderr)
-//   <binary>.metrics.prom  Prometheus text exposition of the registry and
-//                          the span totals and counts, for machines
+//   <binary>.metrics.prom  Prometheus text exposition, for machines: the
+//                          registry's counters, the dpaudit_build_info
+//                          gauge, and the span totals and counts
 //   <binary>.trace.json    Chrome Trace Event timeline (chrome://tracing) of
 //                          each span path's first kEventsPerSpanNode visits
 //
@@ -49,15 +51,11 @@ struct TelemetryOptions {
   std::string directory;
 };
 
-/// DPAUDIT_TELEMETRY=<dir> enables telemetry with that export directory.
-TelemetryOptions TelemetryOptionsFromEnv();
-
 /// Starts telemetry for this process. `argv0_or_name` is basenamed into the
-/// export file prefix and the build_info labels. Always registers the
-/// dpaudit_build_info gauge (simd dispatch path, default thread count); when
-/// `options.enabled` it additionally flips the enabled flag, installs the
-/// thread-pool telemetry hooks, arms the audit ledger and registers
-/// FlushTelemetry via atexit. Safe to call once per process.
+/// export file prefix and the build_info labels. When `options.enabled` it
+/// flips the enabled flag, installs the thread-pool telemetry hooks, arms the
+/// audit ledger and registers FlushTelemetry via atexit. Safe to call once
+/// per process.
 void InitTelemetry(const std::string& argv0_or_name,
                    const TelemetryOptions& options);
 
@@ -69,12 +67,15 @@ void FlushTelemetry();
 const char* ActiveSimdDispatch();
 
 /// The git commit the binary was built from (DPAUDIT_GIT_COMMIT, injected by
-/// CMake), or "unknown" for out-of-tree builds. Feeds the build_info gauge,
+/// CMake), or "unknown" for out-of-tree builds. Feeds dpaudit_build_info,
 /// the audit-ledger run manifest, and bench provenance.
 const char* BuildGitCommit();
 
 /// Exporters over the current registry state. `wall_ns` of 0 means "unknown"
-/// (span coverage is then omitted from the profile header).
+/// (span coverage is then omitted from the profile header). WritePrometheus
+/// ends the counters with the `dpaudit_build_info` gauge: the binary name,
+/// clip-stage tier, default thread count, batch lanes and commit as labels,
+/// value 1.
 void WriteProfileReport(std::ostream& os, uint64_t wall_ns);
 void WritePrometheus(std::ostream& os);
 

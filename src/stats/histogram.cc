@@ -38,32 +38,6 @@ double Histogram::bin_fraction(size_t i) const {
   return static_cast<double>(counts_[i]) / static_cast<double>(total_);
 }
 
-void Histogram::MergeFrom(const Histogram& other) {
-  DPAUDIT_CHECK_EQ(counts_.size(), other.counts_.size());
-  DPAUDIT_CHECK_EQ(lo_, other.lo_);
-  DPAUDIT_CHECK_EQ(hi_, other.hi_);
-  for (size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  total_ += other.total_;
-}
-
-double Histogram::ApproxQuantile(double q) const {
-  if (total_ == 0) return lo_;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total_);
-  double cumulative = 0.0;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cumulative + static_cast<double>(counts_[i]);
-    if (next >= target && counts_[i] > 0) {
-      const double within =
-          (target - cumulative) / static_cast<double>(counts_[i]);
-      const double bin_lo = lo_ + static_cast<double>(i) * width_;
-      return bin_lo + std::clamp(within, 0.0, 1.0) * width_;
-    }
-    cumulative = next;
-  }
-  return hi_;
-}
-
 void Histogram::RenderText(std::ostream& os, size_t max_bar) const {
   size_t peak = 0;
   for (size_t c : counts_) peak = std::max(peak, c);

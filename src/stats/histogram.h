@@ -34,16 +34,6 @@ class Histogram {
   /// largest bin gets `max_bar` characters.
   void RenderText(std::ostream& os, size_t max_bar = 50) const;
 
-  /// Adds `other`'s bin counts into this histogram. The two must have been
-  /// constructed with identical lo/hi/num_bins (CHECKed); used to merge
-  /// per-thread shards into one distribution.
-  void MergeFrom(const Histogram& other);
-
-  /// Value at quantile q in [0, 1], interpolated linearly within the bin
-  /// that crosses the target rank. Returns lo() for an empty histogram.
-  /// Accuracy is limited by the bin width, as with any fixed-bin sketch.
-  double ApproxQuantile(double q) const;
-
   double lo() const { return lo_; }
   double hi() const { return hi_; }
 

@@ -16,23 +16,6 @@ void RunningSummary::Add(double x) {
   max_ = std::max(max_, x);
 }
 
-void RunningSummary::Merge(const RunningSummary& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  double na = static_cast<double>(count_);
-  double nb = static_cast<double>(other.count_);
-  double delta = other.mean_ - mean_;
-  double n = na + nb;
-  mean_ += delta * nb / n;
-  m2_ += other.m2_ + delta * delta * na * nb / n;
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 double RunningSummary::variance() const {
   if (count_ < 2) return 0.0;
   return m2_ / static_cast<double>(count_ - 1);

@@ -10,13 +10,10 @@
 namespace dpaudit {
 
 /// Welford's online algorithm: numerically stable running mean / variance,
-/// plus min and max. Mergeable so per-thread accumulators can be combined.
+/// plus min and max.
 class RunningSummary {
  public:
   void Add(double x);
-
-  /// Merges another summary into this one (parallel reduction).
-  void Merge(const RunningSummary& other);
 
   size_t count() const { return count_; }
   double mean() const { return count_ == 0 ? 0.0 : mean_; }

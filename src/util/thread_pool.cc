@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 
 #include "util/env.h"
 #include "util/logging.h"
@@ -11,13 +10,6 @@ namespace dpaudit {
 namespace {
 
 std::atomic<const ThreadPoolTelemetryHooks*> g_pool_hooks{nullptr};
-
-uint64_t PoolNowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 }  // namespace
 
@@ -71,23 +63,14 @@ void ThreadPool::Schedule(Region* region, size_t participant) {
   task.region = region;
   task.participant = participant;
   task.hooks = g_pool_hooks.load(std::memory_order_acquire);
-  if (task.hooks != nullptr) {
-    task.context = task.hooks->capture_context();
-    task.enqueue_ns = PoolNowNs();
-  }
-  const ThreadPoolTelemetryHooks* hooks = task.hooks;
-  size_t depth = 0;
+  if (task.hooks != nullptr) task.context = task.hooks->capture_context();
   {
     std::unique_lock<std::mutex> lock(mu_);
     DPAUDIT_CHECK(!shutting_down_) << "Schedule() after shutdown";
     queue_.push_back(task);
     ++region->runners;
-    depth = queue_.size();
   }
   work_available_.notify_one();
-  if (hooks != nullptr && hooks->record_queue_depth != nullptr) {
-    hooks->record_queue_depth(depth);
-  }
 }
 
 void ThreadPool::Retract(Region* region) {
@@ -117,13 +100,9 @@ void ThreadPool::WorkerLoop() {
       queue_.pop_front();
     }
     if (task.hooks != nullptr) {
-      const uint64_t start_ns = PoolNowNs();
       const void* previous = task.hooks->enter_context(task.context);
       task.region->Drain(task.participant);
       task.hooks->exit_context(previous);
-      const uint64_t end_ns = PoolNowNs();
-      task.hooks->record_task_ns(start_ns - task.enqueue_ns,
-                                 end_ns - start_ns);
     } else {
       task.region->Drain(task.participant);
     }

@@ -8,7 +8,6 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -17,11 +16,10 @@
 
 namespace dpaudit {
 
-/// Telemetry hooks shared by every pool: queue/execute timing plus span-
-/// context propagation from the scheduling thread to the worker (so profile
-/// spans opened inside pool tasks nest under the scheduler's span — see
-/// obs/span.h). Installed process-wide by obs/telemetry when telemetry is
-/// enabled; with no hooks installed the pool pays one relaxed atomic load
+/// Span-context propagation from the scheduling thread to the worker, so
+/// profile spans opened inside pool tasks nest under the scheduler's span
+/// (see obs/span.h). Installed process-wide by obs/telemetry when telemetry
+/// is enabled; with no hooks installed the pool pays one relaxed atomic load
 /// per task. The hook pointer seen when a task is queued travels with it, so
 /// a task is either fully instrumented or not at all.
 struct ThreadPoolTelemetryHooks {
@@ -31,13 +29,6 @@ struct ThreadPoolTelemetryHooks {
   /// previous context, which the pool passes back to exit.
   const void* (*enter_context)(const void* token);
   void (*exit_context)(const void* previous);
-  /// Called on the worker after each task with its queue-wait and execution
-  /// time in nanoseconds.
-  void (*record_task_ns)(uint64_t queue_ns, uint64_t execute_ns);
-  /// Called on the scheduling thread right after each enqueue with the queue
-  /// length it observed (the task itself included), so exports can show how
-  /// far ahead of the workers the schedulers run.
-  void (*record_queue_depth)(size_t depth);
 };
 
 /// Installs (or, with nullptr, removes) the process-wide hooks. The struct
@@ -110,7 +101,6 @@ class ThreadPool {
     size_t participant = 0;
     const ThreadPoolTelemetryHooks* hooks = nullptr;  // seen when queued
     const void* context = nullptr;                    // captured span context
-    uint64_t enqueue_ns = 0;
   };
 
   /// Starts `num_threads` workers (at least 1).

@@ -8,6 +8,8 @@
 
 #include "data/dataset.h"
 #include "nn/network.h"
+#include "obs/metrics.h"
+#include "obs/telemetry.h"
 #include "tests/test_helpers.h"
 #include "util/math_util.h"
 #include "util/random.h"
@@ -411,6 +413,39 @@ TEST(GradientEngineApiTest, VisitorSeesAscendingIndicesAndLayerNorms) {
       }
     }
   }
+}
+
+// One call adds its example count to the per-example counter and its pack
+// count, ceil(n / lanes), to the packs counter: 13 examples at 8 lanes are
+// one full pack and one ragged pack.
+TEST(GradientEngineApiTest, ClipAndSumCountsExamplesAndPacks) {
+  Rng rng(23);
+  Network net = TinyNetwork();
+  net.Initialize(rng);
+  Dataset d = BlobDataset(13, rng);
+  std::vector<const Tensor*> inputs;
+  for (const Tensor& x : d.inputs) inputs.push_back(&x);
+
+  GradientEngine::Options options;
+  options.threads = 2;
+  options.batch_lanes = 8;
+  GradientEngine engine(net, options);
+  engine.SyncParams(net);
+
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  obs::Counter& examples =
+      registry.GetCounter("dpaudit_per_example_gradients_total");
+  obs::Counter& packs =
+      registry.GetCounter("dpaudit_gradient_engine_packs_total");
+  const uint64_t examples_before = examples.Value();
+  const uint64_t packs_before = packs.Value();
+  obs::EnableTelemetryForTest(true);
+  engine.ClipAndSum(inputs, d.labels,
+                    std::vector<uint8_t>(d.size(), GradientEngine::kSumA),
+                    GradientEngine::NormMode::kWhole, 1.0);
+  obs::EnableTelemetryForTest(false);
+  EXPECT_EQ(examples.Value() - examples_before, 13u);
+  EXPECT_EQ(packs.Value() - packs_before, 2u);
 }
 
 }  // namespace

@@ -55,45 +55,5 @@ TEST(HistogramDeathTest, InvalidConstructionDies) {
   EXPECT_DEATH(Histogram(0.0, 1.0, 0), "CHECK failed");
 }
 
-TEST(HistogramTest, MergeFromAddsCounts) {
-  Histogram a(0.0, 1.0, 4);
-  a.AddAll({0.1, 0.3});
-  Histogram b(0.0, 1.0, 4);
-  b.AddAll({0.3, 0.9});
-  a.MergeFrom(b);
-  EXPECT_EQ(a.total(), 4u);
-  EXPECT_EQ(a.bin_count(0), 1u);
-  EXPECT_EQ(a.bin_count(1), 2u);
-  EXPECT_EQ(a.bin_count(3), 1u);
-  EXPECT_EQ(b.total(), 2u);  // source unchanged
-}
-
-TEST(HistogramDeathTest, MergeFromRejectsMismatchedShape) {
-  Histogram a(0.0, 1.0, 4);
-  Histogram b(0.0, 2.0, 4);
-  EXPECT_DEATH(a.MergeFrom(b), "CHECK failed");
-  Histogram c(0.0, 1.0, 8);
-  EXPECT_DEATH(a.MergeFrom(c), "CHECK failed");
-}
-
-TEST(HistogramTest, ApproxQuantileInterpolatesWithinBin) {
-  // 100 values uniform over [0, 1): the q-quantile estimate should track q.
-  Histogram h(0.0, 1.0, 10);
-  for (int i = 0; i < 100; ++i) h.Add((i + 0.5) / 100.0);
-  EXPECT_NEAR(h.ApproxQuantile(0.5), 0.5, 0.1);
-  EXPECT_NEAR(h.ApproxQuantile(0.9), 0.9, 0.1);
-  EXPECT_LE(h.ApproxQuantile(0.1), h.ApproxQuantile(0.9));
-}
-
-TEST(HistogramTest, ApproxQuantileEdgeCases) {
-  Histogram empty(0.0, 1.0, 4);
-  EXPECT_DOUBLE_EQ(empty.ApproxQuantile(0.5), 0.0);  // lo() for empty
-  Histogram point(0.0, 1.0, 4);
-  point.Add(0.6);  // single value lands in bin [0.5, 0.75)
-  double q = point.ApproxQuantile(0.5);
-  EXPECT_GE(q, 0.5);
-  EXPECT_LE(q, 0.75);
-}
-
 }  // namespace
 }  // namespace dpaudit

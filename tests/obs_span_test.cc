@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "tests/test_helpers.h"
 #include "util/thread_pool.h"
@@ -21,13 +20,11 @@ class ObsSpanTest : public ::testing::Test {
  protected:
   void SetUp() override {
     SpanRegistry::Global().ResetForTest();
-    MetricsRegistry::Global().ResetForTest();
     EnableTelemetryForTest(true);
   }
   void TearDown() override {
     EnableTelemetryForTest(false);
     SpanRegistry::Global().ResetForTest();
-    MetricsRegistry::Global().ResetForTest();
   }
 
   // The caller plus one runner per pool worker, at most 4: every runner
@@ -176,33 +173,6 @@ TEST_F(ObsSpanTest, ParallelForPropagatesContextToo) {
   const SpanRegistry::Stat* body = Find(stats, "fanout/body");
   ASSERT_NE(body, nullptr);
   EXPECT_EQ(body->count, 16u);
-}
-
-TEST_F(ObsSpanTest, PoolHooksRecordQueueAndExecuteTimings) {
-  // One timing per runner task: the caller's share of a region is not a
-  // pool task.
-  const size_t width = PinnableWidth();
-  const size_t runners = width - 1;
-  {
-    DPAUDIT_SPAN("timed");
-    testing_helpers::Rendezvous all(width);
-    ThreadPool::ParallelFor(width, width, [&all](size_t) { all.Arrive(); });
-  }
-  std::vector<MetricSnapshot> snaps = MetricsRegistry::Global().Snapshot();
-  bool saw_queue = false;
-  bool saw_execute = false;
-  for (const MetricSnapshot& s : snaps) {
-    if (s.name == "dpaudit_pool_queue_us") {
-      saw_queue = true;
-      EXPECT_EQ(s.summary.count(), runners);
-    }
-    if (s.name == "dpaudit_pool_execute_us") {
-      saw_execute = true;
-      EXPECT_EQ(s.summary.count(), runners);
-    }
-  }
-  EXPECT_TRUE(saw_queue);
-  EXPECT_TRUE(saw_execute);
 }
 
 TEST_F(ObsSpanTest, RootTotalCoversTopLevelSpans) {

@@ -21,9 +21,8 @@ const char* const kVars[] = {
     "DPAUDIT_THREADS",        "DPAUDIT_BATCH_LANES",
     "DPAUDIT_TRACE_CACHE",    "DPAUDIT_TELEMETRY",
     "DPAUDIT_PROGRESS",       "DPAUDIT_LOG_LEVEL",
-    "DPAUDIT_TRIAL_RETRIES",  "DPAUDIT_RETRY_BACKOFF_MS",
-    "DPAUDIT_SWEEP_CHECKPOINT", "DPAUDIT_FAULT_INJECT",
-    "DPAUDIT_VERBOSE",
+    "DPAUDIT_TRIAL_RETRIES",  "DPAUDIT_SWEEP_CHECKPOINT",
+    "DPAUDIT_FAULT_INJECT",   "DPAUDIT_VERBOSE",
 };
 
 class RuntimeOptionsTest : public ::testing::Test {
@@ -64,7 +63,6 @@ TEST_F(RuntimeOptionsTest, DefaultsWithNothingSet) {
   EXPECT_EQ(options.progress_seconds, 0);
   EXPECT_TRUE(options.log_level.empty());
   EXPECT_EQ(options.trial_retries, 2u);
-  EXPECT_EQ(options.retry_backoff_ms, 10u);
   EXPECT_TRUE(options.checkpoint.empty());
   EXPECT_TRUE(options.fault_spec.empty());
   EXPECT_FALSE(options.verbose);

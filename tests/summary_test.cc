@@ -4,8 +4,6 @@
 
 #include <cmath>
 
-#include "util/random.h"
-
 namespace dpaudit {
 namespace {
 
@@ -31,37 +29,6 @@ TEST(RunningSummaryTest, SingleValue) {
   s.Add(3.5);
   EXPECT_DOUBLE_EQ(s.mean(), 3.5);
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningSummaryTest, MergeMatchesSequential) {
-  Rng rng(5);
-  RunningSummary whole;
-  RunningSummary left;
-  RunningSummary right;
-  for (int i = 0; i < 1000; ++i) {
-    double x = rng.Gaussian(1.0, 2.0);
-    whole.Add(x);
-    (i < 400 ? left : right).Add(x);
-  }
-  left.Merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-10);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-8);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(RunningSummaryTest, MergeWithEmpty) {
-  RunningSummary a;
-  a.Add(1.0);
-  a.Add(2.0);
-  RunningSummary empty;
-  a.Merge(empty);
-  EXPECT_EQ(a.count(), 2u);
-  RunningSummary b;
-  b.Merge(a);
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 1.5);
 }
 
 TEST(QuantileTest, MedianAndExtremes) {

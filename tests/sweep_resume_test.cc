@@ -201,7 +201,6 @@ TEST_F(SweepResumeTest, FailuresUnderTheRetryBudgetChangeNothing) {
   ASSERT_TRUE(fault::SetFaultSpec("trial=*:*:1").ok());
   SweepOptions options;
   options.trial_retries = 2;
-  options.retry_backoff_ms = 0;
   SweepStats stats;
   auto retried = RunSweep(cells, options, &stats);
   ASSERT_TRUE(retried[0].ok()) << retried[0].status();
@@ -222,7 +221,6 @@ TEST_F(SweepResumeTest, ExhaustedRetriesDegradeTheCellNotTheSweep) {
   ASSERT_TRUE(fault::SetFaultSpec("trial=0:1:3").ok());
   SweepOptions options;
   options.trial_retries = 1;
-  options.retry_backoff_ms = 0;
   SweepStats stats;
   auto results = RunSweep(cells, options, &stats);
   ASSERT_TRUE(results[0].ok()) << results[0].status();  // degraded, not error
@@ -254,7 +252,6 @@ TEST_F(SweepResumeTest, ResumeAfterDegradationRetrainsOnlyTheFailedRep) {
   SweepOptions options;
   options.checkpoint = dir.Journal();
   options.trial_retries = 0;
-  options.retry_backoff_ms = 0;
   SweepStats degraded_stats;
   auto degraded = RunSweep(cells, options, &degraded_stats);
   ASSERT_TRUE(degraded[0].ok());
@@ -283,7 +280,6 @@ TEST_F(SweepResumeTest, CellWhereEveryRepFailsKeepsTheErrorBehavior) {
   ASSERT_TRUE(fault::SetFaultSpec("trial=0:*:5").ok());
   SweepOptions options;
   options.trial_retries = 0;
-  options.retry_backoff_ms = 0;
   SweepStats stats;
   auto results = RunSweep(cells, options, &stats);
   EXPECT_EQ(results[0].status().code(), StatusCode::kInternal);

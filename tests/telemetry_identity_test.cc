@@ -4,7 +4,9 @@
 // floating-point accumulation order — so a fig09-style experiment must
 // produce EXACTLY the same trials with telemetry on and off.
 
+#include <algorithm>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/experiment.h"
@@ -95,27 +97,37 @@ TEST_F(TelemetryIdentityTest, InstrumentedRunPopulatesTheProfileTree) {
   EXPECT_TRUE(has("sweep_schedule/repetition/train_step/adversary"));
   EXPECT_TRUE(has("sweep_schedule/repetition/train_step/optimizer_step"));
 
-  // The pipeline counters moved too.
-  bool saw_steps = false;
-  for (const auto& m : obs::MetricsRegistry::Global().Snapshot()) {
-    if (m.name == "dpaudit_train_steps_total") {
-      saw_steps = true;
-      EXPECT_DOUBLE_EQ(m.value, 12.0 * 6.0);  // repetitions x epochs
+  // Every training step is counted once, in its span.
+  for (const auto& s : stats) {
+    if (s.path == "sweep_schedule/repetition/train_step") {
+      EXPECT_EQ(s.count, 12u * 6u);  // repetitions x epochs
     }
   }
-  EXPECT_TRUE(saw_steps);
 }
 
 TEST_F(TelemetryIdentityTest, UninstrumentedRunLeavesRegistriesEmpty) {
+  // An instrumented run first registers the pipeline counters; the reset
+  // keeps them listed at zero, so the uninstrumented run below is checked
+  // against every one of them.
+  RunOnce(/*telemetry=*/true);
+  obs::SpanRegistry::Global().ResetForTest();
+  obs::MetricsRegistry::Global().ResetForTest();
   RunOnce(/*telemetry=*/false);
   EXPECT_TRUE(obs::SpanRegistry::Global().Collect().empty());
-  // Only unconditional counters (trace cache, absent here) could move; the
-  // gated pipeline metrics must not. They may be listed at zero: a reset
-  // keeps metrics registered by earlier tests in this process.
+  // Only the unconditional trace-cache counters (no cache here) could move;
+  // the gated pipeline counters must not.
+  std::vector<std::string> pipeline;
   for (const auto& m : obs::MetricsRegistry::Global().Snapshot()) {
-    if (m.name.find("dpaudit_train") == std::string::npos) continue;
-    EXPECT_EQ(m.value, 0.0) << m.name;
-    EXPECT_EQ(m.summary.count(), 0u) << m.name;
+    if (m.name.rfind("dpaudit_trace_cache_", 0) == 0) continue;
+    pipeline.push_back(m.name);
+    EXPECT_EQ(m.value, 0u) << m.name;
+  }
+  for (const char* name : {"dpaudit_per_example_gradients_total",
+                           "dpaudit_gradient_engine_packs_total",
+                           "dpaudit_sweep_trials_trained_total"}) {
+    EXPECT_NE(std::find(pipeline.begin(), pipeline.end(), name),
+              pipeline.end())
+        << name;
   }
 }
 

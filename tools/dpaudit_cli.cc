@@ -151,14 +151,12 @@ Status RunExperiment(const ArgParser& args) {
   std::string telemetry_dir = args.GetString("telemetry", "");
   DPAUDIT_RETURN_IF_ERROR(args.CheckAllConsumed());
 
-  obs::TelemetryOptions telemetry = obs::TelemetryOptionsFromEnv();
-  const RuntimeOptions& runtime = CurrentRuntimeOptions();
-  if (runtime.telemetry_enabled) {
-    // --telemetry=DIR goes through the shared runtime flags (stripped in
-    // Main); the historical "--telemetry DIR" space form below still wins.
-    telemetry.enabled = true;
-    telemetry.directory = runtime.telemetry_dir;
-  }
+  // --telemetry=DIR and DPAUDIT_TELEMETRY go through the shared runtime
+  // options (parsed in Main); the historical "--telemetry DIR" space form
+  // below still wins.
+  const RuntimeOptions runtime = CurrentRuntimeOptions();
+  obs::TelemetryOptions telemetry{runtime.telemetry_enabled,
+                                  runtime.telemetry_dir};
   if (!telemetry_dir.empty()) {
     telemetry.enabled = true;
     telemetry.directory = telemetry_dir;
