@@ -14,7 +14,6 @@
 #include "bench/bench_common.h"
 #include "core/experiment.h"
 #include "core/scores.h"
-#include "core/trace.h"
 
 namespace dpaudit {
 namespace {
@@ -26,10 +25,6 @@ void Run() {
   BenchParams params;
   bench::PrintHeader("Ablation: Poisson-subsampled DPSGD", params);
   Task task = bench::MakePurchaseTask(params);
-  TraceStore* store = TraceStore::FromEnv();
-  if (store != nullptr) {
-    std::cerr << "trace cache: " << store->directory() << "\n";
-  }
 
   const double delta = task.delta;
   const size_t steps = params.epochs;
@@ -67,7 +62,6 @@ void Run() {
     config.dpsgd.sampling_rate = q;
     config.repetitions = reps;
     config.seed = params.seed;
-    config.trace_store = store;
     auto summary = RunDiExperiment(task.architecture, task.d,
                                    task.d_prime_unbounded, config);
     DPAUDIT_CHECK_OK(summary.status());

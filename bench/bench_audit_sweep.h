@@ -5,9 +5,9 @@
 // The grid runs through core/sweep_scheduler: every (task, epsilon, mode)
 // cell's repetitions are flattened into ONE dynamically dispatched task set
 // on the shared persistent pool, with per-cell calibration deferred onto
-// the workers and the trace store resolved once per sweep. Rows come back
-// in grid order and are bit-identical for any thread count, cold or warm
-// cache.
+// the workers and the runtime's sweep policy (SweepOptionsFromRuntime)
+// resolved once per sweep. Rows come back in grid order and are
+// bit-identical for any thread count, cold or warm cache.
 
 #ifndef DPAUDIT_BENCH_BENCH_AUDIT_SWEEP_H_
 #define DPAUDIT_BENCH_BENCH_AUDIT_SWEEP_H_
@@ -20,7 +20,6 @@
 #include "bench/bench_common.h"
 #include "core/auditor.h"
 #include "core/sweep_scheduler.h"
-#include "core/trace.h"
 #include "dp/privacy_params.h"
 
 namespace dpaudit {
@@ -67,11 +66,10 @@ inline AuditSweepRow AuditCell(const Task& task, double epsilon,
 /// the rows per task, in task order. `reps_override` (0 = default) sets the
 /// per-cell repetitions; the advantage-based Figure 10 needs more than the
 /// belief/sensitivity estimators because a success-rate difference carries
-/// ~1/sqrt(R) noise. `store` defaults to the process-wide cache — resolved
-/// once per sweep, not per cell.
+/// ~1/sqrt(R) noise.
 inline std::vector<std::vector<AuditSweepRow>> RunAuditSweeps(
     const BenchParams& params, const std::vector<const Task*>& tasks,
-    size_t reps_override = 0, TraceStore* store = TraceStore::FromEnv()) {
+    size_t reps_override = 0) {
   DPAUDIT_SPAN("audit_sweep");
   struct CellLabel {
     size_t task_index;
@@ -113,33 +111,13 @@ inline std::vector<std::vector<AuditSweepRow>> RunAuditSweeps(
     }
   }
 
-  const RuntimeOptions& runtime = CurrentRuntimeOptions();
-  SweepOptions options;
-  // With DPAUDIT_TRACE_CACHE set, each grid cell trains once and every
-  // later sweep (fig08/fig09 share cells; fig10 extends their recordings to
-  // its larger repetition count) replays the recorded trials
-  // bit-identically.
-  options.trace_store = store;
-  // Crash safety / failure isolation come straight from the runtime knobs
-  // (see core/runtime_options.h): the checkpoint journal makes a killed
-  // sweep resumable, and failed trials are retried before a cell degrades.
-  options.checkpoint = runtime.checkpoint;
-  options.trial_retries = runtime.trial_retries;
-  options.verbose = runtime.verbose;
-  SweepStats stats;
+  // The runtime's sweep policy: with --trace-cache set, each grid cell
+  // trains once and every later sweep (fig08/fig09 share cells; fig10
+  // extends their recordings to its larger repetition count) replays the
+  // recorded trials bit-identically; --checkpoint makes a killed sweep
+  // resumable, and failed trials are retried before a cell degrades.
   std::vector<StatusOr<DiExperimentSummary>> summaries =
-      RunSweep(cells, options, &stats);
-  if (store != nullptr || !options.checkpoint.empty()) {
-    DPAUDIT_LOG(INFO) << "sweep: " << stats.cells << " cells, trace full="
-                      << stats.trace_full_hits
-                      << " prefix=" << stats.trace_prefix_hits
-                      << " miss=" << stats.trace_misses << ", trials trained="
-                      << stats.trials_trained
-                      << " replayed=" << stats.trials_replayed
-                      << " resumed=" << stats.trials_resumed
-                      << " retried=" << stats.trials_retried
-                      << " failed=" << stats.trials_failed;
-  }
+      RunSweep(cells, SweepOptionsFromRuntime());
 
   std::vector<std::vector<AuditSweepRow>> rows_per_task(tasks.size());
   for (size_t i = 0; i < summaries.size(); ++i) {
@@ -153,11 +131,10 @@ inline std::vector<std::vector<AuditSweepRow>> RunAuditSweeps(
 }
 
 /// Single-task convenience wrapper (tests, callers with one task).
-inline std::vector<AuditSweepRow> RunAuditSweep(
-    const BenchParams& params, const Task& task, size_t reps_override = 0,
-    TraceStore* store = TraceStore::FromEnv()) {
-  return std::move(
-      RunAuditSweeps(params, {&task}, reps_override, store).front());
+inline std::vector<AuditSweepRow> RunAuditSweep(const BenchParams& params,
+                                                const Task& task,
+                                                size_t reps_override = 0) {
+  return std::move(RunAuditSweeps(params, {&task}, reps_override).front());
 }
 
 }  // namespace bench

@@ -16,10 +16,12 @@
 // precedence CLI flag > DPAUDIT_* environment variable > default. With
 // telemetry enabled the binary writes a hierarchical phase profile, a
 // Prometheus exposition of its counters, a Chrome trace, and the audit
-// ledger at exit.
-// --checkpoint=<file> adds a sweep checkpoint journal that makes an
-// interrupted sweep resumable. Exports go to stderr/files only, so stdout
-// stays byte-identical with telemetry on or off.
+// ledger at exit. Every experiment a binary runs, through RunSweep or
+// RunDiExperiment, takes --trace-cache, --checkpoint and --retries from
+// SweepOptionsFromRuntime (core/sweep_scheduler.h): --checkpoint=<file>
+// adds a sweep checkpoint journal that makes an interrupted run resumable.
+// Exports go to stderr/files only, so stdout stays byte-identical with
+// telemetry on or off.
 
 #ifndef DPAUDIT_BENCH_BENCH_COMMON_H_
 #define DPAUDIT_BENCH_BENCH_COMMON_H_

@@ -12,7 +12,6 @@
 #include "bench/bench_common.h"
 #include "core/scores.h"
 #include "core/sweep_scheduler.h"
-#include "core/trace.h"
 #include "dp/privacy_params.h"
 #include "stats/summary.h"
 
@@ -47,7 +46,7 @@ void Run() {
 
   // All 8 (task, scenario) experiments flatten into one dynamically
   // dispatched trial grid (core/sweep_scheduler.h); calibration runs on the
-  // workers and the trace store is resolved once for the whole table.
+  // workers and the runtime's sweep policy applies to the whole table.
   std::vector<SweepCell> cells;
   for (const Task& task : tasks) {
     for (const Scenario& scenario : kScenarios) {
@@ -68,9 +67,7 @@ void Run() {
       cells.push_back(std::move(cell));
     }
   }
-  SweepOptions options;
-  options.trace_store = TraceStore::FromEnv();
-  auto summaries = RunSweep(cells, options);
+  auto summaries = RunSweep(cells, SweepOptionsFromRuntime());
 
   TableWriter table({"Delta f", "DP", "dataset", "rho_alpha target",
                      "Adv^DI,Gau", "Adv 95% lo", "Adv 95% hi",

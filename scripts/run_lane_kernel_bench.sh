@@ -3,8 +3,11 @@
 # before vs after a change: runs the BM_LaneLayer/<net>/<layer>/<fwd|bwd>
 # and BM_ClippedNeighborSums/<net>/<lanes>/<neighbours> microbenchmarks of
 # two bench_micro binaries in alternating rounds on one pinned core and
-# writes the tables (median over rounds of each round's best repetition, in
-# us per example) to BENCH_lane_kernels.json.
+# writes the tables to BENCH_lane_kernels.json: per row, each round's best
+# repetition (us per example) on both sides, their medians and quartiles.
+# A row's speedup is printed only when the medians differ by more than the
+# before side's inter-quartile distance; otherwise the row reads
+# "unresolved", because the change is inside the round-to-round noise.
 #
 #   scripts/run_lane_kernel_bench.sh BEFORE_BENCH_MICRO AFTER_BENCH_MICRO \
 #       [ROUNDS] [OUT_JSON]
@@ -61,10 +64,34 @@ def load(side):
             best[b["run_name"]] = min(us, best.get(b["run_name"], us))
         per_round.append(best)
     names = list(per_round[0])
-    return context, {n: statistics.median(rr[n] for rr in per_round) for n in names}
+    return context, {n: [rr[n] for rr in per_round] for n in names}
 
 ctx_before, t_before = load("before")
 ctx_after, t_after = load("after")
+
+def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+def compare(before_rounds, after_rounds):
+    """Both sides' rounds, medians and quartiles; the speedup (before
+    median / after median) only when the medians differ by more than the
+    before side's inter-quartile distance, else None (unresolved)."""
+    b, a = statistics.median(before_rounds), statistics.median(after_rounds)
+    bq, aq = quartiles(before_rounds), quartiles(after_rounds)
+    resolved = abs(b - a) > bq[1] - bq[0]
+    return {"before_us_per_example": round(b, 3),
+            "after_us_per_example": round(a, 3),
+            "before_rounds_us": [round(v, 3) for v in before_rounds],
+            "after_rounds_us": [round(v, 3) for v in after_rounds],
+            "before_quartiles_us": [round(v, 3) for v in bq],
+            "after_quartiles_us": [round(v, 3) for v in aq],
+            "speedup": round(b / a, 2) if resolved else None}
+
+def verdict(row):
+    return "unresolved" if row["speedup"] is None else f"x{row['speedup']:.2f}"
 
 def git(*args):
     try:
@@ -91,20 +118,17 @@ for name, b in t_before.items():
         step_rows.append({"benchmark": name, "net": nets[net],
                           "lanes": int(width),
                           "neighbours": "bounded" if neighbours == "0" else "unbounded",
-                          "before_us_per_example": round(b, 3),
-                          "after_us_per_example": round(a, 3),
-                          "speedup": round(b / a, 2)})
+                          **compare(b, a)})
         continue
     _, net, layer, direction = name.split("/")
     rows.append({"benchmark": name, "net": net, "layer": layer,
-                 "direction": direction, "before_us_per_example": round(b, 3),
-                 "after_us_per_example": round(a, 3),
-                 "speedup": round(b / a, 2)})
-    tb, ta = totals.get(net, (0.0, 0.0))
-    totals[net] = (tb + b, ta + a)
+                 "direction": direction, **compare(b, a)})
+    # Per-round network totals, so the total gets its own quartiles.
+    tb, ta = totals.get(net, ([0.0] * rounds, [0.0] * rounds))
+    totals[net] = ([x + y for x, y in zip(tb, b)], [x + y for x, y in zip(ta, a)])
 
 result = {
-    "description": "Per-layer cost of the 8-lane batched kernels at the audit benchmark's shapes (28x28 MNIST conv net with 4/8 filters; Purchase 600-48-30 MLP) and the whole one-step neighbour-sum call (BM_ClippedNeighborSums, 40-record D, bounded and unbounded neighbours, lanes 1 and 8), single thread, before and after a change. Median over alternating rounds of each round's best repetition; microseconds per example. Results are bit-identical before and after.",
+    "description": "Per-layer cost of the 8-lane batched kernels at the audit benchmark's shapes (28x28 MNIST conv net with 4/8 filters; Purchase 600-48-30 MLP) and the whole one-step neighbour-sum call (BM_ClippedNeighborSums, 40-record D, bounded and unbounded neighbours, lanes 1 and 8), single thread, before and after a change. Each round's best repetition per side, with median and quartiles over the alternating rounds; microseconds per example. speedup is the ratio of medians, null (unresolved) unless the medians differ by more than the before side's inter-quartile distance. Results are bit-identical before and after.",
     "provenance": {
         # -dirty: the after binary was built from uncommitted changes.
         "commit": git("describe", "--always", "--dirty"),
@@ -129,9 +153,7 @@ result = {
     "per_layer": rows,
     "neighbor_sums": step_rows,
     "per_network_total_us_per_example": {
-        net: {"before": round(b, 2), "after": round(a, 2),
-              "speedup": round(b / a, 2)}
-        for net, (b, a) in totals.items()
+        net: compare(b, a) for net, (b, a) in totals.items()
     },
 }
 with open(out, "w") as f:
@@ -139,7 +161,8 @@ with open(out, "w") as f:
     f.write("\n")
 for r in rows + step_rows:
     print(f"{r['benchmark']:40s} {r['before_us_per_example']:7.2f} -> "
-          f"{r['after_us_per_example']:7.2f}  x{r['speedup']:.2f}")
-for net, (b, a) in totals.items():
-    print(f"{net} total {b:.2f} -> {a:.2f} us/example  x{b / a:.2f}")
+          f"{r['after_us_per_example']:7.2f}  {verdict(r)}")
+for net, total in result["per_network_total_us_per_example"].items():
+    print(f"{net} total {total['before_us_per_example']:.2f} -> "
+          f"{total['after_us_per_example']:.2f} us/example  {verdict(total)}")
 PY

@@ -120,10 +120,7 @@ StatusOr<DiExperimentSummary> RunDiExperiment(const Network& architecture,
   cell.d_prime = &d_prime;
   cell.test_set = test_set;
   cell.config = config;
-  SweepOptions options;
-  options.threads = config.threads;
-  options.trace_store = config.trace_store;
-  return std::move(RunSweep({cell}, options).front());
+  return std::move(RunSweep({cell}, SweepOptionsFromRuntime()).front());
 }
 
 }  // namespace dpaudit

@@ -20,13 +20,10 @@
 
 namespace dpaudit {
 
-class TraceStore;
-
 struct DiExperimentConfig {
   DpSgdConfig dpsgd;
   size_t repetitions = 100;
   uint64_t seed = 42;
-  size_t threads = 0;  // 0: DefaultThreadCount()
   /// When false (paper's counting scheme, Section 6.2) every trial trains on
   /// D and success means beta_k(D) > 0.5; the Gaussian symmetry makes this
   /// equivalent to the two-sided experiment. When true the challenger flips
@@ -35,13 +32,6 @@ struct DiExperimentConfig {
   /// Re-draw theta_0 per trial (fresh model instance per repetition, as in
   /// the paper's "trained 250 times").
   bool reinitialize_weights = true;
-  /// Optional step-trace cache (core/trace.h) for RunDiExperiment, not
-  /// owned; RunSweep reads SweepOptions::trace_store instead. When set, a
-  /// cache hit for this experiment's content fingerprint replays the recorded
-  /// trace — the returned summary (and every epsilon' estimator computed
-  /// from it) is bit-identical to a live run — and a miss runs live and
-  /// records. Cache failures degrade to a live run, never to an error.
-  TraceStore* trace_store = nullptr;
 };
 
 /// One repetition of Experiment 2.
@@ -96,17 +86,19 @@ Status RunDiTrial(const Network& architecture, const Dataset& d,
                   size_t rep, DiTrialResult* trial,
                   const Dataset* test_set = nullptr);
 
-/// Runs the repeated experiment as a one-cell RunSweep with
-/// `config.threads` and `config.trace_store`, so it shares the sweep's
-/// cache replay, ledger emission, and retry-then-degrade policy (a trial
-/// that fails past the retry budget drops out of the summary; only a cell
-/// where every trial fails returns an error). `test_set`, when non-null, is
-/// evaluated on every trial's final model (Figure 7). Trials are
-/// deterministic given `config.seed` regardless of thread count. With a
-/// trace store configured, a cached recording with at least
-/// config.repetitions trials replays bit-identically; a shorter recording
-/// replays as a prefix and only the missing repetitions train live (the
-/// extended trace is saved back).
+/// Runs the repeated experiment as a one-cell RunSweep under
+/// SweepOptionsFromRuntime() (core/sweep_scheduler.h): the process's
+/// --threads, --trace-cache, --checkpoint and --retries apply here exactly
+/// as in a multi-cell sweep, with the same ledger emission and
+/// retry-then-degrade policy (a trial that fails past the retry budget
+/// drops out of the summary; only a cell where every trial fails returns an
+/// error). `test_set`, when non-null, is evaluated on every trial's final
+/// model (Figure 7). Trials are deterministic given `config.seed` regardless
+/// of thread count. With a trace cache configured, a cached recording with
+/// at least config.repetitions trials replays bit-identically; a shorter
+/// recording replays as a prefix and only the missing repetitions train
+/// live (the extended trace is saved back). Cache failures degrade to a
+/// live run, never to an error.
 StatusOr<DiExperimentSummary> RunDiExperiment(const Network& architecture,
                                               const Dataset& d,
                                               const Dataset& d_prime,

@@ -95,10 +95,8 @@ StatusOr<MultiWorldSummary> RunMultiWorldExperiment(
   std::vector<int> hits(config.repetitions, 0);
   std::vector<double> true_beliefs(config.repetitions, 0.0);
   Rng root(config.seed);
-  size_t threads =
-      config.threads == 0 ? DefaultThreadCount() : config.threads;
-
-  ThreadPool::ParallelFor(config.repetitions, threads, [&](size_t rep) {
+  ThreadPool::ParallelFor(config.repetitions, DefaultThreadCount(),
+                          [&](size_t rep) {
     Rng rng = root.Split(rep);
     Network model = architecture.Clone();
     model.Initialize(rng);

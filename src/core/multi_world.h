@@ -58,7 +58,6 @@ struct MultiWorldExperimentConfig {
   DpSgdConfig dpsgd;          // neighbor checks are skipped (worlds are free-form)
   size_t repetitions = 50;
   uint64_t seed = 42;
-  size_t threads = 0;
 };
 
 struct MultiWorldSummary {

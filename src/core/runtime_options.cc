@@ -67,8 +67,6 @@ const std::vector<RuntimeKnob>& RuntimeKnobTable() {
       {"--telemetry", "DPAUDIT_TELEMETRY", "(off)",
        "telemetry export directory (profile.txt, metrics.prom, "
        "trace.json, ledger.jsonl); stdout stays byte-identical"},
-      {"--progress", "DPAUDIT_PROGRESS", "0",
-       "sweep heartbeat interval in seconds through stderr logging; 0 = off"},
       {"--log-level", "DPAUDIT_LOG_LEVEL", "INFO",
        "minimum log level: INFO | WARNING | ERROR (or 0|1|2)"},
       {"--retries", "DPAUDIT_TRIAL_RETRIES", "2",
@@ -81,9 +79,6 @@ const std::vector<RuntimeKnob>& RuntimeKnobTable() {
        "deterministic fault-injection spec, e.g. "
        "\"trial=0:1:2;journal-write=3;abort-after-append=5\" "
        "(util/fault_injection.h)"},
-      {"--verbose", "DPAUDIT_VERBOSE", "off",
-       "per-cell sweep accounting (replayed/resumed/trained/failed/retried) "
-       "through stderr logging"},
   };
   return kKnobs;
 }
@@ -96,13 +91,11 @@ RuntimeOptions RuntimeOptions::FromEnv() {
   options.trace_cache = EnvString("DPAUDIT_TRACE_CACHE", "");
   options.telemetry_dir = EnvString("DPAUDIT_TELEMETRY", "");
   options.telemetry_enabled = !options.telemetry_dir.empty();
-  options.progress_seconds = EnvInt64("DPAUDIT_PROGRESS", 0);
   options.log_level = EnvString("DPAUDIT_LOG_LEVEL", "");
   const int64_t retries = EnvInt64("DPAUDIT_TRIAL_RETRIES", 2);
   options.trial_retries = retries > 0 ? static_cast<size_t>(retries) : 0;
   options.checkpoint = EnvString("DPAUDIT_SWEEP_CHECKPOINT", "");
   options.fault_spec = EnvString("DPAUDIT_FAULT_INJECT", "");
-  options.verbose = EnvInt64("DPAUDIT_VERBOSE", 0) != 0;
   return options;
 }
 
@@ -116,11 +109,7 @@ StatusOr<RuntimeOptions> RuntimeOptions::FromEnvAndArgs(int* argc,
   };
   auto takes_value = [](const std::string& name) {
     for (const RuntimeKnob& knob : RuntimeKnobTable()) {
-      if (name == knob.flag) {
-        // --verbose is a bare switch; everything else in the table wants a
-        // value.
-        return name != std::string("--verbose");
-      }
+      if (name == knob.flag) return true;
     }
     return false;
   };
@@ -142,8 +131,6 @@ StatusOr<RuntimeOptions> RuntimeOptions::FromEnvAndArgs(int* argc,
     bool consumed = true;
     if (name == "--help" || name == "-h") {
       options.help = true;
-    } else if (name == "--verbose") {
-      options.verbose = !has_value || value != "0";
     } else if (name == "--threads") {
       int64_t threads = 0;
       if (!has_value || !ParseInt64(value, &threads) || threads < 1) {
@@ -173,14 +160,6 @@ StatusOr<RuntimeOptions> RuntimeOptions::FromEnvAndArgs(int* argc,
       } else {
         options.telemetry_enabled = true;
         options.telemetry_dir = value;
-      }
-    } else if (name == "--progress") {
-      int64_t seconds = 0;
-      if (!has_value || !ParseInt64(value, &seconds) || seconds < 0) {
-        fail("--progress needs a non-negative interval in seconds, e.g. "
-             "--progress=30 (got \"" + arg + "\")");
-      } else {
-        options.progress_seconds = seconds;
       }
     } else if (name == "--log-level") {
       LogLevel level;
@@ -251,9 +230,6 @@ Status RuntimeOptions::Validate() const {
         "trial retries = " + std::to_string(trial_retries) +
         " is unreasonably large; the budget bounds wasted work per failing "
         "trial — pick a value in [0, 100]");
-  }
-  if (progress_seconds < 0) {
-    return Status::InvalidArgument("progress interval must be >= 0 seconds");
   }
   if (!fault_spec.empty()) {
     Status parsed = fault::ValidateFaultSpec(fault_spec);

@@ -47,6 +47,9 @@ struct RuntimeKnob {
 
 const std::vector<RuntimeKnob>& RuntimeKnobTable();
 
+/// threads, trace_cache, trial_retries and checkpoint are the sweep policy:
+/// SweepOptionsFromRuntime (core/sweep_scheduler.h) is the one place they
+/// become SweepOptions, for every binary's sweeps and RunDiExperiment alike.
 struct RuntimeOptions {
   /// Worker threads for parallel regions. 0 = hardware-derived default.
   /// Results are bit-identical for any value (determinism contract).
@@ -56,16 +59,14 @@ struct RuntimeOptions {
   /// 1 = the width-1 reference. Bit-identical for any value.
   int64_t batch_lanes = -1;
 
-  /// Step-trace cache directory; empty disables the cache.
+  /// Step-trace cache directory; empty disables the cache. Read through
+  /// TraceStore::FromEnv (core/trace.h).
   std::string trace_cache;
 
-  /// Telemetry exports (profile/events/metrics/ledger) under this directory;
+  /// Telemetry exports (profile/metrics/trace/ledger) under this directory;
   /// disabled when empty.
   bool telemetry_enabled = false;
   std::string telemetry_dir;
-
-  /// Sweep heartbeat interval in seconds; 0 disables the monitor thread.
-  int64_t progress_seconds = 0;
 
   /// Minimum log level: "INFO" | "WARNING" | "ERROR" (or 0|1|2). Empty keeps
   /// the logging default.
@@ -82,10 +83,6 @@ struct RuntimeOptions {
   /// Deterministic fault-injection spec (util/fault_injection.h); empty
   /// disables injection.
   std::string fault_spec;
-
-  /// Per-cell sweep accounting (replayed/resumed/trained/failed/retried)
-  /// through DPAUDIT_LOG. Never touches stdout.
-  bool verbose = false;
 
   /// Set by FromEnvAndArgs when --help was passed; the caller prints
   /// PrintRuntimeOptionsHelp and exits.

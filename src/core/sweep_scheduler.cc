@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <cstdio>
 #include <exception>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <utility>
 
 #include "core/ledger_bridge.h"
@@ -44,87 +40,6 @@ struct CellRun {
   std::vector<uint8_t> from_journal;  // per-rep: skip training, journal won
   std::vector<Status> trial_status;
   std::atomic<size_t> retried{0};  // extra attempts beyond each first try
-  std::atomic<size_t> trials_finished{0};  // heartbeat: cell done detection
-};
-
-// --progress/DPAUDIT_PROGRESS (core/runtime_options.h): opt-in sweep
-// heartbeat. A single monitor thread wakes every `secs` seconds and reports
-// cells/trials done, throughput, and an ETA through DPAUDIT_LOG (stderr), so
-// figure stdout stays byte-identical. With the knob unset no thread is
-// started and the per-trial cost is two relaxed atomic increments.
-class ProgressMonitor {
- public:
-  ProgressMonitor(size_t total_cells, size_t total_trials)
-      : total_cells_(total_cells), total_trials_(total_trials) {
-    const int64_t seconds = CurrentRuntimeOptions().progress_seconds;
-    if (seconds <= 0) return;
-    interval_ = std::chrono::seconds(seconds);
-    start_ns_ = obs::MonotonicNowNs();
-    // Not pool work: the heartbeat must fire while the pool is saturated
-    // with trials, so it owns a dedicated thread for the sweep's lifetime.
-    thread_ = std::thread([this] { Loop(); });  // NOLINT(dpaudit-raw-thread)
-  }
-
-  ~ProgressMonitor() {
-    if (!thread_.joinable()) return;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      done_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-  }
-
-  void TrialDone(size_t n = 1) {
-    trials_done_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void CellDone() { cells_done_.fetch_add(1, std::memory_order_relaxed); }
-
- private:
-  void Loop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    while (!done_) {
-      if (cv_.wait_for(lock, interval_, [this] { return done_; })) break;
-      Report();
-    }
-  }
-
-  void Report() const {
-    const uint64_t trials = trials_done_.load(std::memory_order_relaxed);
-    const uint64_t cells = cells_done_.load(std::memory_order_relaxed);
-    const double elapsed_s =
-        static_cast<double>(obs::MonotonicNowNs() - start_ns_) * 1e-9;
-    const double rate =
-        elapsed_s > 0.0 ? static_cast<double>(trials) / elapsed_s : 0.0;
-    const double pct =
-        total_trials_ > 0
-            ? 100.0 * static_cast<double>(trials) /
-                  static_cast<double>(total_trials_)
-            : 100.0;
-    const double eta_s = rate > 0.0 && trials < total_trials_
-                             ? static_cast<double>(total_trials_ - trials) /
-                                   rate
-                             : 0.0;
-    char line[160];
-    std::snprintf(line, sizeof(line),
-                  "sweep progress: cells %llu/%zu, trials %llu/%zu "
-                  "(%.1f%%), %.2f trials/s, eta %.0f s",
-                  static_cast<unsigned long long>(cells), total_cells_,
-                  static_cast<unsigned long long>(trials), total_trials_,
-                  pct, rate, eta_s);
-    DPAUDIT_LOG(INFO) << line;
-  }
-
-  const size_t total_cells_;
-  const size_t total_trials_;
-  std::atomic<uint64_t> trials_done_{0};
-  std::atomic<uint64_t> cells_done_{0};
-  std::chrono::seconds interval_{0};
-  uint64_t start_ns_ = 0;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool done_ = false;
-  std::thread thread_;  // NOLINT(dpaudit-raw-thread)
 };
 
 // Fills the reps the trace cache did not cover from the checkpoint journal.
@@ -263,7 +178,6 @@ std::vector<StatusOr<DiExperimentSummary>> RunSweep(
   const size_t inner_threads =
       NestedThreadBudget(threads, std::min(threads, total));
   const size_t retries = options.trial_retries;
-  ProgressMonitor monitor(cells.size(), total);
 
   // Checkpoint journal: loaded up front so PrepareCell can skip trials a
   // previous (crashed) run of this sweep already trained. Best-effort — a
@@ -297,17 +211,9 @@ std::vector<StatusOr<DiExperimentSummary>> RunSweep(
       PrepareCell(inner_threads, options.trace_store, ledger, journal.get(),
                   &run);
     });
-    const size_t cell_reps = offset[c + 1] - offset[c];
     const bool resumed =
         !run.from_journal.empty() && run.from_journal[rep] != 0;
-    if (!run.prep_status.ok() || rep < run.replayed || resumed) {
-      monitor.TrialDone();
-      if (run.trials_finished.fetch_add(1, std::memory_order_relaxed) + 1 ==
-          cell_reps) {
-        monitor.CellDone();
-      }
-      return;
-    }
+    if (!run.prep_status.ok() || rep < run.replayed || resumed) return;
     // A worker hopping to a different cell than its previous trial is the
     // work-stealing event worth counting: it means dynamic dispatch moved
     // idle capacity across a former cell barrier.
@@ -359,11 +265,6 @@ std::vector<StatusOr<DiExperimentSummary>> RunSweep(
       journal->AppendTrial(run.key, rep, run.config.seed,
                            run.trace.trials[rep]);
     }
-    monitor.TrialDone();
-    if (run.trials_finished.fetch_add(1, std::memory_order_relaxed) + 1 ==
-        cell_reps) {
-      monitor.CellDone();
-    }
   });
 
   std::vector<StatusOr<DiExperimentSummary>> results;
@@ -400,15 +301,6 @@ std::vector<StatusOr<DiExperimentSummary>> RunSweep(
     local.trials_trained += cell_stats.trained;
     local.trials_retried += cell_stats.retried;
     local.trials_failed += cell_stats.failed;
-    if (options.verbose) {
-      DPAUDIT_LOG(INFO) << "sweep cell " << i << ": replayed "
-                        << cell_stats.replayed << ", resumed "
-                        << cell_stats.resumed << ", trained "
-                        << cell_stats.trained << ", failed "
-                        << cell_stats.failed << ", retried "
-                        << cell_stats.retried << " (of " << reps
-                        << " repetitions)";
-    }
     if (failed_reps == reps) {
       // Nothing survived: keep the historical whole-cell error behavior.
       results.emplace_back(first_failure);
@@ -471,8 +363,29 @@ std::vector<StatusOr<DiExperimentSummary>> RunSweep(
   }
 
   CountSweepMetrics(local);
+  if (options.trace_store != nullptr || journal != nullptr) {
+    DPAUDIT_LOG(INFO) << "sweep: " << local.cells << " cells, trace full="
+                      << local.trace_full_hits
+                      << " prefix=" << local.trace_prefix_hits
+                      << " miss=" << local.trace_misses << ", trials trained="
+                      << local.trials_trained
+                      << " replayed=" << local.trials_replayed
+                      << " resumed=" << local.trials_resumed
+                      << " retried=" << local.trials_retried
+                      << " failed=" << local.trials_failed;
+  }
   if (stats != nullptr) *stats = local;
   return results;
+}
+
+SweepOptions SweepOptionsFromRuntime() {
+  const RuntimeOptions runtime = CurrentRuntimeOptions();
+  SweepOptions options;
+  options.threads = runtime.threads;
+  options.trace_store = TraceStore::FromEnv();
+  options.checkpoint = runtime.checkpoint;
+  options.trial_retries = runtime.trial_retries;
+  return options;
 }
 
 }  // namespace dpaudit

@@ -65,11 +65,12 @@ struct SweepCell {
   std::function<Status(DiExperimentConfig*)> configure;
 };
 
+/// How a sweep runs. The plain defaults (no cache, no journal, 2 retries)
+/// suit library callers; binaries take theirs from SweepOptionsFromRuntime.
 struct SweepOptions {
   size_t threads = 0;  // 0: DefaultThreadCount()
   /// The step-trace cache (core/trace.h) for every cell, resolved once per
-  /// sweep (e.g. TraceStore::FromEnv()); nullptr disables it. The cells'
-  /// own config.trace_store is not consulted.
+  /// sweep; nullptr disables it.
   TraceStore* trace_store = nullptr;
   /// Checkpoint journal path (core/sweep_journal.h); empty disables
   /// checkpointing.
@@ -79,10 +80,13 @@ struct SweepOptions {
   /// repetition summary instead of erroring the whole sweep; a cell where
   /// every rep fails keeps the historical error behavior.
   size_t trial_retries = 2;
-  /// Per-cell accounting (replayed/resumed/trained/failed/retried) through
-  /// DPAUDIT_LOG. Never touches stdout.
-  bool verbose = false;
 };
+
+/// The sweep policy of the process's runtime options (core/runtime_options.h):
+/// --threads, --trace-cache (through TraceStore::FromEnv), --checkpoint and
+/// --retries. This is the one place runtime options become SweepOptions, so
+/// every binary's sweeps (RunDiExperiment included) honour those flags alike.
+SweepOptions SweepOptionsFromRuntime();
 
 /// Per-cell trial accounting, indexed like the `cells` argument.
 struct SweepCellStats {
@@ -113,6 +117,9 @@ struct SweepStats {
 /// summaries are bit-identical to running each cell's repetitions one by one
 /// through RunDiTrial — for any thread count, cold or warm cache.
 /// `stats`, when non-null, receives the per-sweep cache/trial accounting.
+/// With a trace store or a journal in use, one line of that accounting goes
+/// to DPAUDIT_LOG (stderr), so every run says what it replayed, resumed and
+/// trained.
 std::vector<StatusOr<DiExperimentSummary>> RunSweep(
     const std::vector<SweepCell>& cells, const SweepOptions& options = {},
     SweepStats* stats = nullptr);

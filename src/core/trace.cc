@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <string>
 #include <utility>
 
 #include "core/dpsgd.h"
@@ -138,9 +142,9 @@ TraceFingerprint FingerprintExperiment(const Network& architecture,
   std::vector<uint8_t> bytes;
   wire::PutU32(bytes, kTraceSchemaVersion);
 
-  // DpSgdConfig, field by field. config.dpsgd.threads (and config.threads)
-  // are deliberately omitted: the engine's determinism contract makes
-  // results identical for any thread count.
+  // DpSgdConfig, field by field. config.dpsgd.threads is deliberately
+  // omitted: the engine's determinism contract makes results identical for
+  // any thread count.
   const DpSgdConfig& dpsgd = config.dpsgd;
   wire::PutU64(bytes, dpsgd.epochs);
   wire::PutF64(bytes, dpsgd.learning_rate);
@@ -272,13 +276,18 @@ TraceStore::TraceStore(std::string directory)
     : directory_(std::move(directory)) {}
 
 TraceStore* TraceStore::FromEnv() {
-  // Latched at first use: --trace-cache/DPAUDIT_TRACE_CACHE through
-  // core/runtime_options (CLI flag wins when a binary published options).
-  static TraceStore* store = [] {
-    std::string dir = CurrentRuntimeOptions().trace_cache;
-    return dir.empty() ? nullptr : new TraceStore(dir);
-  }();
-  return store;
+  // --trace-cache/DPAUDIT_TRACE_CACHE through core/runtime_options (CLI flag
+  // wins when a binary published options), read on every call. One store
+  // per directory, never freed: a caller may hold the pointer for as long as
+  // it likes, even after the options name another directory.
+  const std::string dir = CurrentRuntimeOptions().trace_cache;
+  if (dir.empty()) return nullptr;
+  static std::mutex mu;
+  static auto* stores = new std::map<std::string, std::unique_ptr<TraceStore>>;
+  std::lock_guard<std::mutex> lock(mu);
+  std::unique_ptr<TraceStore>& store = (*stores)[dir];
+  if (store == nullptr) store = std::make_unique<TraceStore>(dir);
+  return store.get();
 }
 
 std::string TraceStore::PathFor(const TraceFingerprint& key) const {

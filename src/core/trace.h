@@ -108,9 +108,9 @@ class TraceStore {
  public:
   explicit TraceStore(std::string directory);
 
-  /// The process-wide store configured by the DPAUDIT_TRACE_CACHE
-  /// environment variable, or nullptr when the variable is unset/empty.
-  /// Experiment binaries use this as their default cache.
+  /// The store for the directory the runtime options name
+  /// (--trace-cache / DPAUDIT_TRACE_CACHE), or nullptr when they name none.
+  /// Follows the options on every call; SweepOptionsFromRuntime uses it.
   static TraceStore* FromEnv();
 
   const std::string& directory() const { return directory_; }

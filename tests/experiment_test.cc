@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+#include <utility>
+
+#include "core/runtime_options.h"
 #include "core/scores.h"
+#include "core/sweep_journal.h"
+#include "core/sweep_scheduler.h"
 #include "dp/privacy_params.h"
 #include "dp/rdp_accountant.h"
 #include "tests/test_helpers.h"
+#include "util/fault_injection.h"
 
 namespace dpaudit {
 namespace {
@@ -13,6 +21,7 @@ namespace {
 using testing_helpers::BlobDataset;
 using testing_helpers::ExpectSummariesBitIdentical;
 using testing_helpers::ExtremeBoundedNeighbor;
+using testing_helpers::ScopedEnv;
 using testing_helpers::TinyNetwork;
 
 DiExperimentConfig FastExperiment() {
@@ -56,11 +65,13 @@ TEST(DiExperimentTest, ProducesOneTrialPerRepetition) {
 
 TEST(DiExperimentTest, ThreadCountInvariance) {
   Fixture f;
-  DiExperimentConfig config = FastExperiment();
-  config.threads = 1;
-  auto serial = RunDiExperiment(f.net, f.d, f.d_prime, config);
-  config.threads = 8;
-  auto parallel = RunDiExperiment(f.net, f.d, f.d_prime, config);
+  const DiExperimentConfig config = FastExperiment();
+  auto run_at = [&](const char* threads) {
+    ScopedEnv env("DPAUDIT_THREADS", threads);
+    return RunDiExperiment(f.net, f.d, f.d_prime, config);
+  };
+  auto serial = run_at("1");
+  auto parallel = run_at("8");
   ASSERT_TRUE(serial.ok());
   ASSERT_TRUE(parallel.ok());
   ASSERT_EQ(serial->trials.size(), parallel->trials.size());
@@ -77,8 +88,8 @@ TEST(DiExperimentTest, GradientEngineThreadCountInvariance) {
   // for any worker count, so whole-experiment summaries (beliefs, decisions,
   // sensitivity traces) must be EXACTLY equal across config.dpsgd.threads.
   Fixture f;
+  ScopedEnv sweep_threads("DPAUDIT_THREADS", "1");
   DiExperimentConfig config = FastExperiment();
-  config.threads = 1;
   config.dpsgd.adaptive_clipping = true;  // exercises the norm streams too
 
   std::vector<DiExperimentSummary> runs;
@@ -283,15 +294,106 @@ TEST(SampledExperimentTest, DeterministicAcrossThreadCounts) {
   config.dpsgd.epochs = 4;
   config.repetitions = 12;
   config.seed = 17;
-  config.threads = 1;
-  config.dpsgd.threads = 1;
-  auto serial = RunDiExperiment(f.net, f.d, f.d_prime, config);
-  config.threads = 8;
-  config.dpsgd.threads = 8;
-  auto parallel = RunDiExperiment(f.net, f.d, f.d_prime, config);
+  auto run_at = [&](const char* threads, size_t engine_threads) {
+    ScopedEnv env("DPAUDIT_THREADS", threads);
+    config.dpsgd.threads = engine_threads;
+    return RunDiExperiment(f.net, f.d, f.d_prime, config);
+  };
+  auto serial = run_at("1", 1);
+  auto parallel = run_at("8", 8);
   ASSERT_TRUE(serial.ok()) << serial.status();
   ASSERT_TRUE(parallel.ok()) << parallel.status();
   ExpectSummariesBitIdentical(*serial, *parallel);
+}
+
+// RunDiExperiment runs under the process's sweep policy
+// (SweepOptionsFromRuntime): the trace cache, checkpoint journal and retry
+// budget a binary publishes apply to it as they do to a multi-cell sweep.
+// Keep this suite last in the file: InitRuntimeOptions publishes
+// process-wide, and the published options shadow the environment for the
+// rest of the process.
+class RuntimeSweepPolicyTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = testing_helpers::UniqueTestTempDir("dpaudit_sweep_policy");
+    std::filesystem::remove_all(dir_);
+  }
+  void TearDown() override {
+    fault::ClearFaultSpecForTest();
+    std::filesystem::remove_all(dir_);
+  }
+
+  std::filesystem::path dir_;
+};
+
+TEST_F(RuntimeSweepPolicyTest, ZRerunTrainsNothingFromCacheOrJournal) {
+  Fixture f;
+  const DiExperimentConfig config = FastExperiment();
+  RuntimeOptions runtime;
+  runtime.trace_cache = (dir_ / "cache").string();
+  runtime.checkpoint = (dir_ / "run.sweep.jsonl").string();
+  InitRuntimeOptions(runtime);
+
+  auto cold = RunDiExperiment(f.net, f.d, f.d_prime, config);
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  StatusOr<LoadedSweepJournal> journal = LoadSweepJournal(runtime.checkpoint);
+  ASSERT_TRUE(journal.ok()) << journal.status();
+  EXPECT_EQ(journal->trial_rows, config.repetitions);
+
+  // From here on any trial that trains fails and is not retried, and a
+  // trained trial would add a journal row: the reruns must train none.
+  runtime.trial_retries = 0;
+  InitRuntimeOptions(runtime);
+  ASSERT_TRUE(fault::SetFaultSpec("trial=*:*:1").ok());
+  auto warm = RunDiExperiment(f.net, f.d, f.d_prime, config);
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  ExpectSummariesBitIdentical(*cold, *warm);
+
+  // An empty cache leaves the journal to resume every trial.
+  runtime.trace_cache = (dir_ / "empty_cache").string();
+  InitRuntimeOptions(runtime);
+  auto resumed = RunDiExperiment(f.net, f.d, f.d_prime, config);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  ExpectSummariesBitIdentical(*cold, *resumed);
+
+  journal = LoadSweepJournal(runtime.checkpoint);
+  ASSERT_TRUE(journal.ok()) << journal.status();
+  EXPECT_EQ(journal->trial_rows, config.repetitions);
+}
+
+TEST_F(RuntimeSweepPolicyTest, ZRetryBudgetFailsLikeRunSweep) {
+  Fixture f;
+  DiExperimentConfig config = FastExperiment();
+  config.repetitions = 4;
+  SweepCell cell;
+  cell.architecture = &f.net;
+  cell.d = &f.d;
+  cell.d_prime = &f.d_prime;
+  cell.config = config;
+  SweepOptions no_retries;
+  no_retries.trial_retries = 0;
+
+  // Every trial's first attempt fails and none is retried.
+  ASSERT_TRUE(fault::SetFaultSpec("trial=*:*:1").ok());
+  StatusOr<DiExperimentSummary> swept =
+      std::move(RunSweep({cell}, no_retries).front());
+  ASSERT_FALSE(swept.ok());
+
+  RuntimeOptions runtime;
+  runtime.trial_retries = 0;
+  InitRuntimeOptions(runtime);
+  ASSERT_TRUE(fault::SetFaultSpec("trial=*:*:1").ok());  // fresh attempts
+  auto failed = RunDiExperiment(f.net, f.d, f.d_prime, config);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), swept.status().code());
+  EXPECT_EQ(failed.status().message(), swept.status().message());
+
+  // The default budget absorbs the same faults.
+  InitRuntimeOptions(RuntimeOptions());
+  ASSERT_TRUE(fault::SetFaultSpec("trial=*:*:1").ok());
+  auto retried = RunDiExperiment(f.net, f.d, f.d_prime, config);
+  ASSERT_TRUE(retried.ok()) << retried.status();
+  EXPECT_EQ(retried->trials.size(), config.repetitions);
 }
 
 }  // namespace

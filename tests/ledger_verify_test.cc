@@ -14,7 +14,6 @@
 
 #include "core/auditor.h"
 #include "core/experiment.h"
-#include "core/trace.h"
 #include "obs/audit_ledger.h"
 #include "tests/test_helpers.h"
 
@@ -23,6 +22,7 @@ namespace {
 
 using testing_helpers::BlobDataset;
 using testing_helpers::ExtremeBoundedNeighbor;
+using testing_helpers::ScopedEnv;
 using testing_helpers::TinyNetwork;
 
 constexpr double kTolerance = 1e-9;
@@ -162,8 +162,7 @@ TEST(LedgerVerify, ReplayedRunEmitsByteIdenticalLedger) {
   const std::string cache =
       ::testing::TempDir() + "/ledger_verify_cache";
   std::filesystem::remove_all(cache);
-  TraceStore store(cache);
-  config.trace_store = &store;
+  ScopedEnv trace_cache("DPAUDIT_TRACE_CACHE", cache);
 
   const std::string cold_path =
       ::testing::TempDir() + "/ledger_verify_cold.ledger.jsonl";

@@ -1,10 +1,9 @@
 // Tests for the tree-wide half of dpaudit_lint: the graph rules against
-// the synthetic mini-tree under tests/lint_fixtures/tree/, the pass-1
-// fingerprint cache, the --fix rewriter's idempotency, the SARIF report
-// shape, the layers.txt parser, and the pass-1 lexer underneath it all.
+// the synthetic mini-tree under tests/lint_fixtures/tree/, the --fix
+// rewriter's idempotency, the SARIF report shape, the layers.txt parser,
+// and the pass-1 lexer underneath it all.
 
 #include <algorithm>
-#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -13,8 +12,6 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "tests/test_helpers.h"
-#include "tools/lint/cache.h"
 #include "tools/lint/driver.h"
 #include "tools/lint/fix.h"
 #include "tools/lint/lexer.h"
@@ -24,8 +21,6 @@
 namespace dpaudit {
 namespace lint {
 namespace {
-
-namespace fs = std::filesystem;
 
 std::string FixtureTreeRoot() {
   return std::string(DPAUDIT_LINT_FIXTURES_DIR) + "/tree";
@@ -115,97 +110,6 @@ TEST(TreeFixture, NoGraphRunsOnlyPerFileRules) {
   WriteText(result.findings, detail);
   // The mini-tree is per-file clean; every finding is a graph finding.
   EXPECT_TRUE(result.findings.empty()) << detail.str();
-}
-
-// ---------------------------------------------------------------------------
-// The pass-1 fingerprint cache.
-
-class CacheTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    scratch_ = testing_helpers::UniqueTestTempDir("dpaudit_lint_cache_test");
-    fs::remove_all(scratch_);
-    fs::create_directories(scratch_);
-    fs::copy(FixtureTreeRoot(), scratch_ / "tree",
-             fs::copy_options::recursive);
-  }
-  void TearDown() override { fs::remove_all(scratch_); }
-
-  TreeLintOptions Options() const {
-    TreeLintOptions options = TreeOptions((scratch_ / "tree").string());
-    options.cache_path = (scratch_ / "cache.txt").string();
-    return options;
-  }
-
-  fs::path scratch_;
-};
-
-TEST_F(CacheTest, WarmRunHitsEverythingAndAgreesWithCold) {
-  const TreeLintResult cold = LintTree({"src"}, Options());
-  ASSERT_TRUE(cold.errors.empty());
-  EXPECT_EQ(cold.cache_hits, 0u);
-  EXPECT_EQ(cold.cache_misses, cold.files_scanned);
-  EXPECT_GT(cold.files_scanned, 0u);
-
-  const TreeLintResult warm = LintTree({"src"}, Options());
-  ASSERT_TRUE(warm.errors.empty());
-  EXPECT_EQ(warm.cache_hits, warm.files_scanned);
-  EXPECT_EQ(warm.cache_misses, 0u);
-
-  std::ostringstream cold_text, warm_text;
-  WriteText(cold.findings, cold_text);
-  WriteText(warm.findings, warm_text);
-  EXPECT_EQ(cold_text.str(), warm_text.str());
-}
-
-TEST_F(CacheTest, TouchedFileIsTheOnlyMiss) {
-  ASSERT_TRUE(LintTree({"src"}, Options()).errors.empty());
-  {
-    std::ofstream out(scratch_ / "tree" / "src" / "util" / "clip.h",
-                      std::ios::app);
-    out << "// touched\n";
-  }
-  const TreeLintResult result = LintTree({"src"}, Options());
-  ASSERT_TRUE(result.errors.empty());
-  EXPECT_EQ(result.cache_misses, 1u);
-  EXPECT_EQ(result.cache_hits, result.files_scanned - 1);
-}
-
-TEST(CacheFormat, CorruptOrMissingFilesYieldAnEmptyCache) {
-  EXPECT_EQ(ModelCache::Load("/nonexistent/dpaudit/cache").size(), 0u);
-  const fs::path path =
-      fs::temp_directory_path() / "dpaudit_lint_corrupt_cache.txt";
-  {
-    std::ofstream out(path);
-    out << "not a dpaudit lint cache\n";
-  }
-  EXPECT_EQ(ModelCache::Load(path.string()).size(), 0u);
-  fs::remove(path);
-}
-
-TEST(CacheFormat, ModelSurvivesARoundTrip) {
-  const FileModel model = AnalyzeFile(
-      "src/a.h",
-      "#pragma once\n"
-      "#include \"util/b.h\"\n"
-      "struct Widget { void Grow(); };\n"
-      "int Count(const Widget& w);  // NOLINT(dpaudit-missing-include)\n"
-      "int Keep();  // NOLINT(dpaudit-unreached-module): kept for users\n");
-  std::string text;
-  SerializeFileModel(model, &text);
-  FileModel restored;
-  size_t pos = 0;
-  ASSERT_TRUE(DeserializeFileModel(text, &pos, &restored));
-  EXPECT_EQ(restored.rel, model.rel);
-  EXPECT_EQ(restored.fingerprint, model.fingerprint);
-  EXPECT_EQ(restored.is_header, model.is_header);
-  EXPECT_EQ(restored.includes.size(), model.includes.size());
-  EXPECT_EQ(restored.decls.size(), model.decls.size());
-  EXPECT_EQ(restored.refs.size(), model.refs.size());
-  EXPECT_EQ(restored.suppressions.size(), model.suppressions.size());
-  for (size_t i = 0; i < model.suppressions.size(); ++i) {
-    EXPECT_EQ(restored.suppressions[i].reason, model.suppressions[i].reason);
-  }
 }
 
 // ---------------------------------------------------------------------------

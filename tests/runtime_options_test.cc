@@ -18,11 +18,10 @@ namespace dpaudit {
 namespace {
 
 const char* const kVars[] = {
-    "DPAUDIT_THREADS",        "DPAUDIT_BATCH_LANES",
-    "DPAUDIT_TRACE_CACHE",    "DPAUDIT_TELEMETRY",
-    "DPAUDIT_PROGRESS",       "DPAUDIT_LOG_LEVEL",
-    "DPAUDIT_TRIAL_RETRIES",  "DPAUDIT_SWEEP_CHECKPOINT",
-    "DPAUDIT_FAULT_INJECT",   "DPAUDIT_VERBOSE",
+    "DPAUDIT_THREADS",          "DPAUDIT_BATCH_LANES",
+    "DPAUDIT_TRACE_CACHE",      "DPAUDIT_TELEMETRY",
+    "DPAUDIT_LOG_LEVEL",        "DPAUDIT_TRIAL_RETRIES",
+    "DPAUDIT_SWEEP_CHECKPOINT", "DPAUDIT_FAULT_INJECT",
 };
 
 class RuntimeOptionsTest : public ::testing::Test {
@@ -60,12 +59,10 @@ TEST_F(RuntimeOptionsTest, DefaultsWithNothingSet) {
   EXPECT_EQ(options.batch_lanes, -1);
   EXPECT_TRUE(options.trace_cache.empty());
   EXPECT_FALSE(options.telemetry_enabled);
-  EXPECT_EQ(options.progress_seconds, 0);
   EXPECT_TRUE(options.log_level.empty());
   EXPECT_EQ(options.trial_retries, 2u);
   EXPECT_TRUE(options.checkpoint.empty());
   EXPECT_TRUE(options.fault_spec.empty());
-  EXPECT_FALSE(options.verbose);
   EXPECT_FALSE(options.help);
   EXPECT_TRUE(options.Validate().ok());
 }
@@ -77,7 +74,6 @@ TEST_F(RuntimeOptionsTest, EnvironmentLayerOverridesDefaults) {
   setenv("DPAUDIT_TELEMETRY", "/tmp/tele", 1);
   setenv("DPAUDIT_TRIAL_RETRIES", "5", 1);
   setenv("DPAUDIT_SWEEP_CHECKPOINT", "/tmp/run.sweep.jsonl", 1);
-  setenv("DPAUDIT_VERBOSE", "1", 1);
   RuntimeOptions options = RuntimeOptions::FromEnv();
   EXPECT_EQ(options.threads, 7u);
   EXPECT_EQ(options.batch_lanes, 4);
@@ -86,7 +82,6 @@ TEST_F(RuntimeOptionsTest, EnvironmentLayerOverridesDefaults) {
   EXPECT_EQ(options.telemetry_dir, "/tmp/tele");
   EXPECT_EQ(options.trial_retries, 5u);
   EXPECT_EQ(options.checkpoint, "/tmp/run.sweep.jsonl");
-  EXPECT_TRUE(options.verbose);
 }
 
 TEST_F(RuntimeOptionsTest, FlagBeatsEnvironment) {
@@ -121,11 +116,12 @@ TEST_F(RuntimeOptionsTest, SpaceSeparatedFormIsAccepted) {
   EXPECT_EQ(left, std::vector<std::string>{"keep"});
 }
 
-TEST_F(RuntimeOptionsTest, HelpAndVerboseAreBareSwitches) {
-  StatusOr<RuntimeOptions> options = ParseArgs({"--verbose", "--help"});
+TEST_F(RuntimeOptionsTest, HelpIsABareSwitch) {
+  std::vector<std::string> left;
+  StatusOr<RuntimeOptions> options = ParseArgs({"--help", "keep"}, &left);
   ASSERT_TRUE(options.ok()) << options.status();
-  EXPECT_TRUE(options->verbose);
   EXPECT_TRUE(options->help);
+  EXPECT_EQ(left, std::vector<std::string>{"keep"});
 }
 
 TEST_F(RuntimeOptionsTest, MalformedFlagsFailWithActionableMessages) {

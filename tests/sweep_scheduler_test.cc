@@ -108,12 +108,10 @@ std::vector<bench::AuditSweepRow> NaiveAuditSweep(
 
 class SweepSchedulerTest : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() {
-    // TraceStore::FromEnv() latches on first use; every test here passes
-    // explicit stores.
+  void TearDown() override {
+    unsetenv("DPAUDIT_THREADS");
     unsetenv("DPAUDIT_TRACE_CACHE");
   }
-  void TearDown() override { unsetenv("DPAUDIT_THREADS"); }
 };
 
 TEST_F(SweepSchedulerTest, FlattenedMatchesSequentialAcrossThreadsAndCache) {
@@ -128,22 +126,21 @@ TEST_F(SweepSchedulerTest, FlattenedMatchesSequentialAcrossThreadsAndCache) {
     SCOPED_TRACE(std::string("DPAUDIT_THREADS=") + threads);
     setenv("DPAUDIT_THREADS", threads, 1);
     ScopedCacheDir cache(std::string("threads_") + threads);
-    TraceStore store(cache.path());
+    setenv("DPAUDIT_TRACE_CACHE", cache.path().c_str(), 1);
 
     // Cold cache: every cell trains through the flattened grid.
-    std::vector<bench::AuditSweepRow> cold = bench::RunAuditSweep(
-        params, task, /*reps_override=*/4, &store);
+    std::vector<bench::AuditSweepRow> cold =
+        bench::RunAuditSweep(params, task, /*reps_override=*/4);
     ExpectRowsBitIdentical(reference, cold);
 
     // Warm cache: every cell replays.
-    std::vector<bench::AuditSweepRow> warm = bench::RunAuditSweep(
-        params, task, /*reps_override=*/4, &store);
+    std::vector<bench::AuditSweepRow> warm =
+        bench::RunAuditSweep(params, task, /*reps_override=*/4);
     ExpectRowsBitIdentical(reference, warm);
 
     // RunDiExperiment, one cell at a time, replays the sweep's recordings.
     std::vector<bench::AuditSweepRow> single = AuditGrid(
-        params, task, /*reps=*/4, [&](DiExperimentConfig config) {
-          config.trace_store = &store;
+        params, task, /*reps=*/4, [&](const DiExperimentConfig& config) {
           StatusOr<DiExperimentSummary> summary = RunDiExperiment(
               task.architecture, task.d, task.d_prime_bounded, config);
           EXPECT_TRUE(summary.ok()) << summary.status();
@@ -158,13 +155,13 @@ TEST_F(SweepSchedulerTest, FlattenedSweepExtendsCachedPrefixes) {
   bench::Task task = bench::MakeMnistTask(params);
   setenv("DPAUDIT_THREADS", "4", 1);
   ScopedCacheDir cache("prefix");
-  TraceStore store(cache.path());
+  setenv("DPAUDIT_TRACE_CACHE", cache.path().c_str(), 1);
 
   // Record 3 repetitions per cell, then ask for 6: the cached prefixes
   // replay and only the tails train (prefix-extensible traces).
-  bench::RunAuditSweep(params, task, /*reps_override=*/3, &store);
-  std::vector<bench::AuditSweepRow> extended = bench::RunAuditSweep(
-      params, task, /*reps_override=*/6, &store);
+  bench::RunAuditSweep(params, task, /*reps_override=*/3);
+  std::vector<bench::AuditSweepRow> extended =
+      bench::RunAuditSweep(params, task, /*reps_override=*/6);
 
   ExpectRowsBitIdentical(NaiveAuditSweep(params, task, /*reps=*/6), extended);
 }
@@ -214,6 +211,40 @@ TEST_F(SweepSchedulerTest, ReportsCacheOutcomesInStats) {
   EXPECT_EQ(stats.trace_prefix_hits, 2u);
   EXPECT_EQ(stats.trials_replayed, 4u);
   EXPECT_EQ(stats.trials_trained, 2u);
+}
+
+TEST_F(SweepSchedulerTest, SweepOptionsFromRuntimeCopiesTheRuntimeKnobs) {
+  for (const char* var : {"DPAUDIT_THREADS", "DPAUDIT_TRACE_CACHE",
+                          "DPAUDIT_SWEEP_CHECKPOINT", "DPAUDIT_TRIAL_RETRIES"}) {
+    unsetenv(var);
+  }
+  // Nothing set: the plain SweepOptions defaults.
+  const SweepOptions plain;
+  const SweepOptions defaults = SweepOptionsFromRuntime();
+  EXPECT_EQ(defaults.threads, plain.threads);
+  EXPECT_EQ(defaults.trace_store, nullptr);
+  EXPECT_EQ(defaults.checkpoint, plain.checkpoint);
+  EXPECT_EQ(defaults.trial_retries, plain.trial_retries);
+
+  ScopedCacheDir cache("from_runtime");
+  setenv("DPAUDIT_THREADS", "3", 1);
+  setenv("DPAUDIT_TRACE_CACHE", cache.path().c_str(), 1);
+  setenv("DPAUDIT_SWEEP_CHECKPOINT", "run.sweep.jsonl", 1);
+  setenv("DPAUDIT_TRIAL_RETRIES", "0", 1);
+  const SweepOptions options = SweepOptionsFromRuntime();
+  unsetenv("DPAUDIT_SWEEP_CHECKPOINT");
+  unsetenv("DPAUDIT_TRIAL_RETRIES");
+  EXPECT_EQ(options.threads, 3u);
+  ASSERT_NE(options.trace_store, nullptr);
+  EXPECT_EQ(options.trace_store->directory(), cache.path());
+  EXPECT_EQ(options.checkpoint, "run.sweep.jsonl");
+  EXPECT_EQ(options.trial_retries, 0u);
+  // One store per directory, and it follows the options when they change.
+  EXPECT_EQ(TraceStore::FromEnv(), options.trace_store);
+  ScopedCacheDir other("from_runtime_other");
+  setenv("DPAUDIT_TRACE_CACHE", other.path().c_str(), 1);
+  ASSERT_NE(TraceStore::FromEnv(), nullptr);
+  EXPECT_EQ(TraceStore::FromEnv()->directory(), other.path());
 }
 
 TEST_F(SweepSchedulerTest, SurfacesPerCellErrors) {

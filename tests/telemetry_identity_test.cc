@@ -24,6 +24,7 @@ namespace {
 using testing_helpers::BlobDataset;
 using testing_helpers::ExpectSummariesBitIdentical;
 using testing_helpers::ExtremeBoundedNeighbor;
+using testing_helpers::ScopedEnv;
 using testing_helpers::TinyNetwork;
 
 DiExperimentConfig SmallAuditConfig() {
@@ -37,12 +38,12 @@ DiExperimentConfig SmallAuditConfig() {
   config.dpsgd.noise_multiplier = 0.8;
   config.dpsgd.sensitivity_mode = SensitivityMode::kLocalHat;
   config.repetitions = 12;
-  config.threads = 4;
   config.seed = 1234;
   return config;
 }
 
 DiExperimentSummary RunOnce(bool telemetry) {
+  ScopedEnv threads("DPAUDIT_THREADS", "4");  // parallel repetitions
   obs::EnableTelemetryForTest(telemetry);
   Rng rng(7);
   Network net = TinyNetwork();

@@ -2,8 +2,9 @@
 // two-class dense network and small synthetic datasets that keep per-test
 // wall clock in the tens of milliseconds, the sequential clipped-sum
 // references the gradient engine is checked against, a bit-identity check
-// for trial records, plus per-test scratch directories and a rendezvous for
-// pinning the participants of a parallel region.
+// for trial records, plus per-test scratch directories, scoped environment
+// variables and a rendezvous for pinning the participants of a parallel
+// region.
 
 #ifndef DPAUDIT_TESTS_TEST_HELPERS_H_
 #define DPAUDIT_TESTS_TEST_HELPERS_H_
@@ -15,6 +16,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <mutex>
@@ -188,6 +190,24 @@ inline std::filesystem::path UniqueTestTempDir(const std::string& stem) {
   name.append("_").append(std::to_string(getpid()));
   return std::filesystem::path(::testing::TempDir()) / name;
 }
+
+/// Sets an environment variable for the enclosing scope. Library code reads
+/// the runtime options (core/runtime_options.h) from the environment when no
+/// binary published any, so this picks the sweep policy RunDiExperiment
+/// runs under: DPAUDIT_THREADS, DPAUDIT_TRACE_CACHE, DPAUDIT_SWEEP_CHECKPOINT,
+/// DPAUDIT_TRIAL_RETRIES.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const std::string& value) : name_(name) {
+    setenv(name, value.c_str(), /*overwrite=*/1);
+  }
+  ~ScopedEnv() { unsetenv(name_); }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+};
 
 /// Blocks each caller of Arrive() until `expected` callers have arrived.
 /// A region body that arrives pins the region to one index per participant:

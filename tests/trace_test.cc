@@ -25,6 +25,7 @@ using testing_helpers::BlobDataset;
 using testing_helpers::ExpectSummariesBitIdentical;
 using testing_helpers::ExpectTrialsBitIdentical;
 using testing_helpers::ExtremeBoundedNeighbor;
+using testing_helpers::ScopedEnv;
 using testing_helpers::TinyNetwork;
 
 DiExperimentConfig FastExperiment() {
@@ -150,7 +151,6 @@ TEST(TraceFingerprintTest, EachConfigFieldInvalidatesTheKey) {
 
   // Thread counts are excluded by design (results are thread-invariant).
   DiExperimentConfig threads = base;
-  threads.threads = 7;
   threads.dpsgd.threads = 3;
   EXPECT_EQ(FingerprintExperiment(f.net, f.d, f.d_prime, threads), key);
 
@@ -274,8 +274,8 @@ TEST(TraceFingerprintTest, OnDiskTrialBytesArePinned) {
   config.dpsgd.epochs = 3;
   config.repetitions = 2;
   config.randomize_challenge_bit = true;
-  config.threads = 1;
-  config.trace_store = &store;
+  ScopedEnv sweep_threads("DPAUDIT_THREADS", "1");
+  ScopedEnv trace_cache("DPAUDIT_TRACE_CACHE", dir.path());
   ASSERT_TRUE(
       RunDiExperiment(f.net, f.d, f.d_prime, config, &test_set).ok());
   const TraceFingerprint key =
@@ -416,7 +416,7 @@ TEST(TraceCacheTest, WarmReplayIsBitIdenticalToColdRun) {
   ASSERT_TRUE(reference.ok()) << reference.status();
 
   // Cold: records into the cache while producing the same result.
-  config.trace_store = &store;
+  ScopedEnv trace_cache("DPAUDIT_TRACE_CACHE", cache.path());
   auto cold = RunDiExperiment(f.net, f.d, f.d_prime, config);
   ASSERT_TRUE(cold.ok()) << cold.status();
   auto entries = store.List();
@@ -451,7 +451,7 @@ TEST(TraceCacheTest, TestSetAccuracySurvivesReplay) {
   Dataset test = BlobDataset(12, data_rng);
   DiExperimentConfig config = FastExperiment();
   config.repetitions = 4;
-  config.trace_store = &store;
+  ScopedEnv trace_cache("DPAUDIT_TRACE_CACHE", cache.path());
 
   auto cold = RunDiExperiment(f.net, f.d, f.d_prime, config, &test);
   ASSERT_TRUE(cold.ok());
@@ -495,7 +495,7 @@ TEST(TraceCacheTest, ShorterRecordingReplaysAsPrefixAndExtends) {
   // Record only 4 repetitions. Trial r depends on (seed, r) alone, so these
   // are bit-identical to the reference's first four.
   config.repetitions = 4;
-  config.trace_store = &store;
+  ScopedEnv trace_cache("DPAUDIT_TRACE_CACHE", cache.path());
   auto small = RunDiExperiment(f.net, f.d, f.d_prime, config);
   ASSERT_TRUE(small.ok()) << small.status();
   ExpectTrialPrefixBitIdentical(*reference, *small, 4);
@@ -534,7 +534,7 @@ TEST(TraceCacheTest, CorruptCacheEntryFallsBackToLiveRun) {
   TraceStore store(cache.path());
   DiExperimentConfig config = FastExperiment();
   config.repetitions = 4;
-  config.trace_store = &store;
+  ScopedEnv trace_cache("DPAUDIT_TRACE_CACHE", cache.path());
 
   auto cold = RunDiExperiment(f.net, f.d, f.d_prime, config);
   ASSERT_TRUE(cold.ok());

@@ -11,8 +11,10 @@
 //       [--reps 20] [--sensitivity ls|gs] [--neighbors bounded|unbounded]
 //       [--epochs 30] [--n 30] [--seed 42] [--save-model weights.dpau]
 //       Run the repeated Exp^DI with the DP adversary and print the audit.
-//       With DPAUDIT_TRACE_CACHE set, repeated invocations replay the
-//       recorded step trace instead of retraining.
+//       The repetitions run as a sweep under the runtime flags: with
+//       --trace-cache set, repeated invocations replay the recorded step
+//       trace instead of retraining; with --checkpoint set, a killed run
+//       resumes (`sweep resume` re-launches it) instead of retraining.
 //
 //   dpaudit_cli trace list [--cache DIR]
 //   dpaudit_cli trace show --key HEX [--cache DIR]
@@ -235,7 +237,6 @@ Status RunExperiment(const ArgParser& args) {
   config.dpsgd.neighbor_mode = neighbor_mode;
   config.repetitions = static_cast<size_t>(reps);
   config.seed = static_cast<uint64_t>(seed);
-  config.trace_store = TraceStore::FromEnv();
 
   std::printf("running Exp^DI: %s, |D|=%lld, eps=%g, delta=%g, k=%lld, "
               "z=%.3f, %s/%s, %lld reps\n",
@@ -621,6 +622,9 @@ Status RunSweepCmd(const ArgParser& args) {
 }
 
 int Main(int argc, char** argv) {
+  // The pre-strip command line, for the manifest of an `experiment
+  // --checkpoint` journal: `sweep resume` re-executes it.
+  RecordCommandLineForJournal(argc, argv);
   StatusOr<RuntimeOptions> runtime =
       RuntimeOptions::FromEnvAndArgs(&argc, argv);
   if (!runtime.ok()) {

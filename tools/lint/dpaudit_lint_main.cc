@@ -1,18 +1,17 @@
 // dpaudit_lint — tree-wide static analysis for dpaudit's repo invariants.
-// Two passes: per-file lexical rules over a token model (parallel, cached
-// by content fingerprint), then cross-TU graph rules over the include graph
+// Two passes: per-file lexical rules over a token model (parallel), then
+// cross-TU graph rules over the include graph
 // and symbol xref (layering, cycles, include hygiene, DP mechanism flow).
 // See tools/lint/lint.h, tools/lint/model.h, and DESIGN.md §14.
 //
 // Usage:
 //   dpaudit_lint [--root=DIR] [--format=text|json|sarif] [--rule=NAME ...]
-//                [--cache=FILE] [--no-cache] [--layers=FILE] [--no-graph]
-//                [--fix] [--stats] [--list-rules] [paths...]
+//                [--layers=FILE] [--no-graph] [--fix] [--stats]
+//                [--list-rules] [paths...]
 //
 // Paths (files or directories) are resolved against --root; with none given
-// the default trees src/ bench/ tools/ tests/ examples/ are scanned. The
-// pass-1 cache defaults to $DPAUDIT_LINT_CACHE when set. Exit status: 0
-// clean, 1 findings, 2 usage or I/O error.
+// the default trees src/ bench/ tools/ tests/ examples/ are scanned. Exit
+// status: 0 clean, 1 findings, 2 usage or I/O error.
 
 #include <cstdlib>
 #include <filesystem>
@@ -30,18 +29,15 @@ namespace fs = std::filesystem;
 
 int Usage(std::ostream& out, int code) {
   out << "usage: dpaudit_lint [--root=DIR] [--format=text|json|sarif]\n"
-         "                    [--rule=NAME ...] [--cache=FILE] [--no-cache]\n"
-         "                    [--layers=FILE] [--no-graph] [--fix]\n"
-         "                    [--stats] [--list-rules] [paths...]\n"
+         "                    [--rule=NAME ...] [--layers=FILE] [--no-graph]\n"
+         "                    [--fix] [--stats] [--list-rules] [paths...]\n"
          "\n"
          "Lints C++ sources against dpaudit's repo invariants: per-file\n"
          "lexical rules plus cross-TU graph rules (include-graph layering,\n"
          "cycles, IWYU-lite hygiene, DP mechanism flow). With no paths,\n"
          "scans src/ bench/ tools/ tests/ examples/ under --root (default:\n"
          "current directory). --fix rewrites include guards and include\n"
-         "order in place (idempotent). --cache points at the pass-1\n"
-         "fingerprint cache ($DPAUDIT_LINT_CACHE by default); warm runs\n"
-         "re-lex only changed files. Suppress one line with\n"
+         "order in place (idempotent). Suppress one line with\n"
          "// NOLINT(dpaudit-<rule>); see --list-rules for rule names.\n";
   return code;
 }
@@ -54,12 +50,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> paths;
   bool list_rules = false;
   bool stats = false;
-  bool no_cache = false;
-  // The linter cannot depend on core/, so this one knob reads the
-  // environment directly.
-  if (const char* env = std::getenv("DPAUDIT_LINT_CACHE")) {  // NOLINT(dpaudit-raw-getenv)
-    options.cache_path = env;
-  }
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -80,8 +70,6 @@ int main(int argc, char** argv) {
       options.fix = true;
     } else if (arg == "--stats") {
       stats = true;
-    } else if (arg == "--no-cache") {
-      no_cache = true;
     } else if (arg == "--no-graph") {
       options.graph_rules = false;
     } else if (arg.rfind("--root", 0) == 0) {
@@ -90,8 +78,6 @@ int main(int argc, char** argv) {
       format = value("--format");
     } else if (arg.rfind("--rule", 0) == 0) {
       options.rules.push_back(value("--rule"));
-    } else if (arg.rfind("--cache", 0) == 0) {
-      options.cache_path = value("--cache");
     } else if (arg.rfind("--layers", 0) == 0) {
       options.layers_path = value("--layers");
     } else if (arg.rfind("--", 0) == 0) {
@@ -101,7 +87,6 @@ int main(int argc, char** argv) {
       paths.push_back(arg);
     }
   }
-  if (no_cache) options.cache_path.clear();
   if (format != "text" && format != "json" && format != "sarif") {
     std::cerr << "dpaudit_lint: --format must be text, json, or sarif\n";
     return 2;
@@ -146,9 +131,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (stats) {
-    std::cerr << "dpaudit_lint: " << result.files_scanned << " file(s), "
-              << result.cache_hits << " cache hit(s), "
-              << result.cache_misses << " miss(es)";
+    std::cerr << "dpaudit_lint: " << result.files_scanned << " file(s)";
     if (options.fix) std::cerr << ", " << result.files_fixed << " fixed";
     std::cerr << "\n";
   }

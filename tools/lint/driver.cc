@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "tools/lint/cache.h"
 #include "tools/lint/fix.h"
 #include "tools/lint/lexer.h"
 #include "tools/lint/model.h"
@@ -78,11 +77,7 @@ TreeLintResult LintTree(const std::vector<std::string>& paths,
     }
   }
 
-  const ModelCache cache = ModelCache::Load(options.cache_path);
-
   std::vector<FileModel> models(files.size());
-  std::atomic<size_t> hits{0};
-  std::atomic<size_t> misses{0};
   std::atomic<size_t> fixed{0};
   std::mutex errors_mu;
   std::vector<std::string> errors;
@@ -111,30 +106,13 @@ TreeLintResult LintTree(const std::vector<std::string>& paths,
         }
       }
     }
-    const uint64_t fingerprint = FingerprintContents(contents);
-    const FileModel* cached = cache.Lookup(rel, fingerprint);
-    if (cached != nullptr) {
-      models[i] = *cached;
-      hits.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      models[i] = AnalyzeFile(rel, contents);
-      misses.fetch_add(1, std::memory_order_relaxed);
-    }
+    models[i] = AnalyzeFile(rel, contents);
   });
 
   result.files_scanned = files.size();
-  result.cache_hits = hits.load();
-  result.cache_misses = misses.load();
   result.files_fixed = fixed.load();
   result.errors = std::move(errors);
   if (!result.errors.empty()) return result;
-
-  if (!options.cache_path.empty()) {
-    // A failed write is non-fatal: the cache is an optimization and the
-    // findings stand either way; the next run simply starts cold.
-    ModelCache fresh;
-    fresh.Store(models, options.cache_path);
-  }
 
   // Per-file findings, filtered to the requested rules.
   for (const FileModel& model : models) {

@@ -1,7 +1,5 @@
 // The two-pass tree linter. Pass 1 lexes every collected file into a
-// FileModel — parallelized over util/thread_pool's SharedThreadPool, with
-// the content-fingerprint cache (tools/lint/cache.h) short-circuiting
-// unchanged files. Pass 2 builds the TreeModel and runs the graph rules
+// FileModel, parallelized over util/thread_pool's SharedThreadPool. Pass 2 builds the TreeModel and runs the graph rules
 // (tools/lint/model.h). With `fix` set, the mechanical rewrites
 // (tools/lint/fix.h) are applied before analysis, so the emitted findings
 // describe the fixed tree.
@@ -20,7 +18,6 @@ namespace lint {
 struct TreeLintOptions {
   std::string root = ".";
   std::vector<std::string> rules;  // empty = all rules
-  std::string cache_path;          // empty = cache disabled
   std::string layers_path;         // empty = <root>/tools/lint/layers.txt
   bool graph_rules = true;         // run pass 2
   bool fix = false;                // apply mechanical fixes in place
@@ -30,8 +27,6 @@ struct TreeLintOptions {
 struct TreeLintResult {
   std::vector<Finding> findings;
   size_t files_scanned = 0;
-  size_t cache_hits = 0;
-  size_t cache_misses = 0;
   size_t files_fixed = 0;
   std::vector<std::string> errors;  // unreadable files, bad layer config
 };

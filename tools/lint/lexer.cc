@@ -11,12 +11,8 @@ namespace dpaudit {
 namespace lint {
 namespace {
 
-// Bumped whenever the lexer or any per-file rule changes behavior, so stale
-// cache entries (tools/lint/cache.h) never survive a tool upgrade.
-constexpr uint64_t kLexerVersion = 5;
-
 // Keywords, builtin types, and ubiquitous std vocabulary that never
-// identify a repo symbol. Keeping them out of the ref set shrinks the cache
+// identify a repo symbol. Keeping them out of the ref set shrinks the model
 // and removes xref noise.
 const std::set<std::string>& StopWords() {
   static const std::set<std::string> kStop = {
@@ -364,7 +360,7 @@ const SymbolRef* FileModel::FindRef(const std::string& name) const {
 }
 
 uint64_t FingerprintContents(const std::string& contents) {
-  uint64_t h = 14695981039346656037ULL ^ (kLexerVersion * 0x9e3779b97f4a7c15ULL);
+  uint64_t h = 14695981039346656037ULL;
   for (const char c : contents) {
     h ^= static_cast<unsigned char>(c);
     h *= 1099511628211ULL;

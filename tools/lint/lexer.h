@@ -2,8 +2,8 @@
 // FileModel — its include directives, declared top-level symbols, referenced
 // identifiers, NOLINT suppressions, and the findings of every per-file
 // (lexical) rule. A FileModel is a pure value: it can be computed in
-// parallel, serialized into the fingerprint cache (tools/lint/cache.h), and
-// fed to the tree model (tools/lint/model.h) without re-reading the file.
+// parallel and fed to the tree model (tools/lint/model.h) without
+// re-reading the file.
 //
 // The lexer is heuristic by design (token-level, no compiler): it reuses the
 // comment/string-blanking scanner from lint.cc, so rules never fire inside
@@ -54,7 +54,7 @@ struct SymbolRef {
 };
 
 /// A NOLINT / NOLINTNEXTLINE directive, extracted so graph rules can honor
-/// suppressions without the raw lines (which the cache does not keep).
+/// suppressions without the raw lines (which the model does not keep).
 struct SuppressDirective {
   int line = 0;           // 1-based line the directive sits on
   bool next_line = false; // NOLINTNEXTLINE
@@ -66,7 +66,7 @@ struct SuppressDirective {
 /// Everything pass 2 needs to know about one file.
 struct FileModel {
   std::string rel;           // repo-relative path, forward slashes
-  uint64_t fingerprint = 0;  // content fingerprint (FNV-1a 64 + version)
+  uint64_t fingerprint = 0;  // content fingerprint (FNV-1a 64)
   bool is_header = false;
   std::vector<IncludeDirective> includes;
   std::vector<SymbolDecl> decls;
@@ -78,16 +78,14 @@ struct FileModel {
   // dpaudit-mechanism-flow.
   int gaussian_literal_line = 0;
   // Findings of every per-file rule (already NOLINT-filtered). The driver
-  // filters by the requested rule set at output time, so the cache entry
-  // stays valid regardless of --rule flags.
+  // filters by the requested rule set at output time.
   std::vector<Finding> findings;
 
   bool HasRef(const std::string& name) const;
   const SymbolRef* FindRef(const std::string& name) const;
 };
 
-/// FNV-1a 64 over the file contents, mixed with the lexer/rule version so a
-/// lexer change invalidates every cache entry.
+/// FNV-1a 64 over the file contents.
 uint64_t FingerprintContents(const std::string& contents);
 
 /// Lexes `contents` and runs all per-file rules. The returned model is
